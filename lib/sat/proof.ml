@@ -30,20 +30,14 @@ let create ?(timed = false) ?(solver_id = 0) () =
 
 let solver_id t = t.solver_id
 
-let register_original_ t =
+(* Never clocked: originals are registered while a formula loads, outside
+   every window that reports CDG time (a solve and its core walk), so two
+   clock reads per clause would be pure cost. *)
+let register_original t =
   let id = Vec.length t.nodes in
   Vec.push t.nodes Original;
   t.n_original <- t.n_original + 1;
   id
-
-let register_original t =
-  if not t.timed then register_original_ t
-  else begin
-    let t0 = Sys.time () in
-    let id = register_original_ t in
-    t.cdg_time <- t.cdg_time +. (Sys.time () -. t0);
-    id
-  end
 
 let register_import_ t ~origin:(o_solver, o_id) =
   if o_id < 0 then

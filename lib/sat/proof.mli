@@ -24,11 +24,13 @@
 type t
 
 val create : ?timed:bool -> ?solver_id:int -> unit -> t
-(** [timed] (default [false]) clocks every bookkeeping operation —
-    registration, final-conflict recording, and the backwards core walk —
-    accumulating into {!cdg_seconds}.  This makes the paper's "about 5%"
-    CDG overhead claim directly measurable; when off, the only cost is a
-    boolean check per operation.  [solver_id] (default [0]) is this shard's
+(** [timed] (default [false]) clocks the bookkeeping done while solving —
+    learnt and import registration, final-conflict recording, and the
+    backwards core walk — accumulating into {!cdg_seconds}.  This makes the
+    paper's "about 5%" CDG overhead claim directly measurable; when off,
+    the only cost is a boolean check per operation.  Original registration
+    is never clocked: it happens while a formula loads, outside every
+    window that reports CDG time.  [solver_id] (default [0]) is this shard's
     global provenance id; callers that intend to stitch shards (the
     portfolio coordinator) must allocate distinct ids. *)
 
