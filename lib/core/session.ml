@@ -522,7 +522,7 @@ let begin_instance ?frames t ~k =
     while t.loaded_frames < frames do
       t.loaded_frames <- t.loaded_frames + 1;
       Unroll.iter_delta t.unroll ~frame:t.loaded_frames (fun clause ->
-          Sat.Solver.add_clause solver clause;
+          Sat.Solver.add_clause_a solver clause;
           t.loaded_clauses <- t.loaded_clauses + 1)
     done;
     let act = Varmap.var (Unroll.varmap t.unroll) ~node:activation_node ~frame:k in
@@ -630,6 +630,13 @@ let solve_instance t =
   let outcome = Sat.Solver.solve ~budget:cfg.budget ~assumptions solver in
   let time = Sys.time () -. t0 in
   let delta = stats_delta ~before ~after:(Sat.Solver.stats solver) in
+  (* the instance's one proof walk: its clauses, variables and the imports
+     it leaned on *)
+  let core =
+    match outcome with
+    | Sat.Solver.Unsat when t.with_proof -> Some (Sat.Solver.core solver)
+    | Sat.Solver.Unsat | Sat.Solver.Sat | Sat.Solver.Unknown -> None
+  in
   (match t.share with
   | Some ep ->
     Share.Exchange.note_rejected_tainted ep delta.Sat.Stats.shared_rejected_tainted;
@@ -642,20 +649,14 @@ let solve_instance t =
         delta.Sat.Stats.shared_rejected_tainted;
     if delta.Sat.Stats.shared_throttled > 0 then
       Telemetry.counter cfg.telemetry "share.throttled" delta.Sat.Stats.shared_throttled;
-    (* import-usefulness feedback: after an UNSAT answer, report how many
-       imports the refutation actually leaned on — this drives the
-       adaptive LBD cap ({!Share.Exchange.tune}) at the next restart *)
-    (match outcome with
-    | Sat.Solver.Unsat when t.with_proof ->
-      Share.Exchange.note_import_used ep
-        (List.length (Sat.Solver.unsat_core_imports solver))
-    | Sat.Solver.Unsat | Sat.Solver.Sat | Sat.Solver.Unknown -> ())
+    (match core with
+    | Some c -> Share.Exchange.note_import_used ep (List.length c.Sat.Solver.imports)
+    | None -> ())
   | None -> ());
-  let core, core_vars =
-    match outcome with
-    | Sat.Solver.Unsat when t.with_proof ->
-      (Sat.Solver.unsat_core solver, Sat.Solver.core_vars solver)
-    | Sat.Solver.Unsat | Sat.Solver.Sat | Sat.Solver.Unknown -> ([], [])
+  let core, core_vars, imports =
+    match core with
+    | Some c -> (c.Sat.Solver.clauses, c.Sat.Solver.vars, c.Sat.Solver.imports)
+    | None -> ([], [], [])
   in
   (* Destructive minimisation ([Core_minimal]): re-solve the candidate core
      under clause-selector assumptions until no clause can be dropped (or
@@ -668,7 +669,6 @@ let solve_instance t =
   let core, core_vars, coremin_time, coremin_certified =
     if cfg.core_mode <> Core_minimal || core = [] then (core, core_vars, 0.0, true)
     else begin
-      let imports = Sat.Solver.unsat_core_imports solver in
       let candidates =
         List.map (fun i -> (i, Sat.Solver.original_clause solver i)) core
         @ List.mapi (fun j lits -> (-1 - j, lits)) imports

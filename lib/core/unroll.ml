@@ -5,7 +5,9 @@ type t = {
   varmap : Varmap.t;
   in_cone : Circuit.Netlist.node -> bool;
   encode_order : Circuit.Netlist.node array; (* nodes encoded per frame, fixed order *)
-  base : (int * Sat.Lit.t list) Sat.Vec.t; (* (frame, clause) in emission order *)
+  base : Sat.Lit.t array Sat.Vec.t;
+      (* clauses in emission order, each built once and shared, never
+         copied, by every formula and solver they are loaded into *)
   link_flags : bool Sat.Vec.t; (* aligned with base: register-link clause? *)
   frame_var_limit : int Sat.Vec.t; (* vars allocated after materialising frame f *)
   frame_clause_limit : int Sat.Vec.t; (* base length after materialising frame f *)
@@ -29,7 +31,7 @@ let create ?(coi = false) ?(constrain_init = true) netlist ~property =
     varmap = Varmap.create ();
     in_cone;
     encode_order = order;
-    base = Sat.Vec.create ~dummy:(0, []) ();
+    base = Sat.Vec.create ~dummy:[||] ();
     link_flags = Sat.Vec.create ~dummy:false ();
     frame_var_limit = Sat.Vec.create ~dummy:0 ();
     frame_clause_limit = Sat.Vec.create ~dummy:0 ();
@@ -52,8 +54,8 @@ let var_of t ~node ~frame =
 
 let frame_of_var t v = Option.map snd (Varmap.key_of t.varmap v)
 
-let emit ?(link = false) t frame clause =
-  Sat.Vec.push t.base (frame, clause);
+let emit ?(link = false) t clause =
+  Sat.Vec.push t.base clause;
   Sat.Vec.push t.link_flags link
 
 let encode_node t frame node =
@@ -65,46 +67,46 @@ let encode_node t frame node =
   | Circuit.Netlist.Input _ -> ()
   | Circuit.Netlist.Const b ->
     (* one unit clause, emitted only when the constant is first seen *)
-    if frame = 0 then emit t 0 [ (if b then pos else neg) ]
+    if frame = 0 then emit t [| (if b then pos else neg) |]
   | Circuit.Netlist.Not a ->
     let a = at a in
-    emit t frame [ pos; Sat.Lit.pos a ];
-    emit t frame [ neg; Sat.Lit.neg a ]
+    emit t [| pos; Sat.Lit.pos a |];
+    emit t [| neg; Sat.Lit.neg a |]
   | Circuit.Netlist.And (a, b) ->
     let a = at a and b = at b in
-    emit t frame [ neg; Sat.Lit.pos a ];
-    emit t frame [ neg; Sat.Lit.pos b ];
-    emit t frame [ pos; Sat.Lit.neg a; Sat.Lit.neg b ]
+    emit t [| neg; Sat.Lit.pos a |];
+    emit t [| neg; Sat.Lit.pos b |];
+    emit t [| pos; Sat.Lit.neg a; Sat.Lit.neg b |]
   | Circuit.Netlist.Or (a, b) ->
     let a = at a and b = at b in
-    emit t frame [ pos; Sat.Lit.neg a ];
-    emit t frame [ pos; Sat.Lit.neg b ];
-    emit t frame [ neg; Sat.Lit.pos a; Sat.Lit.pos b ]
+    emit t [| pos; Sat.Lit.neg a |];
+    emit t [| pos; Sat.Lit.neg b |];
+    emit t [| neg; Sat.Lit.pos a; Sat.Lit.pos b |]
   | Circuit.Netlist.Xor (a, b) ->
     let a = at a and b = at b in
-    emit t frame [ neg; Sat.Lit.pos a; Sat.Lit.pos b ];
-    emit t frame [ neg; Sat.Lit.neg a; Sat.Lit.neg b ];
-    emit t frame [ pos; Sat.Lit.pos a; Sat.Lit.neg b ];
-    emit t frame [ pos; Sat.Lit.neg a; Sat.Lit.pos b ]
+    emit t [| neg; Sat.Lit.pos a; Sat.Lit.pos b |];
+    emit t [| neg; Sat.Lit.neg a; Sat.Lit.neg b |];
+    emit t [| pos; Sat.Lit.pos a; Sat.Lit.neg b |];
+    emit t [| pos; Sat.Lit.neg a; Sat.Lit.pos b |]
   | Circuit.Netlist.Mux (s, h, l) ->
     let s = at s and h = at h and l = at l in
-    emit t frame [ neg; Sat.Lit.neg s; Sat.Lit.pos h ];
-    emit t frame [ pos; Sat.Lit.neg s; Sat.Lit.neg h ];
-    emit t frame [ neg; Sat.Lit.pos s; Sat.Lit.pos l ];
-    emit t frame [ pos; Sat.Lit.pos s; Sat.Lit.neg l ]
+    emit t [| neg; Sat.Lit.neg s; Sat.Lit.pos h |];
+    emit t [| pos; Sat.Lit.neg s; Sat.Lit.neg h |];
+    emit t [| neg; Sat.Lit.pos s; Sat.Lit.pos l |];
+    emit t [| pos; Sat.Lit.pos s; Sat.Lit.neg l |]
   | Circuit.Netlist.Reg _ ->
     if frame = 0 then begin
       if t.constrain_init then
         match Circuit.Netlist.reg_init nl node with
-        | Some true -> emit t 0 [ pos ]
-        | Some false -> emit t 0 [ neg ]
+        | Some true -> emit t [| pos |]
+        | Some false -> emit t [| neg |]
         | None -> ()
     end
     else begin
       (* v(reg, f) ↔ v(next, f-1) *)
       let prev = var_of t ~node:(Circuit.Netlist.reg_next nl node) ~frame:(frame - 1) in
-      emit ~link:true t frame [ neg; Sat.Lit.pos prev ];
-      emit ~link:true t frame [ pos; Sat.Lit.neg prev ]
+      emit ~link:true t [| neg; Sat.Lit.pos prev |];
+      emit ~link:true t [| pos; Sat.Lit.neg prev |]
     end
 
 let materialise_frame t frame =
@@ -121,10 +123,14 @@ let extend_to t k =
 
 let depth t = t.depth
 
+(* Frames are materialised in order, so frames 0..k are a prefix of the
+   base. *)
 let base_cnf t ~k =
   extend_to t k;
   let cnf = Sat.Cnf.create ~num_vars:(Sat.Vec.get t.frame_var_limit k) () in
-  Sat.Vec.iter (fun (frame, clause) -> if frame <= k then Sat.Cnf.add_clause cnf clause) t.base;
+  for i = 0 to Sat.Vec.get t.frame_clause_limit k - 1 do
+    Sat.Cnf.add_clause_a cnf (Sat.Vec.get t.base i)
+  done;
   cnf
 
 let instance t ~k =
@@ -132,35 +138,38 @@ let instance t ~k =
   Sat.Cnf.add_clause cnf [ Sat.Lit.neg (var_of t ~node:t.property ~frame:k) ];
   cnf
 
-(* Every clause emitted while materialising frame f is tagged f, so a
-   frame's delta is the contiguous base range between consecutive
-   frame_clause_limit entries — concatenating the deltas for 0..k
-   reproduces base_cnf ~k clause for clause. *)
+(* The clauses emitted while materialising frame f are the contiguous base
+   range between consecutive frame_clause_limit entries — concatenating
+   the deltas for 0..k reproduces base_cnf ~k clause for clause. *)
 let iter_delta t ~frame f =
   extend_to t frame;
   let lo = if frame = 0 then 0 else Sat.Vec.get t.frame_clause_limit (frame - 1) in
   let hi = Sat.Vec.get t.frame_clause_limit frame in
   for i = lo to hi - 1 do
-    let _, clause = Sat.Vec.get t.base i in
-    f clause
+    f (Sat.Vec.get t.base i)
   done
 
 let delta_cnf t ~frame =
   extend_to t frame;
   let cnf = Sat.Cnf.create ~num_vars:(Sat.Vec.get t.frame_var_limit frame) () in
-  iter_delta t ~frame (Sat.Cnf.add_clause cnf);
+  iter_delta t ~frame (Sat.Cnf.add_clause_a cnf);
   cnf
-
-let frame_clauses t ~frame =
-  let acc = ref [] in
-  iter_delta t ~frame (fun clause -> acc := clause :: !acc);
-  List.rev !acc
 
 let num_vars_at t ~frame =
   extend_to t frame;
   Sat.Vec.get t.frame_var_limit frame
 
-let clause_frame t i = fst (Sat.Vec.get t.base i)
+(* Frames are materialised in order, so clause [i] belongs to the first
+   frame whose clause limit exceeds it. *)
+let clause_frame t i =
+  if i < 0 || i >= Sat.Vec.length t.base then invalid_arg "Unroll.clause_frame";
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if i < Sat.Vec.get t.frame_clause_limit mid then search lo mid else search (mid + 1) hi
+  in
+  search 0 t.depth
 
 let clause_is_link t i = Sat.Vec.get t.link_flags i
 

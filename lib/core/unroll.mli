@@ -35,7 +35,9 @@ val depth : t -> int
 val base_cnf : t -> k:int -> Sat.Cnf.t
 (** Frames 0..k without any property constraint — the raw
     [I(V⁰) ∧ ⋀ T(...)] (or just the transitions when [constrain_init] is
-    off).  Callers add their own property units. *)
+    off).  Callers add their own property units.  The formula shares the
+    unroller's clause arrays: each clause is built once, when its frame is
+    materialised, and is never mutated. *)
 
 val instance : t -> k:int -> Sat.Cnf.t
 (** The depth-k BMC instance: base clauses for frames 0..k plus [¬P(V^k)].
@@ -56,9 +58,10 @@ val varmap : t -> Varmap.t
 val frame_of_var : t -> Sat.Lit.var -> int option
 (** Frame a SAT variable belongs to ([None] if unknown to the map). *)
 
-val iter_delta : t -> frame:int -> (Sat.Lit.t list -> unit) -> unit
+val iter_delta : t -> frame:int -> (Sat.Lit.t array -> unit) -> unit
 (** Iterate, in emission order, over exactly the base clauses produced by
-    materialising that frame (its {e delta}).  Extends the unrolling if
+    materialising that frame (its {e delta}).  The arrays are the
+    unroller's own and must not be mutated.  Extends the unrolling if
     needed.  Concatenating the deltas for frames 0..k yields {!base_cnf}
     [~k] clause for clause, in the same order — this is what lets a
     {!Session} load each frame into a persistent solver exactly once. *)
@@ -67,10 +70,6 @@ val delta_cnf : t -> frame:int -> Sat.Cnf.t
 (** The frame's delta as a standalone formula over the full variable range
     allocated once the frame is materialised (clauses of earlier frames are
     {e not} included). *)
-
-val frame_clauses : t -> frame:int -> Sat.Lit.t list list
-(** {!iter_delta} collected into a list (used by the incremental engine to
-    feed the solver frame by frame).  Extends the unrolling if needed. *)
 
 val num_vars_at : t -> frame:int -> int
 (** Number of variables allocated once the given frame is materialised. *)

@@ -26,6 +26,8 @@ type t = {
   mutable wasted : int; (* words in deleted blocks *)
 }
 
+let words ~clauses ~literals = (hdr_words * clauses) + literals
+
 let create ?(capacity = 1024) () =
   { data = Array.make (max capacity hdr_words) 0; size = 0; wasted = 0 }
 
@@ -74,8 +76,8 @@ let ensure a words =
     a.data <- data
   end
 
-let alloc a ~cid ~learnt ?(tainted = false) lits =
-  let n = Array.length lits in
+let alloc a ~cid ~learnt ?(tainted = false) lits n =
+  if n < 0 || n > Array.length lits then invalid_arg "Arena.alloc: bad length";
   ensure a (hdr_words + n);
   let cr = a.size in
   a.data.(cr) <-
@@ -83,7 +85,7 @@ let alloc a ~cid ~learnt ?(tainted = false) lits =
   a.data.(cr + 1) <- cid;
   a.data.(cr + 2) <- (if learnt then activity_unit else 0);
   for i = 0 to n - 1 do
-    a.data.(cr + hdr_words + i) <- Lit.to_index lits.(i)
+    Array.unsafe_set a.data (cr + hdr_words + i) (Lit.to_index (Array.unsafe_get lits i))
   done;
   a.size <- a.size + hdr_words + n;
   cr
@@ -137,7 +139,7 @@ module Watch = struct
     mutable len : int; (* pair count *)
   }
 
-  let create () = { data = [||]; len = 0 }
+  let create ?(capacity = 0) () = { data = Array.make (2 * capacity) 0; len = 0 }
 
   let length w = w.len
 

@@ -38,11 +38,18 @@ val none : cref
 val activity_unit : int
 (** Fixed-point scale: the integer value representing activity 1.0. *)
 
-val create : ?capacity:int -> unit -> t
-(** Fresh arena. [capacity] pre-allocates that many words. *)
+val words : clauses:int -> literals:int -> int
+(** Words that [clauses] blocks holding [literals] literals in total
+    occupy — the capacity to presize an arena for a formula. *)
 
-val alloc : t -> cid:int -> learnt:bool -> ?tainted:bool -> Lit.t array -> cref
-(** Append a clause block.  The literal array is copied.  Learnt clauses
+val create : ?capacity:int -> unit -> t
+(** Fresh arena. [capacity] (default 1024) pre-allocates that many words
+    (see {!words}). *)
+
+val alloc : t -> cid:int -> learnt:bool -> ?tainted:bool -> Lit.t array -> int -> cref
+(** [alloc a ~cid ~learnt lits n] appends a block holding the first [n]
+    literals of [lits] — a whole clause array, or a scratch buffer the
+    caller normalised into.  The literals are copied.  Learnt clauses
     start with activity 1.0, originals with 0.  [tainted] (default [false])
     marks clauses whose derivation involves an instance-local literal — the
     clause-sharing export filter refuses them (see {!Solver.set_share});
@@ -129,7 +136,8 @@ val commit : t -> into:t -> unit
 module Watch : sig
   type w
 
-  val create : unit -> w
+  val create : ?capacity:int -> unit -> w
+  (** An empty list with room for [capacity] pairs (default 0). *)
 
   val length : w -> int
   (** Number of pairs. *)

@@ -22,11 +22,15 @@ let fresh_var f =
 let ensure_vars f n = if n > f.num_vars then f.num_vars <- n
 
 let note_lits f c =
-  Array.iter (fun l -> ensure_vars f (Lit.var l + 1)) c;
+  for i = 0 to Array.length c - 1 do
+    ensure_vars f (Lit.var c.(i) + 1)
+  done;
   f.num_literals <- f.num_literals + Array.length c
 
+(* The array is shared, never copied: clause arrays are immutable once
+   added, so formulas, their copies and the unroller that built them can
+   all hold the same one. *)
 let add_clause_a f c =
-  let c = Array.copy c in
   note_lits f c;
   Vec.push f.clauses c
 
@@ -43,14 +47,48 @@ let fold_clauses g acc f = Vec.fold g acc f.clauses
 
 let num_literals f = f.num_literals
 
+(* Clauses are short (Tseitin gates give two or three literals), so they
+   are insertion-sorted straight from the clause into the buffer, with no
+   allocation; long clauses take the library sort on a copy. *)
+let insertion_limit = 16
+
+let normalize_into c ~into =
+  let n = Array.length c in
+  if Array.length into < n then invalid_arg "Cnf.normalize_into: buffer too short";
+  if n <= insertion_limit then
+    (* in place too: slot [i] is read before anything past [i - 1] is written *)
+    for i = 0 to n - 1 do
+      let x = c.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && Lit.to_index into.(!j) > Lit.to_index x do
+        into.(!j + 1) <- into.(!j);
+        decr j
+      done;
+      into.(!j + 1) <- x
+    done
+  else begin
+    let sorted = Array.copy c in
+    Array.sort Lit.compare sorted;
+    Array.blit sorted 0 into 0 n
+  end;
+  (* duplicates are adjacent now, and so are [l] and [¬l] (literals [2v]
+     and [2v+1]) *)
+  let m = ref 0 and tautology = ref false in
+  for i = 0 to n - 1 do
+    let l = into.(i) in
+    if !m = 0 || not (Lit.equal l into.(!m - 1)) then begin
+      if !m > 0 && Lit.var l = Lit.var into.(!m - 1) then tautology := true;
+      into.(!m) <- l;
+      incr m
+    end
+  done;
+  if !tautology then -1 else !m
+
 let normalize_clause lits =
-  let sorted = List.sort_uniq Lit.compare lits in
-  let rec tautology = function
-    | a :: (b :: _ as rest) ->
-      (Lit.var a = Lit.var b && a <> b) || tautology rest
-    | [ _ ] | [] -> false
-  in
-  if tautology sorted then None else Some sorted
+  let a = Array.of_list lits in
+  match normalize_into a ~into:a with
+  | -1 -> None
+  | n -> Some (List.init n (Array.get a))
 
 let eval_clause c assign = Array.exists (fun l -> assign (Lit.var l) = Lit.is_pos l) c
 
@@ -59,11 +97,7 @@ let eval f assign =
   Vec.iter (fun c -> if not (eval_clause c assign) then sat := false) f.clauses;
   !sat
 
-let copy f =
-  let g = create ~num_vars:f.num_vars () in
-  Vec.iter (fun c -> Vec.push g.clauses (Array.copy c)) f.clauses;
-  g.num_literals <- f.num_literals;
-  g
+let copy f = { f with clauses = Vec.copy f.clauses }
 
 let pp ppf f =
   Format.fprintf ppf "@[<v>p cnf %d %d" f.num_vars (num_clauses f);

@@ -6,7 +6,10 @@
     solver; it performs no solving itself. *)
 
 type clause = Lit.t array
-(** A clause, as added by the client.  Order is preserved. *)
+(** A clause, as added by the client.  Order is preserved.  Clause arrays
+    are immutable once added: formulas, their {!copy}, the solver loaded
+    from them and the unroller that built them share the same arrays, and
+    nobody mutates one. *)
 
 type t
 
@@ -29,7 +32,8 @@ val add_clause : t -> Lit.t list -> unit
     formula trivially unsatisfiable). *)
 
 val add_clause_a : t -> Lit.t array -> unit
-(** Like {!add_clause} from an array; the array is copied. *)
+(** Like {!add_clause} from an array.  The array is shared, not copied:
+    the caller must not mutate it afterwards. *)
 
 val get_clause : t -> int -> clause
 (** [get_clause f i] is the [i]-th clause (0-based, in insertion order).
@@ -43,9 +47,18 @@ val fold_clauses : ('acc -> clause -> 'acc) -> 'acc -> t -> 'acc
 val num_literals : t -> int
 (** Total number of literal occurrences over all clauses. *)
 
+val normalize_into : clause -> into:Lit.t array -> int
+(** The clause normaliser.  [normalize_into c ~into] writes the literals of
+    [c] into the first slots of [into], sorted ascending by {!Lit.compare}
+    with duplicates removed, and returns how many it wrote; it returns [-1]
+    if the clause is a tautology (contains [l] and [¬l]).  [c] is left
+    unchanged unless [into] is [c] itself, which normalises in place.
+    Allocates nothing for clauses of up to 16 literals.
+    @raise Invalid_argument if [into] is shorter than [c]. *)
+
 val normalize_clause : Lit.t list -> Lit.t list option
-(** Sort, remove duplicate literals; [None] if the clause is a tautology
-    (contains [l] and [¬l]). *)
+(** {!normalize_into} on a list: sorted, duplicate-free, or [None] for a
+    tautology. *)
 
 val eval : t -> (Lit.var -> bool) -> bool
 (** Evaluate the formula under a total assignment.  O(size). *)
@@ -53,6 +66,8 @@ val eval : t -> (Lit.var -> bool) -> bool
 val eval_clause : clause -> (Lit.var -> bool) -> bool
 
 val copy : t -> t
+(** An independent formula over the same clauses: adding to either leaves
+    the other unchanged.  The clause arrays themselves are shared. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable listing, one clause per line in DIMACS notation. *)

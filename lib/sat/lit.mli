@@ -5,8 +5,10 @@
     representation is the usual [2 * var + sign] packing, so a literal can
     index arrays of size [2 * num_vars] directly via {!to_index}. *)
 
-type t
-(** A literal.  Total order and equality are structural. *)
+type t [@@immediate]
+(** A literal.  Total order and equality are structural.  Immediate, so
+    literal arrays are flat int arrays to the compiler: no float-array
+    check on reads, no write barrier on stores. *)
 
 type var = int
 (** Variables are 0-based dense integers. *)

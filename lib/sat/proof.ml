@@ -96,33 +96,60 @@ let has_final t = t.final <> None
 
 let clear_final t = t.final <- None
 
+type core = {
+  originals : int list;
+  imports : int list;
+}
+
+(* Walk marks, one byte per node. *)
+let unseen = '\000'
+
+let interior = '\001'
+
+let original_leaf = '\002'
+
+let import_leaf = '\003'
+
+(* One backwards walk from the final conflict collects both kinds of leaf.
+   Every node is marked when first reached, so each learnt node's
+   antecedents are expanded once; a final scan over the marks lists the
+   leaves in ascending order without a sort. *)
 let core_ t =
   match t.final with
   | None -> invalid_arg "Proof.core: no final conflict recorded"
   | Some roots ->
     let n = Vec.length t.nodes in
-    let visited = Array.make n false in
-    let acc = ref [] in
-    let stack = ref (Array.to_list roots) in
-    let visit id =
-      if not visited.(id) then begin
-        visited.(id) <- true;
+    let mark = Bytes.make n unseen in
+    let stack = ref (Array.make 64 0) and sp = ref 0 in
+    let reach id =
+      if Bytes.get mark id = unseen then
         match Vec.get t.nodes id with
-        | Original -> acc := id :: !acc
-        | Import _ -> () (* foreign leaf: invisible to the single-shard core *)
-        | Learnt ants -> Array.iter (fun a -> stack := a :: !stack) ants
-      end
+        | Original -> Bytes.set mark id original_leaf
+        | Import _ -> Bytes.set mark id import_leaf
+        | Learnt _ ->
+          Bytes.set mark id interior;
+          if !sp = Array.length !stack then begin
+            let bigger = Array.make (2 * !sp) 0 in
+            Array.blit !stack 0 bigger 0 !sp;
+            stack := bigger
+          end;
+          !stack.(!sp) <- id;
+          incr sp
     in
-    let rec loop () =
-      match !stack with
-      | [] -> ()
-      | id :: rest ->
-        stack := rest;
-        visit id;
-        loop ()
-    in
-    loop ();
-    List.sort Int.compare !acc
+    Array.iter reach roots;
+    while !sp > 0 do
+      decr sp;
+      match Vec.get t.nodes !stack.(!sp) with
+      | Learnt ants -> Array.iter reach ants
+      | Original | Import _ -> assert false (* only learnt nodes are stacked *)
+    done;
+    let originals = ref [] and imports = ref [] in
+    for id = n - 1 downto 0 do
+      let m = Bytes.get mark id in
+      if m = original_leaf then originals := id :: !originals
+      else if m = import_leaf then imports := id :: !imports
+    done;
+    { originals = !originals; imports = !imports }
 
 let core t =
   if not t.timed then core_ t
@@ -132,39 +159,6 @@ let core t =
     t.cdg_time <- t.cdg_time +. (Sys.time () -. t0);
     r
   end
-
-(* The import leaves the single-shard core walk skips over: the IDs of the
-   [Import] nodes reachable from the final conflict.  Together with {!core}
-   they are the complete leaf set of the local refutation — a caller that
-   cannot stitch (siblings still running) can still account for the foreign
-   axioms by their recorded literals. *)
-let core_imports t =
-  match t.final with
-  | None -> invalid_arg "Proof.core: no final conflict recorded"
-  | Some roots ->
-    let n = Vec.length t.nodes in
-    let visited = Array.make n false in
-    let acc = ref [] in
-    let stack = ref (Array.to_list roots) in
-    let visit id =
-      if not visited.(id) then begin
-        visited.(id) <- true;
-        match Vec.get t.nodes id with
-        | Original -> ()
-        | Import _ -> acc := id :: !acc
-        | Learnt ants -> Array.iter (fun a -> stack := a :: !stack) ants
-      end
-    in
-    let rec loop () =
-      match !stack with
-      | [] -> ()
-      | id :: rest ->
-        stack := rest;
-        visit id;
-        loop ()
-    in
-    loop ();
-    List.sort Int.compare !acc
 
 (* Cross-shard core: the same backwards walk, but an [Import (s, i)] node
    continues into shard [s] at node [i] instead of being dropped.  The

@@ -46,7 +46,7 @@ val register_import : t -> origin:int * int -> int
 (** Allocate a pseudo ID for a clause imported from a sibling solver.
     [origin] is the clause's global provenance — the exporting solver's id
     and the clause's pseudo ID {e in that solver's shard}.  The node is a
-    cross-edge: {!core} treats it as an ignorable leaf (a single shard
+    cross-edge: {!core} reports it as an import leaf (a single shard
     cannot see past it) while {!stitched_core} follows it into the origin
     shard.  @raise Invalid_argument on a negative origin id. *)
 
@@ -66,17 +66,22 @@ val clear_final : t -> unit
 (** Forget the final conflict (incremental solving: each solve call records
     its own refutation; the clause graph itself is kept). *)
 
-val core : t -> int list
-(** Original-clause IDs of {e this shard} reachable from the final
-    conflict, ascending.  Import nodes are treated as leaves and excluded —
-    with no imports registered this is the exact core; with imports it is
-    the local-shard projection (use {!stitched_core} for exactness).
-    @raise Invalid_argument if {!set_final} was never called. *)
+type core = {
+  originals : int list;
+      (** original-clause IDs of {e this shard} reachable from the final
+          conflict, ascending — the exact core when no imports are
+          registered, the local-shard projection otherwise (use
+          {!stitched_core} for exactness) *)
+  imports : int list;
+      (** the import-node IDs reachable from the final conflict, ascending:
+          the foreign leaves the local core stops at *)
+}
+(** The leaves of the local refutation.  [originals] and [imports]
+    together are its complete leaf set. *)
 
-val core_imports : t -> int list
-(** The import-node pseudo IDs reachable from the final conflict, ascending
-    — the foreign leaves {!core} skips.  [core] plus [core_imports] is the
-    complete leaf set of the local refutation.
+val core : t -> core
+(** One backwards walk from the final conflict, returning both kinds of
+    leaf.  Import nodes are leaves: a single shard cannot see past them.
     @raise Invalid_argument if {!set_final} was never called. *)
 
 val stitched_core : t -> lookup:(int -> t option) -> (int * int list) list

@@ -74,7 +74,10 @@ type t = {
   mutable order : Order.t;
   sid : int; (* global solver id (proof provenance); 0 outside a portfolio *)
   proof : Proof.t option;
-  proof_to_cnf : (int, int) Hashtbl.t; (* proof pseudo ID -> clause index *)
+  mutable cnf_index : int array;
+      (* proof pseudo ID -> original clause index, -1 for every other node
+         (learnts, imports); grown on demand, see [set_cnf_index] *)
+  mutable norm_buf : Lit.t array; (* [add_original]'s normalisation scratch *)
   learnt_lits : (int, Lit.t list) Hashtbl.t; (* proof ID -> literals (proof mode) *)
   drat : Checker.event Vec.t option; (* clausal proof, when requested *)
   stats : Stats.t;
@@ -96,7 +99,6 @@ type t = {
   mutable heur : hooks option; (* pluggable ordering heuristic, when installed *)
   mutable local_mask : bool array; (* per var: instance-local (activation/aux) *)
   mutable analysis_tainted : bool; (* scratch: current conflict analysis touched a tainted antecedent *)
-  imported_ids : (int, unit) Hashtbl.t; (* proof pseudo IDs of imported clauses *)
   mutable frec : Obs.Recorder.t option; (* flight recorder, when installed *)
   (* inprocessing state *)
   mutable frozen : bool array; (* per var: exempt from variable elimination *)
@@ -174,12 +176,38 @@ let final_analysis t confl =
   done;
   linearize_steps t (Arena.cid t.arena confl) !steps
 
+(* Originals are registered in clause-index order ([create] loads them in
+   order, [add_clause_a] appends), so the map is monotone: ascending proof
+   IDs give ascending clause indices.  An original leaf without an index
+   is a provenance-less import. *)
+let set_cnf_index t id index =
+  let n = Array.length t.cnf_index in
+  if id >= n then begin
+    let grown = Array.make (max (2 * n) (id + 1)) (-1) in
+    Array.blit t.cnf_index 0 grown 0 n;
+    t.cnf_index <- grown
+  end;
+  t.cnf_index.(id) <- index
+
+let cnf_index t id = if id < Array.length t.cnf_index then t.cnf_index.(id) else -1
+
+(* The clause indices behind a list of proof IDs, skipping every ID that
+   names no original clause. *)
+let clause_indices t ids =
+  List.filter_map
+    (fun id ->
+      let i = cnf_index t id in
+      if i >= 0 then Some i else None)
+    ids
+
 (* Every original clause is registered in the proof (even ones we drop or
    leave unwatched) and its pseudo ID recorded against its clause index.
-   Attachment is assignment-aware because clauses may arrive incrementally,
-   after level-0 propagation: watches must sit on non-false literals, a
-   clause with a single non-false literal is a (possibly pending) unit, and
-   a clause with none is a top-level conflict. *)
+   The clause array is only read: it is normalised into the solver's
+   scratch buffer, which goes straight into the arena.  Attachment is
+   assignment-aware because clauses may arrive incrementally, after
+   level-0 propagation: watches must sit on non-false literals, a clause
+   with a single non-false literal is a (possibly pending) unit, and a
+   clause with none is a top-level conflict. *)
 let[@inline] is_local t v = t.local_mask.(v)
 
 let add_original t index lits =
@@ -187,27 +215,29 @@ let add_original t index lits =
     match t.proof with
     | Some p ->
       let id = Proof.register_original p in
-      Hashtbl.replace t.proof_to_cnf id index;
+      set_cnf_index t id index;
       id
     | None -> index
   in
-  match Cnf.normalize_clause (Array.to_list lits) with
-  | None -> () (* tautology: never needed, never a core member *)
-  | Some lits ->
-    let arr = Array.of_list lits in
-    let n = Array.length arr in
+  let len = Array.length lits in
+  if Array.length t.norm_buf < len then
+    t.norm_buf <- Array.make (max len (2 * Array.length t.norm_buf)) (Lit.pos 0);
+  let buf = t.norm_buf in
+  let n = Cnf.normalize_into lits ~into:buf in
+  (* n = -1: a tautology, never needed, never a core member *)
+  if n >= 0 then begin
     (* move the non-false (at level 0) literals to the front *)
-    let nf = ref 0 in
+    let nf = ref 0 and tainted = ref false in
     for i = 0 to n - 1 do
-      if value_lit t arr.(i) <> 0 then begin
-        let tmp = arr.(!nf) in
-        arr.(!nf) <- arr.(i);
-        arr.(i) <- tmp;
+      let l = buf.(i) in
+      if is_local t (Lit.var l) then tainted := true;
+      if value_lit t l <> 0 then begin
+        buf.(i) <- buf.(!nf);
+        buf.(!nf) <- l;
         incr nf
       end
     done;
-    let tainted = List.exists (fun l -> is_local t (Lit.var l)) lits in
-    let cr = Arena.alloc t.arena ~cid ~learnt:false ~tainted arr in
+    let cr = Arena.alloc t.arena ~cid ~learnt:false ~tainted:!tainted buf n in
     if !nf = 0 then begin
       (* conflicts with the level-0 assignment: the formula is refuted *)
       t.ok <- false;
@@ -219,12 +249,14 @@ let add_original t index lits =
       | None -> ()
     end
     else if !nf = 1 then begin
-      (match value_lit t arr.(0) with
+      let first = Arena.lit t.arena cr 0 in
+      (match value_lit t first with
       | 1 -> () (* already satisfied *)
-      | _ -> enqueue t arr.(0) cr);
+      | _ -> enqueue t first cr);
       if n >= 2 then attach t cr
     end
     else attach t cr
+  end
 
 let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode = Order.Vsids)
     ?(telemetry = Telemetry.disabled) ?(solver_id = 0) cnf =
@@ -233,13 +265,25 @@ let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode
   let nlits = max (2 * nvars) 1 in
   let order = Order.create ~num_vars:nvars mode in
   Order.init_activity order cnf;
+  (* Presize from the formula.  The arena gets room for every original plus
+     half as much again for learnts; each watch list gets its literal's
+     occurrence count, an upper bound on the clauses that will watch it. *)
+  let words = Arena.words ~clauses:(Cnf.num_clauses cnf) ~literals:(Cnf.num_literals cnf) in
+  let occurrences = Array.make nlits 0 in
+  Cnf.iter_clauses
+    (fun _ c ->
+      for i = 0 to Array.length c - 1 do
+        let l = Lit.to_index c.(i) in
+        occurrences.(l) <- occurrences.(l) + 1
+      done)
+    cnf;
   let t =
     {
       cnf;
       nvars;
-      arena = Arena.create ();
+      arena = Arena.create ~capacity:(words + (words / 2)) ();
       learnts = Vec.create ~dummy:Arena.none ();
-      watches = Array.init nlits (fun _ -> Arena.Watch.create ());
+      watches = Array.init nlits (fun l -> Arena.Watch.create ~capacity:occurrences.(l) ());
       assigns = Array.make (max nvars 1) unassigned;
       level = Array.make (max nvars 1) 0;
       reason = Array.make (max nvars 1) Arena.none;
@@ -252,7 +296,8 @@ let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode
         (if with_proof then
            Some (Proof.create ~timed:(Telemetry.timing telemetry) ~solver_id ())
          else None);
-      proof_to_cnf = Hashtbl.create 256;
+      cnf_index = Array.make (if with_proof then Cnf.num_clauses cnf else 0) (-1);
+      norm_buf = [||];
       learnt_lits = Hashtbl.create 256;
       drat = (if with_drat then Some (Vec.create ~dummy:(Checker.Learnt []) ()) else None);
       stats = Stats.create ();
@@ -273,7 +318,6 @@ let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode
       heur = None;
       local_mask = Array.make (max nvars 1) false;
       analysis_tainted = false;
-      imported_ids = Hashtbl.create 16;
       frec = None;
       frozen = Array.make (max nvars 1) false;
       eliminated = Array.make (max nvars 1) false;
@@ -462,24 +506,31 @@ let cancel_until t lvl =
   end
 
 (* Add a clause between solve calls (incremental use).  The solver first
-   retracts all decisions; learnt clauses and literal activities survive. *)
-let add_clause t lits =
+   retracts all decisions; learnt clauses and literal activities survive.
+   The array is shared with the solver's formula, never copied. *)
+let add_clause_a t c =
   cancel_until t 0;
   t.result <- None;
-  List.iter (fun l -> ensure_vars t (Lit.var l + 1)) lits;
-  List.iter
-    (fun l ->
-      if t.eliminated.(Lit.var l) then
-        invalid_arg
-          (Printf.sprintf
-             "Solver.add_clause: variable %d was eliminated by inprocessing (freeze \
-              variables that later clauses mention)"
-             (Lit.var l)))
-    lits;
-  Cnf.add_clause t.cnf lits;
+  for i = 0 to Array.length c - 1 do
+    ensure_vars t (Lit.var c.(i) + 1)
+  done;
+  for i = 0 to Array.length c - 1 do
+    let v = Lit.var c.(i) in
+    if t.eliminated.(v) then
+      invalid_arg
+        (Printf.sprintf
+           "Solver.add_clause: variable %d was eliminated by inprocessing (freeze variables \
+            that later clauses mention)"
+           v)
+  done;
+  Cnf.add_clause_a t.cnf c;
   let index = Cnf.num_clauses t.cnf - 1 in
-  List.iter (fun l -> Order.bump_by t.order l 1.0) lits;
-  add_original t index (Array.of_list lits)
+  for i = 0 to Array.length c - 1 do
+    Order.bump_by t.order c.(i) 1.0
+  done;
+  add_original t index c
+
+let add_clause t lits = add_clause_a t (Array.of_list lits)
 
 (* ------------------------------------------------------------------ *)
 (* Clause import (sharing).                                            *)
@@ -524,13 +575,12 @@ let attach_import ?origin t lits =
             | Some origin -> Proof.register_import p ~origin
             | None -> Proof.register_original p
           in
-          Hashtbl.replace t.imported_ids id ();
           Hashtbl.replace t.learnt_lits id lits;
           id
         | None -> -1
       in
       (match t.drat with Some d -> Vec.push d (Checker.Imported lits) | None -> ());
-      let cr = Arena.alloc t.arena ~cid ~learnt:true arr in
+      let cr = Arena.alloc t.arena ~cid ~learnt:true arr n in
       t.stats.shared_imported <- t.stats.shared_imported + 1;
       if !nf = 0 then begin
         (* conflicts with the level-0 facts: the shared formula is refuted *)
@@ -794,7 +844,7 @@ let record_learnt t lits ants =
   match lits with
   | [] -> assert false
   | [ l ] ->
-    let cr = Arena.alloc t.arena ~cid ~learnt:true ~tainted [| l |] in
+    let cr = Arena.alloc t.arena ~cid ~learnt:true ~tainted [| l |] 1 in
     enqueue t l cr
   | first :: _ ->
     let arr = Array.of_list lits in
@@ -806,7 +856,7 @@ let record_learnt t lits ants =
     let tmp = arr.(1) in
     arr.(1) <- arr.(!best);
     arr.(!best) <- tmp;
-    let cr = Arena.alloc t.arena ~cid ~learnt:true ~tainted arr in
+    let cr = Arena.alloc t.arena ~cid ~learnt:true ~tainted arr (Array.length arr) in
     Vec.push t.learnts cr;
     attach t cr;
     t.stats.propagations <- t.stats.propagations + 1;
@@ -1100,7 +1150,8 @@ let inprocess ?(config = Inprocess.default) t =
             | None -> -1
           in
           (match t.drat with Some d -> Vec.push d (Checker.Learnt lits) | None -> ());
-          let cr = Arena.alloc arena ~cid ~learnt ~tainted (Array.of_list lits) in
+          let arr = Array.of_list lits in
+          let cr = Arena.alloc arena ~cid ~learnt ~tainted arr (Array.length arr) in
           Hashtbl.replace infos id
             { ii_cid = cid; ii_lits = lits; ii_tainted = tainted; ii_learnt = learnt;
               ii_cref = cr };
@@ -1438,28 +1489,57 @@ let model t =
     m
   | Some (Unsat | Unknown) | None -> invalid_arg "Solver.model: no satisfying assignment"
 
-let unsat_core t =
+(* The one proof walk behind every core query below. *)
+let core_leaves t what =
   match (t.result, t.proof) with
-  | Some Unsat, Some p ->
-    (* The exact local-shard core.  Imported clauses are [Import] cross-edges
-       (or, when the exporter logged no proof, original leaves without a
-       clause index) and are excluded here — they belong to sibling shards;
-       {!stitched_core} follows them for the exact cross-solver core, and
-       {!unsat_core_imports} names the foreign axioms by their literals. *)
-    Proof.core p
-    |> List.filter_map (fun id -> Hashtbl.find_opt t.proof_to_cnf id)
-    |> List.sort Int.compare
-  | Some Unsat, None -> invalid_arg "Solver.unsat_core: proof logging was off"
-  | (Some (Sat | Unknown) | None), _ -> invalid_arg "Solver.unsat_core: not UNSAT"
+  | Some Unsat, Some p -> Proof.core p
+  | Some Unsat, None -> invalid_arg ("Solver." ^ what ^ ": proof logging was off")
+  | (Some (Sat | Unknown) | None), _ -> invalid_arg ("Solver." ^ what ^ ": not UNSAT")
 
-let unsat_core_imports t =
-  match (t.result, t.proof) with
-  | Some Unsat, Some p ->
-    let provenanced = Proof.core_imports p in
-    let originless = Proof.core p |> List.filter (Hashtbl.mem t.imported_ids) in
-    List.filter_map (fun id -> Hashtbl.find_opt t.learnt_lits id) (provenanced @ originless)
-  | Some Unsat, None -> invalid_arg "Solver.unsat_core_imports: proof logging was off"
-  | (Some (Sat | Unknown) | None), _ -> invalid_arg "Solver.unsat_core_imports: not UNSAT"
+(* The exact local-shard core.  Imported clauses are [Import] leaves (or,
+   when the exporter logged no proof, original leaves without a clause
+   index) and are excluded here — they belong to sibling shards;
+   {!stitched_core} follows them for the exact cross-solver core.  The
+   index map is monotone, so the indices come out ascending. *)
+let core_clauses t (leaves : Proof.core) = clause_indices t leaves.Proof.originals
+
+(* The foreign axioms the refutation reaches, by their literals:
+   provenanced imports first, then provenance-less ones. *)
+let core_imports t (leaves : Proof.core) =
+  let originless = List.filter (fun id -> cnf_index t id < 0) leaves.Proof.originals in
+  List.filter_map (fun id -> Hashtbl.find_opt t.learnt_lits id) (leaves.Proof.imports @ originless)
+
+let vars_of_clauses t idxs =
+  let mark = Bytes.make t.nvars '\000' in
+  List.iter
+    (fun i ->
+      let c = Cnf.get_clause t.cnf i in
+      for j = 0 to Array.length c - 1 do
+        Bytes.set mark (Lit.var c.(j)) '\001'
+      done)
+    idxs;
+  let acc = ref [] in
+  for v = t.nvars - 1 downto 0 do
+    if Bytes.get mark v <> '\000' then acc := v :: !acc
+  done;
+  !acc
+
+type core = {
+  clauses : int list;
+  vars : Lit.var list;
+  imports : Lit.t list list;
+}
+
+let core t =
+  let leaves = core_leaves t "core" in
+  let clauses = core_clauses t leaves in
+  { clauses; vars = vars_of_clauses t clauses; imports = core_imports t leaves }
+
+let unsat_core t = core_clauses t (core_leaves t "unsat_core")
+
+let unsat_core_imports t = core_imports t (core_leaves t "unsat_core_imports")
+
+let core_vars t = vars_of_clauses t (unsat_core t)
 
 let solver_id t = t.sid
 
@@ -1485,24 +1565,11 @@ let stitched_core t ~lookup =
             | Some s -> s
             | None -> assert false (* Proof.stitched_core resolved it already *)
         in
-        let idxs =
-          ids
-          |> List.filter_map (fun id -> Hashtbl.find_opt s.proof_to_cnf id)
-          |> List.sort Int.compare
-        in
+        let idxs = clause_indices s ids in
         if idxs = [] then None else Some (sid, idxs))
       shards
   | Some Unsat, None -> invalid_arg "Solver.stitched_core: proof logging was off"
   | (Some (Sat | Unknown) | None), _ -> invalid_arg "Solver.stitched_core: not UNSAT"
-
-let core_vars t =
-  let core = unsat_core t in
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun i ->
-      Array.iter (fun l -> Hashtbl.replace tbl (Lit.var l) ()) (Cnf.get_clause t.cnf i))
-    core;
-  Hashtbl.fold (fun v () acc -> v :: acc) tbl [] |> List.sort Int.compare
 
 let stats t = t.stats
 
@@ -1533,7 +1600,7 @@ let interpolant t ~a_side =
       match Hashtbl.find_opt t.learnt_lits id with
       | Some lits -> lits
       | None -> (
-        let original = Cnf.get_clause t.cnf (Hashtbl.find t.proof_to_cnf id) in
+        let original = Cnf.get_clause t.cnf (cnf_index t id) in
         match Cnf.normalize_clause (Array.to_list original) with
         | Some lits -> lits
         | None -> invalid_arg "Solver.interpolant: tautology in the proof")
@@ -1542,9 +1609,9 @@ let interpolant t ~a_side =
       ~antecedents:(fun id -> Proof.antecedents p id)
       ~final
       ~side:(fun id ->
-        if Hashtbl.mem t.imported_ids id then
-          invalid_arg "Solver.interpolant: the proof uses imported (shared) clauses"
-        else if a_side (Hashtbl.find t.proof_to_cnf id) then `A
+        let i = cnf_index t id in
+        if i < 0 then invalid_arg "Solver.interpolant: the proof uses imported (shared) clauses"
+        else if a_side i then `A
         else `B)
       ~b_vars:(fun v -> v >= 0 && v < Array.length b_vars && b_vars.(v))
   | Some Unsat, None -> invalid_arg "Solver.interpolant: proof logging was off"

@@ -61,8 +61,10 @@ val create :
   ?solver_id:int ->
   Cnf.t ->
   t
-(** [create cnf] prepares a solver over a snapshot of [cnf] (later mutations
-    of [cnf] are not seen).  [with_proof] (default [false]) enables the
+(** [create cnf] prepares a solver over a snapshot of [cnf] (later
+    additions to [cnf] are not seen; the immutable clause arrays are
+    shared, not copied).  Each clause is normalised once, straight into
+    the clause arena, which is presized from the formula.  [with_proof] (default [false]) enables the
     simplified-CDG bookkeeping needed for {!unsat_core}.  [minimize]
     (default [false]) enables conflict-clause minimisation — off by default
     because the paper's substrate, Chaff, predates it.  [mode] selects the
@@ -92,6 +94,10 @@ val solve : ?budget:budget -> ?assumptions:Lit.t list -> t -> outcome
 val add_clause : t -> Lit.t list -> unit
 (** Add a clause between solve calls.  Retracts all decisions first.
     Variables beyond {!num_vars} are created automatically. *)
+
+val add_clause_a : t -> Lit.t array -> unit
+(** {!add_clause} from an array, which the solver's formula keeps as is:
+    the caller must not mutate it afterwards. *)
 
 val new_var : t -> Lit.var
 (** Allocate a fresh variable (incremental use). *)
@@ -291,6 +297,17 @@ val num_clauses : t -> int
 val model : t -> bool array
 (** Satisfying assignment indexed by variable.
     @raise Invalid_argument unless the outcome was [Sat]. *)
+
+type core = {
+  clauses : int list;  (** {!unsat_core} *)
+  vars : Lit.var list;  (** {!core_vars} *)
+  imports : Lit.t list list;  (** {!unsat_core_imports} *)
+}
+
+val core : t -> core
+(** All three core queries from a single walk of the proof graph — what a
+    caller needing more than one of them should use.
+    @raise Invalid_argument as {!unsat_core}. *)
 
 val unsat_core : t -> int list
 (** Indices (into the original formula's clause list) of an unsatisfiable

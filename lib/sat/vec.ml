@@ -93,6 +93,9 @@ let of_list ~dummy xs =
 
 let to_array v = Array.sub v.data 0 v.len
 
+let copy v =
+  { v with data = (if v.len = 0 then Array.make 1 v.dummy else Array.sub v.data 0 v.len) }
+
 let filter_in_place p v =
   let j = ref 0 in
   for i = 0 to v.len - 1 do

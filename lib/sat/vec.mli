@@ -61,5 +61,8 @@ val of_list : dummy:'a -> 'a list -> 'a t
 
 val to_array : 'a t -> 'a array
 
+val copy : 'a t -> 'a t
+(** An independent vector holding the same elements (a shallow copy). *)
+
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keep only elements satisfying the predicate, preserving order.  O(n). *)

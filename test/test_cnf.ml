@@ -54,7 +54,9 @@ let test_copy_independent () =
   let g = Sat.Cnf.copy f in
   Sat.Cnf.add_clause f [ pos 1 ];
   Alcotest.(check int) "copy unaffected" 1 (Sat.Cnf.num_clauses g);
-  Alcotest.(check int) "original grew" 2 (Sat.Cnf.num_clauses f)
+  Alcotest.(check int) "original grew" 2 (Sat.Cnf.num_clauses f);
+  Alcotest.(check bool) "clause arrays shared" true
+    (Sat.Cnf.get_clause f 0 == Sat.Cnf.get_clause g 0)
 
 let test_ensure_vars () =
   let f = Sat.Cnf.create ~num_vars:3 () in
@@ -69,8 +71,29 @@ let clause_gen =
 
 let to_lits = List.map (fun (v, s) -> Sat.Lit.make v s)
 
+(* What both normalisers are held to: sort, drop duplicates, reject a
+   clause holding some [l] and [¬l]. *)
+let reference_normalize lits =
+  let sorted = List.sort_uniq Sat.Lit.compare lits in
+  let rec tautology = function
+    | a :: (b :: _ as rest) -> Sat.Lit.var a = Sat.Lit.var b || tautology rest
+    | [ _ ] | [] -> false
+  in
+  if tautology sorted then None else Some sorted
+
+(* The array normaliser into a separate buffer; the clause must come back
+   untouched, since formulas share their clause arrays. *)
+let normalize_array lits =
+  let c = Array.of_list lits in
+  let into = Array.make (Array.length c) (pos 0) in
+  let n = Sat.Cnf.normalize_into c ~into in
+  if Array.to_list c <> lits then QCheck.Test.fail_report "normalize_into mutated its input";
+  if n < 0 then None else Some (Array.to_list (Array.sub into 0 n))
+
 let prop_normalize_sound =
-  (* normalisation preserves the clause's value under every assignment *)
+  (* normalisation preserves the clause's value under every assignment, and
+     the list and array normalisers agree with the reference (the generator
+     yields empty, duplicate and tautological clauses) *)
   QCheck.Test.make ~name:"normalize_clause preserves semantics" ~count:500
     QCheck.(pair clause_gen (fun1 QCheck.Observable.int bool))
     (fun (cl, f) ->
@@ -79,9 +102,21 @@ let prop_normalize_sound =
       let value lits =
         List.exists (fun l -> assign (Sat.Lit.var l) = Sat.Lit.is_pos l) lits
       in
-      match Sat.Cnf.normalize_clause lits with
+      let normalized = Sat.Cnf.normalize_clause lits in
+      normalize_array lits = normalized
+      && normalized = reference_normalize lits
+      &&
+      match normalized with
       | None -> value lits (* tautologies are true under any assignment *)
       | Some lits' -> value lits = value lits')
+
+(* Past the insertion-sort limit the normaliser takes another path. *)
+let prop_normalize_long =
+  QCheck.Test.make ~name:"normalize_into on long clauses" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 48) (pair (int_bound 40) bool))
+    (fun cl ->
+      let lits = to_lits cl in
+      normalize_array lits = reference_normalize lits)
 
 let prop_num_literals =
   QCheck.Test.make ~name:"num_literals counts occurrences" ~count:200
@@ -102,5 +137,6 @@ let tests =
     Alcotest.test_case "copy" `Quick test_copy_independent;
     Alcotest.test_case "ensure_vars" `Quick test_ensure_vars;
     QCheck_alcotest.to_alcotest prop_normalize_sound;
+    QCheck_alcotest.to_alcotest prop_normalize_long;
     QCheck_alcotest.to_alcotest prop_num_literals;
   ]

@@ -9,7 +9,7 @@ let test_core_simple_chain () =
   let _l2 = Sat.Proof.register_learnt p ~antecedents:[ c ] in
   Sat.Proof.set_final p ~antecedents:[ l1 ];
   (* only a and b are reachable; c's learnt clause is not used *)
-  Alcotest.(check (list int)) "core" [ a; b ] (Sat.Proof.core p)
+  Alcotest.(check (list int)) "core" [ a; b ] (Sat.Proof.core p).originals
 
 let test_core_through_layers () =
   let p = Sat.Proof.create () in
@@ -20,7 +20,8 @@ let test_core_through_layers () =
     let l2 = Sat.Proof.register_learnt p ~antecedents:[ l1; o2 ] in
     let l3 = Sat.Proof.register_learnt p ~antecedents:[ l2; l1 ] in
     Sat.Proof.set_final p ~antecedents:[ l3; o3 ];
-    Alcotest.(check (list int)) "all originals reachable" [ o0; o1; o2; o3 ] (Sat.Proof.core p)
+    Alcotest.(check (list int))
+      "all originals reachable" [ o0; o1; o2; o3 ] (Sat.Proof.core p).originals
   | _ -> Alcotest.fail "setup"
 
 let test_counts () =
@@ -59,8 +60,9 @@ let test_import_is_leaf_not_core () =
   Sat.Proof.set_final p ~antecedents:[ l ];
   Alcotest.(check int) "solver id" 3 (Sat.Proof.solver_id p);
   Alcotest.(check int) "imports counted" 1 (Sat.Proof.num_import p);
-  Alcotest.(check (list int)) "core skips the import" [ o ] (Sat.Proof.core p);
-  Alcotest.(check (list int)) "core_imports names it" [ i ] (Sat.Proof.core_imports p);
+  let core = Sat.Proof.core p in
+  Alcotest.(check (list int)) "core skips the import" [ o ] core.originals;
+  Alcotest.(check (list int)) "imports name it" [ i ] core.imports;
   Alcotest.(check (option (pair int int))) "origin roundtrip" (Some (7, 4))
     (Sat.Proof.origin_of p i);
   Alcotest.(check (option (pair int int))) "originals have no origin" None
@@ -85,7 +87,7 @@ let test_stitched_core_two_shards () =
   let bi = Sat.Proof.register_import b ~origin:(1, al) in
   let bl = Sat.Proof.register_learnt b ~antecedents:[ b0; bi ] in
   Sat.Proof.set_final b ~antecedents:[ bl ];
-  Alcotest.(check (list int)) "local projection" [ b0 ] (Sat.Proof.core b);
+  Alcotest.(check (list int)) "local projection" [ b0 ] (Sat.Proof.core b).originals;
   let stitched =
     Sat.Proof.stitched_core b ~lookup:(fun sid -> if sid = 1 then Some a else None)
   in
@@ -112,31 +114,51 @@ let test_stitched_equals_core_without_imports () =
   Sat.Proof.set_final p ~antecedents:[ l ];
   Alcotest.(check (list (pair int (list int))))
     "one shard, same ids"
-    [ (5, Sat.Proof.core p) ]
+    [ (5, (Sat.Proof.core p).originals) ]
     (Sat.Proof.stitched_core p ~lookup:(fun _ -> None))
 
-(* Random DAG: every original that some chain of learnt clauses connects to
-   the final node must be in the core, and nothing else. *)
+(* Random DAG over originals, imports and learnts: the one walk must
+   return exactly the originals and the imports that some chain of learnt
+   clauses connects to the final node, each ascending. *)
 let prop_core_is_backward_reachable_set =
   QCheck.Test.make ~name:"core = originals backward-reachable from final" ~count:100
-    QCheck.(pair (int_range 1 8) (int_range 0 20))
-    (fun (n_orig, n_learnt) ->
+    QCheck.(triple (int_range 1 8) (int_range 0 4) (int_range 0 20))
+    (fun (n_orig, n_import, n_learnt) ->
       let p = Sat.Proof.create () in
-      let rng = Random.State.make [| n_orig; n_learnt |] in
+      let rng = Random.State.make [| n_orig; n_import; n_learnt |] in
+      (* the mirror: each node's kind and antecedents *)
+      let mirror = Hashtbl.create 32 in
       let origs = List.init n_orig (fun _ -> Sat.Proof.register_original p) in
-      let all = ref origs in
+      List.iter (fun id -> Hashtbl.replace mirror id (`Original, [])) origs;
+      let imports = List.init n_import (fun j -> Sat.Proof.register_import p ~origin:(1, j)) in
+      List.iter (fun id -> Hashtbl.replace mirror id (`Import, [])) imports;
+      let all = ref (origs @ imports) in
       for _ = 1 to n_learnt do
         let arr = Array.of_list !all in
         let k = 1 + Random.State.int rng 3 in
         let ants = List.init k (fun _ -> arr.(Random.State.int rng (Array.length arr))) in
-        all := Sat.Proof.register_learnt p ~antecedents:ants :: !all
+        let id = Sat.Proof.register_learnt p ~antecedents:ants in
+        Hashtbl.replace mirror id (`Learnt, ants);
+        all := id :: !all
       done;
       let arr = Array.of_list !all in
       let final = [ arr.(Random.State.int rng (Array.length arr)) ] in
       Sat.Proof.set_final p ~antecedents:final;
       let core = Sat.Proof.core p in
-      (* reference reachability on a mirror structure *)
-      List.for_all (fun id -> id < n_orig) core && List.sort_uniq Int.compare core = core)
+      let reached = Hashtbl.create 32 in
+      let rec reach id =
+        if not (Hashtbl.mem reached id) then begin
+          Hashtbl.replace reached id ();
+          List.iter reach (snd (Hashtbl.find mirror id))
+        end
+      in
+      List.iter reach final;
+      let expect kind =
+        Hashtbl.fold (fun id () acc -> if fst (Hashtbl.find mirror id) = kind then id :: acc else acc)
+          reached []
+        |> List.sort Int.compare
+      in
+      core.originals = expect `Original && core.imports = expect `Import)
 
 let tests =
   [

@@ -20,7 +20,7 @@ let delta_concat_agrees (case : Circuit.Generators.case) ~max_k =
     let base = Bmc.Unroll.base_cnf whole ~k in
     let concatenated =
       List.concat_map
-        (fun f -> List.map lit_ints (Bmc.Unroll.frame_clauses delta ~frame:f))
+        (fun f -> clauses_of_cnf (Bmc.Unroll.delta_cnf delta ~frame:f))
         (List.init (k + 1) Fun.id)
     in
     if clauses_of_cnf base <> concatenated then ok := false;

@@ -246,6 +246,37 @@ let test_unsat_core_requires_proof () =
     (Invalid_argument "Solver.unsat_core: proof logging was off") (fun () ->
       ignore (Sat.Solver.unsat_core s))
 
+(* The solver shares the caller's clause arrays instead of copying them, so
+   nothing it does may write to one: normalisation, watch ordering and
+   inprocessing all work on the solver's own arena.  The clauses are given
+   unsorted, with duplicate literals and a tautology, so a normaliser
+   working in place would show. *)
+let test_caller_clauses_untouched () =
+  let clauses =
+    List.map List.rev (php 4 3)
+    @ [ [ (2, true); (0, false); (2, true) ]; [ (5, true); (1, false); (5, false) ] ]
+  in
+  let cnf = mk_cnf clauses in
+  let snapshot () = List.init (Sat.Cnf.num_clauses cnf) (fun i -> Array.copy (Sat.Cnf.get_clause cnf i)) in
+  let before = snapshot () in
+  let unchanged stage = Alcotest.(check bool) (stage ^ ": caller's clauses unchanged") true (snapshot () = before) in
+  let s = Sat.Solver.create ~with_proof:true cnf in
+  unchanged "create";
+  check_outcome "php(4,3)" "UNSAT" (outcome_str (Sat.Solver.solve s));
+  unchanged "solve";
+  ignore (Sat.Solver.inprocess s : Sat.Inprocess.stats);
+  unchanged "inprocess";
+  check_outcome "still UNSAT" "UNSAT" (outcome_str (Sat.Solver.solve s));
+  let core = Sat.Solver.unsat_core s in
+  Alcotest.(check bool) "core is not empty" true (core <> []);
+  unchanged "unsat_core";
+  List.iteri
+    (fun i c ->
+      Alcotest.(check (list int)) "original_clause is the clause as loaded"
+        (List.map Sat.Lit.to_index (Array.to_list c))
+        (List.map Sat.Lit.to_index (Sat.Solver.original_clause s i)))
+    before
+
 let test_model_on_unsat_rejected () =
   let _, s = solve [ [ (0, true) ]; [ (0, false) ] ] in
   Alcotest.check_raises "model after UNSAT"
@@ -475,6 +506,7 @@ let tests =
     Alcotest.test_case "dynamic switch fires" `Quick test_dynamic_switch_fires;
     Alcotest.test_case "core subset" `Quick test_core_subset_of_clauses;
     Alcotest.test_case "core requires proof" `Quick test_unsat_core_requires_proof;
+    Alcotest.test_case "caller's clauses untouched" `Quick test_caller_clauses_untouched;
     Alcotest.test_case "model on unsat rejected" `Quick test_model_on_unsat_rejected;
     Alcotest.test_case "wide clauses" `Quick test_wide_clauses;
     Alcotest.test_case "php(6,5) completes" `Quick test_hard_instance_completes_without_budget;
