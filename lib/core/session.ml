@@ -198,10 +198,10 @@ type depth_stat = {
 }
 
 (* Symmetric difference sizes between two core-variable sets: how much of
-   the previous depth's proof survives into this one — the stability the
+   the previous instance's proof survives into this one — the stability the
    paper's rank folding bets on. *)
 let core_churn ~prev ~cur =
-  let prev = List.sort_uniq compare prev and cur = List.sort_uniq compare cur in
+  let prev = List.sort_uniq Int.compare prev and cur = List.sort_uniq Int.compare cur in
   let rec go p c added dropped =
     match (p, c) with
     | [], [] -> (added, dropped)
@@ -344,6 +344,10 @@ type t = {
   mutable build_acc : float; (* CPU seconds building the open instance *)
   mutable last_core : int list;
   mutable last_core_vars : Sat.Lit.var list;
+  mutable churn_base : Sat.Lit.var list;
+      (* the previous solved instance's core variables ([] unless it was
+         UNSAT with proof logging on); unlike [last_core_vars],
+         [begin_instance] keeps it, so the next core diffs against it *)
   freeze_tbl : (Circuit.Netlist.node, unit) Hashtbl.t;
       (* nodes whose variables stay frozen at every frame: engines register
          the nodes their instance constraints revisit at old frames
@@ -408,6 +412,7 @@ let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true)
     build_acc = 0.0;
     last_core = [];
     last_core_vars = [];
+    churn_base = [];
     freeze_tbl = Hashtbl.create 16;
     inpr_pending = Sat.Inprocess.fresh_stats ();
     heur_hooks = None;
@@ -695,13 +700,14 @@ let solve_instance t =
       end
     end
   in
-  (* Churn against the previous depth's core, before it is overwritten;
-     only meaningful between consecutive unsat instances. *)
+  (* Churn against the previous instance's core; only meaningful between
+     consecutive unsat instances. *)
   let core_new, core_dropped =
     match outcome with
-    | Sat.Solver.Unsat when t.with_proof -> core_churn ~prev:t.last_core_vars ~cur:core_vars
+    | Sat.Solver.Unsat when t.with_proof -> core_churn ~prev:t.churn_base ~cur:core_vars
     | Sat.Solver.Unsat | Sat.Solver.Sat | Sat.Solver.Unknown -> (0, 0)
   in
+  t.churn_base <- core_vars;
   t.last_core <- core;
   t.last_core_vars <- core_vars;
   (match outcome with

@@ -179,6 +179,33 @@ let test_fresh_policy_equals_seed_algorithm () =
       (Circuit.Generators.fifo_overflow ~bits:2 (), 6);
     ]
 
+(* Core churn is a diff against the previous instance's core: over an
+   all-UNSAT chain, each depth's core is the previous one minus what was
+   dropped plus what is new, and some variables must carry over (a diff
+   against an empty core would report every variable as new). *)
+let test_core_churn_is_a_diff () =
+  let case = Circuit.Generators.ring ~len:8 () in
+  List.iter
+    (fun policy ->
+      let config = Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:8 () in
+      let r = Bmc.Session.check ~config ~policy case.netlist ~property:case.property in
+      let name = Format.asprintf "%a" Bmc.Session.pp_policy policy in
+      let carried = ref false in
+      ignore
+        (List.fold_left
+           (fun prev (d : Bmc.Session.depth_stat) ->
+             Alcotest.(check string) (name ^ ": UNSAT chain") "unsat"
+               (Sat.Solver.outcome_string d.outcome);
+             Alcotest.(check int)
+               (Printf.sprintf "%s k=%d: |core| = |prev| - dropped + new" name d.depth)
+               d.core_var_count
+               (prev - d.core_dropped + d.core_new);
+             if d.core_new < d.core_var_count then carried := true;
+             d.core_var_count)
+           0 r.Bmc.Session.per_depth);
+      Alcotest.(check bool) (name ^ ": some core variables carry over") true !carried)
+    [ Bmc.Session.Persistent; Bmc.Session.Fresh ]
+
 (* ------------------------------------------------------------------ *)
 (* Fresh vs Persistent: the two substrates may search differently but  *)
 (* must decide identically, engine by engine.                          *)
@@ -270,6 +297,7 @@ let tests =
     Alcotest.test_case "deltas concatenate to base_cnf" `Quick test_delta_concatenation;
     QCheck_alcotest.to_alcotest prop_delta_concat_random;
     Alcotest.test_case "each frame loads exactly once" `Quick test_each_frame_loaded_once;
+    Alcotest.test_case "core churn diffs consecutive cores" `Quick test_core_churn_is_a_diff;
     Alcotest.test_case "Fresh policy = seed per-depth algorithm" `Quick
       test_fresh_policy_equals_seed_algorithm;
     Alcotest.test_case "Fresh = Persistent (invariant)" `Quick test_policies_agree_invariant;
