@@ -518,7 +518,9 @@ let complement () =
    state — so outcomes, core-variable sets and search counters are stable
    across runs and machines, and only the time/allocation fields move.
    [quick] writes the snapshot (BENCH_quick.json); [quick-check] re-runs and
-   fails if any outcome or core-variable set diverges from the snapshot. *)
+   fails if any outcome diverges from the snapshot, or, on the rows that do
+   not race, any core-variable set or search counter (decisions, conflicts,
+   propagations). *)
 
 let quick_budget =
   { Sat.Solver.max_conflicts = Some 200_000; max_propagations = None; max_seconds = None; stop = None }
@@ -1257,6 +1259,18 @@ let extract_str line key =
     let j = String.index_from line start '"' in
     Some (String.sub line start (j - start))
 
+let extract_int line key =
+  let pat = "\"" ^ key ^ "\": " in
+  match find_sub line pat with
+  | None -> None
+  | Some i ->
+    let start = i + String.length pat in
+    let j = ref start in
+    while !j < String.length line && line.[!j] >= '0' && line.[!j] <= '9' do
+      incr j
+    done;
+    int_of_string_opt (String.sub line start (!j - start))
+
 (* Rows whose counters are timing-dependent (racing portfolios: which racer
    wins steers the shared ranking) are gated on outcomes only. *)
 let quick_timing_dependent name =
@@ -1275,8 +1289,11 @@ let quick_check () =
          let line = input_line ic in
          match extract_str line "name" with
          | Some name ->
+           let counters =
+             List.map (extract_int line) [ "decisions"; "conflicts"; "propagations" ]
+           in
            Hashtbl.replace tbl name
-             (extract_str line "outcomes", extract_str line "core_vars_hash")
+             (extract_str line "outcomes", extract_str line "core_vars_hash", counters)
          | None -> ()
        done
      with End_of_file -> ());
@@ -1290,7 +1307,7 @@ let quick_check () =
       | None ->
         incr failures;
         Printf.eprintf "quick-check: %s missing from %s\n" r.q_name quick_snapshot_file
-      | Some (outcomes, hash) ->
+      | Some (outcomes, hash, counters) ->
         let got_hash = Printf.sprintf "%08x" r.q_core_hash in
         if outcomes <> Some r.q_outcomes then begin
           incr failures;
@@ -1304,7 +1321,25 @@ let quick_check () =
             r.q_name
             (Option.value ~default:"?" hash)
             got_hash
-        end)
+        end;
+        (* the search itself is deterministic on these rows: a hot-path
+           change must reproduce it counter for counter *)
+        if not (quick_timing_dependent r.q_name) then
+          List.iter2
+            (fun (field, got) want ->
+              if want <> Some got then begin
+                incr failures;
+                Printf.eprintf "quick-check: %s %s diverge: snapshot %s, got %d\n" r.q_name
+                  field
+                  (match want with Some n -> string_of_int n | None -> "?")
+                  got
+              end)
+            [
+              ("decisions", r.q_decisions);
+              ("conflicts", r.q_conflicts);
+              ("propagations", r.q_propagations);
+            ]
+            counters)
     rows;
   (* cross-substrate gates: every substrate solves the same instance
      sequence, so per-depth outcomes must agree exactly across the classic,
@@ -1400,8 +1435,9 @@ let quick_check () =
     exit 1
   end;
   Printf.printf
-    "quick-check: all outcomes and core-variable sets match %s (classic, session and \
-     portfolio agree; observability overhead %.1f%% within the 5%% gate)\n"
+    "quick-check: all outcomes, core-variable sets and search counters match %s \
+     (classic, session and portfolio agree; observability overhead %.1f%% within the 5%% \
+     gate)\n"
     quick_snapshot_file osum.o_overhead_pct
 
 (* ------------------------------------------------------------------ *)
@@ -1728,7 +1764,8 @@ let usage () =
      [table1|fig6|fig7|overhead|ablation|complement|quick|quick-check|serve|serve-check|micro]...\n\
      with no arguments, runs every artefact except quick-check and serve-check.\n\
      quick       small fixed-seed subset; writes the BENCH_quick.json snapshot\n\
-     quick-check re-runs the quick subset and fails on any outcome divergence\n\
+     quick-check re-runs the quick subset and fails on any outcome divergence, or\n\
+    \             any core or search-counter divergence on the rows that do not race\n\
      serve       cold/repeat/extend workload through the service layer;\n\
     \             writes the BENCH_serve.json snapshot\n\
      serve-check re-runs the serve workload and fails on any divergence\n\
