@@ -127,8 +127,12 @@ let depth t = t.depth
    base. *)
 let base_cnf t ~k =
   extend_to t k;
-  let cnf = Sat.Cnf.create ~num_vars:(Sat.Vec.get t.frame_var_limit k) () in
-  for i = 0 to Sat.Vec.get t.frame_clause_limit k - 1 do
+  let n = Sat.Vec.get t.frame_clause_limit k in
+  (* one slot more for the property unit callers add *)
+  let cnf =
+    Sat.Cnf.create ~num_vars:(Sat.Vec.get t.frame_var_limit k) ~capacity:(n + 1) ()
+  in
+  for i = 0 to n - 1 do
     Sat.Cnf.add_clause_a cnf (Sat.Vec.get t.base i)
   done;
   cnf

@@ -6,9 +6,9 @@ type t = {
   mutable num_literals : int;
 }
 
-let create ?(num_vars = 0) () =
+let create ?(num_vars = 0) ?capacity () =
   if num_vars < 0 then invalid_arg "Cnf.create";
-  { num_vars; clauses = Vec.create ~dummy:[||] (); num_literals = 0 }
+  { num_vars; clauses = Vec.create ?capacity ~dummy:[||] (); num_literals = 0 }
 
 let num_vars f = f.num_vars
 
@@ -46,6 +46,17 @@ let iter_clauses g f = Vec.iteri g f.clauses
 let fold_clauses g acc f = Vec.fold g acc f.clauses
 
 let num_literals f = f.num_literals
+
+let occurrences f =
+  let counts = Array.make (2 * f.num_vars) 0 in
+  Vec.iter
+    (fun c ->
+      for i = 0 to Array.length c - 1 do
+        let l = Lit.to_index c.(i) in
+        counts.(l) <- counts.(l) + 1
+      done)
+    f.clauses;
+  counts
 
 (* Clauses are short (Tseitin gates give two or three literals), so they
    are insertion-sorted straight from the clause into the buffer, with no

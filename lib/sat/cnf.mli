@@ -13,8 +13,9 @@ type clause = Lit.t array
 
 type t
 
-val create : ?num_vars:int -> unit -> t
-(** Fresh formula with [num_vars] pre-allocated variables (default 0). *)
+val create : ?num_vars:int -> ?capacity:int -> unit -> t
+(** Fresh formula with [num_vars] pre-allocated variables (default 0) and
+    room for [capacity] clauses before it regrows (default 16). *)
 
 val num_vars : t -> int
 
@@ -46,6 +47,10 @@ val fold_clauses : ('acc -> clause -> 'acc) -> 'acc -> t -> 'acc
 
 val num_literals : t -> int
 (** Total number of literal occurrences over all clauses. *)
+
+val occurrences : t -> int array
+(** Occurrences of each literal over all clauses, indexed by
+    {!Lit.to_index} (length [2 * num_vars]). *)
 
 val normalize_into : clause -> into:Lit.t array -> int
 (** The clause normaliser.  [normalize_into c ~into] writes the literals of

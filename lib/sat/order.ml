@@ -44,15 +44,8 @@ let mode_uses_rank t = t.use_rank
 
 let is_dynamic t = t.dynamic
 
-let init_activity t cnf =
-  Cnf.iter_clauses
-    (fun _ c ->
-      Array.iter
-        (fun l ->
-          let i = Lit.to_index l in
-          t.act.(i) <- t.act.(i) +. 1.0)
-        c)
-    cnf
+let init_activity t occurrences =
+  Array.iteri (fun i n -> t.act.(i) <- float_of_int n) occurrences
 
 (* Decision key: (rank of variable, literal activity, literal index) when the
    rank component is active, else (activity, literal index).  [gt a b] holds

@@ -39,8 +39,9 @@ val is_dynamic : t -> bool
 (** Whether the order was created in [Dynamic] mode (regardless of whether
     the switch already happened). *)
 
-val init_activity : t -> Cnf.t -> unit
-(** Set every literal's score to its occurrence count in the formula. *)
+val init_activity : t -> int array -> unit
+(** Set every literal's score to its occurrence count in the formula, as
+    {!Cnf.occurrences} gives it. *)
 
 val rebuild : t -> is_unassigned:(Lit.var -> bool) -> unit
 (** Fill the heap with (the literals of) all currently unassigned

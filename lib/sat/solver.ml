@@ -262,28 +262,20 @@ let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode
     ?(telemetry = Telemetry.disabled) ?(solver_id = 0) cnf =
   let cnf = Cnf.copy cnf in
   let nvars = Cnf.num_vars cnf in
-  let nlits = max (2 * nvars) 1 in
+  let occurrences = Cnf.occurrences cnf in
   let order = Order.create ~num_vars:nvars mode in
-  Order.init_activity order cnf;
+  Order.init_activity order occurrences;
   (* Presize from the formula.  The arena gets room for every original plus
      half as much again for learnts; each watch list gets its literal's
      occurrence count, an upper bound on the clauses that will watch it. *)
   let words = Arena.words ~clauses:(Cnf.num_clauses cnf) ~literals:(Cnf.num_literals cnf) in
-  let occurrences = Array.make nlits 0 in
-  Cnf.iter_clauses
-    (fun _ c ->
-      for i = 0 to Array.length c - 1 do
-        let l = Lit.to_index c.(i) in
-        occurrences.(l) <- occurrences.(l) + 1
-      done)
-    cnf;
   let t =
     {
       cnf;
       nvars;
       arena = Arena.create ~capacity:(words + (words / 2)) ();
       learnts = Vec.create ~dummy:Arena.none ();
-      watches = Array.init nlits (fun l -> Arena.Watch.create ~capacity:occurrences.(l) ());
+      watches = Array.map (fun n -> Arena.Watch.create ~capacity:n ()) occurrences;
       assigns = Array.make (max nvars 1) unassigned;
       level = Array.make (max nvars 1) 0;
       reason = Array.make (max nvars 1) Arena.none;
