@@ -64,10 +64,11 @@ val create :
 (** [create cnf] prepares a solver over a snapshot of [cnf] (later
     additions to [cnf] are not seen; the immutable clause arrays are
     shared, not copied).  Each clause is normalised once, straight into
-    the clause arena, which is presized from the formula.  [with_proof] (default [false]) enables the
-    simplified-CDG bookkeeping needed for {!unsat_core}.  [minimize]
-    (default [false]) enables conflict-clause minimisation — off by default
-    because the paper's substrate, Chaff, predates it.  [mode] selects the
+    the clause arena, which is presized from the formula.  [with_proof]
+    (default [false]) enables the simplified-CDG bookkeeping needed for
+    {!unsat_core}.  [minimize] (default [false]) enables conflict-clause
+    minimisation — off by default because the paper's substrate, Chaff,
+    predates it.  [mode] selects the
     decision ordering (default {!Order.Vsids}); in [Dynamic] mode the
     fallback threshold is [num_literals cnf / 64] decisions, as in the
     paper.  [with_drat] (default [false]) additionally records the clausal
