@@ -112,7 +112,7 @@ let import_leaf = '\003'
 
 (* One backwards walk from the final conflict collects both kinds of leaf.
    Every node is marked when first reached, so each learnt node's
-   antecedents are expanded once; a final scan over the marks lists the
+   antecedent list is queued once; a final scan over the marks lists the
    leaves in ascending order without a sort. *)
 let core_ t =
   match t.final with
@@ -120,28 +120,19 @@ let core_ t =
   | Some roots ->
     let n = Vec.length t.nodes in
     let mark = Bytes.make n unseen in
-    let stack = ref (Array.make 64 0) and sp = ref 0 in
+    let pending = Vec.create ~dummy:[||] () in
     let reach id =
       if Bytes.get mark id = unseen then
         match Vec.get t.nodes id with
         | Original -> Bytes.set mark id original_leaf
         | Import _ -> Bytes.set mark id import_leaf
-        | Learnt _ ->
+        | Learnt ants ->
           Bytes.set mark id interior;
-          if !sp = Array.length !stack then begin
-            let bigger = Array.make (2 * !sp) 0 in
-            Array.blit !stack 0 bigger 0 !sp;
-            stack := bigger
-          end;
-          !stack.(!sp) <- id;
-          incr sp
+          Vec.push pending ants
     in
     Array.iter reach roots;
-    while !sp > 0 do
-      decr sp;
-      match Vec.get t.nodes !stack.(!sp) with
-      | Learnt ants -> Array.iter reach ants
-      | Original | Import _ -> assert false (* only learnt nodes are stacked *)
+    while not (Vec.is_empty pending) do
+      Array.iter reach (Vec.pop pending)
     done;
     let originals = ref [] and imports = ref [] in
     for id = n - 1 downto 0 do
