@@ -154,7 +154,8 @@ let prop_core_is_backward_reachable_set =
       in
       List.iter reach final;
       let expect kind =
-        Hashtbl.fold (fun id () acc -> if fst (Hashtbl.find mirror id) = kind then id :: acc else acc)
+        Hashtbl.fold
+          (fun id () acc -> if fst (Hashtbl.find mirror id) = kind then id :: acc else acc)
           reached []
         |> List.sort Int.compare
       in

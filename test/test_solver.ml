@@ -257,9 +257,13 @@ let test_caller_clauses_untouched () =
     @ [ [ (2, true); (0, false); (2, true) ]; [ (5, true); (1, false); (5, false) ] ]
   in
   let cnf = mk_cnf clauses in
-  let snapshot () = List.init (Sat.Cnf.num_clauses cnf) (fun i -> Array.copy (Sat.Cnf.get_clause cnf i)) in
+  let snapshot () =
+    List.init (Sat.Cnf.num_clauses cnf) (fun i -> Array.copy (Sat.Cnf.get_clause cnf i))
+  in
   let before = snapshot () in
-  let unchanged stage = Alcotest.(check bool) (stage ^ ": caller's clauses unchanged") true (snapshot () = before) in
+  let unchanged stage =
+    Alcotest.(check bool) (stage ^ ": caller's clauses unchanged") true (snapshot () = before)
+  in
   let s = Sat.Solver.create ~with_proof:true cnf in
   unchanged "create";
   check_outcome "php(4,3)" "UNSAT" (outcome_str (Sat.Solver.solve s));
