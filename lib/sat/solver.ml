@@ -1532,8 +1532,6 @@ let core t =
 
 let unsat_core t = core_clauses t (core_leaves t "unsat_core")
 
-let unsat_core_imports t = core_imports t (core_leaves t "unsat_core_imports")
-
 let core_vars t = vars_of_clauses t (unsat_core t)
 
 let solver_id t = t.sid

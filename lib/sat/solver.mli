@@ -302,30 +302,27 @@ val model : t -> bool array
 type core = {
   clauses : int list;  (** {!unsat_core} *)
   vars : Lit.var list;  (** {!core_vars} *)
-  imports : Lit.t list list;  (** {!unsat_core_imports} *)
+  imports : Lit.t list list;
+      (** The literal contents of the imported clauses the refutation's
+          backward closure reaches — the foreign axioms {!unsat_core}
+          excludes.  Empty when no import was load-bearing; together with
+          the [clauses] these form an unsatisfiable set even when siblings
+          cannot be stitched. *)
 }
 
 val core : t -> core
-(** All three core queries from a single walk of the proof graph — what a
-    caller needing more than one of them should use.
+(** The core's clauses, variables and imports from a single walk of the
+    proof graph — what a caller needing more than one of them should use.
     @raise Invalid_argument as {!unsat_core}. *)
 
 val unsat_core : t -> int list
 (** Indices (into the original formula's clause list) of an unsatisfiable
     core, ascending.  Under clause sharing this is the exact {e local-shard}
     core: foreign (imported) leaves are excluded — see {!stitched_core} for
-    the exact cross-solver core and {!unsat_core_imports} for the foreign
+    the exact cross-solver core and {!core}'s [imports] for the foreign
     axioms themselves.
     @raise Invalid_argument unless the outcome was [Unsat] and the solver
     was created [~with_proof:true]. *)
-
-val unsat_core_imports : t -> Lit.t list list
-(** The literal contents of the imported clauses the refutation's backward
-    closure reaches — the foreign axioms {!unsat_core} excludes.  Empty
-    when no import was load-bearing; together with the {!unsat_core}
-    clauses these form an unsatisfiable set even when siblings cannot be
-    stitched.
-    @raise Invalid_argument as {!unsat_core}. *)
 
 val solver_id : t -> int
 (** The global provenance id passed at {!create} (default 0). *)

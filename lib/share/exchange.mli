@@ -107,7 +107,7 @@ val note_rejected_tainted : endpoint -> int -> unit
 val note_import_used : endpoint -> int -> unit
 (** Account imports that turned out load-bearing: after an UNSAT answer,
     the session reports how many imported clauses the refutation's
-    backward closure reached ([Solver.unsat_core_imports]).  Feeds both
+    backward closure reached ([Solver.core]'s [imports]).  Feeds both
     the per-endpoint usefulness ratio behind {!tune} and the aggregate
     [import_used] counter. *)
 
