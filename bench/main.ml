@@ -558,47 +558,6 @@ let quick_jobs = ref 3
 
 let quick_mix h x = ((h * 131) + x) land 0x3FFFFFFF
 
-(* The classic substrate: monolithic Unroll.instance rebuild and a fresh
-   solver at every depth (the seed engines' behaviour). *)
-let quick_run_case ((case : Circuit.Generators.case), depth) =
-  let u = Bmc.Unroll.create case.netlist ~property:case.property in
-  let buf = Buffer.create (depth + 1) in
-  let hash = ref 7 in
-  let dec = ref 0 and confl = ref 0 and props = ref 0 in
-  let build = ref 0.0 and bcp = ref 0.0 and slv = ref 0.0 in
-  let w0 = Portfolio.Pool.wall () in
-  for k = 0 to depth do
-    let tb = Sys.time () in
-    let cnf = Bmc.Unroll.instance u ~k in
-    let s = Sat.Solver.create ~with_proof:true ~telemetry:tel cnf in
-    build := !build +. (Sys.time () -. tb);
-    (match Sat.Solver.solve ~budget:quick_budget s with
-    | Sat.Solver.Sat -> Buffer.add_char buf 's'
-    | Sat.Solver.Unsat ->
-      Buffer.add_char buf 'u';
-      hash := quick_mix !hash (k + 1);
-      List.iter (fun v -> hash := quick_mix !hash v) (Sat.Solver.core_vars s)
-    | Sat.Solver.Unknown -> Buffer.add_char buf '?');
-    let st = Sat.Solver.stats s in
-    dec := !dec + st.Sat.Stats.decisions;
-    confl := !confl + st.Sat.Stats.conflicts;
-    props := !props + st.Sat.Stats.propagations;
-    bcp := !bcp +. st.Sat.Stats.bcp_time;
-    slv := !slv +. st.Sat.Stats.solve_time
-  done;
-  {
-    q_name = case.name;
-    q_outcomes = Buffer.contents buf;
-    q_core_hash = !hash;
-    q_decisions = !dec;
-    q_conflicts = !confl;
-    q_propagations = !props;
-    q_build = !build;
-    q_bcp = !bcp;
-    q_solve = !slv;
-    q_wall = Portfolio.Pool.wall () -. w0;
-  }
-
 (* Inprocessing ablation for the snapshot: the default session rows against
    the same sweep with depth-boundary inprocessing on (deterministic budget:
    the default preset has no wall-clock slice).  Outcomes are gated exactly
@@ -658,30 +617,29 @@ let quick_cores_case ((case : Circuit.Generators.case), _) =
 
 (* The session substrate: one persistent solver, frame deltas loaded once,
    the per-depth ¬P clause guarded by an activation literal.  Outcomes must
-   match the classic rows depth for depth (quick-check gates on it); search
-   counters and core hashes legitimately differ — learnt clauses survive
-   and cores may name activation variables — so each substrate is compared
-   against its own snapshot history.  [mode]/[suffix] default to the snapshot
-   row; the Static/Dynamic instantiations ([+static] / [+dynamic]) are the
-   per-ordering sequential baselines the portfolio rows race against —
-   snapshotted and gated like every other sequential row, since their
-   orderings are deterministic functions of the (deterministic) core
-   sequence. *)
-let quick_run_case_session ?(mode = Bmc.Session.Standard) ?(suffix = "+session") ?inprocess
-    ?core_mode ?coremin_budget ?unsat_tail ?inpr_totals ?cores_totals ?dec_split
-    ((case : Circuit.Generators.case), depth) =
+   match the per-depth-rebuild rows depth for depth (quick-check gates on
+   it); search counters and core hashes legitimately differ — learnt
+   clauses survive and cores may name activation variables — so each
+   substrate is compared against its own snapshot history.  [mode]/[suffix]
+   default to the snapshot row; the Static/Dynamic instantiations
+   ([+static] / [+dynamic]) are the per-ordering sequential baselines the
+   portfolio rows race against — snapshotted and gated like every other
+   sequential row, since their orderings are deterministic functions of the
+   (deterministic) core sequence.  [~policy:Fresh] with no suffix gives the
+   per-depth-rebuild rows (the seed engines' behaviour: a fresh solver over
+   the whole instance at every depth). *)
+let quick_run_case_session ?(policy = Bmc.Session.Persistent) ?(mode = Bmc.Session.Standard)
+    ?(suffix = "+session") ?inprocess ?core_mode ?coremin_budget ?unsat_tail ?inpr_totals
+    ?cores_totals ?dec_split ((case : Circuit.Generators.case), depth) =
   let config =
     Bmc.Session.make_config ~mode ~budget:quick_budget ~max_depth:depth ~collect_cores:true
       ?inprocess ?core_mode ?coremin_budget ~telemetry:tel ()
   in
-  let session =
-    Bmc.Session.create ~policy:Bmc.Session.Persistent config case.netlist
-      ~property:case.property
-  in
+  let session = Bmc.Session.create ~policy config case.netlist ~property:case.property in
   let buf = Buffer.create (depth + 1) in
   let hash = ref 7 in
   let dec = ref 0 and confl = ref 0 and props = ref 0 in
-  let build = ref 0.0 in
+  let build = ref 0.0 and bcp = ref 0.0 and slv = ref 0.0 in
   let w0 = Portfolio.Pool.wall () in
   for k = 0 to depth do
     Bmc.Session.begin_instance session ~k;
@@ -699,6 +657,9 @@ let quick_run_case_session ?(mode = Bmc.Session.Standard) ?(suffix = "+session")
     confl := !confl + st.Bmc.Session.conflicts;
     props := !props + st.Bmc.Session.implications;
     build := !build +. st.Bmc.Session.build_time;
+    (* summed per depth: a Fresh session's solver covers only its last *)
+    bcp := !bcp +. st.Bmc.Session.bcp_time;
+    slv := !slv +. st.Bmc.Session.time;
     (match cores_totals with
     | Some t ->
       t.c_pre <- t.c_pre + st.Bmc.Session.core_pre;
@@ -734,8 +695,8 @@ let quick_run_case_session ?(mode = Bmc.Session.Standard) ?(suffix = "+session")
     q_conflicts = !confl;
     q_propagations = !props;
     q_build = !build;
-    q_bcp = stats.Sat.Stats.bcp_time;
-    q_solve = stats.Sat.Stats.solve_time;
+    q_bcp = !bcp;
+    q_solve = !slv;
     q_wall = Portfolio.Pool.wall () -. w0;
   }
 
@@ -1024,10 +985,10 @@ let quick_rows () =
   let a0 = Gc.allocated_bytes () in
   let cases = quick_cases () in
   let jobs = !quick_jobs in
-  (* the substrates over the same cases: classic per-depth rebuilds, the
-     persistent incremental session (in all three orderings), and the racing
-     portfolio with the clause exchange off and on *)
-  let classic = List.map quick_run_case cases in
+  (* the substrates over the same cases: per-depth rebuilds (a Fresh
+     session), the persistent incremental session (in all three orderings),
+     and the racing portfolio with the clause exchange off and on *)
+  let fresh = List.map (quick_run_case_session ~policy:Bmc.Session.Fresh ~suffix:"") cases in
   let inpr_tail_off = ref 0.0 in
   let session = List.map (quick_run_case_session ~unsat_tail:inpr_tail_off) cases in
   let inpr_tail_on = ref 0.0 in
@@ -1141,7 +1102,7 @@ let quick_rows () =
   in
   let osum = quick_observability () in
   let rows =
-    classic @ session @ session_inpr @ seq_static @ seq_static_coremin @ seq_dynamic
+    fresh @ session @ session_inpr @ seq_static @ seq_static_coremin @ seq_dynamic
     @ portfolio @ portfolio_share
   in
   let alloc_mb = (Gc.allocated_bytes () -. a0) /. (1024.0 *. 1024.0) in
@@ -1166,8 +1127,8 @@ let quick_rows () =
     alloc_mb;
   let build_of rs = List.fold_left (fun a r -> a +. r.q_build) 0.0 rs in
   Printf.printf
-    "\n   instance build time: classic %.3fs (O(k^2) rebuilds), session %.3fs (frame deltas)\n"
-    (build_of classic) (build_of session);
+    "\n   instance build time: fresh %.3fs (O(k^2) rebuilds), session %.3fs (frame deltas)\n"
+    (build_of fresh) (build_of session);
   let best_name, best_wall = quick_best_seq psum in
   Printf.printf
     "   portfolio (%d workers): %.3fs wall vs best sequential ordering (%s) %.3fs — %.2fx\n"
@@ -1279,8 +1240,19 @@ let quick_timing_dependent name =
   let rec at i = i + n <= h && (String.sub name i n = sub || at (i + 1)) in
   at 0
 
+(* The inprocess block's counters, in snapshot order. *)
+let quick_inpr_fields (t : quick_inpr_totals) =
+  [
+    ("eliminated", t.i_eliminated);
+    ("subsumed", t.i_subsumed);
+    ("strengthened", t.i_strengthened);
+    ("probe_failed", t.i_probe_failed);
+    ("resolvents", t.i_resolvents);
+  ]
+
 let quick_check () =
-  let rows, _, psum, _, _, _, csum, osum = quick_rows () in
+  let rows, _, psum, _, _, isum, csum, osum = quick_rows () in
+  let expected_inpr = ref None in
   let expected =
     let ic = open_in quick_snapshot_file in
     let tbl = Hashtbl.create 16 in
@@ -1294,7 +1266,10 @@ let quick_check () =
            in
            Hashtbl.replace tbl name
              (extract_str line "outcomes", extract_str line "core_vars_hash", counters)
-         | None -> ()
+         | None ->
+           if find_sub line "\"inprocess\": {" <> None then
+             expected_inpr :=
+               Some (List.map (fun (f, _) -> extract_int line f) (quick_inpr_fields isum.i_totals))
        done
      with End_of_file -> ());
     close_in ic;
@@ -1341,8 +1316,26 @@ let quick_check () =
             ]
             counters)
     rows;
+  (* the inprocessing counters are deterministic too (the default preset
+     has no wall-clock slice): a change to the engine or its replay must
+     reproduce them exactly *)
+  (match !expected_inpr with
+  | None ->
+    incr failures;
+    Printf.eprintf "quick-check: no inprocess block in %s\n" quick_snapshot_file
+  | Some want ->
+    List.iter2
+      (fun (field, got) want ->
+        if want <> Some got then begin
+          incr failures;
+          Printf.eprintf "quick-check: inprocess %s diverge: snapshot %s, got %d\n" field
+            (match want with Some n -> string_of_int n | None -> "?")
+            got
+        end)
+      (quick_inpr_fields isum.i_totals)
+      want);
   (* cross-substrate gates: every substrate solves the same instance
-     sequence, so per-depth outcomes must agree exactly across the classic,
+     sequence, so per-depth outcomes must agree exactly across the fresh,
      session (all three orderings), portfolio and sharing rows (which racer
      WON a portfolio round — or which clauses travelled — is
      timing-dependent; the verdict is not) *)
@@ -1355,7 +1348,7 @@ let quick_check () =
           match Hashtbl.find_opt by_name (r.q_name ^ suffix) with
           | Some s when s.q_outcomes <> r.q_outcomes ->
             incr failures;
-            Printf.eprintf "quick-check: %s: classic and %s outcomes diverge: %s vs %s\n"
+            Printf.eprintf "quick-check: %s: fresh and %s outcomes diverge: %s vs %s\n"
               r.q_name suffix r.q_outcomes s.q_outcomes
           | Some _ | None -> ())
         [
@@ -1435,8 +1428,8 @@ let quick_check () =
     exit 1
   end;
   Printf.printf
-    "quick-check: all outcomes, core-variable sets and search counters match %s \
-     (classic, session and portfolio agree; observability overhead %.1f%% within the 5%% \
+    "quick-check: all outcomes, core-variable sets, search and inprocessing counters match \
+     %s (fresh, session and portfolio agree; observability overhead %.1f%% within the 5%% \
      gate)\n"
     quick_snapshot_file osum.o_overhead_pct
 

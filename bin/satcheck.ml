@@ -58,12 +58,6 @@ let run file core core_min stats_flag max_conflicts max_seconds assume drat_file
     Format.eprintf "satcheck: %s@." msg;
     exit 2
   | Ok cnf ->
-    if preprocess && (core || certify || drat_file <> None) then begin
-      Format.eprintf
-        "satcheck: --preprocess rewrites the clause set and cannot be combined with \
-         --core/--certify/--drat@.";
-      exit 2
-    end;
     let assumptions = match assume with Some text -> parse_assumptions text | None -> [] in
     if assumptions <> [] && (certify || drat_file <> None) then begin
       Format.eprintf
@@ -73,7 +67,7 @@ let run file core core_min stats_flag max_conflicts max_seconds assume drat_file
     end;
     let inprocess_cfg =
       match inprocess with
-      | None -> None
+      | None -> if preprocess then Some Sat.Inprocess.default else None
       | Some spec -> (
         match Sat.Inprocess.config_of_string spec with
         | Ok cfg -> Some cfg
@@ -81,26 +75,9 @@ let run file core core_min stats_flag max_conflicts max_seconds assume drat_file
           Format.eprintf "satcheck: --inprocess: %s@." msg;
           exit 2)
     in
-    let work, reconstruct =
-      if preprocess then begin
-        (* assumption variables must survive elimination: an eliminated
-           variable no longer occurs, so assuming it would constrain
-           nothing and the answer could differ from the input formula's *)
-        let frozen = List.map Sat.Lit.var assumptions in
-        let r = Sat.Simplify.preprocess ~frozen cnf in
-        Format.eprintf
-          "c preprocess: %d vars eliminated, %d clauses subsumed, %d strengthened (%d -> %d \
-           clauses)@."
-          r.Sat.Simplify.eliminated_vars r.Sat.Simplify.subsumed_clauses
-          r.Sat.Simplify.strengthened_clauses (Sat.Cnf.num_clauses cnf)
-          (Sat.Cnf.num_clauses r.Sat.Simplify.simplified);
-        (r.Sat.Simplify.simplified, r.Sat.Simplify.reconstruct)
-      end
-      else (cnf, Fun.id)
-    in
     let with_drat = drat_file <> None || certify in
     let telemetry = setup_telemetry trace_file metrics in
-    let solver = Sat.Solver.create ~with_proof:core ~with_drat ~telemetry work in
+    let solver = Sat.Solver.create ~with_proof:core ~with_drat ~telemetry cnf in
     Option.iter
       (fun path ->
         let r = Obs.Recorder.create () in
@@ -121,6 +98,9 @@ let run file core core_min stats_flag max_conflicts max_seconds assume drat_file
     in
     (match inprocess_cfg with
     | Some config ->
+      (* assumption variables must survive elimination: an eliminated
+         variable no longer occurs, so assuming it would constrain nothing
+         and the answer could differ from the input formula's *)
       List.iter (fun l -> Sat.Solver.freeze solver (Sat.Lit.var l)) assumptions;
       let ist = Sat.Solver.inprocess ~config solver in
       Format.eprintf "c inprocess: %a@." Sat.Inprocess.pp_stats ist
@@ -130,7 +110,7 @@ let run file core core_min stats_flag max_conflicts max_seconds assume drat_file
     (match outcome with
     | Sat.Solver.Sat ->
       Format.printf "s SATISFIABLE@.";
-      let model = reconstruct (Sat.Solver.model solver) in
+      let model = Sat.Solver.model solver in
       Format.printf "v";
       Array.iteri
         (fun v b -> Format.printf " %d" (if b then v + 1 else -(v + 1)))
@@ -256,8 +236,8 @@ let preprocess =
   Arg.(
     value & flag
     & info [ "preprocess" ]
-        ~doc:"Apply subsumption and bounded variable elimination before solving (models are \
-              reconstructed; incompatible with core/proof output).")
+        ~doc:"Simplify before solving: the same pass as $(b,--inprocess) with the default \
+              budget (an explicit $(b,--inprocess) budget takes precedence).")
 
 let inprocess =
   Arg.(

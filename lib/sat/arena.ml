@@ -105,6 +105,27 @@ let lits_list a cr =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (lit a cr i :: acc) in
   loop (size a cr - 1) []
 
+let lits_array a cr =
+  let n = size a cr in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n (lit a cr 0) in
+    for i = 1 to n - 1 do
+      out.(i) <- lit a cr i
+    done;
+    out
+  end
+
+let extent a = a.size
+
+let iter a f =
+  let cr = ref 0 in
+  while !cr < a.size do
+    let here = !cr in
+    cr := here + hdr_words + size a here;
+    f here
+  done
+
 let live_words a = a.size - a.wasted
 
 let wasted_words a = a.wasted

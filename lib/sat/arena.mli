@@ -96,6 +96,18 @@ val iter_lits : t -> cref -> (Lit.t -> unit) -> unit
 val lits_list : t -> cref -> Lit.t list
 (** The literals as a fresh list (proof/DRAT use, not the hot path). *)
 
+val lits_array : t -> cref -> Lit.t array
+(** The literals as a fresh array, in stored order. *)
+
+val extent : t -> int
+(** Words in use, deleted blocks included: every cref is below it, so an
+    array of this length can carry one mark per cref. *)
+
+val iter : t -> (cref -> unit) -> unit
+(** [iter a f] calls [f] on every block in ascending cref (allocation)
+    order, deleted blocks included.  [f] may delete clauses but must not
+    allocate. *)
+
 val live_words : t -> int
 (** Words in use minus wasted words. *)
 

@@ -93,64 +93,187 @@ let pp_stats ppf s =
 (* The engine.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type clause_in = { lits : Lit.t list; deletable : bool; redundant : bool }
+type clause_in = { lits : Lit.t array; deletable : bool; redundant : bool }
 
 type action =
   | Delete of int
-  | Strengthen of { target : int; parent : int; lits : Lit.t list; id : int }
-  | Resolvent of { pos : int; neg : int; lits : Lit.t list; id : int; pivot : Lit.var }
-  | Eliminate of { v : Lit.var; pos : Lit.t list list }
+  | Strengthen of { target : int; parent : int; lits : Lit.t array; id : int }
+  | Resolvent of { pos : int; neg : int; lits : Lit.t array; id : int; pivot : Lit.var }
+  | Eliminate of { v : Lit.var; pos : Lit.t array list }
 
-module LitSet = Set.Make (Lit)
+(* Every comparison goes through the literal's dense index, so each helper
+   below is typed over ints and never reaches polymorphic compare.  Literal
+   arrays are flat int arrays to the compiler ([Lit.t] is immediate). *)
+let[@inline] ix l = Lit.to_index l
 
-type cl = {
-  mutable set : LitSet.t option; (* None = removed from the working store *)
-  c_deletable : bool;
-  c_redundant : bool;
-}
+(* Clause flag bits. *)
+let alive = 1
 
+let deletable = 2
+
+let redundant = 4
+
+(* A growable int buffer: occurrence snapshots. *)
+type buf = { mutable a : int array; mutable len : int }
+
+let new_buf () = { a = Array.make 16 0; len = 0 }
+
+let grow_ints a need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* The working store.  Clause [i] is a sorted (by index), duplicate-free
+   literal array [lits.(i)] that never changes after creation — a
+   strengthened clause gets a new index — so [count.(l)], the number of
+   live clauses containing literal index [l], moves only when a clause is
+   added or removed.  The input clauses' occurrences form one CSR array,
+   ascending by clause index: literal [l]'s are [csr.(start.(l)) ..
+   csr.(start.(l + 1) - 1)].  Clauses created during the run are linked on
+   per-literal newest-first chains ([head] / [chain_clause] /
+   [chain_next]).  A chain followed by its CSR segment walked backwards
+   visits a literal's clauses newest first. *)
 type state = {
-  mutable cls : cl array;
+  mutable lits : Lit.t array array;
+  mutable flags : int array;
   mutable n : int;
-  occ : (Lit.t, int list ref) Hashtbl.t; (* may hold stale indices *)
+  count : int array;
+  start : int array;
+  csr : int array;
+  head : int array; (* newest chain entry per literal, -1 when none *)
+  mutable chain_clause : int array;
+  mutable chain_next : int array;
+  mutable chain_len : int;
+  occ : buf; (* scratch: the snapshot a subsumption walk iterates *)
+  pos_all : buf; (* scratch: an elimination candidate's occurrences *)
+  neg_all : buf;
+  mutable res : Lit.t array; (* scratch: candidate resolvents, back to back *)
+  mutable res_off : int array; (* candidate [k] is [res.(res_off.(k)) .. res_off.(k+1)-1] *)
+  mutable res_pos : int array;
+  mutable res_neg : int array;
   mutable acts : action list; (* reverse chronological *)
   st : stats;
 }
 
-let occ_list st l =
-  match Hashtbl.find_opt st.occ l with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.replace st.occ l r;
-    r
+(* Sort a clause by literal index in place and drop duplicates: insertion
+   sort for the usual short clause, the library sort beyond that. *)
+let sorted_set a =
+  let n = Array.length a in
+  if n <= 16 then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && ix a.(!j) > ix x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else Array.sort Lit.compare a;
+  let m = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if ix a.(i) <> ix a.(!m - 1) then begin
+      a.(!m) <- a.(i);
+      incr m
+    end
+  done;
+  if !m = n then a else Array.sub a 0 !m
 
-let push_clause st ~deletable ~redundant set =
-  if st.n = Array.length st.cls then begin
-    let bigger =
-      Array.make (max 16 (2 * st.n)) { set = None; c_deletable = true; c_redundant = false }
-    in
-    Array.blit st.cls 0 bigger 0 st.n;
-    st.cls <- bigger
+(* Snapshot the live clauses containing [l] into [b], newest first.  There
+   are exactly [count.(l)] of them. *)
+let snapshot st l b =
+  let l = ix l in
+  b.a <- grow_ints b.a st.count.(l);
+  let j = ref 0 in
+  let e = ref st.head.(l) in
+  while !e >= 0 do
+    let c = st.chain_clause.(!e) in
+    if st.flags.(c) land alive <> 0 then begin
+      b.a.(!j) <- c;
+      incr j
+    end;
+    e := st.chain_next.(!e)
+  done;
+  for p = st.start.(l + 1) - 1 downto st.start.(l) do
+    let c = st.csr.(p) in
+    if st.flags.(c) land alive <> 0 then begin
+      b.a.(!j) <- c;
+      incr j
+    end
+  done;
+  b.len <- !j;
+  b
+
+let kill st i =
+  st.flags.(i) <- st.flags.(i) land lnot alive;
+  let c = st.lits.(i) in
+  for k = 0 to Array.length c - 1 do
+    let l = ix c.(k) in
+    st.count.(l) <- st.count.(l) - 1
+  done
+
+let push_clause st ~flags c =
+  if st.n = Array.length st.lits then begin
+    let lits = Array.make (2 * st.n) [||] in
+    Array.blit st.lits 0 lits 0 st.n;
+    st.lits <- lits;
+    st.flags <- grow_ints st.flags (2 * st.n)
   end;
-  let idx = st.n in
-  st.cls.(idx) <- { set = Some set; c_deletable = deletable; c_redundant = redundant };
-  st.n <- st.n + 1;
-  LitSet.iter (fun l -> occ_list st l := idx :: !(occ_list st l)) set;
-  idx
+  let i = st.n in
+  st.lits.(i) <- c;
+  st.flags.(i) <- flags;
+  st.n <- i + 1;
+  let need = st.chain_len + Array.length c in
+  st.chain_clause <- grow_ints st.chain_clause need;
+  st.chain_next <- grow_ints st.chain_next need;
+  for k = 0 to Array.length c - 1 do
+    let l = ix c.(k) in
+    st.count.(l) <- st.count.(l) + 1;
+    let e = st.chain_len in
+    st.chain_clause.(e) <- i;
+    st.chain_next.(e) <- st.head.(l);
+    st.head.(l) <- e;
+    st.chain_len <- e + 1
+  done;
+  i
 
-(* Occurrence lists are cleaned lazily, like [Simplify]'s. *)
-let live_occurrences st l =
-  let r = occ_list st l in
-  let live =
-    List.filter
-      (fun i -> match st.cls.(i).set with Some s -> LitSet.mem l s | None -> false)
-      !r
-  in
-  r := live;
-  live
+(* [c] without its [skip]-th literal ([-1]: none) is a subset of [d]: one
+   merge over the two sorted arrays. *)
+let subset_but c ~skip d =
+  let nc = Array.length c and nd = Array.length d in
+  if (if skip >= 0 then nc - 1 else nc) > nd then false
+  else begin
+    let i = ref 0 and j = ref 0 and ok = ref true in
+    while !ok && !i < nc do
+      if !i = skip then incr i
+      else if !j = nd then ok := false
+      else begin
+        let x = ix c.(!i) and y = ix d.(!j) in
+        if x = y then begin
+          incr i;
+          incr j
+        end
+        else if x > y then incr j
+        else ok := false
+      end
+    done;
+    !ok
+  end
 
-let tautology set = LitSet.exists (fun l -> LitSet.mem (Lit.negate l) set) set
+(* [d] minus the literal [l] it contains, as a fresh array. *)
+let without d l =
+  let out = Array.make (Array.length d - 1) l in
+  let j = ref 0 in
+  for i = 0 to Array.length d - 1 do
+    if ix d.(i) <> ix l then begin
+      out.(!j) <- d.(i);
+      incr j
+    end
+  done;
+  out
 
 let over ~deadline = match deadline with Some d -> Sys.time () > d | None -> false
 
@@ -164,59 +287,158 @@ let subsumption_round st ~deadline =
   let bound = st.n in
   let ci = ref 0 in
   while !ci < bound && not (over ~deadline) do
-    (match st.cls.(!ci) with
-    | { set = Some c; c_redundant = false; _ } when not (LitSet.is_empty c) ->
-      (* plain subsumption via the rarest literal's occurrence list *)
-      let pivot =
-        LitSet.fold
-          (fun l best ->
-            match best with
-            | None -> Some l
-            | Some b ->
-              if List.length (live_occurrences st l) < List.length (live_occurrences st b)
-              then Some l
-              else best)
-          c None
-      in
-      (match pivot with
-      | None -> ()
-      | Some p ->
-        List.iter
-          (fun di ->
-            if di <> !ci then
-              match st.cls.(di) with
-              | { set = Some d; c_deletable = true; _ } when LitSet.subset c d ->
-                st.cls.(di).set <- None;
-                st.acts <- Delete di :: st.acts;
-                st.st.subsumed <- st.st.subsumed + 1;
-                changed := true
-              | _ -> ())
-          (live_occurrences st p));
+    let i = !ci in
+    let c = st.lits.(i) in
+    if st.flags.(i) land (alive lor redundant) = alive && Array.length c > 0 then begin
+      (* plain subsumption via the rarest literal's occurrences (the first
+         such literal in index order) *)
+      let p = ref c.(0) in
+      for k = 1 to Array.length c - 1 do
+        if st.count.(ix c.(k)) < st.count.(ix !p) then p := c.(k)
+      done;
+      let b = snapshot st !p st.occ in
+      for k = 0 to b.len - 1 do
+        let di = b.a.(k) in
+        if di <> i
+           && st.flags.(di) land (alive lor deletable) = alive lor deletable
+           && subset_but c ~skip:(-1) st.lits.(di)
+        then begin
+          kill st di;
+          st.acts <- Delete di :: st.acts;
+          st.st.subsumed <- st.st.subsumed + 1;
+          changed := true
+        end
+      done;
       (* self-subsuming resolution: D ∋ ¬l with c \ {l} ⊆ D loses ¬l *)
-      LitSet.iter
-        (fun l ->
-          let rest = LitSet.remove l c in
-          List.iter
-            (fun di ->
-              if di <> !ci then
-                match st.cls.(di) with
-                | { set = Some d; c_deletable = true; c_redundant = false }
-                  when LitSet.mem (Lit.negate l) d && LitSet.subset rest d ->
-                  let d' = LitSet.remove (Lit.negate l) d in
-                  st.cls.(di).set <- None;
-                  let id = push_clause st ~deletable:true ~redundant:false d' in
-                  st.acts <-
-                    Strengthen { target = di; parent = !ci; lits = LitSet.elements d'; id }
-                    :: st.acts;
-                  st.st.strengthened <- st.st.strengthened + 1;
-                  changed := true
-                | _ -> ())
-            (live_occurrences st (Lit.negate l)))
-        c
-    | _ -> ());
+      for k = 0 to Array.length c - 1 do
+        let nl = Lit.negate c.(k) in
+        let b = snapshot st nl st.occ in
+        for m = 0 to b.len - 1 do
+          let di = b.a.(m) in
+          if di <> i
+             && st.flags.(di) land (alive lor deletable lor redundant) = alive lor deletable
+             && subset_but c ~skip:k st.lits.(di)
+          then begin
+            let d' = without st.lits.(di) nl in
+            kill st di;
+            let id = push_clause st ~flags:(alive lor deletable) d' in
+            st.acts <- Strengthen { target = di; parent = i; lits = d'; id } :: st.acts;
+            st.st.strengthened <- st.st.strengthened + 1;
+            changed := true
+          end
+        done
+      done
+    end;
     incr ci
   done;
   !changed
+
+(* Merge [p] minus [pl] and [q] minus [nl] into [out] from [at] on, sorted
+   and duplicate-free.  Returns the length, or [-1] when the resolvent is a
+   tautology (a complementary pair sits side by side in index order) or is
+   satisfied at level 0. *)
+let resolve out ~at p ~pl q ~nl ~value =
+  let np = Array.length p and nq = Array.length q in
+  let pl = ix pl and nl = ix nl in
+  let i = ref 0 and j = ref 0 and o = ref at and ok = ref true and last = ref (-2) in
+  while !ok && (!i < np || !j < nq) do
+    if !i < np && ix p.(!i) = pl then incr i
+    else if !j < nq && ix q.(!j) = nl then incr j
+    else begin
+      let x =
+        if !j = nq || (!i < np && ix p.(!i) < ix q.(!j)) then begin
+          let x = p.(!i) in
+          incr i;
+          x
+        end
+        else if !i = np || ix q.(!j) < ix p.(!i) then begin
+          let y = q.(!j) in
+          incr j;
+          y
+        end
+        else begin
+          let x = p.(!i) in
+          incr i;
+          incr j;
+          x
+        end
+      in
+      if ix x = !last lxor 1 || value x = 1 then ok := false
+      else begin
+        out.(!o) <- x;
+        incr o;
+        last := ix x
+      end
+    end
+  done;
+  if !ok then !o - at else -1
+
+(* The surviving resolvents on [var] in emission order (positive
+   occurrence major, both sides newest first, redundant clauses skipped),
+   back to back in [st.res].  Stops once more than [limit] survive: the
+   count it returns then only says "too many". *)
+let candidate_resolvents st ~value ~var ~limit =
+  let pl = Lit.pos var and nl = Lit.neg var in
+  let pa = st.pos_all and na = st.neg_all in
+  st.res_off <- grow_ints st.res_off (limit + 2);
+  st.res_pos <- grow_ints st.res_pos (limit + 1);
+  st.res_neg <- grow_ints st.res_neg (limit + 1);
+  st.res_off.(0) <- 0;
+  let count = ref 0 in
+  let a = ref 0 in
+  while !count <= limit && !a < pa.len do
+    let pi = pa.a.(!a) in
+    if st.flags.(pi) land redundant = 0 then begin
+      let p = st.lits.(pi) in
+      let b = ref 0 in
+      while !count <= limit && !b < na.len do
+        let ni = na.a.(!b) in
+        if st.flags.(ni) land redundant = 0 then begin
+          let q = st.lits.(ni) in
+          let at = st.res_off.(!count) in
+          let need = at + Array.length p + Array.length q in
+          if need > Array.length st.res then begin
+            let res = Array.make (max need (2 * Array.length st.res)) pl in
+            Array.blit st.res 0 res 0 at;
+            st.res <- res
+          end;
+          let len = resolve st.res ~at p ~pl q ~nl ~value in
+          if len >= 0 then begin
+            st.res_pos.(!count) <- pi;
+            st.res_neg.(!count) <- ni;
+            incr count;
+            st.res_off.(!count) <- at + len
+          end
+        end;
+        incr b
+      done
+    end;
+    incr a
+  done;
+  !count
+
+let all_deletable st b =
+  let ok = ref true in
+  for k = 0 to b.len - 1 do
+    if st.flags.(b.a.(k)) land deletable = 0 then ok := false
+  done;
+  !ok
+
+let irredundant st b =
+  let n = ref 0 in
+  for k = 0 to b.len - 1 do
+    if st.flags.(b.a.(k)) land redundant = 0 then incr n
+  done;
+  !n
+
+let delete_live st b =
+  for k = 0 to b.len - 1 do
+    let c = b.a.(k) in
+    if st.flags.(c) land alive <> 0 then begin
+      kill st c;
+      st.acts <- Delete c :: st.acts
+    end
+  done
 
 (* Bounded variable elimination.  A variable is eliminable when it is
    unassigned, not frozen, every live occurrence is deletable, and the
@@ -230,53 +452,33 @@ let eliminate_round cfg st ~num_vars ~frozen ~value ~deadline eliminated =
   while !v < num_vars && not (over ~deadline) do
     let var = !v in
     if (not eliminated.(var)) && (not (frozen var)) && value (Lit.pos var) = -1 then begin
-      let pos_all = live_occurrences st (Lit.pos var) in
-      let neg_all = live_occurrences st (Lit.neg var) in
-      if List.for_all (fun i -> st.cls.(i).c_deletable) pos_all
-         && List.for_all (fun i -> st.cls.(i).c_deletable) neg_all
-      then begin
-        let irr = List.filter (fun i -> not st.cls.(i).c_redundant) in
-        let pos = irr pos_all and neg = irr neg_all in
-        let np = List.length pos and nn = List.length neg in
+      let pa = snapshot st (Lit.pos var) st.pos_all in
+      let na = snapshot st (Lit.neg var) st.neg_all in
+      if all_deletable st pa && all_deletable st na then begin
+        let np = irredundant st pa and nn = irredundant st na in
         if np <= cfg.max_occurrences && nn <= cfg.max_occurrences then begin
-          let set_of i = Option.get st.cls.(i).set in
-          let resolvents =
-            List.concat_map
-              (fun pi ->
-                List.filter_map
-                  (fun ni ->
-                    let r =
-                      LitSet.union
-                        (LitSet.remove (Lit.pos var) (set_of pi))
-                        (LitSet.remove (Lit.neg var) (set_of ni))
-                    in
-                    if tautology r || LitSet.exists (fun l -> value l = 1) r then None
-                    else Some (pi, ni, r))
-                  neg)
-              pos
-          in
-          if List.length resolvents <= np + nn + cfg.growth then begin
+          let limit = np + nn + cfg.growth in
+          let n_res = candidate_resolvents st ~value ~var ~limit in
+          if n_res <= limit then begin
             (* derive first, then save the reconstruction witness, then
                delete every remaining occurrence (redundant ones too) *)
-            List.iter
-              (fun (pi, ni, r) ->
-                let id = push_clause st ~deletable:true ~redundant:false r in
-                st.acts <-
-                  Resolvent
-                    { pos = pi; neg = ni; lits = LitSet.elements r; id; pivot = var }
-                  :: st.acts;
-                st.st.resolvents <- st.st.resolvents + 1)
-              resolvents;
-            st.acts <-
-              Eliminate { v = var; pos = List.map (fun i -> LitSet.elements (set_of i)) pos }
-              :: st.acts;
-            List.iter
-              (fun i ->
-                if st.cls.(i).set <> None then begin
-                  st.cls.(i).set <- None;
-                  st.acts <- Delete i :: st.acts
-                end)
-              (pos_all @ neg_all);
+            for k = 0 to n_res - 1 do
+              let off = st.res_off.(k) in
+              let lits = Array.sub st.res off (st.res_off.(k + 1) - off) in
+              let id = push_clause st ~flags:(alive lor deletable) lits in
+              st.acts <-
+                Resolvent { pos = st.res_pos.(k); neg = st.res_neg.(k); lits; id; pivot = var }
+                :: st.acts;
+              st.st.resolvents <- st.st.resolvents + 1
+            done;
+            let saved = ref [] in
+            for k = pa.len - 1 downto 0 do
+              let c = pa.a.(k) in
+              if st.flags.(c) land redundant = 0 then saved := st.lits.(c) :: !saved
+            done;
+            st.acts <- Eliminate { v = var; pos = !saved } :: st.acts;
+            delete_live st pa;
+            delete_live st na;
             eliminated.(var) <- true;
             st.st.eliminated <- st.st.eliminated + 1;
             changed := true
@@ -288,27 +490,73 @@ let eliminate_round cfg st ~num_vars ~frozen ~value ~deadline eliminated =
   done;
   !changed
 
-let simplify cfg stats ~num_vars ~frozen ~value ~deadline clauses =
-  let st =
-    {
-      cls =
-        Array.map
-          (fun (c : clause_in) ->
-            { set = Some (LitSet.of_list c.lits); c_deletable = c.deletable;
-              c_redundant = c.redundant })
-          clauses;
-      n = Array.length clauses;
-      occ = Hashtbl.create 512;
-      acts = [];
-      st = stats;
-    }
-  in
+let create_state stats ~num_vars (clauses : clause_in array) =
+  let n = Array.length clauses in
+  let lits = Array.make (n + (n / 4) + 16) [||] in
+  let flags = Array.make (Array.length lits) 0 in
+  let nlits = ref (2 * num_vars) in
   Array.iteri
-    (fun i cl ->
-      match cl.set with
-      | Some set -> LitSet.iter (fun l -> occ_list st l := i :: !(occ_list st l)) set
-      | None -> ())
-    st.cls;
+    (fun i (c : clause_in) ->
+      let s = sorted_set c.lits in
+      lits.(i) <- s;
+      flags.(i) <-
+        alive
+        lor (if c.deletable then deletable else 0)
+        lor if c.redundant then redundant else 0;
+      let k = Array.length s in
+      if k > 0 then nlits := max !nlits (ix s.(k - 1) + 1))
+    clauses;
+  let nlits = !nlits in
+  let count = Array.make nlits 0 in
+  for i = 0 to n - 1 do
+    let c = lits.(i) in
+    for k = 0 to Array.length c - 1 do
+      count.(ix c.(k)) <- count.(ix c.(k)) + 1
+    done
+  done;
+  (* counting sort: [start.(l)] first holds the end of [l]'s segment and is
+     walked down to its beginning while the clauses are placed in reverse,
+     leaving each segment ascending *)
+  let start = Array.make (nlits + 1) 0 in
+  let total = ref 0 in
+  for l = 0 to nlits - 1 do
+    total := !total + count.(l);
+    start.(l) <- !total
+  done;
+  start.(nlits) <- !total;
+  let csr = Array.make !total 0 in
+  for i = n - 1 downto 0 do
+    let c = lits.(i) in
+    for k = 0 to Array.length c - 1 do
+      let l = ix c.(k) in
+      start.(l) <- start.(l) - 1;
+      csr.(start.(l)) <- i
+    done
+  done;
+  {
+    lits;
+    flags;
+    n;
+    count;
+    start;
+    csr;
+    head = Array.make nlits (-1);
+    chain_clause = Array.make 64 0;
+    chain_next = Array.make 64 0;
+    chain_len = 0;
+    occ = new_buf ();
+    pos_all = new_buf ();
+    neg_all = new_buf ();
+    res = Array.make 64 (Lit.pos 0);
+    res_off = Array.make 16 0;
+    res_pos = Array.make 16 0;
+    res_neg = Array.make 16 0;
+    acts = [];
+    st = stats;
+  }
+
+let simplify cfg stats ~num_vars ~frozen ~value ~deadline clauses =
+  let st = create_state stats ~num_vars clauses in
   let eliminated = Array.make (max num_vars 1) false in
   let round () =
     let s = subsumption_round st ~deadline in

@@ -2,15 +2,14 @@
     engine (subsumption, self-subsuming resolution, bounded variable
     elimination) that {!Solver.inprocess} runs over the live clause arena.
 
-    {!Simplify} is the standalone preprocessor over a {!Cnf.t}; this module
-    is its in-solver counterpart.  The algorithmic core here is pure: it
-    receives a snapshot of the live clauses and answers with an ordered
-    {!action} script.  The solver replays the script against its arena,
-    watch lists, proof graph and DRAT log — every derived clause (a
-    resolvent of two clauses already in the database) is registered as a
-    proof node carrying its antecedent IDs and emitted as a DRAT addition
-    {e before} its parents are deleted, so [unsat_core] and
-    {!Checker.check_refutation} stay exact with inprocessing on.
+    The algorithmic core here is pure: it receives a snapshot of the live
+    clauses and answers with an ordered {!action} script.  The solver
+    replays the script against its arena, watch lists, proof graph and
+    DRAT log — every derived clause (a resolvent of two clauses already in
+    the database) is registered as a proof node carrying its antecedent IDs
+    and emitted as a DRAT addition {e before} its parents are deleted, so
+    [unsat_core] and {!Checker.check_refutation} stay exact with
+    inprocessing on.
 
     Frozen variables are exempt from elimination only; probing and
     subsumption never remove a variable, so they need no freeze set. *)
@@ -75,7 +74,9 @@ val pp_stats : Format.formatter -> stats -> unit
 (** {1 The simplification engine} *)
 
 type clause_in = {
-  lits : Lit.t list;  (** the stored literal set (level-0-false included) *)
+  lits : Lit.t array;
+      (** the stored literals (level-0-false included, in any order,
+          duplicates allowed); the engine sorts the array in place *)
   deletable : bool;  (** false for locked (reason) clauses *)
   redundant : bool;  (** learnt/imported: may be deleted, never relied on *)
 }
@@ -85,13 +86,15 @@ type clause_in = {
     allocate fresh ids (from [n] up, in emission order) named explicitly in
     [id].  A [Strengthen] implies the deletion of [target]; an [Eliminate]
     is followed by explicit [Delete]s of every remaining occurrence.  New
-    clauses always precede the deletion of their parents. *)
+    clauses always precede the deletion of their parents.  Every literal
+    array is sorted by {!Lit.to_index} and duplicate-free; the engine never
+    mutates one after handing it out. *)
 type action =
   | Delete of int
-  | Strengthen of { target : int; parent : int; lits : Lit.t list; id : int }
+  | Strengthen of { target : int; parent : int; lits : Lit.t array; id : int }
       (** [target] minus one literal, by resolution with [parent]. *)
-  | Resolvent of { pos : int; neg : int; lits : Lit.t list; id : int; pivot : Lit.var }
-  | Eliminate of { v : Lit.var; pos : Lit.t list list }
+  | Resolvent of { pos : int; neg : int; lits : Lit.t array; id : int; pivot : Lit.var }
+  | Eliminate of { v : Lit.var; pos : Lit.t array list }
       (** [pos] = the irredundant positive occurrences at elimination time,
           saved for model reconstruction. *)
 
@@ -112,4 +115,8 @@ val simplify :
     variables are never eliminated.  Redundant clauses never subsume,
     strengthen, resolve or count toward occurrence limits, but are deleted
     when an eliminated variable occurs in them.  [deadline] (absolute
-    [Sys.time] value) stops the engine between clauses when exceeded. *)
+    [Sys.time] value) stops the engine between clauses when exceeded.
+
+    Clauses are visited by index, a clause's literals in index order, and
+    a literal's occurrences newest clause first; the script is a function
+    of the input alone (with [deadline = None]). *)

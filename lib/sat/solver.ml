@@ -997,27 +997,27 @@ let probe_round t (cfg : Inprocess.config) (st : Inprocess.stats) ~deadline =
 
 (* Every live clause is reachable from the watch lists (all clauses of two
    or more literals), the learnt list, or a reason slot (unit clauses
-   enqueued at level 0).  Sorted by cref — allocation order — so the
-   engine's input is deterministic. *)
-let collect_live_crefs t =
-  let tbl = Hashtbl.create 1024 in
-  let add cr = if cr <> Arena.none && not (Hashtbl.mem tbl cr) then Hashtbl.replace tbl cr () in
-  Array.iter (fun w -> Arena.Watch.fold_crefs (fun () cr -> add cr) () w) t.watches;
+   enqueued at level 0).  One mark per cref, then one ascending walk of the
+   arena — allocation order — so the engine's input is deterministic. *)
+let iter_live_crefs t f =
+  let arena = t.arena in
+  let mark = Bytes.make (Arena.extent arena) '\000' in
+  let add cr = if cr <> Arena.none then Bytes.set mark cr '\001' in
+  let add_watcher () cr = add cr in
+  Array.iter (fun w -> Arena.Watch.fold_crefs add_watcher () w) t.watches;
   Vec.iter add t.learnts;
   for v = 0 to t.nvars - 1 do
     if t.assigns.(v) <> unassigned && t.reason.(v) <> Arena.none then add t.reason.(v)
   done;
-  Hashtbl.fold (fun cr () acc -> cr :: acc) tbl [] |> List.sort Int.compare
+  Arena.iter arena (fun cr -> if Bytes.get mark cr <> '\000' then f cr)
 
-(* Bookkeeping for one clause named by the engine's script: its proof ID,
-   stored literals, taint, redundancy and current arena block. *)
-type inpr_info = {
-  ii_cid : int;
-  ii_lits : Lit.t list;
-  ii_tainted : bool;
-  ii_learnt : bool;
-  ii_cref : Arena.cref;
-}
+let satisfied_at_level0 t cr =
+  let n = Arena.size t.arena cr in
+  let i = ref 0 in
+  while !i < n && value_lit t (Arena.lit t.arena cr !i) <> 1 do
+    incr i
+  done;
+  !i < n
 
 (* Attach a clause newly allocated by inprocessing, assignment-aware like
    [add_original]: watches go on non-false literals, a single non-false
@@ -1041,6 +1041,8 @@ let attach_derived t cr =
        | _ -> enqueue t first cr);
     if n >= 2 then attach t cr
   end
+
+let no_input = { Inprocess.lits = [||]; deletable = false; redundant = false }
 
 (* One inprocessing run: saturate level-0 BCP, probe, snapshot the live
    database, run the {!Inprocess} engine and replay its script.  Every
@@ -1067,16 +1069,14 @@ let inprocess ?(config = Inprocess.default) t =
       if config.Inprocess.max_probes > 0 then probe_round t config st ~deadline;
       if t.ok then begin
         let arena = t.arena in
-        (* snapshot the live clauses, dropping level-0-satisfied ones *)
-        let inputs = ref [] and handles = ref [] in
-        List.iter
-          (fun cr ->
+        (* snapshot the live clauses, dropping level-0-satisfied ones;
+           [crefs] maps every script id to its arena block *)
+        let inputs = Vec.create ~dummy:no_input () in
+        let crefs = Vec.create ~dummy:Arena.none () in
+        iter_live_crefs t (fun cr ->
             if not (Arena.deleted arena cr) then begin
-              let satisfied = ref false in
-              Arena.iter_lits arena cr (fun l ->
-                  if value_lit t l = 1 then satisfied := true);
               let lk = locked t cr in
-              if !satisfied && not lk then begin
+              if satisfied_at_level0 t cr && not lk then begin
                 (match t.drat with
                 | Some d -> Vec.push d (Checker.Deleted (Arena.lits_list arena cr))
                 | None -> ());
@@ -1084,88 +1084,66 @@ let inprocess ?(config = Inprocess.default) t =
                 st.Inprocess.satisfied_removed <- st.Inprocess.satisfied_removed + 1
               end
               else begin
-                inputs :=
+                Vec.push inputs
                   {
-                    Inprocess.lits = Arena.lits_list arena cr;
+                    Inprocess.lits = Arena.lits_array arena cr;
                     deletable = not lk;
                     redundant = Arena.learnt arena cr;
-                  }
-                  :: !inputs;
-                handles := cr :: !handles
+                  };
+                Vec.push crefs cr
               end
-            end)
-          (collect_live_crefs t);
-        let inputs = Array.of_list (List.rev !inputs) in
-        let handles = Array.of_list (List.rev !handles) in
+            end);
+        let n_inputs = Vec.length crefs in
         let frozen v = t.frozen.(v) || t.eliminated.(v) in
         let actions =
           Inprocess.simplify config st ~num_vars:t.nvars ~frozen
             ~value:(fun l -> value_lit t l)
-            ~deadline inputs
+            ~deadline (Vec.to_array inputs)
         in
         (* replay the script against the arena / proof / DRAT state *)
-        let infos = Hashtbl.create (max 16 (2 * Array.length inputs)) in
-        let info_of id =
-          match Hashtbl.find_opt infos id with
-          | Some i -> i
-          | None ->
-            let cr = handles.(id) in
-            let i =
-              {
-                ii_cid = Arena.cid arena cr;
-                ii_lits = inputs.(id).Inprocess.lits;
-                ii_tainted = Arena.tainted arena cr;
-                ii_learnt = Arena.learnt arena cr;
-                ii_cref = cr;
-              }
-            in
-            Hashtbl.replace infos id i;
-            i
-        in
-        let new_crefs = ref [] in
-        let delete_clause info =
-          if not (Arena.deleted arena info.ii_cref) then begin
+        let delete_clause cr =
+          if not (Arena.deleted arena cr) then begin
             (match t.drat with
-            | Some d -> Vec.push d (Checker.Deleted (Arena.lits_list arena info.ii_cref))
+            | Some d -> Vec.push d (Checker.Deleted (Arena.lits_list arena cr))
             | None -> ());
-            Arena.delete arena info.ii_cref
+            Arena.delete arena cr
           end
         in
-        let derive ~id ~lits ~parents ~learnt =
-          let tainted = List.exists (fun i -> i.ii_tainted) parents in
+        let derive ~id ~lits ~parent1 ~parent2 ~learnt =
+          let c1 = Vec.get crefs parent1 and c2 = Vec.get crefs parent2 in
+          let tainted = Arena.tainted arena c1 || Arena.tainted arena c2 in
+          let lits_l =
+            match (t.proof, t.drat) with None, None -> [] | _ -> Array.to_list lits
+          in
           let cid =
             match t.proof with
             | Some p ->
               let pid =
-                Proof.register_learnt p
-                  ~antecedents:(List.map (fun i -> i.ii_cid) parents)
+                Proof.register_learnt p ~antecedents:[ Arena.cid arena c1; Arena.cid arena c2 ]
               in
-              Hashtbl.replace t.learnt_lits pid lits;
+              Hashtbl.replace t.learnt_lits pid lits_l;
               pid
             | None -> -1
           in
-          (match t.drat with Some d -> Vec.push d (Checker.Learnt lits) | None -> ());
-          let arr = Array.of_list lits in
-          let cr = Arena.alloc arena ~cid ~learnt ~tainted arr (Array.length arr) in
-          Hashtbl.replace infos id
-            { ii_cid = cid; ii_lits = lits; ii_tainted = tainted; ii_learnt = learnt;
-              ii_cref = cr };
-          new_crefs := cr :: !new_crefs;
+          (match t.drat with Some d -> Vec.push d (Checker.Learnt lits_l) | None -> ());
+          let cr = Arena.alloc arena ~cid ~learnt ~tainted lits (Array.length lits) in
+          assert (id = Vec.length crefs);
+          Vec.push crefs cr;
           if learnt then Vec.push t.learnts cr
         in
         List.iter
           (fun (a : Inprocess.action) ->
             match a with
-            | Inprocess.Delete id -> delete_clause (info_of id)
+            | Inprocess.Delete id -> delete_clause (Vec.get crefs id)
             | Inprocess.Strengthen { target; parent; lits; id } ->
-              let ti = info_of target and pi = info_of parent in
-              derive ~id ~lits ~parents:[ ti; pi ] ~learnt:ti.ii_learnt;
-              delete_clause ti
+              let tc = Vec.get crefs target in
+              derive ~id ~lits ~parent1:target ~parent2:parent ~learnt:(Arena.learnt arena tc);
+              delete_clause tc
             | Inprocess.Resolvent { pos; neg; lits; id; pivot = _ } ->
-              derive ~id ~lits ~parents:[ info_of pos; info_of neg ] ~learnt:false
+              derive ~id ~lits ~parent1:pos ~parent2:neg ~learnt:false
             | Inprocess.Eliminate { v; pos } ->
               t.eliminated.(v) <- true;
-              t.elim_stack <- (v, pos) :: t.elim_stack)
+              t.elim_stack <- (v, List.map Array.to_list pos) :: t.elim_stack)
           actions;
         (* one sweep detaches every deleted clause, then the surviving
            derived clauses attach and level-0 propagation saturates *)
@@ -1173,9 +1151,10 @@ let inprocess ?(config = Inprocess.default) t =
           (fun w -> Arena.Watch.filter_crefs w (fun cr -> not (Arena.deleted arena cr)))
           t.watches;
         Vec.filter_in_place (fun cr -> not (Arena.deleted arena cr)) t.learnts;
-        List.iter
-          (fun cr -> if t.ok && not (Arena.deleted arena cr) then attach_derived t cr)
-          (List.rev !new_crefs);
+        for id = n_inputs to Vec.length crefs - 1 do
+          let cr = Vec.get crefs id in
+          if t.ok && not (Arena.deleted arena cr) then attach_derived t cr
+        done;
         if t.ok then begin
           let confl = propagate t in
           if confl <> Arena.none then refuted_at_level0 t confl
@@ -1466,8 +1445,7 @@ let model t =
        eliminated first (earlier-eliminated variables may depend on later
        ones through their saved occurrences).  [v := false] satisfies every
        negative saved occurrence; it is forced true iff some positive saved
-       occurrence has no other true literal — the same reconstruction rule
-       as {!Simplify}. *)
+       occurrence has no other true literal (the SatELite rule). *)
     List.iter
       (fun (v, pos) ->
         let lit_true l =

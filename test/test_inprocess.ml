@@ -1,5 +1,5 @@
-(* Depth-boundary inprocessing: outcome preservation, proof exactness and
-   model reconstruction.
+(* Depth-boundary inprocessing: outcome preservation, proof exactness,
+   model reconstruction, and the engine's identical-script invariant.
 
    Inprocessing is a performance device — it must be semantically
    invisible.  The tests here run every persistent-session engine twice,
@@ -134,6 +134,253 @@ let prop_proofs_stay_exact =
           (Sat.Solver.unsat_core s))
 
 (* ------------------------------------------------------------------ *)
+(* Engine level: the identical-script oracle.                          *)
+(* ------------------------------------------------------------------ *)
+
+let as_reference : Sat.Inprocess.action -> Inprocess_ref.action = function
+  | Sat.Inprocess.Delete i -> Inprocess_ref.Delete i
+  | Sat.Inprocess.Strengthen { target; parent; lits; id } ->
+    Inprocess_ref.Strengthen { target; parent; lits = Array.to_list lits; id }
+  | Sat.Inprocess.Resolvent { pos; neg; lits; id; pivot } ->
+    Inprocess_ref.Resolvent { pos; neg; lits = Array.to_list lits; id; pivot }
+  | Sat.Inprocess.Eliminate { v; pos } ->
+    Inprocess_ref.Eliminate { v; pos = List.map Array.to_list pos }
+
+(* A random engine input: clauses (empty, duplicated and tautological ones
+   included) with their deletable / redundant flags, a frozen set, a
+   level-0 value per variable (so some literals are false and some clauses
+   satisfied), and one of the three presets. *)
+let engine_case_gen =
+  let open QCheck.Gen in
+  let* nv = 1 -- 12 in
+  let clause =
+    triple
+      (list_size (0 -- 5) (pair (0 -- (nv - 1)) bool))
+      (frequency [ (6, return true); (1, return false) ])
+      (frequency [ (3, return false); (1, return true) ])
+  in
+  let* clauses = list_size (0 -- 50) clause in
+  let* frozen = array_repeat nv (frequency [ (4, return false); (1, return true) ]) in
+  let* values = array_repeat nv (frequency [ (6, return (-1)); (1, return 0); (1, return 1) ]) in
+  let* preset = oneofl [ "default"; "light"; "aggressive" ] in
+  return (nv, clauses, frozen, values, preset)
+
+let print_engine_case (nv, clauses, frozen, values, preset) =
+  let lit (v, s) = if s then string_of_int (v + 1) else "-" ^ string_of_int (v + 1) in
+  Printf.sprintf "preset %s, %d vars, frozen [%s], values [%s]\n%s" preset nv
+    (String.concat " " (List.map string_of_bool (Array.to_list frozen)))
+    (String.concat " " (List.map string_of_int (Array.to_list values)))
+    (String.concat "\n"
+       (List.map
+          (fun (lits, deletable, redundant) ->
+            Printf.sprintf "%s%s%s" (String.concat " " (List.map lit lits))
+              (if deletable then "" else " (locked)")
+              (if redundant then " (redundant)" else ""))
+          clauses))
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"inprocess: engine script and stats equal the reference's"
+    ~count:1000
+    (QCheck.make ~print:print_engine_case engine_case_gen)
+    (fun (nv, clauses, frozen, values, preset) ->
+      let config = Result.get_ok (Sat.Inprocess.config_of_string preset) in
+      let value l =
+        match values.(Sat.Lit.var l) with
+        | -1 -> -1
+        | a -> if Sat.Lit.is_pos l then a else 1 - a
+      in
+      let frozen v = frozen.(v) in
+      let run simplify make =
+        let stats = Sat.Inprocess.fresh_stats () in
+        let inputs =
+          Array.of_list
+            (List.map
+               (fun (lits, deletable, redundant) -> make (List.map lit lits) deletable redundant)
+               clauses)
+        in
+        (simplify config stats ~num_vars:nv ~frozen ~value ~deadline:None inputs, stats)
+      in
+      let expected, expected_stats =
+        run Inprocess_ref.simplify (fun lits deletable redundant ->
+            { Inprocess_ref.lits; deletable; redundant })
+      in
+      let got, got_stats =
+        run Sat.Inprocess.simplify (fun lits deletable redundant ->
+            { Sat.Inprocess.lits = Array.of_list lits; deletable; redundant })
+      in
+      List.map as_reference got = expected && got_stats = expected_stats)
+
+(* ------------------------------------------------------------------ *)
+(* Hand-made cases: the engine's script on small inputs, and the       *)
+(* satcheck --preprocess call (Solver.inprocess, default budget).      *)
+(* ------------------------------------------------------------------ *)
+
+let pp_lits ppf lits =
+  Format.pp_print_list ~pp_sep:Format.pp_print_space Sat.Lit.pp ppf (Array.to_list lits)
+
+let pp_action ppf = function
+  | Sat.Inprocess.Delete i -> Format.fprintf ppf "Delete %d" i
+  | Sat.Inprocess.Strengthen { target; parent; lits; id } ->
+    Format.fprintf ppf "Strengthen %d by %d -> %d [%a]" target parent id pp_lits lits
+  | Sat.Inprocess.Resolvent { pos; neg; lits; id; pivot } ->
+    Format.fprintf ppf "Resolvent %d x %d on %d -> %d [%a]" pos neg pivot id pp_lits lits
+  | Sat.Inprocess.Eliminate { v; pos } ->
+    Format.fprintf ppf "Eliminate %d {%a}" v
+      (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf c ->
+           Format.fprintf ppf "[%a]" pp_lits c))
+      pos
+
+let script = Alcotest.(list (testable pp_action ( = )))
+
+(* The engine over irredundant, deletable clauses with nothing assigned. *)
+let engine ?(frozen = []) ~num_vars clauses =
+  let stats = Sat.Inprocess.fresh_stats () in
+  let inputs =
+    Array.of_list
+      (List.map
+         (fun c ->
+           { Sat.Inprocess.lits = Array.of_list (List.map lit c); deletable = true;
+             redundant = false })
+         clauses)
+  in
+  let actions =
+    Sat.Inprocess.simplify Sat.Inprocess.default stats ~num_vars
+      ~frozen:(fun v -> List.mem v frozen)
+      ~value:(fun _ -> -1)
+      ~deadline:None inputs
+  in
+  (actions, stats)
+
+let lits l = Array.of_list (List.map lit l)
+
+(* Solve after the --preprocess pass; the model must satisfy [cnf] itself. *)
+let solve_preprocessed ?(frozen = []) ?(assumptions = []) cnf =
+  let s = Sat.Solver.create cnf in
+  List.iter (Sat.Solver.freeze s) frozen;
+  let stats = Sat.Solver.inprocess ~config:Sat.Inprocess.default s in
+  let outcome = Sat.Solver.solve ~assumptions s in
+  (match outcome with
+  | Sat.Solver.Sat ->
+    let m = Sat.Solver.model s in
+    Alcotest.(check bool) "the model satisfies the original formula" true
+      (Sat.Cnf.eval cnf (fun v -> m.(v)))
+  | Sat.Solver.Unsat | Sat.Solver.Unknown -> ());
+  (outcome, stats, s)
+
+let test_subsumption () =
+  (* (x0) subsumes (x0 ∨ x1) *)
+  let actions, stats =
+    engine ~num_vars:2 ~frozen:[ 0; 1 ] [ [ (0, true) ]; [ (0, true); (1, true) ] ]
+  in
+  Alcotest.check script "script" [ Sat.Inprocess.Delete 1 ] actions;
+  Alcotest.(check int) "subsumed" 1 stats.subsumed
+
+let test_self_subsumption () =
+  (* (x0 ∨ x1) with (¬x0 ∨ x1) strengthens the second to (x1), which then
+     subsumes the first in the next round *)
+  let clauses = [ [ (0, true); (1, true) ]; [ (0, false); (1, true) ] ] in
+  let actions, stats = engine ~num_vars:2 ~frozen:[ 0; 1 ] clauses in
+  Alcotest.check script "script"
+    [
+      Sat.Inprocess.Strengthen { target = 1; parent = 0; lits = lits [ (1, true) ]; id = 2 };
+      Sat.Inprocess.Delete 0;
+    ]
+    actions;
+  Alcotest.(check int) "strengthened" 1 stats.strengthened;
+  let outcome, _, _ = solve_preprocessed (mk_cnf clauses) in
+  Alcotest.(check string) "still satisfiable" "sat" (Sat.Solver.outcome_string outcome)
+
+let test_variable_elimination () =
+  (* x1 occurs once positively, once negatively: eliminated by resolution,
+     the resolvent derived before its parents are deleted *)
+  let actions, stats =
+    engine ~num_vars:3 ~frozen:[ 0; 2 ] [ [ (0, true); (1, true) ]; [ (1, false); (2, true) ] ]
+  in
+  Alcotest.check script "script"
+    [
+      Sat.Inprocess.Resolvent
+        { pos = 0; neg = 1; lits = lits [ (0, true); (2, true) ]; id = 2; pivot = 1 };
+      Sat.Inprocess.Eliminate { v = 1; pos = [ lits [ (0, true); (1, true) ] ] };
+      Sat.Inprocess.Delete 0;
+      Sat.Inprocess.Delete 1;
+    ]
+    actions;
+  Alcotest.(check int) "eliminated" 1 stats.eliminated
+
+let test_unsat_preserved () =
+  let cnf = mk_cnf [ [ (0, true) ]; [ (0, false); (1, true) ]; [ (1, false) ] ] in
+  let outcome, _, _ = solve_preprocessed cnf in
+  Alcotest.(check string) "still unsat" "unsat" (Sat.Solver.outcome_string outcome)
+
+let test_tautologies_dropped () =
+  (* the only resolvent on x1, (x0 ∨ ¬x0), is a tautology: x1 goes with
+     nothing derived *)
+  let actions, stats =
+    engine ~num_vars:2 ~frozen:[ 0 ] [ [ (0, true); (1, true) ]; [ (0, false); (1, false) ] ]
+  in
+  Alcotest.check script "script"
+    [
+      Sat.Inprocess.Eliminate { v = 1; pos = [ lits [ (0, true); (1, true) ] ] };
+      Sat.Inprocess.Delete 0;
+      Sat.Inprocess.Delete 1;
+    ]
+    actions;
+  Alcotest.(check int) "no resolvent" 0 stats.resolvents;
+  let outcome, _, _ = solve_preprocessed (mk_cnf [ [ (0, true); (0, false) ]; [ (1, true) ] ]) in
+  Alcotest.(check string) "satisfiable" "sat" (Sat.Solver.outcome_string outcome)
+
+let test_empty_formula () =
+  (* with no clauses every variable is vacuously eliminable *)
+  let actions, _ = engine ~num_vars:3 [] in
+  Alcotest.check script "only empty eliminations"
+    (List.init 3 (fun v -> Sat.Inprocess.Eliminate { v; pos = [] }))
+    actions;
+  let outcome, _, s = solve_preprocessed (Sat.Cnf.create ~num_vars:3 ()) in
+  Alcotest.(check string) "satisfiable" "sat" (Sat.Solver.outcome_string outcome);
+  Alcotest.(check int) "model width" 3 (Array.length (Sat.Solver.model s))
+
+let test_reconstruction_on_chain () =
+  (* an implication chain, once forced by a unit and once free: elimination
+     must not lose the forcing, and reconstruction must extend the model
+     over every eliminated link *)
+  let n = 8 in
+  let chain = List.init (n - 1) (fun i -> [ (i, false); (i + 1, true) ]) in
+  List.iter
+    (fun clauses ->
+      let outcome, _, _ = solve_preprocessed (mk_cnf clauses) in
+      Alcotest.(check string) "satisfiable" "sat" (Sat.Solver.outcome_string outcome))
+    [ [ (0, true) ] :: chain; chain ];
+  let _, stats, _ = solve_preprocessed (mk_cnf chain) in
+  Alcotest.(check bool) "links eliminated" true (stats.eliminated >= 1)
+
+let test_frozen_vars_survive () =
+  (* x1 is eliminable (one positive, one negative occurrence) but frozen:
+     it must keep occurring, so assuming it later still constrains the
+     simplified formula — the satcheck --preprocess --assume contract *)
+  let cnf = mk_cnf [ [ (0, true); (1, true) ]; [ (1, false); (2, true) ] ] in
+  let outcome, _, _ =
+    solve_preprocessed ~frozen:[ 1; 2 ] ~assumptions:[ lit (1, true); lit (2, false) ] cnf
+  in
+  Alcotest.(check string) "x1 forces x2 after preprocessing" "unsat"
+    (Sat.Solver.outcome_string outcome);
+  (* and without freezing, the same assumptions would be vacuous *)
+  let _, stats, _ = solve_preprocessed cnf in
+  Alcotest.(check bool) "control: x1 eliminable when melted" true (stats.eliminated >= 1)
+
+let prop_script_never_grows =
+  QCheck.Test.make ~name:"preprocessing never grows the clause count" ~count:200
+    (QCheck.make formula_gen) (fun (nv, cls) ->
+      (* tautology-free and duplicate-free, as the solver loads clauses *)
+      let cls =
+        List.filter_map (fun c -> Sat.Cnf.normalize_clause (List.map lit c)) cls
+        |> List.map (List.map (fun l -> (Sat.Lit.var l, Sat.Lit.is_pos l)))
+      in
+      let actions, _ = engine ~num_vars:nv cls in
+      let count p = List.length (List.filter p actions) in
+      count (function Sat.Inprocess.Resolvent _ -> true | _ -> false)
+      <= count (function Sat.Inprocess.Delete _ -> true | _ -> false))
+
+(* ------------------------------------------------------------------ *)
 (* Engine level: random circuits, inprocessing on ≡ off.               *)
 (* ------------------------------------------------------------------ *)
 
@@ -219,6 +466,7 @@ let prop_session_cores_still_exact =
 let tests =
   [
     Alcotest.test_case "budget parsing" `Quick test_config_of_string;
+    QCheck_alcotest.to_alcotest prop_engine_matches_reference;
     QCheck_alcotest.to_alcotest prop_solver_outcome_preserved;
     QCheck_alcotest.to_alcotest prop_models_reconstruct;
     QCheck_alcotest.to_alcotest prop_frozen_assumptions_sound;
@@ -227,4 +475,19 @@ let tests =
     QCheck_alcotest.to_alcotest prop_induction_on_off;
     QCheck_alcotest.to_alcotest prop_ltl_on_off;
     QCheck_alcotest.to_alcotest prop_session_cores_still_exact;
+  ]
+
+(* The hand-made cases above run under the "simplify" suite name: they pin
+   the simplification engine's scripts and the --preprocess call. *)
+let simplify_tests =
+  [
+    Alcotest.test_case "subsumption" `Quick test_subsumption;
+    Alcotest.test_case "self-subsumption" `Quick test_self_subsumption;
+    Alcotest.test_case "variable elimination" `Quick test_variable_elimination;
+    Alcotest.test_case "unsat preserved" `Quick test_unsat_preserved;
+    Alcotest.test_case "tautologies dropped" `Quick test_tautologies_dropped;
+    Alcotest.test_case "empty formula" `Quick test_empty_formula;
+    Alcotest.test_case "reconstruction chain" `Quick test_reconstruction_on_chain;
+    Alcotest.test_case "frozen variables survive" `Quick test_frozen_vars_survive;
+    QCheck_alcotest.to_alcotest prop_script_never_grows;
   ]

@@ -295,6 +295,23 @@ let test_wide_clauses () =
   check_outcome "only x19 can satisfy" "SAT" (outcome_str o);
   Alcotest.(check bool) "x19 true" true (Sat.Solver.model s).(19)
 
+(* The arena walk behind the inprocessing snapshot: every block once, in
+   allocation order, deleted ones included; literals in stored order. *)
+let test_arena_walk () =
+  let a = Sat.Arena.create ~capacity:4 () in
+  let lits l = Array.of_list (List.map (fun (v, s) -> Sat.Lit.make v s) l) in
+  let c0 = Sat.Arena.alloc a ~cid:0 ~learnt:false (lits [ (2, true); (0, false) ]) 2 in
+  let c1 = Sat.Arena.alloc a ~cid:1 ~learnt:true (lits [ (1, true) ]) 1 in
+  let c2 = Sat.Arena.alloc a ~cid:2 ~learnt:false (lits [ (3, false); (1, false); (0, true) ]) 3 in
+  Sat.Arena.delete a c1;
+  let seen = ref [] in
+  Sat.Arena.iter a (fun cr -> seen := cr :: !seen);
+  Alcotest.(check (list int)) "every block, ascending" [ c0; c1; c2 ] (List.rev !seen);
+  Alcotest.(check bool) "crefs below the extent" true (c2 < Sat.Arena.extent a);
+  Alcotest.(check (list int)) "stored order"
+    (List.map Sat.Lit.to_index (Array.to_list (lits [ (3, false); (1, false); (0, true) ])))
+    (List.map Sat.Lit.to_index (Array.to_list (Sat.Arena.lits_array a c2)))
+
 (* ------------------------------------------------------------------ *)
 (* Arena compaction is observationally neutral.                        *)
 (* ------------------------------------------------------------------ *)
@@ -492,6 +509,7 @@ let prop_compaction_neutral_randomised =
 let tests =
   [
     Alcotest.test_case "trivial sat" `Quick test_trivial_sat;
+    Alcotest.test_case "arena walk" `Quick test_arena_walk;
     Alcotest.test_case "trivial unsat" `Quick test_trivial_unsat;
     Alcotest.test_case "empty formula" `Quick test_empty_formula_sat;
     Alcotest.test_case "empty clause" `Quick test_empty_clause_unsat;
