@@ -146,16 +146,16 @@ let as_reference : Sat.Inprocess.action -> Inprocess_ref.action = function
   | Sat.Inprocess.Eliminate { v; pos } ->
     Inprocess_ref.Eliminate { v; pos = List.map Array.to_list pos }
 
-(* A random engine input: clauses (empty, duplicated and tautological ones
-   included) with their deletable / redundant flags, a frozen set, a
-   level-0 value per variable (so some literals are false and some clauses
-   satisfied), and one of the three presets. *)
+(* A random engine input: clauses (empty, duplicated, tautological and,
+   now and then, long ones included) with their deletable / redundant
+   flags, a frozen set, a level-0 value per variable (so some literals are
+   false and some clauses satisfied), and one of the three presets. *)
 let engine_case_gen =
   let open QCheck.Gen in
   let* nv = 1 -- 12 in
   let clause =
     triple
-      (list_size (0 -- 5) (pair (0 -- (nv - 1)) bool))
+      (list_size (frequency [ (19, 0 -- 5); (1, 6 -- 24) ]) (pair (0 -- (nv - 1)) bool))
       (frequency [ (6, return true); (1, return false) ])
       (frequency [ (3, return false); (1, return true) ])
   in
