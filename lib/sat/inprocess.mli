@@ -76,7 +76,9 @@ val pp_stats : Format.formatter -> stats -> unit
 type clause_in = {
   lits : Lit.t array;
       (** the stored literals (level-0-false included, in any order,
-          duplicates allowed); the engine sorts the array in place *)
+          duplicates allowed, never a tautology — self-subsumption by a
+          tautology would be unsound, and the solver normalises every
+          clause it stores); the engine sorts the array in place *)
   deletable : bool;  (** false for locked (reason) clauses *)
   redundant : bool;  (** learnt/imported: may be deleted, never relied on *)
 }

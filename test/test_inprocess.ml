@@ -367,15 +367,55 @@ let test_frozen_vars_survive () =
   let _, stats, _ = solve_preprocessed cnf in
   Alcotest.(check bool) "control: x1 eliminable when melted" true (stats.eliminated >= 1)
 
+(* The formula the engine's script leaves behind: the input clauses under
+   ids [0 .. n-1] and the derived ones under their script ids, minus every
+   deleted one. *)
+let replay ~num_vars clauses actions =
+  let live = Hashtbl.create 16 in
+  List.iteri (fun i c -> Hashtbl.replace live i (List.map lit c)) clauses;
+  List.iter
+    (function
+      | Sat.Inprocess.Delete i -> Hashtbl.remove live i
+      | Sat.Inprocess.Strengthen { target; lits; id; _ } ->
+        Hashtbl.replace live id (Array.to_list lits);
+        Hashtbl.remove live target
+      | Sat.Inprocess.Resolvent { lits; id; _ } -> Hashtbl.replace live id (Array.to_list lits)
+      | Sat.Inprocess.Eliminate _ -> ())
+    actions;
+  let f = Sat.Cnf.create ~num_vars () in
+  Hashtbl.iter (fun _ c -> Sat.Cnf.add_clause f c) live;
+  f
+
+(* Tautology-free and duplicate-free, as the solver loads clauses: the
+   engine's input contract. *)
+let as_loaded cls =
+  List.filter_map (fun c -> Sat.Cnf.normalize_clause (List.map lit c)) cls
+  |> List.map (List.map (fun l -> (Sat.Lit.var l, Sat.Lit.is_pos l)))
+
+let print_formula = QCheck.Print.(pair int (list (list (pair int bool))))
+
+let prop_script_equisatisfiable =
+  QCheck.Test.make ~name:"preprocessing is equisatisfiable" ~count:400
+    (QCheck.make ~print:print_formula formula_gen) (fun (nv, cls) ->
+      let loaded = as_loaded cls in
+      let actions, _ = engine ~num_vars:nv loaded in
+      brute (mk_cnf ~num_vars:nv cls) = brute (replay ~num_vars:nv loaded actions))
+
+let prop_preprocessed_models_reconstruct =
+  QCheck.Test.make ~name:"reconstructed models satisfy the original" ~count:400
+    (QCheck.make ~print:print_formula formula_gen) (fun (nv, cls) ->
+      let cnf = mk_cnf ~num_vars:nv cls in
+      (* solve_preprocessed fails the case unless a SAT model, extended over
+         the eliminated variables, satisfies [cnf] *)
+      match solve_preprocessed cnf with
+      | Sat.Solver.Sat, _, _ -> true
+      | Sat.Solver.Unsat, _, _ -> not (brute cnf)
+      | Sat.Solver.Unknown, _, _ -> false)
+
 let prop_script_never_grows =
   QCheck.Test.make ~name:"preprocessing never grows the clause count" ~count:200
-    (QCheck.make formula_gen) (fun (nv, cls) ->
-      (* tautology-free and duplicate-free, as the solver loads clauses *)
-      let cls =
-        List.filter_map (fun c -> Sat.Cnf.normalize_clause (List.map lit c)) cls
-        |> List.map (List.map (fun l -> (Sat.Lit.var l, Sat.Lit.is_pos l)))
-      in
-      let actions, _ = engine ~num_vars:nv cls in
+    (QCheck.make ~print:print_formula formula_gen) (fun (nv, cls) ->
+      let actions, _ = engine ~num_vars:nv (as_loaded cls) in
       let count p = List.length (List.filter p actions) in
       count (function Sat.Inprocess.Resolvent _ -> true | _ -> false)
       <= count (function Sat.Inprocess.Delete _ -> true | _ -> false))
@@ -477,8 +517,9 @@ let tests =
     QCheck_alcotest.to_alcotest prop_session_cores_still_exact;
   ]
 
-(* The hand-made cases above run under the "simplify" suite name: they pin
-   the simplification engine's scripts and the --preprocess call. *)
+(* The hand-made cases and the default-budget properties above run under
+   the "simplify" suite name: they pin the simplification engine's scripts
+   and the --preprocess call. *)
 let simplify_tests =
   [
     Alcotest.test_case "subsumption" `Quick test_subsumption;
@@ -489,5 +530,7 @@ let simplify_tests =
     Alcotest.test_case "empty formula" `Quick test_empty_formula;
     Alcotest.test_case "reconstruction chain" `Quick test_reconstruction_on_chain;
     Alcotest.test_case "frozen variables survive" `Quick test_frozen_vars_survive;
+    QCheck_alcotest.to_alcotest prop_script_equisatisfiable;
+    QCheck_alcotest.to_alcotest prop_preprocessed_models_reconstruct;
     QCheck_alcotest.to_alcotest prop_script_never_grows;
   ]
