@@ -158,30 +158,6 @@ type state = {
   st : stats;
 }
 
-(* Sort a clause by literal index in place and drop duplicates: insertion
-   sort for the usual short clause, the library sort beyond that. *)
-let sorted_set a =
-  let n = Array.length a in
-  if n <= 16 then
-    for i = 1 to n - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && ix a.(!j) > ix x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  else Array.sort Lit.compare a;
-  let m = ref (min n 1) in
-  for i = 1 to n - 1 do
-    if ix a.(i) <> ix a.(!m - 1) then begin
-      a.(!m) <- a.(i);
-      incr m
-    end
-  done;
-  if !m = n then a else Array.sub a 0 !m
-
 (* Snapshot the live clauses containing [l] into [b], newest first.  There
    are exactly [count.(l)] of them. *)
 let snapshot st l b =
@@ -492,18 +468,19 @@ let eliminate_round cfg st ~num_vars ~frozen ~value ~deadline eliminated =
 
 let create_state stats ~num_vars (clauses : clause_in array) =
   let n = Array.length clauses in
-  let lits = Array.make (n + (n / 4) + 16) [||] in
+  let lits = Array.make (n + 16) [||] in
   let flags = Array.make (Array.length lits) 0 in
   let nlits = ref (2 * num_vars) in
   Array.iteri
     (fun i (c : clause_in) ->
-      let s = sorted_set c.lits in
+      let k = Cnf.normalize_into c.lits ~into:c.lits in
+      if k < 0 then invalid_arg "Inprocess.simplify: tautological clause";
+      let s = if k = Array.length c.lits then c.lits else Array.sub c.lits 0 k in
       lits.(i) <- s;
       flags.(i) <-
         alive
         lor (if c.deletable then deletable else 0)
         lor if c.redundant then redundant else 0;
-      let k = Array.length s in
       if k > 0 then nlits := max !nlits (ix s.(k - 1) + 1))
     clauses;
   let nlits = !nlits in

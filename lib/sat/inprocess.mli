@@ -78,7 +78,8 @@ type clause_in = {
       (** the stored literals (level-0-false included, in any order,
           duplicates allowed, never a tautology — self-subsumption by a
           tautology would be unsound, and the solver normalises every
-          clause it stores); the engine sorts the array in place *)
+          clause it stores); the engine normalises the array in place
+          with {!Cnf.normalize_into} *)
   deletable : bool;  (** false for locked (reason) clauses *)
   redundant : bool;  (** learnt/imported: may be deleted, never relied on *)
 }
@@ -121,4 +122,5 @@ val simplify :
 
     Clauses are visited by index, a clause's literals in index order, and
     a literal's occurrences newest clause first; the script is a function
-    of the input alone (with [deadline = None]). *)
+    of the input alone (with [deadline = None]).
+    @raise Invalid_argument if an input clause is a tautology. *)

@@ -146,16 +146,20 @@ let as_reference : Sat.Inprocess.action -> Inprocess_ref.action = function
   | Sat.Inprocess.Eliminate { v; pos } ->
     Inprocess_ref.Eliminate { v; pos = List.map Array.to_list pos }
 
-(* A random engine input: clauses (empty, duplicated, tautological and,
-   now and then, long ones included) with their deletable / redundant
-   flags, a frozen set, a level-0 value per variable (so some literals are
-   false and some clauses satisfied), and one of the three presets. *)
+(* A random engine input: clauses (empty, with duplicate literals and,
+   now and then, long ones included; never a tautology, the engine's input
+   contract) with their deletable / redundant flags, a frozen set, a
+   level-0 value per variable (so some literals are false and some clauses
+   satisfied), and one of the three presets. *)
 let engine_case_gen =
   let open QCheck.Gen in
   let* nv = 1 -- 12 in
+  (* every occurrence of a variable takes the sign of its first one *)
+  let untautological lits = List.map (fun (v, _) -> (v, List.assoc v lits)) lits in
   let clause =
     triple
-      (list_size (frequency [ (19, 0 -- 5); (1, 6 -- 24) ]) (pair (0 -- (nv - 1)) bool))
+      (map untautological
+         (list_size (frequency [ (19, 0 -- 5); (1, 6 -- 24) ]) (pair (0 -- (nv - 1)) bool)))
       (frequency [ (6, return true); (1, return false) ])
       (frequency [ (3, return false); (1, return true) ])
   in
@@ -326,6 +330,9 @@ let test_tautologies_dropped () =
     ]
     actions;
   Alcotest.(check int) "no resolvent" 0 stats.resolvents;
+  Alcotest.check_raises "a tautological input is rejected"
+    (Invalid_argument "Inprocess.simplify: tautological clause") (fun () ->
+      ignore (engine ~num_vars:1 [ [ (0, true); (0, false) ] ]));
   let outcome, _, _ = solve_preprocessed (mk_cnf [ [ (0, true); (0, false) ]; [ (1, true) ] ]) in
   Alcotest.(check string) "satisfiable" "sat" (Sat.Solver.outcome_string outcome)
 
