@@ -42,42 +42,42 @@ let results_file = "bench_results.json"
 (* ------------------------------------------------------------------ *)
 
 (* Highest depth whose instance was fully solved. *)
-let completed_depth (r : Bmc.Engine.result) =
+let completed_depth (r : Bmc.Session.result) =
   match r.verdict with
-  | Bmc.Engine.Falsified t -> t.Bmc.Trace.depth
-  | Bmc.Engine.Bounded_pass k -> k
-  | Bmc.Engine.Aborted k -> k - 1
+  | Bmc.Session.Falsified t -> t.Bmc.Trace.depth
+  | Bmc.Session.Bounded_pass k -> k
+  | Bmc.Session.Aborted k -> k - 1
 
-let fold_to_depth (r : Bmc.Engine.result) depth f init =
+let fold_to_depth (r : Bmc.Session.result) depth f init =
   List.fold_left
-    (fun acc (d : Bmc.Engine.depth_stat) -> if d.depth <= depth then f acc d else acc)
+    (fun acc (d : Bmc.Session.depth_stat) -> if d.depth <= depth then f acc d else acc)
     init r.per_depth
 
 let time_to_depth r depth = fold_to_depth r depth (fun acc d -> acc +. d.time) 0.0
 
 type case_run = {
   case : Circuit.Generators.case;
-  standard : Bmc.Engine.result;
-  static_ : Bmc.Engine.result;
-  dynamic : Bmc.Engine.result;
+  standard : Bmc.Session.result;
+  static_ : Bmc.Session.result;
+  dynamic : Bmc.Session.result;
   common_depth : int; (* max depth completed by all three *)
   capped : bool; (* some engine hit its budget *)
 }
 
 let run_mode ?(budget = per_instance_budget) mode (case : Circuit.Generators.case) =
-  let config = Bmc.Engine.config ~mode ~budget ~max_depth:case.suggested_depth () in
-  Bmc.Engine.run_case ~config case
+  let config = Bmc.Session.make_config ~mode ~budget ~max_depth:case.suggested_depth () in
+  Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist ~property:case.property
 
 let run_case case =
-  let standard = run_mode Bmc.Engine.Standard case in
-  let static_ = run_mode Bmc.Engine.Static case in
-  let dynamic = run_mode Bmc.Engine.Dynamic case in
+  let standard = run_mode Bmc.Session.Standard case in
+  let static_ = run_mode Bmc.Session.Static case in
+  let dynamic = run_mode Bmc.Session.Dynamic case in
   let depths = [ completed_depth standard; completed_depth static_; completed_depth dynamic ] in
   let common_depth = List.fold_left min max_int depths in
-  let aborted (r : Bmc.Engine.result) =
+  let aborted (r : Bmc.Session.result) =
     match r.verdict with
-    | Bmc.Engine.Aborted _ -> true
-    | Bmc.Engine.Falsified _ | Bmc.Engine.Bounded_pass _ -> false
+    | Bmc.Session.Aborted _ -> true
+    | Bmc.Session.Falsified _ | Bmc.Session.Bounded_pass _ -> false
   in
   {
     case;
@@ -106,9 +106,9 @@ let verdict_tag run =
   if run.capped then Printf.sprintf "(%d)" run.common_depth
   else
     match run.standard.verdict with
-    | Bmc.Engine.Falsified t -> Printf.sprintf "F %d" t.Bmc.Trace.depth
-    | Bmc.Engine.Bounded_pass k -> Printf.sprintf "T %d" k
-    | Bmc.Engine.Aborted k -> Printf.sprintf "(%d)" (k - 1)
+    | Bmc.Session.Falsified t -> Printf.sprintf "F %d" t.Bmc.Trace.depth
+    | Bmc.Session.Bounded_pass k -> Printf.sprintf "T %d" k
+    | Bmc.Session.Aborted k -> Printf.sprintf "(%d)" (k - 1)
 
 let table1 () =
   let runs = Lazy.force table1_runs in
@@ -198,10 +198,10 @@ let fig7 () =
   let budget =
     { Sat.Solver.max_conflicts = Some 100_000; max_propagations = None; max_seconds = Some 3.0; stop = None }
   in
-  let std = run_mode ~budget Bmc.Engine.Standard case in
-  let ref_ord = run_mode ~budget Bmc.Engine.Dynamic case in
-  let stats_at (r : Bmc.Engine.result) k =
-    match List.find_opt (fun (d : Bmc.Engine.depth_stat) -> d.depth = k) r.per_depth with
+  let std = run_mode ~budget Bmc.Session.Standard case in
+  let ref_ord = run_mode ~budget Bmc.Session.Dynamic case in
+  let stats_at (r : Bmc.Session.result) k =
+    match List.find_opt (fun (d : Bmc.Session.depth_stat) -> d.depth = k) r.per_depth with
     | Some d -> (
       match d.outcome with
       | Sat.Solver.Unknown -> None
@@ -216,14 +216,14 @@ let fig7 () =
     let s = stats_at std k and r = stats_at ref_ord k in
     if s <> None || r <> None then
       Printf.printf "%5d  %12s %12s    %14s %14s\n" k
-        (cell (fun (d : Bmc.Engine.depth_stat) -> d.decisions) s)
-        (cell (fun (d : Bmc.Engine.depth_stat) -> d.decisions) r)
-        (cell (fun (d : Bmc.Engine.depth_stat) -> d.implications) s)
-        (cell (fun (d : Bmc.Engine.depth_stat) -> d.implications) r)
+        (cell (fun (d : Bmc.Session.depth_stat) -> d.decisions) s)
+        (cell (fun (d : Bmc.Session.depth_stat) -> d.decisions) r)
+        (cell (fun (d : Bmc.Session.depth_stat) -> d.implications) s)
+        (cell (fun (d : Bmc.Session.depth_stat) -> d.implications) r)
   done;
-  let tag name (r : Bmc.Engine.result) =
+  let tag name (r : Bmc.Session.result) =
     Printf.printf "   %s: %s, %.2fs total\n" name
-      (Format.asprintf "%a" Bmc.Engine.pp_verdict r.verdict)
+      (Format.asprintf "%a" Bmc.Session.pp_verdict r.verdict)
       r.total_time
   in
   tag "BMC        " std;
@@ -300,11 +300,16 @@ let incremental_ablation () =
   List.iter
     (fun (case : Circuit.Generators.case) ->
       let config =
-        Bmc.Engine.config ~mode:Bmc.Engine.Dynamic ~budget:per_instance_budget
+        Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~budget:per_instance_budget
           ~max_depth:case.suggested_depth ()
       in
-      let a = Bmc.Engine.run_case ~config case in
-      let b = Bmc.Incremental.run_case ~config case in
+      let a =
+        Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist ~property:case.property
+      in
+      let b =
+        Bmc.Session.check ~config ~policy:Bmc.Session.Persistent case.netlist
+          ~property:case.property
+      in
       Printf.printf "%-18s %12.3f %12.3f %14d %14d\n" case.name a.total_time b.total_time
         a.total_decisions b.total_decisions)
     cases;
@@ -331,14 +336,16 @@ let coi_ablation () =
     (fun (case : Circuit.Generators.case) ->
       let run mode coi =
         let config =
-          Bmc.Engine.config ~mode ~coi ~budget:per_instance_budget
+          Bmc.Session.make_config ~mode ~coi ~budget:per_instance_budget
             ~max_depth:case.suggested_depth ()
         in
-        (Bmc.Engine.run_case ~config case).total_time
+        (Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist
+           ~property:case.property)
+          .total_time
       in
       Printf.printf "%-18s %14.3f %14.3f %14.3f %14.3f\n" case.name
-        (run Bmc.Engine.Standard false) (run Bmc.Engine.Standard true)
-        (run Bmc.Engine.Dynamic false) (run Bmc.Engine.Dynamic true))
+        (run Bmc.Session.Standard false) (run Bmc.Session.Standard true)
+        (run Bmc.Session.Dynamic false) (run Bmc.Session.Dynamic true))
     cases;
   Printf.printf
     "   (COI removes the noise before the solver ever sees it; the refined\n\
@@ -396,11 +403,11 @@ let ablation () =
   in
   let configs =
     [
-      ("standard", Bmc.Engine.Standard, Bmc.Score.Linear);
-      ("linear", Bmc.Engine.Static, Bmc.Score.Linear);
-      ("uniform", Bmc.Engine.Static, Bmc.Score.Uniform);
-      ("last", Bmc.Engine.Static, Bmc.Score.Last_only);
-      ("shtrich.", Bmc.Engine.Shtrichman, Bmc.Score.Linear);
+      ("standard", Bmc.Session.Standard, Bmc.Score.Linear);
+      ("linear", Bmc.Session.Static, Bmc.Score.Linear);
+      ("uniform", Bmc.Session.Static, Bmc.Score.Uniform);
+      ("last", Bmc.Session.Static, Bmc.Score.Last_only);
+      ("shtrich.", Bmc.Session.Shtrichman, Bmc.Score.Linear);
     ]
   in
   Printf.printf "%-18s" "model(k)";
@@ -413,10 +420,11 @@ let ablation () =
         List.map
           (fun (_, mode, weighting) ->
             let config =
-              Bmc.Engine.config ~mode ~weighting ~budget:per_instance_budget
+              Bmc.Session.make_config ~mode ~weighting ~budget:per_instance_budget
                 ~max_depth:case.suggested_depth ()
             in
-            Bmc.Engine.run_case ~config case)
+            Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist
+              ~property:case.property)
           configs
       in
       let common = List.fold_left (fun acc r -> min acc (completed_depth r)) max_int results in
@@ -470,11 +478,13 @@ let complement () =
       let bmc, t_bmc =
         timed (fun () ->
             let config =
-              Bmc.Engine.config ~mode:Bmc.Engine.Dynamic ~budget
+              Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~budget
                 ~max_depth:(min case.suggested_depth 48) ()
             in
-            Format.asprintf "%a" Bmc.Engine.pp_verdict
-              (Bmc.Engine.run_case ~config case).verdict)
+            Format.asprintf "%a" Bmc.Session.pp_verdict
+              (Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist
+                 ~property:case.property)
+                .verdict)
       in
       let sym, t_sym =
         timed (fun () ->
@@ -485,7 +495,7 @@ let complement () =
       let abs, t_abs =
         timed (fun () ->
             let config =
-              Bmc.Engine.config ~mode:Bmc.Engine.Static ~budget
+              Bmc.Session.make_config ~mode:Bmc.Session.Static ~budget
                 ~max_depth:(min case.suggested_depth 48) ()
             in
             Format.asprintf "%a" Bmc.Abstraction.pp_verdict
@@ -1709,9 +1719,10 @@ let micro () =
   let fig7_small () =
     let case = Circuit.Generators.ring ~len:6 () in
     let config =
-      Bmc.Engine.config ~mode:Bmc.Engine.Dynamic ~max_depth:6 ~budget:per_instance_budget ()
+      Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:6 ~budget:per_instance_budget ()
     in
-    ignore (Bmc.Engine.run_case ~config case)
+    ignore
+      (Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist ~property:case.property)
   in
   let tests =
     [

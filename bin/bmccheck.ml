@@ -97,7 +97,7 @@ let setup_recorder flight_file =
       r)
     flight_file
 
-let pp_depth_stat ppf (d : Bmc.Engine.depth_stat) =
+let pp_depth_stat ppf (d : Bmc.Session.depth_stat) =
   Format.fprintf ppf
     "depth %3d: %-7s dec=%-8d impl=%-10d confl=%-7d core=%d vars, build=%.3fs solve=%.3fs \
      cdg=%.3fs%s"
@@ -114,9 +114,11 @@ let pp_depth_stat ppf (d : Bmc.Engine.depth_stat) =
 
 (* --inprocess exit summary: totals over the run's depth stats, printed
    only when inprocessing was requested (so default output is unchanged) *)
-let pp_inprocess_summary source (per_depth : Bmc.Engine.depth_stat list) =
+let pp_inprocess_summary source (per_depth : Bmc.Session.depth_stat list) =
   let sum f = List.fold_left (fun acc d -> acc + f d) 0 per_depth in
-  let time = List.fold_left (fun acc (d : Bmc.Engine.depth_stat) -> acc +. d.inpr_time) 0.0 per_depth in
+  let time =
+    List.fold_left (fun acc (d : Bmc.Session.depth_stat) -> acc +. d.inpr_time) 0.0 per_depth
+  in
   Format.printf
     "%s: inprocessing eliminated %d vars, subsumed %d clauses, strengthened %d, %d failed \
      probes (%.3fs)@."
@@ -129,17 +131,17 @@ let pp_inprocess_summary source (per_depth : Bmc.Engine.depth_stat list) =
 
 (* --core-min exit summary: totals over the run's depth stats, printed only
    when minimisation was requested (so default output is unchanged) *)
-let pp_coremin_summary source (per_depth : Bmc.Engine.depth_stat list) =
+let pp_coremin_summary source (per_depth : Bmc.Session.depth_stat list) =
   let sum f = List.fold_left (fun acc d -> acc + f d) 0 per_depth in
-  let pre = sum (fun (d : Bmc.Engine.depth_stat) -> d.core_pre) in
-  let post = sum (fun (d : Bmc.Engine.depth_stat) -> d.core_size) in
+  let pre = sum (fun (d : Bmc.Session.depth_stat) -> d.core_pre) in
+  let post = sum (fun (d : Bmc.Session.depth_stat) -> d.core_size) in
   let time =
     List.fold_left
-      (fun acc (d : Bmc.Engine.depth_stat) -> acc +. d.coremin_time)
+      (fun acc (d : Bmc.Session.depth_stat) -> acc +. d.coremin_time)
       0.0 per_depth
   in
   let uncertified =
-    List.exists (fun (d : Bmc.Engine.depth_stat) -> not d.coremin_certified) per_depth
+    List.exists (fun (d : Bmc.Session.depth_stat) -> not d.coremin_certified) per_depth
   in
   Format.printf "%s: core minimisation %d -> %d clauses (%.3fs, %s)@." source pre post time
     (if uncertified then "NOT all certified" else "all certified")
@@ -208,7 +210,7 @@ let run_single source engine_name mode_name max_depth coi weighting_name verbose
     let recorder = setup_recorder flight_file in
     let core_mode, coremin_budget = core_opts core_min in
     let config =
-      Bmc.Engine.config ~mode ~weighting ~coi ~budget ~max_depth ?inprocess ~core_mode
+      Bmc.Session.make_config ~mode ~weighting ~coi ~budget ~max_depth ?inprocess ~core_mode
         ~coremin_budget ~telemetry ?recorder ()
     in
     (* induction and LTL take the session policy directly; for the invariant
@@ -320,23 +322,23 @@ let run_single source engine_name mode_name max_depth coi weighting_name verbose
         "bmccheck: unknown engine %S (bmc|incremental|induction|symbolic|abstraction|pdr|interpolation)@."
         other;
       exit 2);
-    let result =
-      if engine_name = "incremental" then Bmc.Incremental.run ~config netlist ~property
-      else Bmc.Engine.run ~config netlist ~property
+    let policy =
+      if engine_name = "incremental" then Bmc.Session.Persistent else Bmc.Session.Fresh
     in
+    let result = Bmc.Session.check ~config ~policy netlist ~property in
     if verbose then
       List.iter (fun d -> Format.printf "%a@." pp_depth_stat d) result.per_depth;
     if inprocess <> None then pp_inprocess_summary source result.per_depth;
     if core_min <> None then pp_coremin_summary source result.per_depth;
     Format.printf "%s: %a (%.3fs, %d decisions, %d implications)@." source
-      Bmc.Engine.pp_verdict result.verdict result.total_time result.total_decisions
+      Bmc.Session.pp_verdict result.verdict result.total_time result.total_decisions
       result.total_implications;
     (match result.verdict with
-    | Bmc.Engine.Falsified trace ->
+    | Bmc.Session.Falsified trace ->
       Format.printf "%a@." (Bmc.Trace.pp ~netlist ()) trace;
       exit 10
-    | Bmc.Engine.Bounded_pass _ -> exit 20
-    | Bmc.Engine.Aborted _ -> exit 0)
+    | Bmc.Session.Bounded_pass _ -> exit 20
+    | Bmc.Session.Aborted _ -> exit 0)
 
 (* --portfolio: race a roster of named orderings on a domain pool, one full
    BMC run.  The roster defaults to the paper's three; --order picks named
@@ -365,7 +367,7 @@ let run_portfolio source max_depth coi weighting_name verbose max_conflicts max_
     let recorder = setup_recorder flight_file in
     let core_mode, coremin_budget = core_opts core_min in
     let config =
-      Bmc.Engine.config ~weighting ~coi ~budget ~max_depth ?inprocess ~core_mode
+      Bmc.Session.make_config ~weighting ~coi ~budget ~max_depth ?inprocess ~core_mode
         ~coremin_budget ~telemetry ?recorder ()
     in
     (* Build the named-racer roster.  Rotation needs budget exhaustion to be
@@ -493,7 +495,7 @@ let run_batch sources engine_name mode_name max_depth coi weighting_name verbose
         Portfolio.Pool.map_list ~label:"batch" pool
           (fun (source, netlist, property, max_depth) ->
             let config =
-              Bmc.Engine.config ~mode ~weighting ~coi ~budget ~max_depth ?inprocess
+              Bmc.Session.make_config ~mode ~weighting ~coi ~budget ~max_depth ?inprocess
                 ~core_mode ~coremin_budget ~telemetry ?recorder ()
             in
             (source, netlist, Bmc.Session.check ~config ~policy netlist ~property))

@@ -132,13 +132,7 @@ let submit_line fe ~respond line =
     | Ok rq -> Serve.Server.submit fe.engine ~respond rq
     | Error msg ->
       (* unparsable lines never reach the engine; answer in place *)
-      respond
-        {
-          Serve.Protocol.rs_id = "";
-          rs_reply = Serve.Protocol.Bad_request msg;
-          rs_queue_ms = 0.0;
-          rs_wall_ms = 0.0;
-        }
+      respond (Serve.Protocol.rejection ~line msg)
 
 let finish fe =
   let st = Serve.Server.stats fe.engine in
@@ -248,26 +242,19 @@ let serve_socket fe path =
       try Unix.unlink path with Unix.Unix_error _ -> ())
     loop
 
-let run_server socket jobs cache_mb max_pending share mode order depth_cap max_conflicts
-    deadline_default trace_file ledger_file flight_file verbose =
-  (* --order resolves through the heuristic registry (laboratory heuristics
-     included) and overrides --mode; session-level hook state is built per
-     session, so one registry mode is safe across the warm cache. *)
+let run_server socket jobs cache_mb max_pending share mode depth_cap max_conflicts trace_file
+    ledger_file flight_file verbose =
+  (* --mode resolves through the heuristic registry (laboratory heuristics
+     included); session-level hook state is built per session, so one
+     registry mode is safe across the warm cache. *)
   let* mode =
-    match order with
-    | Some name -> (
-      match Ordering.mode_of_name name with
-      | Some m -> Ok m
-      | None ->
-        Error
-          (Printf.sprintf "unknown ordering %S (available: %s)" name
-             (String.concat "|" (Ordering.names ()))))
-    | None -> (
-      match Bmc.Session.mode_of_string mode with
-      | Some m -> Ok m
-      | None -> Error (Printf.sprintf "unknown mode %S" mode))
+    match Ordering.mode_of_name mode with
+    | Some m -> Ok m
+    | None ->
+      Error
+        (Printf.sprintf "unknown mode %S (available: %s)" mode
+           (String.concat "|" (Ordering.names ())))
   in
-  ignore deadline_default;
   let telemetry, close_telemetry = setup_telemetry trace_file in
   let ledger, close_ledger = setup_ledger ledger_file in
   let recorder =
@@ -389,15 +376,9 @@ let mode =
     value
     & opt string "dynamic"
     & info [ "mode" ] ~docv:"MODE"
-        ~doc:"Default decision ordering (standard|static|dynamic|shtrichman).")
-
-let order =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "order" ] ~docv:"NAME"
-        ~doc:"Default decision ordering from the heuristic registry (standard, static, \
-              dynamic, shtrichman, chb, frame, assump); overrides --mode.")
+        ~doc:
+          "Default decision ordering, any name in the heuristic registry (standard, \
+           static, dynamic, shtrichman, chb, frame, assump).")
 
 let depth_cap =
   Arg.(
@@ -410,13 +391,6 @@ let max_conflicts =
     value
     & opt (some int) None
     & info [ "max-conflicts" ] ~docv:"N" ~doc:"Per-instance conflict budget.")
-
-let deadline_default =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "deadline-ms" ] ~docv:"MS"
-        ~doc:"Reserved: default per-request deadline (requests carry their own).")
 
 let trace_file =
   Arg.(
@@ -441,14 +415,14 @@ let flight_file =
 
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log server events to stderr.")
 
-let main socket client jobs cache_mb max_pending share mode order depth_cap max_conflicts
-    deadline_default trace_file ledger_file flight_file verbose =
+let main socket client jobs cache_mb max_pending share mode depth_cap max_conflicts trace_file
+    ledger_file flight_file verbose =
   match client with
   | Some path -> run_client path
   | None -> (
     match
-      run_server socket jobs cache_mb max_pending share mode order depth_cap max_conflicts
-        deadline_default trace_file ledger_file flight_file verbose
+      run_server socket jobs cache_mb max_pending share mode depth_cap max_conflicts trace_file
+        ledger_file flight_file verbose
     with
     | Ok () -> ()
     | Error msg ->
@@ -459,8 +433,7 @@ let cmd =
   let doc = "long-lived BMC service with a warm-session cache" in
   Cmd.v (Cmd.info "bmcserve" ~doc)
     Term.(
-      const main $ socket $ client $ jobs $ cache_mb $ max_pending $ share $ mode $ order
-      $ depth_cap $ max_conflicts $ deadline_default $ trace_file $ ledger_file
-      $ flight_file $ verbose)
+      const main $ socket $ client $ jobs $ cache_mb $ max_pending $ share $ mode $ depth_cap
+      $ max_conflicts $ trace_file $ ledger_file $ flight_file $ verbose)
 
 let () = exit (Cmd.eval cmd)

@@ -19,17 +19,20 @@ let () =
   Format.printf "%-11s %10s %12s %14s %8s@." "mode" "time(s)" "decisions" "implications"
     "verdict";
   List.iter
-    (fun mode ->
-      let config = Bmc.Engine.config ~mode ~budget ~max_depth:depth () in
-      let r = Bmc.Engine.run_case ~config case in
+    (fun name ->
+      let mode = Option.get (Ordering.mode_of_name name) in
+      let config = Bmc.Session.make_config ~mode ~budget ~max_depth:depth () in
+      let r =
+        Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist ~property:case.property
+      in
       Format.printf "%-11s %10.3f %12d %14d %8s@."
-        (Format.asprintf "%a" Bmc.Engine.pp_mode mode)
+        name
         r.total_time r.total_decisions r.total_implications
         (match r.verdict with
-        | Bmc.Engine.Bounded_pass _ -> "pass"
-        | Bmc.Engine.Falsified _ -> "FAIL"
-        | Bmc.Engine.Aborted k -> Printf.sprintf "abort@%d" k))
-    Bmc.Engine.all_modes;
+        | Bmc.Session.Bounded_pass _ -> "pass"
+        | Bmc.Session.Falsified _ -> "FAIL"
+        | Bmc.Session.Aborted k -> Printf.sprintf "abort@%d" k))
+    [ "standard"; "static"; "dynamic"; "shtrichman" ];
 
   Format.printf
     "@.The static/dynamic rows decide unsat-core variables first (the paper's@.\

@@ -11,13 +11,15 @@ let () =
     (Option.get case.expect);
 
   let config =
-    Bmc.Engine.config ~mode:Bmc.Engine.Dynamic ~max_depth:case.suggested_depth ()
+    Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:case.suggested_depth ()
   in
-  let result = Bmc.Engine.run_case ~config case in
+  let result =
+    Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist ~property:case.property
+  in
 
   match result.verdict with
-  | Bmc.Engine.Falsified trace ->
-    Format.printf "@.bug found: %a@." Bmc.Engine.pp_verdict result.verdict;
+  | Bmc.Session.Falsified trace ->
+    Format.printf "@.bug found: %a@." Bmc.Session.pp_verdict result.verdict;
     (* The engine replays every trace before reporting it, but we can do it
        again here to show the API. *)
     let confirmed = Bmc.Trace.replay trace case.netlist ~property:case.property in
@@ -26,11 +28,11 @@ let () =
     (* Inspect how the refinement narrowed the search over the UNSAT prefix. *)
     Format.printf "UNSAT-core sizes on the way down:@.";
     List.iter
-      (fun (d : Bmc.Engine.depth_stat) ->
+      (fun (d : Bmc.Session.depth_stat) ->
         if d.core_size > 0 then
           Format.printf "  depth %2d: %4d core clauses over %3d variables@." d.depth d.core_size
             d.core_var_count)
       result.per_depth
-  | Bmc.Engine.Bounded_pass k ->
+  | Bmc.Session.Bounded_pass k ->
     Format.printf "no bug up to depth %d (unexpected for this design!)@." k
-  | Bmc.Engine.Aborted k -> Format.printf "gave up at depth %d@." k
+  | Bmc.Session.Aborted k -> Format.printf "gave up at depth %d@." k

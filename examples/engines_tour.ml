@@ -22,15 +22,16 @@ let () =
     (v, Sys.time () -. t0)
   in
   let row name (answer, dt) = Format.printf "  %-34s %-46s %6.3fs@." name answer dt in
-  let config = Bmc.Engine.config ~mode:Bmc.Engine.Dynamic ~max_depth:16 () in
+  let config = Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:16 () in
 
   row "BMC (refined dynamic ordering)"
     (time (fun () ->
-         Format.asprintf "%a" Bmc.Engine.pp_verdict (Bmc.Engine.run ~config nl ~property).verdict));
+         Format.asprintf "%a" Bmc.Session.pp_verdict
+           (Bmc.Session.check ~config ~policy:Bmc.Session.Fresh nl ~property).verdict));
   row "incremental BMC (clause reuse)"
     (time (fun () ->
-         Format.asprintf "%a" Bmc.Engine.pp_verdict
-           (Bmc.Incremental.run ~config nl ~property).verdict));
+         Format.asprintf "%a" Bmc.Session.pp_verdict
+           (Bmc.Session.check ~config ~policy:Bmc.Session.Persistent nl ~property).verdict));
   row "k-induction (simple path)"
     (time (fun () ->
          Format.asprintf "%a" Bmc.Induction.pp_verdict

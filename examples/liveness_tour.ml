@@ -26,7 +26,7 @@ let describe nl result =
 let () =
   let case = Circuit.Generators.ring ~len:5 () in
   let nl = case.netlist in
-  let config = Bmc.Engine.config ~mode:Bmc.Engine.Static ~max_depth:12 () in
+  let config = Bmc.Session.make_config ~mode:Bmc.Session.Static ~max_depth:12 () in
   let check text =
     Format.printf "%-28s ... " text;
     describe nl (Bmc.Ltl.check ~config nl (Bmc.Ltl.parse nl text))

@@ -14,9 +14,11 @@ let () =
   Format.printf "circuit: %s (property: at most one grant)@.@." case.name;
 
   (* 1. BMC gives only a bounded answer. *)
-  let config = Bmc.Engine.config ~mode:Bmc.Engine.Dynamic ~max_depth:10 () in
-  let bounded = Bmc.Engine.run_case ~config case in
-  Format.printf "BMC:                 %a@." Bmc.Engine.pp_verdict bounded.verdict;
+  let config = Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:10 () in
+  let bounded =
+    Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist ~property:case.property
+  in
+  Format.printf "BMC:                 %a@." Bmc.Session.pp_verdict bounded.verdict;
 
   (* 2. Plain induction is stuck: the property is not inductive. *)
   let plain = Bmc.Induction.prove_case ~config case in
@@ -28,8 +30,12 @@ let () =
 
   (* 4. The same refined ordering also drives the incremental engine, which
         keeps one solver alive across depths and reuses its learnt clauses. *)
-  let a = Bmc.Engine.run_case ~config case in
-  let b = Bmc.Incremental.run_case ~config case in
+  let a =
+    Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist ~property:case.property
+  in
+  let b =
+    Bmc.Session.check ~config ~policy:Bmc.Session.Persistent case.netlist ~property:case.property
+  in
   Format.printf "per-depth engine:    %d decisions over %d instances@." a.total_decisions
     (List.length a.per_depth);
   Format.printf "incremental engine:  %d decisions over %d instances@." b.total_decisions

@@ -34,10 +34,10 @@ let () =
 
   (* 3. Check it by BMC with the dynamic refined ordering (the paper's best
         configuration), up to depth 12. *)
-  let config = Bmc.Engine.config ~mode:Bmc.Engine.Dynamic ~max_depth:12 () in
-  let result = Bmc.Engine.run ~config nl ~property in
+  let config = Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:12 () in
+  let result = Bmc.Session.check ~config ~policy:Bmc.Session.Fresh nl ~property in
 
-  Format.printf "verdict: %a@." Bmc.Engine.pp_verdict result.verdict;
+  Format.printf "verdict: %a@." Bmc.Session.pp_verdict result.verdict;
   Format.printf "total: %.3fs, %d decisions, %d implications, %d conflicts@."
     result.total_time result.total_decisions result.total_implications result.total_conflicts;
 
@@ -45,7 +45,7 @@ let () =
         contributes its unsatisfiable core to the next instance's ordering. *)
   Format.printf "@.depth  outcome  decisions  core-vars@.";
   List.iter
-    (fun (d : Bmc.Engine.depth_stat) ->
+    (fun (d : Bmc.Session.depth_stat) ->
       Format.printf "%5d  %-7s  %9d  %9d@." d.depth
         (Format.asprintf "%a" Sat.Solver.pp_outcome d.outcome)
         d.decisions d.core_var_count)

@@ -45,7 +45,7 @@ let core_registers unroll netlist core_vars =
     core_vars;
   tbl
 
-let prove ?(config = Engine.default_config) ?(max_abstract_regs = 22) netlist ~property =
+let prove ?(config = Session.default_config) ?(max_abstract_regs = 22) netlist ~property =
   let cfg = config in
   (match Circuit.Netlist.validate netlist with
   | Ok () -> ()
@@ -118,7 +118,7 @@ let prove_case ?config ?max_abstract_regs (case : Circuit.Generators.case) =
   let config =
     match config with
     | Some c -> c
-    | None -> { Engine.default_config with max_depth = case.Circuit.Generators.suggested_depth }
+    | None -> { Session.default_config with max_depth = case.Circuit.Generators.suggested_depth }
   in
   prove ~config ?max_abstract_regs case.Circuit.Generators.netlist
     ~property:case.Circuit.Generators.property

@@ -42,7 +42,7 @@ type result = {
 }
 
 val prove :
-  ?config:Engine.config ->
+  ?config:Session.config ->
   ?max_abstract_regs:int ->
   Circuit.Netlist.t ->
   property:Circuit.Netlist.node ->
@@ -54,6 +54,6 @@ val prove :
     @raise Invalid_argument if the netlist does not validate. *)
 
 val prove_case :
-  ?config:Engine.config -> ?max_abstract_regs:int -> Circuit.Generators.case -> result
+  ?config:Session.config -> ?max_abstract_regs:int -> Circuit.Generators.case -> result
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -48,7 +48,7 @@ let add_simple_path_constraints session ~last regs =
     done
   done
 
-let prove ?(config = Engine.default_config) ?(policy = Session.Persistent)
+let prove ?(config = Session.default_config) ?(policy = Session.Persistent)
     ?(simple_path = false) netlist ~property =
   let cfg = config in
   (match Circuit.Netlist.validate netlist with
@@ -146,7 +146,7 @@ let prove_case ?config ?policy ?simple_path (case : Circuit.Generators.case) =
   let config =
     match config with
     | Some c -> c
-    | None -> { Engine.default_config with max_depth = case.Circuit.Generators.suggested_depth }
+    | None -> { Session.default_config with max_depth = case.Circuit.Generators.suggested_depth }
   in
   prove ~config ?policy ?simple_path case.Circuit.Generators.netlist
     ~property:case.Circuit.Generators.property

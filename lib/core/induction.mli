@@ -20,7 +20,7 @@
     The base instances are the same correlated UNSAT sequence the paper
     exploits, so the refined ordering applies unchanged: cores from base
     instance k seed the decision ordering of instance k+1 — both cases run
-    under the configured {!Engine.mode}.
+    under the configured {!Session.mode}.
 
     Both cases run as {!Session}s sharing one {!Score} — by default two
     persistent solvers (frame deltas loaded once, the per-depth property
@@ -53,7 +53,7 @@ type result = {
 }
 
 val prove :
-  ?config:Engine.config ->
+  ?config:Session.config ->
   ?policy:Session.policy ->
   ?simple_path:bool ->
   Circuit.Netlist.t ->
@@ -68,7 +68,7 @@ val prove :
     @raise Invalid_argument if the netlist does not validate. *)
 
 val prove_case :
-  ?config:Engine.config ->
+  ?config:Session.config ->
   ?policy:Session.policy ->
   ?simple_path:bool ->
   Circuit.Generators.case ->

@@ -404,7 +404,7 @@ type verdict =
 
 type result = {
   verdict : verdict;
-  per_depth : Engine.depth_stat list;
+  per_depth : Session.depth_stat list;
   total_time : float;
 }
 
@@ -443,7 +443,7 @@ let lasso_closes nl witness =
       (fun r -> Circuit.Eval.reg_value sim after_k r = Circuit.Eval.reg_value sim at_l r)
       (Circuit.Netlist.regs nl)
 
-let check ?(config = Engine.default_config) ?(policy = Session.Persistent) netlist psi_property
+let check ?(config = Session.default_config) ?(policy = Session.Persistent) netlist psi_property
     =
   (match Circuit.Netlist.validate netlist with
   | Ok () -> ()

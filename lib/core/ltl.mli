@@ -2,7 +2,7 @@
     paper's reference [1]).
 
     The paper describes BMC as checking "a linear time property" with
-    bounded counter-examples; invariants ([G p], the {!Engine}) are the
+    bounded counter-examples; invariants ([G p], {!Session.check}) are the
     special case.  This module implements the general bounded semantics: a
     length-k witness for the {e negation} of the property is either a
     finite path (informative prefix) or a (k,l)-lasso — a path of k+1
@@ -13,7 +13,7 @@
 
     The SAT instances form the same correlated UNSAT sequence as invariant
     BMC, so the paper's core-based ordering refinement drives them
-    unchanged (choose the mode through {!Engine.config}). *)
+    unchanged (choose the mode through {!Session.make_config}). *)
 
 (** Formulas over netlist signals.  Use the smart constructors; negation is
     pushed to the atoms internally (negation normal form). *)
@@ -74,12 +74,12 @@ type verdict =
 
 type result = {
   verdict : verdict;
-  per_depth : Engine.depth_stat list;
+  per_depth : Session.depth_stat list;
   total_time : float;
 }
 
 val check :
-  ?config:Engine.config -> ?policy:Session.policy -> Circuit.Netlist.t -> formula -> result
+  ?config:Session.config -> ?policy:Session.policy -> Circuit.Netlist.t -> formula -> result
 (** Search for a bounded witness of the property's negation, depth by
     depth, refining the decision ordering from each UNSAT instance's core
     exactly as the invariant engine does.  Witnesses are re-simulated and

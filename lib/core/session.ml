@@ -158,15 +158,6 @@ let pp_mode ppf = function
   | Shtrichman -> Format.pp_print_string ppf "shtrichman"
   | Custom c -> Format.pp_print_string ppf c.c_name
 
-let mode_of_string = function
-  | "standard" -> Some Standard
-  | "static" -> Some Static
-  | "dynamic" -> Some Dynamic
-  | "shtrichman" -> Some Shtrichman
-  | _ -> None
-
-let all_modes = [ Standard; Static; Dynamic; Shtrichman ]
-
 let mode_string m = Format.asprintf "%a" pp_mode m
 
 type depth_stat = {

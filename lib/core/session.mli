@@ -24,8 +24,8 @@
       fresh-solver runs.
 
     The [Fresh] policy runs the same instance sequence on a new solver per
-    depth — bit-compatible with the seed {!Engine} behaviour — so the
-    incremental-vs-rebuild comparison (benchmark A3) is a one-flag ablation
+    depth — bit-compatible with the seed's per-depth-rebuild engine — so
+    the incremental-vs-rebuild comparison (benchmark A3) is a one-flag ablation
     over identical instances.
 
     {b Domain-ownership rule.}  A session — and the solver(s) under it — is
@@ -150,14 +150,8 @@ val pp_mode : Format.formatter -> mode -> unit
 (** Built-in modes print their keyword; [Custom c] prints [c.c_name]. *)
 
 val mode_string : mode -> string
-
-val mode_of_string : string -> mode option
-(** The four built-in modes only; custom heuristics are resolved by name
-    through the [Ordering] registry at the CLI layer. *)
-
-val all_modes : mode list
-(** The four built-in modes (registry heuristics are enumerated by the
-    [Ordering] library, not here). *)
+(** What {!pp_mode} prints.  The inverse is the [Ordering] registry's
+    [mode_of_name], the one place a name becomes a mode. *)
 
 val pp_core_mode : Format.formatter -> core_mode -> unit
 
@@ -419,9 +413,10 @@ val check :
     k = 0, 1, 2, ... solve the depth-k instance under the configured
     ordering; on SAT extract, replay and report the counterexample; on
     UNSAT refine the ordering from the core and deepen; on budget
-    exhaustion abort.  [Engine.run] is this with [~policy:Fresh],
-    [Incremental.run] with [~policy:Persistent].  [share] attaches the
-    session to a learnt-clause exchange, as in {!create}.
+    exhaustion abort.  This is the one BMC driver: [~policy:Fresh] is the
+    per-depth-rebuild engine ([bmccheck]'s default), [~policy:Persistent]
+    the incremental one ([bmccheck --engine incremental]).  [share]
+    attaches the session to a learnt-clause exchange, as in {!create}.
     @raise Invalid_argument if the netlist does not validate, and
     [Failure] if a counterexample fails to replay (a solver or encoder
     bug — surfaced loudly rather than reported as a result). *)

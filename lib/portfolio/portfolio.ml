@@ -72,8 +72,6 @@ type race = {
   mutable r_last_k : int;
 }
 
-let mode_string m = Format.asprintf "%a" Session.pp_mode m
-
 let slot_of_racer r =
   {
     s_name = r.r_name;
@@ -95,7 +93,7 @@ let create_race ?modes ?racers ?(rotation = []) ?share ~pool cfg netlist ~proper
   let racers =
     match (racers, modes) with
     | Some rs, _ -> rs
-    | None, Some ms -> List.map (fun m -> racer ~name:(mode_string m) m) ms
+    | None, Some ms -> List.map (fun m -> racer ~name:(Session.mode_string m) m) ms
     | None, None -> default_racers
   in
   if racers = [] then invalid_arg "Portfolio.create_race: no racers";

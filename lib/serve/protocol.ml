@@ -75,9 +75,12 @@ let request_of_json j =
           match Json.member "mode" j with
           | None -> Ok None
           | Some (Json.Str m) -> (
-            match Session.mode_of_string m with
+            match Ordering.mode_of_name m with
             | Some m -> Ok (Some m)
-            | None -> Error (Printf.sprintf "unknown mode %S" m))
+            | None ->
+              Error
+                (Printf.sprintf "unknown mode %S (available: %s)" m
+                   (String.concat "|" (Ordering.names ()))))
           | Some _ -> Error "\"mode\" must be a string"
         in
         match mode with
@@ -125,6 +128,10 @@ let request_to_json rq =
   Json.Obj fields
 
 let request_line rq = Json.to_string (request_to_json rq)
+
+let rejection ~line msg =
+  let rs_id = match Json.of_string line with Ok j -> Json.get_str j "id" | Error _ -> "" in
+  { rs_id; rs_reply = Bad_request msg; rs_queue_ms = 0.0; rs_wall_ms = 0.0 }
 
 (* ------------------------------------------------------------------ *)
 (* Traces                                                              *)

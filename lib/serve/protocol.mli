@@ -96,6 +96,12 @@ val request_to_json : request -> Obs.Json.t
 val request_line : request -> string
 (** One JSONL line, newline not included. *)
 
+val rejection : line:string -> string -> response
+(** The answer to a [line] that {!request_of_line} refused with the given
+    message: a [Bad_request] echoing the line's string ["id"] when the
+    line is a JSON object carrying one, so a pipelined client can match
+    the error to its request; [""] otherwise (unparsable JSON). *)
+
 val trace_to_json : Circuit.Netlist.t -> Bmc.Trace.t -> Obs.Json.t
 (** [{"depth":d,"init":[["r0",false],...],"frames":[[["a",true],...],...]}]
     — nodes print by canonical name, or ["#<id>"] when unnamed.  The

@@ -1,6 +1,6 @@
 (* Proof-based abstraction: unbounded proofs from bounded cores. *)
 
-let cfg ?(max_depth = 12) () = Bmc.Engine.config ~mode:Bmc.Engine.Static ~max_depth ()
+let cfg ?(max_depth = 12) () = Bmc.Session.make_config ~mode:Bmc.Session.Static ~max_depth ()
 
 let test_abstract_registers_shape () =
   let case = Circuit.Generators.ring ~len:4 ~noise:8 () in

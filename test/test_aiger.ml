@@ -101,10 +101,10 @@ let test_bmc_on_parsed_aiger () =
   (* end-to-end: emit a failing case as AIGER, re-read, model check *)
   let c = Circuit.Generators.shift_in ~len:4 () in
   let nl, p = Circuit.Aiger.parse_string (Circuit.Aiger.to_ascii c.netlist ~property:c.property) in
-  let config = Bmc.Engine.config ~mode:Bmc.Engine.Dynamic ~max_depth:6 () in
-  match (Bmc.Engine.run ~config nl ~property:p).verdict with
-  | Bmc.Engine.Falsified t -> Alcotest.(check int) "depth preserved" 4 t.Bmc.Trace.depth
-  | v -> Alcotest.failf "expected falsified, got %a" Bmc.Engine.pp_verdict v
+  let config = Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:6 () in
+  match (Bmc.Session.check ~config ~policy:Bmc.Session.Fresh nl ~property:p).verdict with
+  | Bmc.Session.Falsified t -> Alcotest.(check int) "depth preserved" 4 t.Bmc.Trace.depth
+  | v -> Alcotest.failf "expected falsified, got %a" Bmc.Session.pp_verdict v
 
 let prop_roundtrip_random_cases =
   let gen =

@@ -23,7 +23,6 @@ let random_case_gen =
 let arb =
   QCheck.make ~print:(fun (c : Circuit.Generators.case) -> c.name) random_case_gen
 
-let bmc_modes = Bmc.Engine.all_modes
 
 let prop_bmc_engines_match_oracle =
   QCheck.Test.make ~name:"random circuits: BMC (all modes) = explicit oracle" ~count:60 arb
@@ -39,15 +38,18 @@ let prop_bmc_engines_match_oracle =
         in
         List.for_all
           (fun mode ->
-            let config = Bmc.Engine.config ~mode ~max_depth:depth () in
-            let r = Bmc.Engine.run ~config case.netlist ~property:case.property in
+            let config = Bmc.Session.make_config ~mode ~max_depth:depth () in
+            let r =
+              Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist
+                ~property:case.property
+            in
             match (oracle, r.verdict) with
-            | Circuit.Reach.Fails_at j, Bmc.Engine.Falsified t -> t.Bmc.Trace.depth = j
-            | Circuit.Reach.Holds _, Bmc.Engine.Bounded_pass _ -> true
+            | Circuit.Reach.Fails_at j, Bmc.Session.Falsified t -> t.Bmc.Trace.depth = j
+            | Circuit.Reach.Holds _, Bmc.Session.Bounded_pass _ -> true
             | (Circuit.Reach.Fails_at _ | Circuit.Reach.Holds _ | Circuit.Reach.Too_large), _
               ->
               false)
-          bmc_modes)
+          Test_engine.modes)
 
 let prop_incremental_matches_oracle =
   QCheck.Test.make ~name:"random circuits: incremental BMC = explicit oracle" ~count:60 arb
@@ -61,11 +63,14 @@ let prop_incremental_matches_oracle =
           | Circuit.Reach.Holds { diameter } -> diameter + 2
           | Circuit.Reach.Too_large -> assert false
         in
-        let config = Bmc.Engine.config ~mode:Bmc.Engine.Dynamic ~max_depth:depth () in
-        let r = Bmc.Incremental.run ~config case.netlist ~property:case.property in
+        let config = Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:depth () in
+        let r =
+          Bmc.Session.check ~config ~policy:Bmc.Session.Persistent case.netlist
+            ~property:case.property
+        in
         (match (oracle, r.verdict) with
-        | Circuit.Reach.Fails_at j, Bmc.Engine.Falsified t -> t.Bmc.Trace.depth = j
-        | Circuit.Reach.Holds _, Bmc.Engine.Bounded_pass _ -> true
+        | Circuit.Reach.Fails_at j, Bmc.Session.Falsified t -> t.Bmc.Trace.depth = j
+        | Circuit.Reach.Holds _, Bmc.Session.Bounded_pass _ -> true
         | (Circuit.Reach.Fails_at _ | Circuit.Reach.Holds _ | Circuit.Reach.Too_large), _ ->
           false))
 
@@ -87,7 +92,7 @@ let prop_proof_engines_never_unsound =
       match Circuit.Reach.check case.netlist ~property:case.property with
       | Circuit.Reach.Too_large -> true
       | oracle ->
-        let config = Bmc.Engine.config ~mode:Bmc.Engine.Static ~max_depth:8 () in
+        let config = Bmc.Session.make_config ~mode:Bmc.Session.Static ~max_depth:8 () in
         let ind = (Bmc.Induction.prove ~config case.netlist ~property:case.property).verdict in
         let abs =
           (Bmc.Abstraction.prove ~config case.netlist ~property:case.property).verdict

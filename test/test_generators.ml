@@ -70,19 +70,19 @@ let test_factor_expectations () =
     (fun (bits, target) ->
       let c = Circuit.Generators.factor ~bits ~target () in
       let r =
-        Bmc.Engine.run ~config:(Bmc.Engine.config ~max_depth:2 ()) c.netlist
-          ~property:c.property
+        Bmc.Session.check ~config:(Bmc.Session.make_config ~max_depth:2 ())
+          ~policy:Bmc.Session.Fresh c.netlist ~property:c.property
       in
       match (c.expect, r.verdict) with
-      | Some (Circuit.Generators.Fails_at 0), Bmc.Engine.Falsified t ->
+      | Some (Circuit.Generators.Fails_at 0), Bmc.Session.Falsified t ->
         Alcotest.(check int) "depth 0" 0 t.Bmc.Trace.depth
-      | Some Circuit.Generators.Holds, Bmc.Engine.Bounded_pass _ -> ()
+      | Some Circuit.Generators.Holds, Bmc.Session.Bounded_pass _ -> ()
       | e, v ->
         Alcotest.failf "factor%d_t%d: expect %s, got %a" bits target
           (match e with
           | Some x -> Format.asprintf "%a" Circuit.Generators.pp_expect x
           | None -> "?")
-          Bmc.Engine.pp_verdict v)
+          Bmc.Session.pp_verdict v)
     [ (4, 15); (4, 6); (5, 21); (6, 35); (3, 1 * 5) ]
 
 let test_fig7_case_is_deep () =

@@ -1,6 +1,7 @@
 (* Temporal induction: proofs, refutations, the simple-path strengthening. *)
 
-let cfg ?(mode = Bmc.Engine.Static) ?(max_depth = 12) () = Bmc.Engine.config ~mode ~max_depth ()
+let cfg ?(mode = Bmc.Session.Static) ?(max_depth = 12) () =
+  Bmc.Session.make_config ~mode ~max_depth ()
 
 let test_proves_inductive_properties () =
   List.iter
@@ -69,9 +70,9 @@ let test_all_modes_agree () =
       match Bmc.Induction.prove_case ~config:(cfg ~mode ()) case with
       | { verdict = Bmc.Induction.Proved _; _ } -> ()
       | { verdict = v; _ } ->
-        Alcotest.failf "mode %a: expected proof, got %a" Bmc.Engine.pp_mode mode
+        Alcotest.failf "mode %a: expected proof, got %a" Bmc.Session.pp_mode mode
           Bmc.Induction.pp_verdict v)
-    Bmc.Engine.all_modes
+    Test_engine.modes
 
 let test_per_depth_stats () =
   let case = Circuit.Generators.arbiter ~clients:4 () in
@@ -93,7 +94,7 @@ let test_budget_unknown () =
   let budget =
     { Sat.Solver.max_conflicts = Some 1; max_propagations = Some 5; max_seconds = None; stop = None }
   in
-  let config = Bmc.Engine.config ~mode:Bmc.Engine.Standard ~budget ~max_depth:8 () in
+  let config = Bmc.Session.make_config ~mode:Bmc.Session.Standard ~budget ~max_depth:8 () in
   match Bmc.Induction.prove_case ~config case with
   | { verdict = Bmc.Induction.Unknown _; _ } -> ()
   | { verdict = v; _ } -> Alcotest.failf "expected unknown, got %a" Bmc.Induction.pp_verdict v

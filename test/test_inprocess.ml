@@ -443,14 +443,14 @@ let arb =
   QCheck.make ~print:(fun (c : Circuit.Generators.case) -> c.name) random_case_gen
 
 let config ?inprocess () =
-  Bmc.Engine.config ~mode:Bmc.Engine.Dynamic ~max_depth:8 ?inprocess ()
+  Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:8 ?inprocess ()
 
 let same_verdict a b =
   match (a, b) with
-  | Bmc.Engine.Falsified t, Bmc.Engine.Falsified t' -> t.Bmc.Trace.depth = t'.Bmc.Trace.depth
-  | Bmc.Engine.Bounded_pass k, Bmc.Engine.Bounded_pass k' -> k = k'
-  | Bmc.Engine.Aborted k, Bmc.Engine.Aborted k' -> k = k'
-  | ( ( Bmc.Engine.Falsified _ | Bmc.Engine.Bounded_pass _ | Bmc.Engine.Aborted _ ),
+  | Bmc.Session.Falsified t, Bmc.Session.Falsified t' -> t.Bmc.Trace.depth = t'.Bmc.Trace.depth
+  | Bmc.Session.Bounded_pass k, Bmc.Session.Bounded_pass k' -> k = k'
+  | Bmc.Session.Aborted k, Bmc.Session.Aborted k' -> k = k'
+  | ( ( Bmc.Session.Falsified _ | Bmc.Session.Bounded_pass _ | Bmc.Session.Aborted _ ),
       _ ) ->
     false
 
@@ -458,12 +458,13 @@ let prop_incremental_on_off =
   QCheck.Test.make ~name:"inprocess: incremental BMC verdicts unchanged" ~count:60 arb
     (fun case ->
       let off =
-        Bmc.Incremental.run ~config:(config ()) case.netlist ~property:case.property
+        Bmc.Session.check ~config:(config ()) ~policy:Bmc.Session.Persistent case.netlist
+          ~property:case.property
       in
       let on =
-        Bmc.Incremental.run
+        Bmc.Session.check
           ~config:(config ~inprocess:eager ())
-          case.netlist ~property:case.property
+          ~policy:Bmc.Session.Persistent case.netlist ~property:case.property
       in
       same_verdict off.verdict on.verdict)
 
@@ -503,10 +504,10 @@ let prop_session_cores_still_exact =
          ranking or raise.  Run with proofs on and let the engine's own
          core consumption exercise the path; verdict equality is asserted
          by the on/off properties above, here we only require no raise. *)
-      let (_ : Bmc.Engine.result) =
-        Bmc.Incremental.run
+      let (_ : Bmc.Session.result) =
+        Bmc.Session.check
           ~config:(config ~inprocess:eager ())
-          case.netlist ~property:case.property
+          ~policy:Bmc.Session.Persistent case.netlist ~property:case.property
       in
       true)
 

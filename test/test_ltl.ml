@@ -1,7 +1,7 @@
 (* Bounded LTL: encoding vs concrete lasso evaluation, equivalence with the
    invariant engine on G p, witness shapes, NNF smart constructors. *)
 
-let cfg ?(max_depth = 10) () = Bmc.Engine.config ~mode:Bmc.Engine.Static ~max_depth ()
+let cfg ?(max_depth = 10) () = Bmc.Session.make_config ~mode:Bmc.Session.Static ~max_depth ()
 
 let signal nl name = Option.get (Circuit.Netlist.find nl name)
 
@@ -15,15 +15,16 @@ let test_g_atom_equals_invariant_bmc () =
           (Bmc.Ltl.always (Bmc.Ltl.atom case.property))
       in
       let bmc =
-        Bmc.Engine.run_case
-          ~config:(Bmc.Engine.config ~mode:Bmc.Engine.Static ~max_depth:case.suggested_depth ())
-          case
+        Bmc.Session.check
+          ~config:
+            (Bmc.Session.make_config ~mode:Bmc.Session.Static ~max_depth:case.suggested_depth ())
+          ~policy:Bmc.Session.Fresh case.netlist ~property:case.property
       in
       match (ltl.verdict, bmc.verdict) with
-      | Bmc.Ltl.Falsified w, Bmc.Engine.Falsified t ->
+      | Bmc.Ltl.Falsified w, Bmc.Session.Falsified t ->
         Alcotest.(check int) (case.name ^ ": same depth") t.Bmc.Trace.depth w.Bmc.Ltl.depth;
         Alcotest.(check (option int)) (case.name ^ ": finite witness") None w.Bmc.Ltl.loop_start
-      | Bmc.Ltl.Bounded_pass a, Bmc.Engine.Bounded_pass b ->
+      | Bmc.Ltl.Bounded_pass a, Bmc.Session.Bounded_pass b ->
         Alcotest.(check int) (case.name ^ ": same bound") b a
       | v, b ->
         Alcotest.failf "%s: LTL %s vs BMC %a" case.name
@@ -31,7 +32,7 @@ let test_g_atom_equals_invariant_bmc () =
           | Bmc.Ltl.Falsified _ -> "falsified"
           | Bmc.Ltl.Bounded_pass _ -> "pass"
           | Bmc.Ltl.Aborted _ -> "aborted")
-          Bmc.Engine.pp_verdict b)
+          Bmc.Session.pp_verdict b)
     (Circuit.Generators.tiny_suite ())
 
 let test_eventually_needs_lasso () =

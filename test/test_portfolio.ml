@@ -1,6 +1,6 @@
 (* Portfolio subsystem: pool scheduling and cancellation, domain ownership,
    strategy races vs the sequential engines, and the deterministic-portfolio
-   differential (Engine / Induction / Ltl outcomes must not depend on the
+   differential (Session / Induction / Ltl outcomes must not depend on the
    number of workers). *)
 
 module Pool = Portfolio.Pool

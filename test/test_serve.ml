@@ -57,7 +57,10 @@ let test_request_roundtrip () =
     Alcotest.(check string) "id" rq.P.rq_id rq'.P.rq_id;
     Alcotest.(check int) "depth" rq.P.rq_depth rq'.P.rq_depth;
     Alcotest.(check bool) "stats" rq.P.rq_stats rq'.P.rq_stats;
-    Alcotest.(check bool) "mode" true (rq'.P.rq_mode = Some Bmc.Session.Static);
+    (* names, not modes: [=] raises on a registry heuristic's closures *)
+    Alcotest.(check (option string))
+      "mode" (Some "static")
+      (Option.map Bmc.Session.mode_string rq'.P.rq_mode);
     Alcotest.(check (option (float 1e-9))) "deadline" (Some 250.0) rq'.P.rq_deadline_ms
 
 let test_request_rejects_garbage () =
@@ -74,6 +77,54 @@ let test_request_rejects_garbage () =
       "{\"builtin\":\"a\",\"depth\":-1}";
       "{\"builtin\":\"a\",\"depth\":1,\"mode\":\"warp\"}";
     ]
+
+(* Every registry name is a valid request "mode"; anything else is refused
+   with the registry's names, and the front end answers the refusal inline
+   under the request's id. *)
+let test_request_modes_are_registry_names () =
+  List.iter
+    (fun name ->
+      let line = Printf.sprintf {|{"id":"m","builtin":"ring12","depth":3,"mode":%S}|} name in
+      match P.request_of_line line with
+      | Ok rq ->
+        Alcotest.(check (option string)) name (Some name)
+          (Option.map Bmc.Session.mode_string rq.P.rq_mode)
+      | Error msg -> Alcotest.failf "mode %s refused: %s" name msg)
+    (Ordering.names ());
+  let line = {|{"id":"u","builtin":"ring12","depth":3,"mode":"vsids"}|} in
+  match P.request_of_line line with
+  | Ok _ -> Alcotest.fail "unknown mode accepted"
+  | Error msg ->
+    List.iter
+      (fun name ->
+        Alcotest.(check bool) ("error lists " ^ name) true (Test_stats.contains msg name))
+      (Ordering.names ());
+    let rs = P.rejection ~line msg in
+    Alcotest.(check string) "id echoed" "u" rs.P.rs_id;
+    Alcotest.(check bool) "is an error" true (rs.P.rs_reply = P.Bad_request msg)
+
+(* A refused line is answered under its own id when it has one, so a
+   pipelined client can match the error to its request. *)
+let test_rejection_keeps_request_id () =
+  let reject line =
+    match P.request_of_line line with
+    | Ok _ -> Alcotest.failf "expected rejection of %S" line
+    | Error msg -> P.rejection ~line msg
+  in
+  let rs = reject {|{"id":"bad","depth":1}|} in
+  Alcotest.(check string) "object line: id echoed" "bad" rs.P.rs_id;
+  let wire = P.response_line rs in
+  Alcotest.(check bool) "wire carries the id" true (Test_stats.contains wire {|"id":"bad"|});
+  Alcotest.(check bool) "wire status is error" true
+    (Test_stats.contains wire {|"status":"error"|});
+  List.iter
+    (fun line ->
+      let rs = reject line in
+      Alcotest.(check string) (line ^ ": empty id") "" rs.P.rs_id;
+      match rs.P.rs_reply with
+      | P.Bad_request _ -> ()
+      | _ -> Alcotest.failf "%s: expected an error reply" line)
+    [ "not json"; {|{"id":"trunc|}; {|{"id":7,"depth":1}|}; {|["id","x"]|} ]
 
 let test_response_roundtrip () =
   let body =
@@ -304,7 +355,7 @@ let test_share_two_parses_one_exchange () =
     [ false; true ]
 
 let test_modes_are_distinct_entries () =
-  (* same circuit, different requested orderings: distinct sessions, both
+  (* same circuit, different requested orderings: distinct sessions, all
      correct *)
   let case = Circuit.Generators.gray ~bits:4 ~noise:4 () in
   let depth = 6 in
@@ -313,21 +364,28 @@ let test_modes_are_distinct_entries () =
       let rs_dyn =
         S.check_now t (mk_request ~id:"dyn" ~mode:Bmc.Session.Dynamic (inline_of case) depth)
       in
-      let rs_sta =
-        S.check_now t (mk_request ~id:"sta" ~mode:Bmc.Session.Static (inline_of case) depth)
-      in
       check_cache "dynamic is a miss" P.Miss rs_dyn;
-      check_cache "static is its own entry" P.Miss rs_sta;
       same_verdict "dynamic" want (answer rs_dyn).P.rs_verdict;
-      match ((answer rs_sta).P.rs_verdict, want) with
-      | P.Bounded_pass a, P.Bounded_pass b -> Alcotest.(check int) "static bound" b a
-      | P.Falsified (a, _), P.Falsified (b, _) -> Alcotest.(check int) "static depth" b a
-      | _ -> Alcotest.fail "static and dynamic verdicts diverge")
+      (* every other ordering, a laboratory heuristic included, gets its own
+         entry and the same verdict *)
+      List.iter
+        (fun name ->
+          let mode = Option.get (Ordering.mode_of_name name) in
+          let rs = S.check_now t (mk_request ~id:name ~mode (inline_of case) depth) in
+          check_cache (name ^ " is its own entry") P.Miss rs;
+          match ((answer rs).P.rs_verdict, want) with
+          | P.Bounded_pass a, P.Bounded_pass b -> Alcotest.(check int) (name ^ " bound") b a
+          | P.Falsified (a, _), P.Falsified (b, _) -> Alcotest.(check int) (name ^ " depth") b a
+          | _ -> Alcotest.failf "%s and dynamic verdicts diverge" name)
+        [ "static"; "chb" ])
 
 let tests =
   [
     Alcotest.test_case "request line round-trips" `Quick test_request_roundtrip;
     Alcotest.test_case "malformed requests rejected" `Quick test_request_rejects_garbage;
+    Alcotest.test_case "request modes are registry names" `Quick
+      test_request_modes_are_registry_names;
+    Alcotest.test_case "rejections keep the request id" `Quick test_rejection_keeps_request_id;
     Alcotest.test_case "response json round-trips" `Quick test_response_roundtrip;
     Alcotest.test_case "cold and hit match a session" `Quick test_cold_hit_warm_equivalence;
     Alcotest.test_case "warm extension = cold sweep" `Quick test_warm_extension_matches_cold;

@@ -248,7 +248,7 @@ let test_policies_agree_invariant () =
 let test_policies_agree_induction () =
   List.iter
     (fun (case : Circuit.Generators.case) ->
-      let config = Bmc.Engine.config ~mode:Bmc.Engine.Static ~max_depth:10 () in
+      let config = Bmc.Session.make_config ~mode:Bmc.Session.Static ~max_depth:10 () in
       let f = Bmc.Induction.prove ~config ~policy:Bmc.Session.Fresh case.netlist ~property:case.property in
       let p =
         Bmc.Induction.prove ~config ~policy:Bmc.Session.Persistent case.netlist
@@ -276,7 +276,7 @@ let test_policies_agree_ltl () =
   let case = Circuit.Generators.counter_en ~bits:3 ~target:5 () in
   List.iter
     (fun formula ->
-      let config = Bmc.Engine.config ~mode:Bmc.Engine.Static ~max_depth:8 () in
+      let config = Bmc.Session.make_config ~mode:Bmc.Session.Static ~max_depth:8 () in
       let f = Bmc.Ltl.check ~config ~policy:Bmc.Session.Fresh case.netlist formula in
       let p = Bmc.Ltl.check ~config ~policy:Bmc.Session.Persistent case.netlist formula in
       match (f.Bmc.Ltl.verdict, p.Bmc.Ltl.verdict) with

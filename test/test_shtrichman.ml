@@ -21,20 +21,24 @@ let test_rank_dimension () =
 let test_mode_gives_same_verdicts () =
   List.iter
     (fun (case : Circuit.Generators.case) ->
-      let cfg m = Bmc.Engine.config ~mode:m ~max_depth:(min case.suggested_depth 6) () in
-      let a = (Bmc.Engine.run_case ~config:(cfg Bmc.Engine.Standard) case).verdict in
-      let b = (Bmc.Engine.run_case ~config:(cfg Bmc.Engine.Shtrichman) case).verdict in
+      let verdict mode =
+        let config = Bmc.Session.make_config ~mode ~max_depth:(min case.suggested_depth 6) () in
+        (Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist ~property:case.property)
+          .verdict
+      in
+      let a = verdict Bmc.Session.Standard in
+      let b = verdict Bmc.Session.Shtrichman in
       let same =
         match (a, b) with
-        | Bmc.Engine.Falsified t1, Bmc.Engine.Falsified t2 ->
+        | Bmc.Session.Falsified t1, Bmc.Session.Falsified t2 ->
           t1.Bmc.Trace.depth = t2.Bmc.Trace.depth
-        | Bmc.Engine.Bounded_pass k1, Bmc.Engine.Bounded_pass k2 -> k1 = k2
-        | (Bmc.Engine.Falsified _ | Bmc.Engine.Bounded_pass _ | Bmc.Engine.Aborted _), _ ->
+        | Bmc.Session.Bounded_pass k1, Bmc.Session.Bounded_pass k2 -> k1 = k2
+        | (Bmc.Session.Falsified _ | Bmc.Session.Bounded_pass _ | Bmc.Session.Aborted _), _ ->
           false
       in
       if not same then
-        Alcotest.failf "%s: shtrichman disagrees (%a vs %a)" case.name Bmc.Engine.pp_verdict a
-          Bmc.Engine.pp_verdict b)
+        Alcotest.failf "%s: shtrichman disagrees (%a vs %a)" case.name Bmc.Session.pp_verdict a
+          Bmc.Session.pp_verdict b)
     [
       Circuit.Generators.counter ~bits:3 ~target:5 ();
       Circuit.Generators.ring ~len:4 ();

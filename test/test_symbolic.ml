@@ -49,15 +49,15 @@ let test_agrees_with_bmc_on_failure_depth () =
   let c = Circuit.Generators.fifo_overflow ~bits:3 () in
   let sym = Bmc.Symbolic.check c.netlist ~property:c.property in
   let bmc =
-    Bmc.Engine.run_case
-      ~config:(Bmc.Engine.config ~mode:Bmc.Engine.Dynamic ~max_depth:10 ())
-      c
+    Bmc.Session.check
+      ~config:(Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:10 ())
+      ~policy:Bmc.Session.Fresh c.netlist ~property:c.property
   in
   match (sym, bmc.verdict) with
-  | Bmc.Symbolic.Fails_at a, Bmc.Engine.Falsified t ->
+  | Bmc.Symbolic.Fails_at a, Bmc.Session.Falsified t ->
     Alcotest.(check int) "same depth" a t.Bmc.Trace.depth
   | v, b ->
-    Alcotest.failf "symbolic %a vs bmc %a" Bmc.Symbolic.pp_verdict v Bmc.Engine.pp_verdict b
+    Alcotest.failf "symbolic %a vs bmc %a" Bmc.Symbolic.pp_verdict v Bmc.Session.pp_verdict b
 
 (* Randomised: symbolic = oracle on generated circuits. *)
 let prop_symbolic_matches_oracle =

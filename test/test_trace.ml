@@ -1,16 +1,15 @@
 (* Counterexample extraction and replay. *)
 
-let falsify case =
+let falsify (case : Circuit.Generators.case) =
   match
-    (Bmc.Engine.run_case
+    (Bmc.Session.check
        ~config:
-         (Bmc.Engine.config ~mode:Bmc.Engine.Standard
-            ~max_depth:case.Circuit.Generators.suggested_depth ())
-       case)
+         (Bmc.Session.make_config ~mode:Bmc.Session.Standard ~max_depth:case.suggested_depth ())
+       ~policy:Bmc.Session.Fresh case.netlist ~property:case.property)
       .verdict
   with
-  | Bmc.Engine.Falsified trace -> trace
-  | Bmc.Engine.Bounded_pass _ | Bmc.Engine.Aborted _ -> Alcotest.fail "expected a counterexample"
+  | Bmc.Session.Falsified trace -> trace
+  | Bmc.Session.Bounded_pass _ | Bmc.Session.Aborted _ -> Alcotest.fail "expected a counterexample"
 
 let test_trace_depth_matches () =
   let case = Circuit.Generators.shift_in ~len:4 () in
