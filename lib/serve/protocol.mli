@@ -13,7 +13,7 @@
 
     {v
     {"id":"r1","builtin":"ring12","depth":12}
-    {"id":"r2","circuit":"input a\n...","depth":5,"mode":"static",
+    {"id":"r2","circuit":"input a\n...","depth":5,"mode":"chb",
      "deadline_ms":500,"stats":true}
     v}
 
@@ -26,6 +26,7 @@
     {"id":"r3","status":"ok","verdict":"falsified","depth":4,
      "trace":{...},"cache":"hit","solved":0,...}
     {"id":"r9","status":"shed","queue_ms":0.0,"wall_ms":0.0}
+    {"id":"bad","status":"error","error":"request needs a \"depth\"",...}
     v} *)
 
 type circuit_src =
@@ -39,7 +40,9 @@ type request = {
   rq_id : string;  (** echoed verbatim in the response *)
   rq_src : circuit_src;
   rq_depth : int;  (** depth budget: check k = 0..depth *)
-  rq_mode : Bmc.Session.mode option;  (** [None]: the server default *)
+  rq_mode : Bmc.Session.mode option;
+      (** the ordering, named on the wire by any [Ordering] registry name;
+          [None]: the server default *)
   rq_deadline_ms : float option;
       (** wall-clock budget for this request, enforced through the
           session's {!Sat.Solver.budget} stop hook *)
