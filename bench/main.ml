@@ -797,9 +797,9 @@ type quick_portfolio_summary = {
   p_seq : (string * float) list; (* sequential session wall per ordering *)
 }
 
-(* Ordering-laboratory block for the snapshot: the three laboratory
-   heuristics raced as a named roster with per-racer conflict budgets and
-   the remaining registry entries on the rotation queue.  WHICH heuristic
+(* Ordering-laboratory block for the snapshot: chb, shtrichman and
+   standard raced as a named roster with per-racer conflict budgets and
+   dynamic and static on the rotation queue.  WHICH heuristic
    wins a round — and hence whether a starved racer ever rotates — is
    timing-dependent, so the block records win tallies and rotation counts
    for trajectory tracking, not value gating; CI gates on its presence. *)
@@ -811,7 +811,7 @@ type quick_ordering_summary = {
 }
 
 (* The subset the ordering roster races over: the lighter half of the
-   suite (full seven-heuristic coverage of every case belongs to the
+   suite (full registry coverage of every case belongs to the
    differential test, not a quick gate). *)
 let quick_ordering_cases () =
   match quick_cases () with a :: b :: c :: d :: _ -> [ a; b; c; d ] | short -> short
@@ -828,7 +828,7 @@ let quick_run_case_ordering pool wins rotated ((case : Circuit.Generators.case),
   in
   let race =
     Portfolio.create_race
-      ~racers:[ mk "chb"; mk "frame"; mk "assump" ]
+      ~racers:[ mk "chb"; mk "shtrichman"; mk "standard" ]
       ~rotation:[ mk "dynamic"; mk "static" ]
       ~pool config case.netlist ~property:case.property
   in
@@ -914,82 +914,111 @@ let quick_best_seq psum =
     ("standard", List.assoc "standard" psum.p_seq)
     psum.p_seq
 
+(* The inprocess block's counters, in snapshot order. *)
+let quick_inpr_fields (t : quick_inpr_totals) =
+  [
+    ("eliminated", t.i_eliminated);
+    ("subsumed", t.i_subsumed);
+    ("strengthened", t.i_strengthened);
+    ("probe_failed", t.i_probe_failed);
+    ("resolvents", t.i_resolvents);
+  ]
+
 let quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~sharing:ssum ~inprocess:isum
     ~cores:csum ~observability:osum =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"bench-quick/v8\",\n  \"cases\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"outcomes\": \"%s\", \"core_vars_hash\": \"%08x\", \
-            \"decisions\": %d, \"conflicts\": %d, \"propagations\": %d, \"build_s\": %.6f, \
-            \"bcp_s\": %.6f, \"solve_s\": %.6f, \"wall_s\": %.6f }%s\n"
-           r.q_name r.q_outcomes r.q_core_hash r.q_decisions r.q_conflicts r.q_propagations
-           r.q_build r.q_bcp r.q_solve r.q_wall
-           (if i = n - 1 then "" else ",")))
-    rows;
+  let open Obs.Json in
+  (* six decimals (microseconds for the timings) keep float noise out of the
+     committed file *)
+  let num x = Float (Float.round (x *. 1e6) /. 1e6) in
+  let floats kvs = Obj (List.map (fun (k, v) -> (k, num v)) kvs) in
+  let ints = List.map (fun (k, v) -> (k, Int v)) in
+  let case r =
+    Obj
+      [
+        ("name", Str r.q_name);
+        ("outcomes", Str r.q_outcomes);
+        ("core_vars_hash", Str (Printf.sprintf "%08x" r.q_core_hash));
+        ("decisions", Int r.q_decisions);
+        ("conflicts", Int r.q_conflicts);
+        ("propagations", Int r.q_propagations);
+        ("build_s", num r.q_build);
+        ("bcp_s", num r.q_bcp);
+        ("solve_s", num r.q_solve);
+        ("wall_s", num r.q_wall);
+      ]
+  in
   let tot f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
   let toti f = List.fold_left (fun acc r -> acc + f r) 0 rows in
   let best_name, best_wall = quick_best_seq psum in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  ],\n\
-       \  \"totals\": { \"build_s\": %.6f, \"bcp_s\": %.6f, \"solve_s\": %.6f, \
-        \"wall_s\": %.6f, \"decisions\": %d, \"conflicts\": %d, \"propagations\": %d, \
-        \"alloc_mb\": %.1f },\n"
-       (tot (fun r -> r.q_build))
-       (tot (fun r -> r.q_bcp))
-       (tot (fun r -> r.q_solve))
-       (tot (fun r -> r.q_wall))
-       (toti (fun r -> r.q_decisions))
-       (toti (fun r -> r.q_conflicts))
-       (toti (fun r -> r.q_propagations))
-       alloc_mb);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"portfolio\": { \"jobs\": %d, \"cores\": %d, \"wall_s\": %.6f, \
-        \"sequential_wall_s\": { %s }, \"best_sequential\": \"%s\", \"speedup\": %.3f },\n"
-       psum.p_jobs psum.p_cores psum.p_wall
-       (String.concat ", "
-          (List.map (fun (n, w) -> Printf.sprintf "\"%s\": %.6f" n w) psum.p_seq))
-       best_name
-       (if psum.p_wall > 0.0 then best_wall /. psum.p_wall else 0.0));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"ordering\": { \"jobs\": %d, \"wall_s\": %.6f, \"rotations\": %d, \
-        \"wins\": { %s } },\n"
-       dsum.d_jobs dsum.d_wall dsum.d_rotated
-       (String.concat ", "
-          (List.map (fun (n, w) -> Printf.sprintf "\"%s\": %d" n w) dsum.d_wins)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"sharing\": { \"wall_off_s\": %.6f, \"wall_on_s\": %.6f, \"exported\": %d, \
-        \"imported\": %d, \"rejected_tainted\": %d, \"dropped_stale\": %d },\n"
-       ssum.s_wall_off ssum.s_wall_on ssum.s_totals.t_exported ssum.s_totals.t_imported
-       ssum.s_totals.t_rejected_tainted ssum.s_totals.t_dropped_stale);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"inprocess\": { \"unsat_tail_off_s\": %.6f, \"unsat_tail_on_s\": %.6f, \
-        \"eliminated\": %d, \"subsumed\": %d, \"strengthened\": %d, \"probe_failed\": %d, \
-        \"resolvents\": %d },\n"
-       isum.i_tail_off_s isum.i_tail_on_s isum.i_totals.i_eliminated isum.i_totals.i_subsumed
-       isum.i_totals.i_strengthened isum.i_totals.i_probe_failed isum.i_totals.i_resolvents);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"cores\": { \"pre_clauses\": %d, \"post_clauses\": %d, \"coremin_s\": %.6f, \
-        \"certified\": %b, \"unsat_tail_plain_s\": %.6f, \"unsat_tail_min_s\": %.6f, \
-        \"dec_rank_share_plain_pct\": %.2f, \"dec_rank_share_min_pct\": %.2f },\n"
-       csum.c_totals.c_pre csum.c_totals.c_post csum.c_totals.c_min_s
-       csum.c_totals.c_all_certified csum.c_tail_plain_s csum.c_tail_min_s
-       csum.c_rank_share_plain csum.c_rank_share_min);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"observability\": { \"wall_off_s\": %.6f, \"wall_on_s\": %.6f, \
-        \"overhead_pct\": %.2f }\n}\n"
-       osum.o_wall_off osum.o_wall_on osum.o_overhead_pct);
-  Buffer.contents b
+  Obj
+    [
+      ("schema", Str "bench-quick/v8");
+      ("cases", List (List.map case rows));
+      ( "totals",
+        Obj
+          [
+            ("build_s", num (tot (fun r -> r.q_build)));
+            ("bcp_s", num (tot (fun r -> r.q_bcp)));
+            ("solve_s", num (tot (fun r -> r.q_solve)));
+            ("wall_s", num (tot (fun r -> r.q_wall)));
+            ("decisions", Int (toti (fun r -> r.q_decisions)));
+            ("conflicts", Int (toti (fun r -> r.q_conflicts)));
+            ("propagations", Int (toti (fun r -> r.q_propagations)));
+            ("alloc_mb", num alloc_mb);
+          ] );
+      ( "portfolio",
+        Obj
+          [
+            ("jobs", Int psum.p_jobs);
+            ("cores", Int psum.p_cores);
+            ("wall_s", num psum.p_wall);
+            ("sequential_wall_s", floats psum.p_seq);
+            ("best_sequential", Str best_name);
+            ("speedup", num (if psum.p_wall > 0.0 then best_wall /. psum.p_wall else 0.0));
+          ] );
+      ( "ordering",
+        Obj
+          [
+            ("jobs", Int dsum.d_jobs);
+            ("wall_s", num dsum.d_wall);
+            ("rotations", Int dsum.d_rotated);
+            ("wins", Obj (ints dsum.d_wins));
+          ] );
+      ( "sharing",
+        Obj
+          [
+            ("wall_off_s", num ssum.s_wall_off);
+            ("wall_on_s", num ssum.s_wall_on);
+            ("exported", Int ssum.s_totals.t_exported);
+            ("imported", Int ssum.s_totals.t_imported);
+            ("rejected_tainted", Int ssum.s_totals.t_rejected_tainted);
+            ("dropped_stale", Int ssum.s_totals.t_dropped_stale);
+          ] );
+      ( "inprocess",
+        Obj
+          (("unsat_tail_off_s", num isum.i_tail_off_s)
+          :: ("unsat_tail_on_s", num isum.i_tail_on_s)
+          :: ints (quick_inpr_fields isum.i_totals)) );
+      ( "cores",
+        Obj
+          [
+            ("pre_clauses", Int csum.c_totals.c_pre);
+            ("post_clauses", Int csum.c_totals.c_post);
+            ("coremin_s", num csum.c_totals.c_min_s);
+            ("certified", Bool csum.c_totals.c_all_certified);
+            ("unsat_tail_plain_s", num csum.c_tail_plain_s);
+            ("unsat_tail_min_s", num csum.c_tail_min_s);
+            ("dec_rank_share_plain_pct", num csum.c_rank_share_plain);
+            ("dec_rank_share_min_pct", num csum.c_rank_share_min);
+          ] );
+      ( "observability",
+        floats
+          [
+            ("wall_off_s", osum.o_wall_off);
+            ("wall_on_s", osum.o_wall_on);
+            ("overhead_pct", osum.o_overhead_pct);
+          ] );
+    ]
 
 let quick_rows () =
   let a0 = Gc.allocated_bytes () in
@@ -1207,40 +1236,27 @@ let quick_rows () =
 
 let quick () =
   let rows, alloc_mb, psum, dsum, ssum, isum, csum, osum = quick_rows () in
+  let doc =
+    quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~sharing:ssum ~inprocess:isum
+      ~cores:csum ~observability:osum
+  in
   let oc = open_out quick_snapshot_file in
-  output_string oc
-    (quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~sharing:ssum ~inprocess:isum
-       ~cores:csum ~observability:osum);
+  output_string oc (Obs.Json.to_string ~indent:true doc);
+  output_char oc '\n';
   close_out oc;
   Printf.eprintf "bench: quick snapshot written to %s\n%!" quick_snapshot_file
 
-(* Minimal field scanner for the snapshot we wrote ourselves: one case per
-   line, fields formatted exactly as in [quick_json]. *)
-let find_sub hay pat =
-  let n = String.length pat and h = String.length hay in
-  let rec at i = if i + n > h then None else if String.sub hay i n = pat then Some i else at (i + 1) in
-  at 0
-
-let extract_str line key =
-  let pat = "\"" ^ key ^ "\": \"" in
-  match find_sub line pat with
-  | None -> None
-  | Some i ->
-    let start = i + String.length pat in
-    let j = String.index_from line start '"' in
-    Some (String.sub line start (j - start))
-
-let extract_int line key =
-  let pat = "\"" ^ key ^ "\": " in
-  match find_sub line pat with
-  | None -> None
-  | Some i ->
-    let start = i + String.length pat in
-    let j = ref start in
-    while !j < String.length line && line.[!j] >= '0' && line.[!j] <= '9' do
-      incr j
-    done;
-    int_of_string_opt (String.sub line start (!j - start))
+(* The committed snapshot a -check artefact compares against; a missing or
+   unparsable file fails the check. *)
+let read_snapshot ~tool file =
+  let fail msg =
+    Printf.eprintf "%s: %s\n" tool msg;
+    exit 1
+  in
+  match In_channel.with_open_bin file In_channel.input_all with
+  | exception Sys_error msg -> fail msg
+  | text -> (
+    match Obs.Json.of_string text with Ok d -> d | Error msg -> fail (file ^ ": " ^ msg))
 
 (* Rows whose counters are timing-dependent (racing portfolios: which racer
    wins steers the shared ranking) are gated on outcomes only. *)
@@ -1250,49 +1266,31 @@ let quick_timing_dependent name =
   let rec at i = i + n <= h && (String.sub name i n = sub || at (i + 1)) in
   at 0
 
-(* The inprocess block's counters, in snapshot order. *)
-let quick_inpr_fields (t : quick_inpr_totals) =
-  [
-    ("eliminated", t.i_eliminated);
-    ("subsumed", t.i_subsumed);
-    ("strengthened", t.i_strengthened);
-    ("probe_failed", t.i_probe_failed);
-    ("resolvents", t.i_resolvents);
-  ]
-
 let quick_check () =
+  let snapshot = read_snapshot ~tool:"quick-check" quick_snapshot_file in
   let rows, _, psum, _, _, isum, csum, osum = quick_rows () in
-  let expected_inpr = ref None in
+  let str j k = Option.bind (Obs.Json.member k j) Obs.Json.to_str in
+  let int j k = Option.bind (Obs.Json.member k j) Obs.Json.to_int in
   let expected =
-    let ic = open_in quick_snapshot_file in
-    let tbl = Hashtbl.create 16 in
-    (try
-       while true do
-         let line = input_line ic in
-         match extract_str line "name" with
-         | Some name ->
-           let counters =
-             List.map (extract_int line) [ "decisions"; "conflicts"; "propagations" ]
-           in
-           Hashtbl.replace tbl name
-             (extract_str line "outcomes", extract_str line "core_vars_hash", counters)
-         | None ->
-           if find_sub line "\"inprocess\": {" <> None then
-             expected_inpr :=
-               Some (List.map (fun (f, _) -> extract_int line f) (quick_inpr_fields isum.i_totals))
-       done
-     with End_of_file -> ());
-    close_in ic;
-    tbl
+    List.filter_map
+      (fun c -> Option.map (fun name -> (name, c)) (str c "name"))
+      (Obs.Json.get_list snapshot "cases")
+  in
+  let expected_inpr =
+    Option.map
+      (fun block -> List.map (fun (f, _) -> int block f) (quick_inpr_fields isum.i_totals))
+      (Obs.Json.member "inprocess" snapshot)
   in
   let failures = ref 0 in
   List.iter
     (fun r ->
-      match Hashtbl.find_opt expected r.q_name with
+      match List.assoc_opt r.q_name expected with
       | None ->
         incr failures;
         Printf.eprintf "quick-check: %s missing from %s\n" r.q_name quick_snapshot_file
-      | Some (outcomes, hash, counters) ->
+      | Some c ->
+        let outcomes = str c "outcomes" and hash = str c "core_vars_hash" in
+        let counters = List.map (int c) [ "decisions"; "conflicts"; "propagations" ] in
         let got_hash = Printf.sprintf "%08x" r.q_core_hash in
         if outcomes <> Some r.q_outcomes then begin
           incr failures;
@@ -1329,7 +1327,7 @@ let quick_check () =
   (* the inprocessing counters are deterministic too (the default preset
      has no wall-clock slice): a change to the engine or its replay must
      reproduce them exactly *)
-  (match !expected_inpr with
+  (match expected_inpr with
   | None ->
     incr failures;
     Printf.eprintf "quick-check: no inprocess block in %s\n" quick_snapshot_file
@@ -1602,20 +1600,8 @@ let serve () =
   Printf.eprintf "bench: serve snapshot written to %s\n%!" serve_snapshot_file
 
 let serve_check () =
+  let snapshot = read_snapshot ~tool:"serve-check" serve_snapshot_file in
   let rows, st, _uptime_ms = serve_rows () in
-  let snapshot =
-    let ic = open_in serve_snapshot_file in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Obs.Json.of_string text with
-    | Ok d -> d
-    | Error msg ->
-      Printf.eprintf "serve-check: %s: %s\n" serve_snapshot_file msg;
-      exit 1
-  in
   let failures = ref 0 in
   let fail fmt = Printf.ksprintf (fun m -> incr failures; Printf.eprintf "serve-check: %s\n" m) fmt in
   (* deterministic per-row fields must match the committed snapshot *)
@@ -1777,7 +1763,7 @@ let usage () =
 
 let write_results () =
   let oc = open_out results_file in
-  output_string oc (Telemetry.Sink.json_of_aggregate bench_agg);
+  output_string oc (Obs.Json.to_string (Obs.Jsonl.aggregate_to_json bench_agg));
   output_char oc '\n';
   close_out oc;
   Printf.eprintf "bench: machine-readable results written to %s\n%!" results_file

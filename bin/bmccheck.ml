@@ -48,7 +48,7 @@ let setup_telemetry trace_file metrics ledger_file =
     Option.map (fun path -> (path, Telemetry.Sink.memory ())) ledger_file
   in
   let sinks =
-    Option.to_list (Option.map Telemetry.Sink.of_channel trace_oc)
+    Option.to_list (Option.map Obs.Jsonl.of_channel trace_oc)
     @ Option.to_list (Option.map Telemetry.Sink.of_aggregate agg)
     @ Option.to_list (Option.map (fun (_, (sink, _)) -> sink) mem)
   in
@@ -166,8 +166,8 @@ let parse_inprocess = function
       exit 2)
 
 (* Every ordering name resolves through the heuristic registry, so --mode
-   and --order accept laboratory heuristics (chb, frame, assump) next to
-   the four built-ins. *)
+   and --order accept the laboratory heuristic chb next to the four
+   built-ins. *)
 let parse_mode mode_name =
   match Ordering.mode_of_name mode_name with
   | Some m -> m
@@ -598,7 +598,7 @@ let mode =
     value & opt string "dynamic"
     & info [ "mode" ] ~docv:"MODE"
         ~doc:"Decision ordering: any registered heuristic — standard, static, dynamic, \
-              shtrichman, or a laboratory heuristic (chb, frame, assump).")
+              shtrichman, or the laboratory heuristic chb.")
 
 let ltl =
   Arg.(
@@ -734,7 +734,7 @@ let order =
     & opt (some string) None
     & info [ "order" ] ~docv:"NAME[,NAME...]"
         ~doc:"Decision ordering(s) from the heuristic registry (standard, static, \
-              dynamic, shtrichman, chb, frame, assump).  One name without --portfolio is \
+              dynamic, shtrichman, chb).  One name without --portfolio is \
               a synonym for --mode; with --portfolio the comma-separated list is the \
               racing roster, one named racer per heuristic.")
 

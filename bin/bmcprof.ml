@@ -42,7 +42,7 @@ let run_report path = print_reports (load_ledger path)
    it here instead, so a ledger can be reconstructed from any saved trace. *)
 let run_trace path =
   let events =
-    try Telemetry.Sink.events_of_string (read_file path)
+    try Obs.Jsonl.events_of_string (read_file path)
     with Failure msg ->
       Format.eprintf "bmcprof: %s: not a JSONL trace: %s@." path msg;
       exit 2

@@ -61,7 +61,7 @@ let setup_telemetry trace_file =
         Format.eprintf "bmcserve: cannot open trace file: %s@." msg;
         exit 2
     in
-    let telemetry = Telemetry.create ~timing:true (Telemetry.Sink.of_channel oc) in
+    let telemetry = Telemetry.create ~timing:true (Obs.Jsonl.of_channel oc) in
     ( telemetry,
       fun () ->
         Telemetry.flush telemetry;
@@ -378,7 +378,7 @@ let mode =
     & info [ "mode" ] ~docv:"MODE"
         ~doc:
           "Default decision ordering, any name in the heuristic registry (standard, \
-           static, dynamic, shtrichman, chb, frame, assump).")
+           static, dynamic, shtrichman, chb).")
 
 let depth_cap =
   Arg.(

@@ -17,7 +17,7 @@ let setup_telemetry trace_file metrics =
       trace_file
   in
   let sinks =
-    Option.to_list (Option.map Telemetry.Sink.of_channel trace_oc)
+    Option.to_list (Option.map Obs.Jsonl.of_channel trace_oc)
     @ Option.to_list (Option.map Telemetry.Sink.of_aggregate agg)
   in
   match sinks with

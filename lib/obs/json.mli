@@ -1,8 +1,7 @@
-(** A small nested JSON codec for ledger and bench documents.
-
-    {!Telemetry.Sink}'s JSONL codec deliberately handles only flat objects
-    of scalars (one event per line); the run ledger and bench snapshots are
-    nested documents, so they get their own value type here.
+(** The repository's one JSON codec.  Every JSON artefact is printed and
+    parsed here: the telemetry trace ({!Jsonl}), the run ledger, the
+    flight-recorder dump, the serve protocol, and the bench's
+    [bench_results.json] and [BENCH_*.json] snapshots.
 
     [to_string] preserves field order and prints floats in their shortest
     round-tripping form, so printing is deterministic and

@@ -2,10 +2,9 @@
    CLIs, the portfolio roster and the differential tests enumerate.  The
    four built-in Session modes are registered under their usual names so
    one namespace covers everything; the laboratory heuristics are
-   [Session.Custom] values whose mutable state (conflict-frequency tables,
-   assumption statistics) lives behind the hook closures — hence
-   [sp_make] builds a fresh mode per call and callers must never share
-   one across solvers. *)
+   [Session.Custom] values whose mutable state (conflict-frequency tables)
+   lives behind the hook closures — hence [sp_make] builds a fresh mode
+   per call and callers must never share one across solvers. *)
 
 type spec = {
   sp_name : string;
@@ -75,83 +74,6 @@ let chb =
                         let p = count lit_cnt (Sat.Lit.to_index (Sat.Lit.pos v)) in
                         let n = count lit_cnt (Sat.Lit.to_index (Sat.Lit.neg v)) in
                         if p = n then None else Some (p > n));
-                    hk_permute = None;
-                  });
-          });
-  }
-
-(* The Shtrichman frame-ordered racer: the related-work time-axis ranking
-   as a registry heuristic, so a roster can race it by name next to the
-   laboratory modes (the built-in [Shtrichman] mode stays, printing
-   "shtrichman"; this one prints "frame" in race rows). *)
-let frame =
-  {
-    sp_name = "frame";
-    sp_doc = "Shtrichman frame-ordered ranking (time axis first)";
-    sp_make =
-      (fun () ->
-        Bmc.Session.Custom
-          {
-            Bmc.Session.c_name = "frame";
-            c_uses_cores = false;
-            c_order = (fun unroll _sc ~k -> Sat.Order.Static (Bmc.Shtrichman.rank unroll ~k));
-            c_hooks = None;
-          });
-  }
-
-(* Assumption ordering: VSIDS decisions, but the assumption vector each
-   incremental call passes is permuted by recent-conflict participation —
-   literals whose negation occurs most in recently learnt clauses go
-   first (the falsified-first approximation: those assumptions are the
-   likeliest to close a conflict quickly), ties broken by total
-   participation.  Restarts halve the counters, keeping "recent"
-   honest. *)
-let assump =
-  {
-    sp_name = "assump";
-    sp_doc = "assumption-vector ordering by recent-conflict participation";
-    sp_make =
-      (fun () ->
-        Bmc.Session.Custom
-          {
-            Bmc.Session.c_name = "assump";
-            c_uses_cores = false;
-            c_order = (fun _unroll _sc ~k:_ -> Sat.Order.Vsids);
-            c_hooks =
-              Some
-                (fun _unroll _sc ~solver:_ ->
-                  let cnt : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-                  {
-                    Sat.Solver.hk_name = "assump";
-                    hk_on_conflict =
-                      (fun lits ->
-                        List.iter
-                          (fun l ->
-                            let i = Sat.Lit.to_index l in
-                            Hashtbl.replace cnt i (count cnt i + 1))
-                          lits);
-                    hk_on_restart =
-                      (fun () ->
-                        Hashtbl.filter_map_inplace
-                          (fun _ c -> if c <= 1 then None else Some (c / 2))
-                          cnt);
-                    hk_bias = (fun _ -> None);
-                    hk_permute =
-                      Some
-                        (fun lits ->
-                          let keyed =
-                            List.map
-                              (fun l ->
-                                let fals = count cnt (Sat.Lit.to_index (Sat.Lit.negate l)) in
-                                let part = fals + count cnt (Sat.Lit.to_index l) in
-                                (l, fals, part))
-                              lits
-                          in
-                          List.stable_sort
-                            (fun (_, f1, p1) (_, f2, p2) ->
-                              if f1 <> f2 then compare f2 f1 else compare p2 p1)
-                            keyed
-                          |> List.map (fun (l, _, _) -> l));
                   });
           });
   }
@@ -163,8 +85,6 @@ let specs () =
     base "dynamic" "bmc_score rank with fallback to VSIDS" Bmc.Session.Dynamic;
     base "shtrichman" "the related-work time-axis static ordering" Bmc.Session.Shtrichman;
     chb;
-    frame;
-    assump;
   ]
 
 let names () = List.map name (specs ())

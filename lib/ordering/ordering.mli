@@ -11,11 +11,7 @@
     - ["chb"] — conflict-frequency branching: an exponential
       recency-weighted average of conflict participation per variable,
       added on top of the paper's folded bmc_score rank, with phase bias
-      towards the more conflict-active literal;
-    - ["frame"] — the Shtrichman frame-ordered ranking as a nameable
-      racer;
-    - ["assump"] — VSIDS decisions with the assumption vector permuted by
-      recent-conflict participation, likeliest-falsified first.
+      towards the more conflict-active literal.
 
     CLIs resolve [--order NAME] here, the portfolio builds named-racer
     rosters from it, and the differential test suite enumerates it. *)

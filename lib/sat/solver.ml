@@ -33,10 +33,9 @@ type share = {
 }
 
 (* Pluggable branching-heuristic hooks (the ordering laboratory).  The
-   solver keeps its Chaff core and exposes exactly four narrow seams: a
+   solver keeps its Chaff core and exposes exactly three narrow seams: a
    per-conflict notification (fired after the built-in activity bumps), a
-   restart notification, a phase bias consulted once per decision, and an
-   optional permutation of the assumption vector applied at solve start.
+   restart notification, and a phase bias consulted once per decision.
    Heuristic state lives entirely behind the closures — the solver never
    inspects it. *)
 type hooks = {
@@ -44,7 +43,6 @@ type hooks = {
   hk_on_conflict : Lit.t list -> unit;
   hk_on_restart : unit -> unit;
   hk_bias : Lit.var -> bool option;
-  hk_permute : (Lit.t list -> Lit.t list) option;
 }
 
 (* Poll the budget (and with it the cooperative-stop hook) every this many
@@ -1352,13 +1350,6 @@ let search t budget start_time =
 let cdg_seconds t = match t.proof with Some p -> Proof.cdg_seconds p | None -> 0.0
 
 let solve ?(budget = no_budget) ?(assumptions = []) t =
-  (* assumption-ordering: a heuristic may permute (never edit) the vector —
-     the assumption set is semantic, its order is pure search strategy *)
-  let assumptions =
-    match t.heur with
-    | Some { hk_permute = Some f; _ } -> f assumptions
-    | _ -> assumptions
-  in
   t.failed_assumptions <- [];
   let confl_before = t.stats.conflicts in
   let r =

@@ -112,7 +112,7 @@ val failed_assumptions : t -> Lit.t list
 (** {2 Pluggable branching heuristics (the ordering laboratory)}
 
     The solver's Chaff core stays fixed; an external heuristic plugs in
-    through four narrow callbacks.  All heuristic state lives behind the
+    through three narrow callbacks.  All heuristic state lives behind the
     closures — the solver never inspects it, so registries of heuristics
     (see [lib/ordering]) compose without touching this module. *)
 
@@ -125,9 +125,6 @@ type hooks = {
   hk_bias : Lit.var -> bool option;
       (** consulted once per decision: [Some b] overrides the sign of the
           decision literal on that variable, [None] keeps the heap's pick *)
-  hk_permute : (Lit.t list -> Lit.t list) option;
-      (** when present, permutes the assumption vector at solve start; must
-          return the same multiset of literals — order is pure strategy *)
 }
 
 val set_order : ?hooks:hooks -> t -> Order.mode -> unit

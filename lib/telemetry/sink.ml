@@ -36,170 +36,6 @@ let find_str fields key =
   | Some (Int _ | Float _ | Bool _) | None -> None
 
 (* ------------------------------------------------------------------ *)
-(* JSON encoding (flat objects of scalars only).                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Shortest representation that parses back to the same float. *)
-let float_str f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
-let escape_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let add_value b = function
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f -> Buffer.add_string b (float_str f)
-  | Bool true -> Buffer.add_string b "true"
-  | Bool false -> Buffer.add_string b "false"
-  | Str s -> escape_string b s
-
-let to_json e =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "{\"ts\":";
-  Buffer.add_string b (float_str e.ts);
-  Buffer.add_string b ",\"ev\":";
-  escape_string b e.kind;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b ',';
-      escape_string b k;
-      Buffer.add_char b ':';
-      add_value b v)
-    e.fields;
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* JSON decoding, covering exactly the subset [to_json] emits: one     *)
-(* object per line, scalar values only.                                *)
-(* ------------------------------------------------------------------ *)
-
-exception Bad of string
-
-let event_of_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then line.[!pos] else raise (Bad "unexpected end of line") in
-  let advance () = incr pos in
-  let expect c =
-    if peek () <> c then raise (Bad (Printf.sprintf "expected %c at %d" c !pos));
-    advance ()
-  in
-  let skip_ws () =
-    while !pos < n && (peek () = ' ' || peek () = '\t') do
-      advance ()
-    done
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char b '"'; advance ()
-        | '\\' -> Buffer.add_char b '\\'; advance ()
-        | '/' -> Buffer.add_char b '/'; advance ()
-        | 'n' -> Buffer.add_char b '\n'; advance ()
-        | 'r' -> Buffer.add_char b '\r'; advance ()
-        | 't' -> Buffer.add_char b '\t'; advance ()
-        | 'u' ->
-          advance ();
-          if !pos + 4 > n then raise (Bad "truncated \\u escape");
-          let code = int_of_string ("0x" ^ String.sub line !pos 4) in
-          pos := !pos + 4;
-          if code < 0x80 then Buffer.add_char b (Char.chr code)
-          else raise (Bad "non-ASCII \\u escape")
-        | c -> raise (Bad (Printf.sprintf "bad escape \\%c" c)));
-        loop ()
-      | c -> Buffer.add_char b c; advance (); loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
-  let parse_scalar () =
-    match peek () with
-    | '"' -> Str (parse_string ())
-    | 't' ->
-      if !pos + 4 <= n && String.sub line !pos 4 = "true" then (pos := !pos + 4; Bool true)
-      else raise (Bad "bad literal")
-    | 'f' ->
-      if !pos + 5 <= n && String.sub line !pos 5 = "false" then (pos := !pos + 5; Bool false)
-      else raise (Bad "bad literal")
-    | _ ->
-      let start = !pos in
-      let is_num c = (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E' in
-      while !pos < n && is_num line.[!pos] do
-        advance ()
-      done;
-      if !pos = start then raise (Bad (Printf.sprintf "bad value at %d" start));
-      let s = String.sub line start (!pos - start) in
-      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then Float (float_of_string s)
-      else (match int_of_string_opt s with Some i -> Int i | None -> Float (float_of_string s))
-  in
-  try
-    skip_ws ();
-    expect '{';
-    let fields = ref [] in
-    let rec members () =
-      skip_ws ();
-      let key = parse_string () in
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      let v = parse_scalar () in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | ',' -> advance (); members ()
-      | '}' -> advance ()
-      | c -> raise (Bad (Printf.sprintf "expected , or } but found %c" c))
-    in
-    skip_ws ();
-    if peek () = '}' then advance () else members ();
-    let fields = List.rev !fields in
-    let ts =
-      match find_float fields "ts" with
-      | Some f -> f
-      | None -> raise (Bad "missing ts")
-    in
-    let kind =
-      match find_str fields "ev" with
-      | Some s -> s
-      | None -> raise (Bad "missing ev")
-    in
-    let rest = List.filter (fun (k, _) -> k <> "ts" && k <> "ev") fields in
-    Ok { ts; kind; fields = rest }
-  with
-  | Bad msg -> Error msg
-  | Failure msg -> Error msg
-
-let events_of_string s =
-  String.split_on_char '\n' s
-  |> List.filter (fun line -> String.trim line <> "")
-  |> List.map (fun line ->
-         match event_of_json line with
-         | Ok e -> e
-         | Error msg -> raise (Bad (Printf.sprintf "%s in %S" msg line)))
-
-(* ------------------------------------------------------------------ *)
 (* Sinks.                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -213,7 +49,7 @@ let tee sinks =
 
 (* Every sink that mutates shared state is wrapped in [locked] so emission
    from multiple domains (the portfolio workers) serialises instead of
-   corrupting buffers / hashtables.  [tee] and [null] own no state and need
+   corrupting channels / hashtables.  [tee] and [null] own no state and need
    no lock of their own. *)
 let locked sink =
   let m = Mutex.create () in
@@ -221,26 +57,6 @@ let locked sink =
     emit = (fun e -> Mutex.protect m (fun () -> sink.emit e));
     flush = (fun () -> Mutex.protect m (fun () -> sink.flush ()));
   }
-
-let of_buffer b =
-  locked
-    {
-      emit =
-        (fun e ->
-          Buffer.add_string b (to_json e);
-          Buffer.add_char b '\n');
-      flush = (fun () -> ());
-    }
-
-let of_channel oc =
-  locked
-    {
-      emit =
-        (fun e ->
-          output_string oc (to_json e);
-          output_char oc '\n');
-      flush = (fun () -> flush oc);
-    }
 
 let memory () =
   let events = ref [] in
@@ -332,27 +148,36 @@ let tally_value agg name =
 
 let depth_rows agg = List.rev agg.depths
 
+let spans agg = sorted_bindings agg.spans (fun c -> (c.count, c.seconds))
+
+let counters agg = sorted_bindings agg.counters ( ! )
+
+let gauges agg = sorted_bindings agg.gauges ( ! )
+
+let tallies agg = sorted_bindings agg.tallies ( ! )
+
 let pp_report ppf agg =
-  let spans = sorted_bindings agg.spans (fun c -> c) in
+  let spans = spans agg in
   Format.fprintf ppf "@[<v>== telemetry: phase breakdown ==@,";
   if spans <> [] then begin
     Format.fprintf ppf "%-22s %12s %12s@," "phase" "calls" "seconds";
-    let sorted = List.sort (fun (_, a) (_, b) -> Float.compare b.seconds a.seconds) spans in
+    let by_time = List.sort (fun (_, (_, a)) (_, (_, b)) -> Float.compare b a) spans in
     List.iter
-      (fun (name, c) -> Format.fprintf ppf "%-22s %12d %12.3f@," name c.count c.seconds)
-      sorted
+      (fun (name, (count, seconds)) ->
+        Format.fprintf ppf "%-22s %12d %12.3f@," name count seconds)
+      by_time
   end;
-  let counters = sorted_bindings agg.counters ( ! ) in
+  let counters = counters agg in
   if counters <> [] then begin
     Format.fprintf ppf "counters:@,";
     List.iter (fun (name, v) -> Format.fprintf ppf "  %-28s %12d@," name v) counters
   end;
-  let gauges = sorted_bindings agg.gauges ( ! ) in
+  let gauges = gauges agg in
   if gauges <> [] then begin
     Format.fprintf ppf "gauges:@,";
     List.iter (fun (name, v) -> Format.fprintf ppf "  %-28s %12.3f@," name v) gauges
   end;
-  let tallies = sorted_bindings agg.tallies ( ! ) in
+  let tallies = tallies agg in
   if tallies <> [] then begin
     Format.fprintf ppf "events:@,";
     List.iter (fun (name, v) -> Format.fprintf ppf "  %-28s %12d@," name v) tallies
@@ -381,59 +206,3 @@ let pp_report ppf agg =
   Format.fprintf ppf "@]"
 
 let report_to_string agg = Format.asprintf "@[<v>%a@]" pp_report agg
-
-let json_of_aggregate agg =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\"spans\":{";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_char b ',' in
-  List.iter
-    (fun (name, (c : span_cell)) ->
-      sep ();
-      escape_string b name;
-      Buffer.add_string b (Printf.sprintf ":{\"count\":%d,\"seconds\":%s}" c.count
-                             (float_str c.seconds)))
-    (sorted_bindings agg.spans (fun c -> c));
-  Buffer.add_string b "},\"counters\":{";
-  first := true;
-  List.iter
-    (fun (name, v) ->
-      sep ();
-      escape_string b name;
-      Buffer.add_string b (Printf.sprintf ":%d" v))
-    (sorted_bindings agg.counters ( ! ));
-  Buffer.add_string b "},\"gauges\":{";
-  first := true;
-  List.iter
-    (fun (name, v) ->
-      sep ();
-      escape_string b name;
-      Buffer.add_char b ':';
-      Buffer.add_string b (float_str v))
-    (sorted_bindings agg.gauges ( ! ));
-  Buffer.add_string b "},\"events\":{";
-  first := true;
-  List.iter
-    (fun (name, v) ->
-      sep ();
-      escape_string b name;
-      Buffer.add_string b (Printf.sprintf ":%d" v))
-    (sorted_bindings agg.tallies ( ! ));
-  Buffer.add_string b "},\"depths\":[";
-  first := true;
-  List.iter
-    (fun fields ->
-      sep ();
-      Buffer.add_char b '{';
-      let inner_first = ref true in
-      List.iter
-        (fun (k, v) ->
-          if !inner_first then inner_first := false else Buffer.add_char b ',';
-          escape_string b k;
-          Buffer.add_char b ':';
-          add_value b v)
-        fields;
-      Buffer.add_char b '}')
-    (depth_rows agg);
-  Buffer.add_string b "]}";
-  Buffer.contents b

@@ -1,19 +1,11 @@
 (** Telemetry event consumers.
 
     An {!event} is a timestamped, typed record with a flat list of scalar
-    fields; a sink decides what happens to it: dropped ({!null}), serialised
-    as one JSON object per line ({!of_channel}, {!of_buffer}), kept in memory
-    ({!memory}), folded into running totals ({!aggregate}), or fanned out
-    ({!tee}).
-
-    The JSONL wire format puts [ts] (seconds since the telemetry handle was
-    created) and [ev] (the event kind) first, then the fields in emission
-    order:
-
-    {v {"ts":0.0213,"ev":"span","name":"bcp","dur":0.0034,"count":1841} v}
-
-    {!event_of_json} parses exactly the subset {!to_json} emits, so traces
-    round-trip. *)
+    fields; a sink decides what happens to it: dropped ({!null}), kept in
+    memory ({!memory}), folded into running totals ({!aggregate}), or
+    fanned out ({!tee}).  This library has no dependencies, so the sinks
+    that serialise events — the JSONL trace writer and the aggregate's
+    JSON summary — live in [Obs.Jsonl], over [Obs.Json]. *)
 
 type value =
   | Int of int
@@ -41,19 +33,6 @@ val find_float : (string * value) list -> string -> float option
 
 val find_str : (string * value) list -> string -> string option
 
-(** {1 JSONL codec} *)
-
-val to_json : event -> string
-(** One line, no trailing newline. *)
-
-val event_of_json : string -> (event, string) result
-(** Parse one line produced by {!to_json}.  The [ts] and [ev] members are
-    extracted; everything else becomes [fields]. *)
-
-val events_of_string : string -> event list
-(** Parse a whole JSONL document (blank lines ignored).
-    @raise Failure on malformed input. *)
-
 (** {1 Sinks} *)
 
 val null : t
@@ -66,18 +45,9 @@ val tee : t list -> t
 val locked : t -> t
 (** Serialise [emit] / [flush] calls to the wrapped sink behind a fresh
     mutex, making it safe to share across domains.  The stateful sinks
-    below ({!of_buffer}, {!of_channel}, {!memory}, {!of_aggregate}) are
+    below ({!memory}, {!of_aggregate}) and [Obs.Jsonl.of_channel] are
     already wrapped; use this for hand-rolled sinks that mutate shared
     state. *)
-
-val of_buffer : Buffer.t -> t
-(** Append one JSON line per event to the buffer.  Emission is
-    mutex-serialised, so the sink may be shared across domains — as long as
-    the buffer is not touched by anyone else concurrently. *)
-
-val of_channel : out_channel -> t
-(** Write one JSON line per event; [flush] flushes the channel.  Emission
-    is mutex-serialised (whole lines, never interleaved). *)
 
 val memory : unit -> t * (unit -> event list)
 (** A sink that records events; the closure returns them in emission
@@ -113,14 +83,24 @@ val tally_value : aggregate -> string -> int
 val depth_rows : aggregate -> (string * value) list list
 (** The fields of every "depth" event seen, in emission order. *)
 
+(** {2 Totals by name}
+
+    Each list is sorted by name. *)
+
+val spans : aggregate -> (string * (int * float)) list
+(** Per span name, its call count and total seconds. *)
+
+val counters : aggregate -> (string * int) list
+
+val gauges : aggregate -> (string * float) list
+
+val tallies : aggregate -> (string * int) list
+(** Per instant-event kind, and per [kind.src] for events with a [src]
+    field. *)
+
 val pp_report : Format.formatter -> aggregate -> unit
 (** Human-readable phase breakdown: span table (sorted by total seconds),
     counters, gauges, event tallies, and a per-depth table with build /
     solve / CDG time columns and their totals. *)
 
 val report_to_string : aggregate -> string
-
-val json_of_aggregate : aggregate -> string
-(** Machine-readable summary:
-    [{"spans":{...},"counters":{...},"gauges":{...},"events":{...},
-    "depths":[...]}]. *)

@@ -63,7 +63,7 @@ let test_registry () =
     (List.length (List.sort_uniq compare names));
   List.iter
     (fun n -> Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "standard"; "static"; "dynamic"; "shtrichman"; "chb"; "frame"; "assump" ];
+    [ "standard"; "static"; "dynamic"; "shtrichman"; "chb" ];
   List.iter
     (fun s ->
       Alcotest.(check bool)

@@ -1,7 +1,8 @@
-(* Telemetry library: span nesting, counter aggregation, JSONL round-trip,
-   and the disabled handle's no-op guarantees. *)
+(* Telemetry library: span nesting, counter aggregation, the JSONL trace
+   codec (Obs.Jsonl), and the disabled handle's no-op guarantees. *)
 
 module Sink = Telemetry.Sink
+module Jsonl = Obs.Jsonl
 
 (* A deterministic clock: every read advances time by one second.  Note that
    [Telemetry.create] itself reads the clock once for the epoch. *)
@@ -103,8 +104,8 @@ let value_eq a b =
   | a, b -> a = b
 
 let check_roundtrip (ev : Sink.event) =
-  let line = Sink.to_json ev in
-  match Sink.event_of_json line with
+  let line = Jsonl.to_line ev in
+  match Jsonl.of_line line with
   | Error msg -> Alcotest.failf "re-parse of %s failed: %s" line msg
   | Ok ev' ->
     Alcotest.(check (float 0.0)) "ts" ev.ts ev'.ts;
@@ -138,13 +139,76 @@ let test_jsonl_roundtrip () =
       { ts = 12345.678; kind = "counter"; fields = [ ("n", Int max_int) ] };
     ]
 
-let test_buffer_sink_trace () =
-  let buf = Buffer.create 256 in
-  let tel = Telemetry.create ~clock:(ticking_clock ()) (Sink.of_buffer buf) in
-  Telemetry.counter tel "c" 1;
-  Telemetry.span tel "s" (fun () -> ());
-  Telemetry.event tel "decision" [ ("src", Sink.Str "vsids"); ("level", Sink.Int 4) ];
-  let events = Sink.events_of_string (Buffer.contents buf) in
+(* Literal bytes of the two wire formats: a trace line, and the aggregate
+   document written to bench_results.json.  Saved traces and results files
+   are read back by bmcprof and by scripts, so these must not drift. *)
+let test_trace_line_golden () =
+  let ev =
+    {
+      Sink.ts = 0.0213;
+      kind = "span";
+      fields =
+        [
+          ("name", Sink.Str "bcp");
+          ("dur", Sink.Float 0.0034);
+          ("count", Sink.Int 1841);
+          ("whole", Sink.Float 2.0);
+          ("ok", Sink.Bool true);
+          ("note", Sink.Str "say \"hi\"\n\t\\");
+        ];
+    }
+  in
+  Alcotest.(check string) "trace line"
+    {|{"ts":0.0213,"ev":"span","name":"bcp","dur":0.0034,"count":1841,"whole":2.0,"ok":true,"note":"say \"hi\"\n\t\\"}|}
+    (Jsonl.to_line ev)
+
+let test_aggregate_golden () =
+  let agg = Sink.aggregate () in
+  let sink = Sink.of_aggregate agg in
+  let emit kind fields = sink.Sink.emit { Sink.ts = 0.0; kind; fields } in
+  emit "span" [ ("name", Sink.Str "bcp"); ("dur", Sink.Float 0.25) ];
+  emit "span" [ ("name", Sink.Str "bcp"); ("dur", Sink.Float 0.5); ("count", Sink.Int 3) ];
+  emit "counter" [ ("name", Sink.Str "clauses"); ("value", Sink.Int 42) ];
+  emit "gauge" [ ("name", Sink.Str "heap_mb"); ("value", Sink.Float 1.5) ];
+  emit "decision" [ ("src", Sink.Str "vsids"); ("level", Sink.Int 2) ];
+  emit "depth"
+    [
+      ("depth", Sink.Int 0);
+      ("outcome", Sink.Str "unsat");
+      ("solve_s", Sink.Float 0.125);
+      ("switched", Sink.Bool false);
+    ];
+  emit "depth"
+    [
+      ("depth", Sink.Int 1);
+      ("outcome", Sink.Str "sat");
+      ("solve_s", Sink.Float 1e-7);
+      ("decisions", Sink.Int 17);
+    ];
+  Alcotest.(check string) "aggregate document"
+    {|{"spans":{"bcp":{"count":4,"seconds":0.75}},"counters":{"clauses":42},"gauges":{"heap_mb":1.5},"events":{"decision":1,"decision.vsids":1},"depths":[{"depth":0,"outcome":"unsat","solve_s":0.125,"switched":false},{"depth":1,"outcome":"sat","solve_s":1e-07,"decisions":17}]}|}
+    (Obs.Json.to_string (Jsonl.aggregate_to_json agg))
+
+(* Hand [f] a JSONL channel sink over a fresh temp file, then parse the
+   file back. *)
+let with_trace_file f =
+  let path = Filename.temp_file "telemetry" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out path in
+      f (Jsonl.of_channel oc);
+      close_out oc;
+      Jsonl.events_of_string (In_channel.with_open_bin path In_channel.input_all))
+
+let test_channel_sink_trace () =
+  let events =
+    with_trace_file (fun sink ->
+        let tel = Telemetry.create ~clock:(ticking_clock ()) sink in
+        Telemetry.counter tel "c" 1;
+        Telemetry.span tel "s" (fun () -> ());
+        Telemetry.event tel "decision" [ ("src", Sink.Str "vsids"); ("level", Sink.Int 4) ])
+  in
   Alcotest.(check int) "one line per event" 3 (List.length events);
   Alcotest.(check (list string)) "kinds in order" [ "counter"; "span"; "decision" ]
     (List.map (fun (e : Sink.event) -> e.kind) events);
@@ -155,9 +219,11 @@ let test_buffer_sink_trace () =
   Alcotest.(check int) "re-aggregated counter" 1 (Sink.counter_value agg "c");
   Alcotest.(check int) "re-aggregated decision" 1 (Sink.tally_value agg "decision.vsids")
 
+let nested_line = {|{"ts":0.0,"ev":"x","nest":{"a":1}}|}
+
 let test_event_of_json_rejects_garbage () =
   let bad s =
-    match Sink.event_of_json s with
+    match Jsonl.of_line s with
     | Ok _ -> Alcotest.failf "expected parse failure on %s" s
     | Error _ -> ()
   in
@@ -165,41 +231,51 @@ let test_event_of_json_rejects_garbage () =
   bad "not json";
   bad "{\"ts\":0.0}";
   bad "[1,2,3]";
-  bad "{\"ts\":0.0,\"ev\":\"x\" trailing"
+  bad "{\"ts\":0.0,\"ev\":\"x\" trailing";
+  bad nested_line
+
+let test_events_of_string_raises_failure () =
+  List.iter
+    (fun doc ->
+      match Jsonl.events_of_string doc with
+      | _ -> Alcotest.failf "expected Failure on %s" doc
+      | exception Failure _ -> ())
+    [ "not json\n"; {|{"ts":0.0,"ev":"ok"}|} ^ "\n" ^ nested_line ^ "\n" ]
 
 (* ------------------------------------------------------------------ *)
 (* Domain safety.                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_two_domain_hammer () =
-  (* Two domains hammer the same buffer + aggregate sinks.  Without the
-     per-sink mutex this loses events (racy [Buffer] / [Hashtbl] mutation)
+  (* Two domains hammer the same channel + aggregate sinks.  Without the
+     per-sink mutex this loses events (racy channel / [Hashtbl] mutation)
      or interleaves JSONL lines; with it, every event survives and every
      line parses. *)
   let n = 5_000 in
-  let buf = Buffer.create (n * 64) in
   let agg = Sink.aggregate () in
-  let sink = Sink.tee [ Sink.of_buffer buf; Sink.of_aggregate agg ] in
-  let worker d () =
-    for i = 1 to n do
-      sink.Sink.emit
-        {
-          Sink.ts = float_of_int i;
-          kind = "counter";
-          fields = [ ("name", Sink.Str "hits"); ("value", Sink.Int 1) ];
-        };
-      sink.Sink.emit
-        { Sink.ts = float_of_int i; kind = "decision"; fields = [ ("src", Sink.Str d) ] }
-    done
+  let events =
+    with_trace_file (fun trace ->
+        let sink = Sink.tee [ trace; Sink.of_aggregate agg ] in
+        let worker d () =
+          for i = 1 to n do
+            sink.Sink.emit
+              {
+                Sink.ts = float_of_int i;
+                kind = "counter";
+                fields = [ ("name", Sink.Str "hits"); ("value", Sink.Int 1) ];
+              };
+            sink.Sink.emit
+              { Sink.ts = float_of_int i; kind = "decision"; fields = [ ("src", Sink.Str d) ] }
+          done
+        in
+        let d1 = Domain.spawn (worker "left") in
+        let d2 = Domain.spawn (worker "right") in
+        Domain.join d1;
+        Domain.join d2)
   in
-  let d1 = Domain.spawn (worker "left") in
-  let d2 = Domain.spawn (worker "right") in
-  Domain.join d1;
-  Domain.join d2;
   Alcotest.(check int) "no counter increment lost" (2 * n) (Sink.counter_value agg "hits");
   Alcotest.(check int) "tally per domain" n (Sink.tally_value agg "decision.left");
   Alcotest.(check int) "tally other domain" n (Sink.tally_value agg "decision.right");
-  let events = Sink.events_of_string (Buffer.contents buf) in
   Alcotest.(check int) "every JSONL line intact" (4 * n) (List.length events)
 
 let test_two_domain_span_nesting () =
@@ -285,8 +361,12 @@ let tests =
     Alcotest.test_case "counter/gauge/tally aggregation" `Quick test_counter_aggregation;
     Alcotest.test_case "span aggregation and report" `Quick test_span_aggregation;
     Alcotest.test_case "JSONL round-trip" `Quick test_jsonl_roundtrip;
-    Alcotest.test_case "buffer sink produces parsable JSONL" `Quick test_buffer_sink_trace;
+    Alcotest.test_case "trace line golden" `Quick test_trace_line_golden;
+    Alcotest.test_case "aggregate document golden" `Quick test_aggregate_golden;
+    Alcotest.test_case "channel sink produces parsable JSONL" `Quick test_channel_sink_trace;
     Alcotest.test_case "event_of_json rejects garbage" `Quick test_event_of_json_rejects_garbage;
+    Alcotest.test_case "events_of_string raises Failure" `Quick
+      test_events_of_string_raises_failure;
     Alcotest.test_case "two-domain sink hammer" `Quick test_two_domain_hammer;
     Alcotest.test_case "two-domain span nesting is domain-local" `Quick
       test_two_domain_span_nesting;
