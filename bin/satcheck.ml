@@ -276,7 +276,17 @@ let metrics =
 
 let cmd =
   let doc = "CDCL SAT solver with unsatisfiable-core extraction" in
-  let info = Cmd.info "satcheck" ~doc in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P "Solves a DIMACS CNF formula.  Exit status: 10 satisfiable, 20 unsatisfiable, 0 \
+          unknown (budget exhausted), 2 input error.";
+      `P "On SAT, the $(b,v) line lists the formula's variables: 1 up to the highest \
+          variable a clause mentions.  The header's variable count only bounds them; a \
+          declared variable that no clause mentions is unconstrained and is not listed.";
+    ]
+  in
+  let info = Cmd.info "satcheck" ~doc ~man in
   Cmd.v info
     Term.(
       const run $ file $ core $ core_min $ stats $ max_conflicts $ max_seconds $ assume

@@ -324,8 +324,15 @@ type t = {
   fold_cores : bool;
   with_proof : bool;
   solver : Sat.Solver.t option; (* the live solver, Persistent only *)
-  mutable fresh_solver : Sat.Solver.t option; (* last per-instance solver, Fresh only *)
-  mutable pending : Sat.Cnf.t option; (* the open instance's formula, Fresh only *)
+  mutable fresh_solver : Sat.Solver.t option;
+      (* the solved instance's solver, Fresh only; [None] from
+         [begin_instance] until the instance is solved *)
+  mutable spare : Sat.Solver.t option;
+      (* Fresh only: the one solver every instance is reloaded into,
+         created at the first solve *)
+  mutable formula : Sat.Cnf.t option;
+      (* Fresh only: the instance formula, refilled in place at every
+         depth, created at the first instance *)
   mutable act : Sat.Lit.t option; (* the open instance's activation literal *)
   mutable instance_k : int; (* depth of the open instance; -1 before the first *)
   mutable instance_open : bool;
@@ -393,7 +400,8 @@ let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true)
     with_proof;
     solver;
     fresh_solver = None;
-    pending = None;
+    spare = None;
+    formula = None;
     act = None;
     instance_k = -1;
     instance_open = false;
@@ -527,7 +535,15 @@ let begin_instance ?frames t ~k =
     t.act <- Some (Sat.Lit.pos act)
   | Fresh ->
     t.fresh_solver <- None;
-    t.pending <- Some (Unroll.base_cnf t.unroll ~k:frames));
+    let cnf =
+      match t.formula with
+      | Some cnf -> cnf
+      | None ->
+        let cnf = Sat.Cnf.create () in
+        t.formula <- Some cnf;
+        cnf
+    in
+    Unroll.fill_base t.unroll ~k:frames cnf);
   t.instance_k <- k;
   t.instance_open <- true;
   t.build_acc <- t.build_acc +. (Sys.time () -. tb)
@@ -543,7 +559,7 @@ let constrain t clause =
     let act = match t.act with Some a -> a | None -> assert false in
     Sat.Solver.add_clause (live_solver t) (clause @ [ Sat.Lit.negate act ])
   | Fresh -> (
-    match t.pending with
+    match t.formula with
     | Some cnf -> Sat.Cnf.add_clause cnf clause
     | None -> assert false));
   t.build_acc <- t.build_acc +. (Sys.time () -. tb)
@@ -559,7 +575,7 @@ let fresh_lit t =
     Sat.Solver.mark_local (live_solver t) v;
     Sat.Lit.pos v
   | Fresh -> (
-    match t.pending with
+    match t.formula with
     | Some cnf -> Sat.Lit.pos (Sat.Cnf.fresh_var cnf)
     | None -> assert false)
 
@@ -599,13 +615,32 @@ let solve_instance t =
       let act = match t.act with Some a -> a | None -> assert false in
       (solver, [ act ])
     | Fresh ->
-      let cnf = match t.pending with Some c -> c | None -> assert false in
+      let cnf = match t.formula with Some c -> c | None -> assert false in
       let mode = order_mode cfg t.unroll t.sc ~k in
+      (* one solver's storage per session: the previous instance's solver,
+         whose model was read before this instance began, is reloaded in
+         place into exactly the solver [create] would build.  A rebuild
+         forced a minor collection, and with it a major slice, at every
+         depth; a reload allocates too little to trigger either, and the
+         previous depth's garbage would float in the major heap for a whole
+         check.  One explicit slice per depth keeps that cadence. *)
       let solver =
-        Sat.Solver.create ~with_proof:t.with_proof ~mode ~telemetry:cfg.telemetry cnf
+        match t.spare with
+        | Some s ->
+          ignore (Gc.major_slice 0 : int);
+          Sat.Solver.reload ~mode s cnf;
+          s
+        | None ->
+          let s =
+            Sat.Solver.create ~with_proof:t.with_proof ~mode ~telemetry:cfg.telemetry cnf
+          in
+          t.spare <- Some s;
+          s
       in
-      (* a Custom mode's hooks are per-solver, so a Fresh policy rebuilds
-         them for every instance (no cross-depth heuristic state) *)
+      (* a Custom mode's hooks are per-instance, so a Fresh policy rebuilds
+         them for every instance (no cross-depth heuristic state); the
+         reload dropped the previous ones, the restart base and the
+         recorder *)
       (match cfg.mode with
       | Custom { c_hooks = Some mk; _ } ->
         Sat.Solver.set_order ~hooks:(mk t.unroll t.sc ~solver) solver mode

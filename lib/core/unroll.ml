@@ -125,16 +125,18 @@ let depth t = t.depth
 
 (* Frames are materialised in order, so frames 0..k are a prefix of the
    base. *)
+let fill_base t ~k cnf =
+  extend_to t k;
+  Sat.Cnf.reset cnf ~num_vars:(Sat.Vec.get t.frame_var_limit k);
+  for i = 0 to Sat.Vec.get t.frame_clause_limit k - 1 do
+    Sat.Cnf.add_clause_a cnf (Sat.Vec.get t.base i)
+  done
+
 let base_cnf t ~k =
   extend_to t k;
-  let n = Sat.Vec.get t.frame_clause_limit k in
   (* one slot more for the property unit callers add *)
-  let cnf =
-    Sat.Cnf.create ~num_vars:(Sat.Vec.get t.frame_var_limit k) ~capacity:(n + 1) ()
-  in
-  for i = 0 to n - 1 do
-    Sat.Cnf.add_clause_a cnf (Sat.Vec.get t.base i)
-  done;
+  let cnf = Sat.Cnf.create ~capacity:(Sat.Vec.get t.frame_clause_limit k + 1) () in
+  fill_base t ~k cnf;
   cnf
 
 let instance t ~k =

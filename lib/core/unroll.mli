@@ -39,6 +39,11 @@ val base_cnf : t -> k:int -> Sat.Cnf.t
     unroller's clause arrays: each clause is built once, when its frame is
     materialised, and is never mutated. *)
 
+val fill_base : t -> k:int -> Sat.Cnf.t -> unit
+(** Make the given formula {!base_cnf} [~k] in place, reusing its clause
+    storage: the per-depth refill of a {!Session}'s [Fresh] instance
+    formula. *)
+
 val instance : t -> k:int -> Sat.Cnf.t
 (** The depth-k BMC instance: base clauses for frames 0..k plus [¬P(V^k)].
     Extends the unrolling as needed.  The returned formula is a snapshot;

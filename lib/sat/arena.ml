@@ -31,6 +31,13 @@ let words ~clauses ~literals = (hdr_words * clauses) + literals
 let create ?(capacity = 1024) () =
   { data = Array.make (max capacity hdr_words) 0; size = 0; wasted = 0 }
 
+(* Stale words need no clearing: [alloc] writes every word of a block. *)
+let reset a ~capacity =
+  a.size <- 0;
+  a.wasted <- 0;
+  if Array.length a.data < capacity then
+    a.data <- Array.make (max capacity (2 * Array.length a.data)) 0
+
 (* Accessors are unchecked: a cref is only ever obtained from [alloc] or
    [reloc], so the block bounds are an invariant, not a runtime question. *)
 let[@inline] header a cr = Array.unsafe_get a.data cr
@@ -183,6 +190,11 @@ module Watch = struct
     set w (w.len - 1) b c
 
   let truncate w n = w.len <- n
+
+  let reset w ~capacity =
+    w.len <- 0;
+    if Array.length w.data < 2 * capacity then
+      w.data <- Array.make (2 * max capacity (Array.length w.data)) 0
 
   let filter_crefs w keep =
     let j = ref 0 in

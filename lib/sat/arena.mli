@@ -46,6 +46,11 @@ val create : ?capacity:int -> unit -> t
 (** Fresh arena. [capacity] (default 1024) pre-allocates that many words
     (see {!words}). *)
 
+val reset : t -> capacity:int -> unit
+(** Drop every block, keeping the storage, and make room for at least
+    [capacity] words: an arena short of it grows to
+    [max capacity (2 * current)] words. *)
+
 val alloc : t -> cid:int -> learnt:bool -> ?tainted:bool -> Lit.t array -> int -> cref
 (** [alloc a ~cid ~learnt lits n] appends a block holding the first [n]
     literals of [lits] — a whole clause array, or a scratch buffer the
@@ -165,6 +170,11 @@ module Watch : sig
   val truncate : w -> int -> unit
   (** Keep the first [n] pairs; capacity (and the int payload) is retained,
       no dummy-filling needed. *)
+
+  val reset : w -> capacity:int -> unit
+  (** Empty the list and make room for at least [capacity] pairs: a list
+      short of it grows to [max capacity (2 * current)] pairs, one that
+      has it keeps its storage. *)
 
   val filter_crefs : w -> (cref -> bool) -> unit
   (** Keep only pairs whose cref satisfies the predicate, preserving order

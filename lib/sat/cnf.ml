@@ -10,6 +10,12 @@ let create ?(num_vars = 0) ?capacity () =
   if num_vars < 0 then invalid_arg "Cnf.create";
   { num_vars; clauses = Vec.create ?capacity ~dummy:[||] (); num_literals = 0 }
 
+let reset ?(num_vars = 0) f =
+  if num_vars < 0 then invalid_arg "Cnf.reset";
+  f.num_vars <- num_vars;
+  Vec.clear f.clauses;
+  f.num_literals <- 0
+
 let num_vars f = f.num_vars
 
 let num_clauses f = Vec.length f.clauses
@@ -47,15 +53,21 @@ let fold_clauses g acc f = Vec.fold g acc f.clauses
 
 let num_literals f = f.num_literals
 
-let occurrences f =
-  let counts = Array.make (2 * f.num_vars) 0 in
+let count_occurrences f ~into =
+  if Array.length into < 2 * f.num_vars then
+    invalid_arg "Cnf.count_occurrences: buffer too short";
+  Array.fill into 0 (2 * f.num_vars) 0;
   Vec.iter
     (fun c ->
       for i = 0 to Array.length c - 1 do
         let l = Lit.to_index c.(i) in
-        counts.(l) <- counts.(l) + 1
+        into.(l) <- into.(l) + 1
       done)
-    f.clauses;
+    f.clauses
+
+let occurrences f =
+  let counts = Array.make (2 * f.num_vars) 0 in
+  count_occurrences f ~into:counts;
   counts
 
 (* Clauses are short (Tseitin gates give two or three literals), so they
@@ -108,7 +120,15 @@ let eval f assign =
   Vec.iter (fun c -> if not (eval_clause c assign) then sat := false) f.clauses;
   !sat
 
-let copy f = { f with clauses = Vec.copy f.clauses }
+let copy_into f ~into =
+  reset into ~num_vars:f.num_vars;
+  Vec.iter (Vec.push into.clauses) f.clauses;
+  into.num_literals <- f.num_literals
+
+let copy f =
+  let g = create ~capacity:(num_clauses f) () in
+  copy_into f ~into:g;
+  g
 
 let pp ppf f =
   Format.fprintf ppf "@[<v>p cnf %d %d" f.num_vars (num_clauses f);

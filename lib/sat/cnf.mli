@@ -17,6 +17,10 @@ val create : ?num_vars:int -> ?capacity:int -> unit -> t
 (** Fresh formula with [num_vars] pre-allocated variables (default 0) and
     room for [capacity] clauses before it regrows (default 16). *)
 
+val reset : ?num_vars:int -> t -> unit
+(** Empty the formula in place and set its variable count to [num_vars]
+    (default 0), keeping the clause vector's storage for the next fill. *)
+
 val num_vars : t -> int
 
 val num_clauses : t -> int
@@ -52,6 +56,11 @@ val occurrences : t -> int array
 (** Occurrences of each literal over all clauses, indexed by
     {!Lit.to_index} (length [2 * num_vars]). *)
 
+val count_occurrences : t -> into:int array -> unit
+(** {!occurrences} written into the first [2 * num_vars] slots of a
+    caller-owned buffer; later slots are left alone.
+    @raise Invalid_argument if [into] is shorter than that. *)
+
 val normalize_into : clause -> into:Lit.t array -> int
 (** The clause normaliser.  [normalize_into c ~into] writes the literals of
     [c] into the first slots of [into], sorted ascending by {!Lit.compare}
@@ -73,6 +82,10 @@ val eval_clause : clause -> (Lit.var -> bool) -> bool
 val copy : t -> t
 (** An independent formula over the same clauses: adding to either leaves
     the other unchanged.  The clause arrays themselves are shared. *)
+
+val copy_into : t -> into:t -> unit
+(** [copy_into f ~into] makes [into] a {!copy} of [f] in place, reusing
+    [into]'s storage.  [into] must not be [f]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable listing, one clause per line in DIMACS notation. *)

@@ -20,8 +20,10 @@ let feed st lineno line =
     | [ "p"; "cnf"; v; c ] -> (
       match (int_of_string_opt v, int_of_string_opt c) with
       | Some v, Some c when v >= 0 && c >= 0 ->
-        st.header <- Some (v, c);
-        Cnf.ensure_vars st.cnf v
+        (* the declared count only bounds the variables: the formula is
+           sized from the ones its clauses mention, so a header cannot make
+           the reader allocate *)
+        st.header <- Some (v, c)
       | _ -> error lineno "malformed 'p cnf' header")
     | _ -> error lineno "malformed 'p cnf' header"
   end

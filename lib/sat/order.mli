@@ -32,6 +32,12 @@ type mode =
 
 val create : num_vars:int -> mode -> t
 
+val reset : t -> num_vars:int -> mode -> unit
+(** Return [t] to the state [create ~num_vars mode] builds: scores zero,
+    heap empty, [mode]'s ranking installed.  The arrays are reused, and
+    grow geometrically when [num_vars] outgrows them; {!create} is this
+    reset applied to empty storage. *)
+
 val mode_uses_rank : t -> bool
 (** Whether the rank component is currently part of the decision key. *)
 
@@ -41,7 +47,8 @@ val is_dynamic : t -> bool
 
 val init_activity : t -> int array -> unit
 (** Set every literal's score to its occurrence count in the formula, as
-    {!Cnf.occurrences} gives it. *)
+    {!Cnf.occurrences} gives it.  Entries past the order's literals are
+    ignored, so a longer reused count buffer works too. *)
 
 val rebuild : t -> is_unassigned:(Lit.var -> bool) -> unit
 (** Fill the heap with (the literals of) all currently unassigned

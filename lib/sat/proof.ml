@@ -28,6 +28,15 @@ let create ?(timed = false) ?(solver_id = 0) () =
     cdg_time = 0.0;
   }
 
+let reset t =
+  Vec.clear t.nodes;
+  t.n_original <- 0;
+  t.n_import <- 0;
+  t.n_learnt <- 0;
+  t.n_edges <- 0;
+  t.final <- None;
+  t.cdg_time <- 0.0
+
 let solver_id t = t.solver_id
 
 (* Never clocked: originals are registered while a formula loads, outside

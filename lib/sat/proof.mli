@@ -34,6 +34,11 @@ val create : ?timed:bool -> ?solver_id:int -> unit -> t
     global provenance id; callers that intend to stitch shards (the
     portfolio coordinator) must allocate distinct ids. *)
 
+val reset : t -> unit
+(** Drop every node, the final conflict and the CDG clock, keeping the
+    node vector's storage, [timed] and the solver id: the state {!create}
+    builds. *)
+
 val solver_id : t -> int
 (** This shard's provenance id. *)
 

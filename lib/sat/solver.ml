@@ -69,13 +69,14 @@ type t = {
   trail : Lit.t Vec.t;
   trail_lim : int Vec.t; (* trail index at the start of each decision level *)
   mutable qhead : int;
-  mutable order : Order.t;
+  order : Order.t;
   sid : int; (* global solver id (proof provenance); 0 outside a portfolio *)
   proof : Proof.t option;
   mutable cnf_index : int array;
       (* proof pseudo ID -> original clause index, -1 for every other node
          (learnts, imports); grown on demand, see [set_cnf_index] *)
   mutable norm_buf : Lit.t array; (* [add_original]'s normalisation scratch *)
+  mutable occ : int array; (* [load]'s occurrence-count scratch, per literal *)
   learnt_lits : (int, Lit.t list) Hashtbl.t; (* proof ID -> literals (proof mode) *)
   drat : Checker.event Vec.t option; (* clausal proof, when requested *)
   stats : Stats.t;
@@ -256,81 +257,16 @@ let add_original t index lits =
     else attach t cr
   end
 
-let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode = Order.Vsids)
-    ?(telemetry = Telemetry.disabled) ?(solver_id = 0) cnf =
-  let cnf = Cnf.copy cnf in
-  let nvars = Cnf.num_vars cnf in
-  let occurrences = Cnf.occurrences cnf in
-  let order = Order.create ~num_vars:nvars mode in
-  Order.init_activity order occurrences;
-  (* Presize from the formula.  The arena gets room for every original plus
-     the default 1024 words for learnts: on the falsify benchmark workload a
-     per-depth solver's learnts peak at 358 words (p90 227), and a solver
-     that outgrows the slack doubles the arena as before.  Each watch list
-     gets its literal's occurrence count, an upper bound on the clauses that
-     will watch it. *)
-  let words = Arena.words ~clauses:(Cnf.num_clauses cnf) ~literals:(Cnf.num_literals cnf) in
-  let t =
-    {
-      cnf;
-      nvars;
-      arena = Arena.create ~capacity:(words + 1024) ();
-      learnts = Vec.create ~dummy:Arena.none ();
-      watches = Array.map (fun n -> Arena.Watch.create ~capacity:n ()) occurrences;
-      assigns = Array.make (max nvars 1) unassigned;
-      level = Array.make (max nvars 1) 0;
-      reason = Array.make (max nvars 1) Arena.none;
-      trail = Vec.create ~dummy:(Lit.pos 0) ();
-      trail_lim = Vec.create ~dummy:0 ();
-      qhead = 0;
-      order;
-      sid = solver_id;
-      proof =
-        (if with_proof then
-           Some (Proof.create ~timed:(Telemetry.timing telemetry) ~solver_id ())
-         else None);
-      cnf_index = Array.make (if with_proof then Cnf.num_clauses cnf else 0) (-1);
-      norm_buf = [||];
-      learnt_lits = Hashtbl.create 256;
-      drat = (if with_drat then Some (Vec.create ~dummy:(Checker.Learnt []) ()) else None);
-      stats = Stats.create ();
-      seen = Array.make (max nvars 1) false;
-      trail_height = Array.make (max nvars 1) 0;
-      minimize;
-      ok = true;
-      result = None;
-      conflicts_since_decay = 0;
-      max_learnts = max 4000 (Cnf.num_clauses cnf / 3);
-      gc_fraction = 0.2;
-      dynamic_threshold = max 1 (Cnf.num_literals cnf / 64);
-      luby = Luby.create ~base:128;
-      assumptions = [||];
-      failed_assumptions = [];
-      tel = telemetry;
-      share = None;
-      heur = None;
-      local_mask = Array.make (max nvars 1) false;
-      analysis_tainted = false;
-      frec = None;
-      frozen = Array.make (max nvars 1) false;
-      eliminated = Array.make (max nvars 1) false;
-      elim_stack = [];
-      cur_budget = no_budget;
-      solve_start = 0.0;
-      props_at_poll = 0;
-    }
-  in
-  Cnf.iter_clauses (fun i c -> add_original t i c) cnf;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* Incremental interface: growing the variable space and the formula.  *)
-(* ------------------------------------------------------------------ *)
-
 let grow_array src size init =
   let dst = Array.make size init in
   Array.blit src 0 dst 0 (Array.length src);
   dst
+
+(* Filler for a growing watches array, replaced in every slot before use.
+   A large [Array.init] whose first element is a fresh (young) record
+   forces a minor collection; filling from this long-promoted value does
+   not. *)
+let no_watch = Arena.Watch.create ()
 
 let ensure_vars t n =
   if n > t.nvars then begin
@@ -350,14 +286,151 @@ let ensure_vars t n =
       t.local_mask <- grow_array t.local_mask cap false;
       t.frozen <- grow_array t.frozen cap false;
       t.eliminated <- grow_array t.eliminated cap false;
-      let watches = Array.init nlits (fun _ -> Arena.Watch.create ()) in
-      Array.blit t.watches 0 watches 0 (Array.length t.watches);
+      let have = Array.length t.watches in
+      let watches = Array.make nlits no_watch in
+      Array.blit t.watches 0 watches 0 have;
+      for i = have to nlits - 1 do
+        watches.(i) <- Arena.Watch.create ()
+      done;
       t.watches <- watches
     end;
     Order.grow t.order ~num_vars:n;
     Cnf.ensure_vars t.cnf n;
     t.nvars <- n
   end
+
+(* Reset [t] to exactly the state [create ~mode cnf] builds, over the
+   storage [t] already holds.  [create] is this load on empty storage, so a
+   reloaded solver and a new one cannot drift apart.  Proof and DRAT
+   logging, minimisation, telemetry and the solver id stay as [create] fixed
+   them; everything else starts over: counters, budgets and thresholds,
+   hooks, sharing, the recorder, assumptions and inprocessing state.
+
+   Storage the formula outgrows grows geometrically (×2), so a run of
+   growing formulas reallocates each array O(log n) times; storage it does
+   not outgrow is cleared and kept.  On empty storage every size is exact,
+   as it always was: the arena gets room for every original plus the
+   default 1024 words for learnts (on the falsify benchmark workload a
+   per-depth solver's learnts peak at 358 words, p90 227, and a solver that
+   outgrows the slack doubles the arena as before), and each watch list its
+   literal's occurrence count, an upper bound on the clauses that will
+   watch it.  The initial literal activities are the same counts. *)
+let load t mode src =
+  let cnf = t.cnf in
+  Cnf.copy_into src ~into:cnf;
+  let nvars = Cnf.num_vars cnf in
+  t.occ <- Vec.reuse t.occ (2 * nvars) 0;
+  Cnf.count_occurrences cnf ~into:t.occ;
+  Order.reset t.order ~num_vars:nvars mode;
+  Order.init_activity t.order t.occ;
+  let words = Arena.words ~clauses:(Cnf.num_clauses cnf) ~literals:(Cnf.num_literals cnf) in
+  Arena.reset t.arena ~capacity:(words + 1024);
+  Vec.clear_retain t.learnts;
+  (* every per-variable slot back to its initial value, then room for the
+     formula's variables through the incremental path's growth *)
+  Array.fill t.assigns 0 (Array.length t.assigns) unassigned;
+  Array.fill t.level 0 (Array.length t.level) 0;
+  Array.fill t.reason 0 (Array.length t.reason) Arena.none;
+  Array.fill t.seen 0 (Array.length t.seen) false;
+  Array.fill t.trail_height 0 (Array.length t.trail_height) 0;
+  Array.fill t.local_mask 0 (Array.length t.local_mask) false;
+  Array.fill t.frozen 0 (Array.length t.frozen) false;
+  Array.fill t.eliminated 0 (Array.length t.eliminated) false;
+  Array.iter (fun w -> Arena.Watch.truncate w 0) t.watches;
+  t.nvars <- 0;
+  ensure_vars t nvars;
+  for i = 0 to (2 * nvars) - 1 do
+    Arena.Watch.reset t.watches.(i) ~capacity:t.occ.(i)
+  done;
+  Vec.clear_retain t.trail;
+  Vec.clear_retain t.trail_lim;
+  t.qhead <- 0;
+  (match t.proof with Some p -> Proof.reset p | None -> ());
+  t.cnf_index <- Vec.reuse t.cnf_index (if t.proof = None then 0 else Cnf.num_clauses cnf) (-1);
+  Hashtbl.clear t.learnt_lits;
+  (match t.drat with Some d -> Vec.clear d | None -> ());
+  Stats.reset t.stats;
+  t.ok <- true;
+  t.result <- None;
+  t.conflicts_since_decay <- 0;
+  t.max_learnts <- max 4000 (Cnf.num_clauses cnf / 3);
+  t.gc_fraction <- 0.2;
+  t.dynamic_threshold <- max 1 (Cnf.num_literals cnf / 64);
+  t.luby <- Luby.create ~base:128;
+  t.assumptions <- [||];
+  t.failed_assumptions <- [];
+  t.share <- None;
+  t.heur <- None;
+  t.analysis_tainted <- false;
+  t.frec <- None;
+  t.elim_stack <- [];
+  t.cur_budget <- no_budget;
+  t.solve_start <- 0.0;
+  t.props_at_poll <- 0;
+  Cnf.iter_clauses (fun i c -> add_original t i c) cnf
+
+let reload ?(mode = Order.Vsids) t cnf = load t mode cnf
+
+let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode = Order.Vsids)
+    ?(telemetry = Telemetry.disabled) ?(solver_id = 0) cnf =
+  (* empty storage and what [load] keeps; [load] sets everything else *)
+  let t =
+    {
+      cnf = Cnf.create ~capacity:(Cnf.num_clauses cnf) ();
+      nvars = 0;
+      arena = Arena.create ~capacity:0 ();
+      learnts = Vec.create ~dummy:Arena.none ();
+      watches = [||];
+      assigns = [||];
+      level = [||];
+      reason = [||];
+      trail = Vec.create ~dummy:(Lit.pos 0) ();
+      trail_lim = Vec.create ~dummy:0 ();
+      qhead = 0;
+      order = Order.create ~num_vars:0 Order.Vsids;
+      sid = solver_id;
+      proof =
+        (if with_proof then
+           Some (Proof.create ~timed:(Telemetry.timing telemetry) ~solver_id ())
+         else None);
+      cnf_index = [||];
+      norm_buf = [||];
+      occ = [||];
+      learnt_lits = Hashtbl.create 256;
+      drat = (if with_drat then Some (Vec.create ~dummy:(Checker.Learnt []) ()) else None);
+      stats = Stats.create ();
+      seen = [||];
+      trail_height = [||];
+      minimize;
+      ok = true;
+      result = None;
+      conflicts_since_decay = 0;
+      max_learnts = 0;
+      gc_fraction = 0.0;
+      dynamic_threshold = 0;
+      luby = Luby.create ~base:128;
+      assumptions = [||];
+      failed_assumptions = [];
+      tel = telemetry;
+      share = None;
+      heur = None;
+      local_mask = [||];
+      analysis_tainted = false;
+      frec = None;
+      frozen = [||];
+      eliminated = [||];
+      elim_stack = [];
+      cur_budget = no_budget;
+      solve_start = 0.0;
+      props_at_poll = 0;
+    }
+  in
+  load t mode cnf;
+  t
+
+(* ------------------------------------------------------------------ *)
+(* Incremental interface: growing the variable space and the formula.  *)
+(* ------------------------------------------------------------------ *)
 
 let new_var t =
   let v = t.nvars in

@@ -86,6 +86,32 @@ val create :
     each racer its exchange endpoint id so [(solver id, clause id)] pairs
     travelling with shared clauses resolve unambiguously. *)
 
+val reload : ?mode:Order.mode -> t -> Cnf.t -> unit
+(** [reload ~mode t cnf] resets [t] in place to exactly the solver
+    [create ~mode cnf] would build with [t]'s own creation options, and
+    keeps [t]'s storage: the per-variable arrays, the watch lists
+    (emptied, their capacity kept), the clause arena, the order heap, the
+    proof-node vector, the trail and the DRAT log.  A formula that
+    outgrows the storage grows it geometrically (×2).  [create] itself is
+    this reset applied to empty storage, so the two agree by
+    construction: the same load order, normalisation, initial activities,
+    ranking, thresholds and Luby sequence, hence the same search.
+
+    What survives a reload: [with_proof], [with_drat], [minimize],
+    [telemetry] and [solver_id].  What is reset, exactly as {!create} sets
+    it: the formula and [mode] (default {!Order.Vsids}), every {!Stats.t}
+    counter (zeroed in place, so [stats t] reads zero again), the learnt
+    clauses and proof graph, the Luby sequence (a {!set_restart_base} is
+    undone), the learnt limit ({!set_max_learnts}), the GC fraction
+    ({!set_gc_fraction}), the [Dynamic] threshold, the outcome and any
+    assumption state, the {!set_order} hooks, {!set_share} and
+    {!set_recorder} installations, and the inprocessing state (frozen and
+    eliminated variables and the model-reconstruction stack).  The last
+    model and core are gone: read them before reloading.
+
+    This is how a per-depth BMC loop (the paper's Figure 5) keeps one
+    solver's heap instead of building a new solver at every depth. *)
+
 val solve : ?budget:budget -> ?assumptions:Lit.t list -> t -> outcome
 (** Run the search, optionally under assumptions.  Each call starts from
     decision level 0 but keeps learnt clauses and activities.  With

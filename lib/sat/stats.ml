@@ -63,6 +63,37 @@ let create () =
     analyze_time = 0.0;
   }
 
+let reset s =
+  s.decisions <- 0;
+  s.decisions_rank <- 0;
+  s.decisions_vsids <- 0;
+  s.propagations <- 0;
+  s.conflicts <- 0;
+  s.restarts <- 0;
+  s.learned <- 0;
+  s.deleted <- 0;
+  s.max_decision_level <- 0;
+  s.heuristic_switches <- 0;
+  s.blocker_hits <- 0;
+  s.arena_bytes <- 0;
+  s.arena_compactions <- 0;
+  s.shared_exported <- 0;
+  s.shared_imported <- 0;
+  s.shared_rejected_tainted <- 0;
+  s.shared_throttled <- 0;
+  s.inpr_runs <- 0;
+  s.inpr_probes <- 0;
+  s.inpr_probe_failed <- 0;
+  s.inpr_satisfied <- 0;
+  s.inpr_subsumed <- 0;
+  s.inpr_strengthened <- 0;
+  s.inpr_eliminated <- 0;
+  s.inpr_resolvents <- 0;
+  s.inpr_time <- 0.0;
+  s.solve_time <- 0.0;
+  s.bcp_time <- 0.0;
+  s.analyze_time <- 0.0
+
 let copy s = { s with decisions = s.decisions }
 
 let add acc s =

@@ -59,6 +59,9 @@ type t = {
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Zero every counter and timer in place. *)
+
 val copy : t -> t
 
 val add : t -> t -> unit

@@ -61,6 +61,13 @@ let shrink_retain v n =
 
 let clear_retain v = v.len <- 0
 
+let reuse a n init =
+  if Array.length a >= n then begin
+    Array.fill a 0 (Array.length a) init;
+    a
+  end
+  else Array.make (max n (2 * Array.length a)) init
+
 let iter f v =
   for i = 0 to v.len - 1 do
     f v.data.(i)
@@ -92,9 +99,6 @@ let of_list ~dummy xs =
   v
 
 let to_array v = Array.sub v.data 0 v.len
-
-let copy v =
-  { v with data = (if v.len = 0 then Array.make 1 v.dummy else Array.sub v.data 0 v.len) }
 
 let filter_in_place p v =
   let j = ref 0 in

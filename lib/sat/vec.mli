@@ -47,6 +47,13 @@ val clear_retain : 'a t -> unit
 (** Logical reset to length 0 without dummy-filling; same safety caveat as
     {!shrink_retain}.  Reuses capacity across refills. *)
 
+val reuse : 'a array -> int -> 'a -> 'a array
+(** [reuse a n init] is storage for [n] slots, all [init]: [a] itself,
+    filled, when it holds at least [n] slots, else a fresh array of
+    [max n (2 * length a)] slots.  The geometric step means a run of
+    growing requests reallocates O(log n) times; the first request on an
+    empty array allocates exactly [n]. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
@@ -60,9 +67,6 @@ val to_list : 'a t -> 'a list
 val of_list : dummy:'a -> 'a list -> 'a t
 
 val to_array : 'a t -> 'a array
-
-val copy : 'a t -> 'a t
-(** An independent vector holding the same elements (a shallow copy). *)
 
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keep only elements satisfying the predicate, preserving order.  O(n). *)

@@ -31,6 +31,17 @@ let test_errors () =
   expect_error "p cnf 2 1\n1 garbage 0\n"; (* bad token *)
   expect_error "" (* missing header *)
 
+(* The header's variable count is an upper bound, not a size: a 23-byte
+   file declaring two billion variables must not allocate for them. *)
+let test_header_count_is_a_bound () =
+  let cnf = Sat.Dimacs.parse_string "p cnf 2000000000 1\n1 0\n" in
+  Alcotest.(check int) "sized from the clauses" 1 (Sat.Cnf.num_vars cnf);
+  Alcotest.(check int) "one clause" 1 (Sat.Cnf.num_clauses cnf);
+  let unused = Sat.Dimacs.parse_string "p cnf 5 1\n-2 0\n" in
+  Alcotest.(check int) "declared but unused variables are not in the formula" 2
+    (Sat.Cnf.num_vars unused);
+  expect_error "p cnf 1 1\n2 0\n"
+
 let test_empty_clause () =
   let cnf = Sat.Dimacs.parse_string "p cnf 1 1\n0\n" in
   Alcotest.(check int) "one empty clause" 1 (Sat.Cnf.num_clauses cnf);
@@ -85,6 +96,7 @@ let tests =
     Alcotest.test_case "multiline clause" `Quick test_parse_multiline_clause;
     Alcotest.test_case "missing final zero" `Quick test_parse_missing_final_zero;
     Alcotest.test_case "errors" `Quick test_errors;
+    Alcotest.test_case "header count is a bound" `Quick test_header_count_is_a_bound;
     Alcotest.test_case "empty clause" `Quick test_empty_clause;
     Alcotest.test_case "print/parse roundtrip" `Quick test_print_parse_roundtrip;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;

@@ -73,21 +73,25 @@ let test_each_frame_loaded_once () =
     (Bmc.Session.loaded_clauses s)
 
 (* ------------------------------------------------------------------ *)
-(* Differential: the session's Fresh policy vs an inline transcription *)
-(* of the seed per-depth algorithm (rebuild Unroll.instance, fresh     *)
-(* solver, Score.update on cores).  Outcomes, decision counts and the  *)
-(* exact core variable sets must coincide at every depth.              *)
+(* Differential: the session's Fresh policy, which reloads one solver  *)
+(* per depth, vs an inline transcription of the seed per-depth         *)
+(* algorithm (rebuild Unroll.instance, a new solver, Score.update on   *)
+(* cores).  Outcomes, search counters and the exact core variable sets *)
+(* must coincide at every depth.                                       *)
 (* ------------------------------------------------------------------ *)
 
 type instance_log = {
   i_depth : int;
   i_outcome : string;
   i_decisions : int;
+  i_implications : int;
+  i_conflicts : int;
   i_core_vars : int list;
 }
 
 let pp_log l =
-  Printf.sprintf "k=%d %s dec=%d core=[%s]" l.i_depth l.i_outcome l.i_decisions
+  Printf.sprintf "k=%d %s dec=%d imp=%d confl=%d core=[%s]" l.i_depth l.i_outcome l.i_decisions
+    l.i_implications l.i_conflicts
     (String.concat "," (List.map string_of_int l.i_core_vars))
 
 let run_seed_style (case : Circuit.Generators.case) ~mode ~max_depth =
@@ -99,9 +103,12 @@ let run_seed_style (case : Circuit.Generators.case) ~mode ~max_depth =
     if k > max_depth then (List.rev acc, None)
     else begin
       let cnf = Bmc.Unroll.instance unroll ~k in
-      let solver =
-        Sat.Solver.create ~with_proof ~mode:(Bmc.Session.order_mode cfg unroll score ~k) cnf
-      in
+      let order = Bmc.Session.order_mode cfg unroll score ~k in
+      let solver = Sat.Solver.create ~with_proof ~mode:order cnf in
+      (match mode with
+      | Bmc.Session.Custom { c_hooks = Some mk; _ } ->
+        Sat.Solver.set_order ~hooks:(mk unroll score ~solver) solver order
+      | _ -> ());
       let outcome = Sat.Solver.solve solver in
       let stats = Sat.Solver.stats solver in
       let core_vars =
@@ -114,6 +121,8 @@ let run_seed_style (case : Circuit.Generators.case) ~mode ~max_depth =
           i_depth = k;
           i_outcome = Sat.Solver.outcome_string outcome;
           i_decisions = stats.Sat.Stats.decisions;
+          i_implications = stats.Sat.Stats.propagations;
+          i_conflicts = stats.Sat.Stats.conflicts;
           i_core_vars = core_vars;
         }
       in
@@ -146,12 +155,21 @@ let run_session_fresh (case : Circuit.Generators.case) ~mode ~max_depth =
           i_depth = k;
           i_outcome = Sat.Solver.outcome_string st.Bmc.Session.outcome;
           i_decisions = st.Bmc.Session.decisions;
+          i_implications = st.Bmc.Session.implications;
+          i_conflicts = st.Bmc.Session.conflicts;
           i_core_vars = Bmc.Session.last_core_vars s;
         }
       in
       match st.Bmc.Session.outcome with
       | Sat.Solver.Unsat -> loop (k + 1) (entry :: acc)
-      | Sat.Solver.Sat -> (List.rev (entry :: acc), Some (Bmc.Session.trace s))
+      | Sat.Solver.Sat ->
+        let trace = Bmc.Session.trace s in
+        (* the next instance reuses the solver: the SAT model is gone *)
+        Bmc.Session.begin_instance s ~k:(k + 1);
+        (match Bmc.Session.model s with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "Session.model answered after the next begin_instance");
+        (List.rev (entry :: acc), Some trace)
       | Sat.Solver.Unknown -> (List.rev (entry :: acc), None)
     end
   in
@@ -161,18 +179,19 @@ let test_fresh_policy_equals_seed_algorithm () =
   List.iter
     (fun ((case : Circuit.Generators.case), max_depth) ->
       List.iter
-        (fun mode ->
-          let seed_log, seed_trace = run_seed_style case ~mode ~max_depth in
-          let sess_log, sess_trace = run_session_fresh case ~mode ~max_depth in
+        (fun name ->
+          (* a registry mode per run: [chb]'s hook state must not be shared *)
+          let mode () = Option.get (Ordering.mode_of_name name) in
+          let seed_log, seed_trace = run_seed_style case ~mode:(mode ()) ~max_depth in
+          let sess_log, sess_trace = run_session_fresh case ~mode:(mode ()) ~max_depth in
           Alcotest.(check (list string))
-            (Printf.sprintf "%s/%s: identical per-depth instances" case.name
-               (Format.asprintf "%a" Bmc.Session.pp_mode mode))
+            (Printf.sprintf "%s/%s: identical per-depth instances" case.name name)
             (List.map pp_log seed_log) (List.map pp_log sess_log);
           Alcotest.(check bool)
             (case.name ^ ": identical counterexample traces")
             true
             (seed_trace = sess_trace))
-        [ Bmc.Session.Standard; Bmc.Session.Static ])
+        [ "standard"; "static"; "dynamic"; "chb" ])
     [
       (Circuit.Generators.counter_en ~bits:3 ~target:5 (), 8);
       (Circuit.Generators.ring ~len:4 (), 5);

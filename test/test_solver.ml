@@ -506,6 +506,168 @@ let prop_compaction_neutral_randomised =
       | Sat.Solver.Unsat -> Sat.Solver.core_vars s1 = Sat.Solver.core_vars s2
       | Sat.Solver.Sat | Sat.Solver.Unknown -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Reload = create.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Solve formula A, drive the solver through the state a reload has to
+   undo, reload it with formula B, and compare everything observable with a
+   solver created for B: the outcome, the search counters, the model, the
+   core and the DRAT log.  B is a growing prefix of A (the BMC shape), an
+   unrelated formula, or a smaller one. *)
+type reload_case = {
+  a : int * (int * bool) list list;
+  b : int * (int * bool) list list;
+  mode_a : int;
+  mode_b : int;
+  rank_seed : int;
+  proof : bool;
+  drat : bool;
+  perturb : bool;
+}
+
+let print_reload_case c =
+  let sz (nv, cls) = Printf.sprintf "%d vars/%d clauses" nv (List.length cls) in
+  Printf.sprintf "A %s, B %s, modes %d->%d, rank seed %d, proof %b, drat %b, perturb %b"
+    (sz c.a) (sz c.b) c.mode_a c.mode_b c.rank_seed c.proof c.drat c.perturb
+
+let reload_case_gen =
+  let open QCheck.Gen in
+  (* 3-SAT around its threshold, so that searches conflict, learn,
+     restart and reduce *)
+  let clause nv = list_repeat 3 (pair (0 -- (nv - 1)) bool) in
+  let formula nv = list_size ((3 * nv) -- (5 * nv)) (clause nv) in
+  let* nv_b = 3 -- 24 in
+  let* cls_b = formula nv_b in
+  let* shape = 0 -- 2 in
+  let* a =
+    match shape with
+    | 0 ->
+      (* growing prefix: A's clauses are B's first ones, over fewer variables *)
+      let* k = 0 -- List.length cls_b in
+      let cls = List.filteri (fun i _ -> i < k) cls_b in
+      let nv = List.fold_left (fun m c -> List.fold_left (fun m (v, _) -> max m (v + 1)) m c) 1 cls in
+      return (nv, cls)
+    | 1 ->
+      let* nv = 3 -- 24 in
+      let* cls = formula nv in
+      return (nv, cls)
+    | _ ->
+      (* a larger A: B is the smaller formula *)
+      let* nv = (nv_b + 1) -- (nv_b + 8) in
+      let* cls = list_size (List.length cls_b -- (5 * nv)) (clause nv) in
+      return (nv, cls)
+  in
+  let* mode_a = 0 -- 2 in
+  let* mode_b = 0 -- 2 in
+  let* rank_seed = 1 -- 97 in
+  let* proof = bool in
+  let* drat = bool in
+  let* perturb = bool in
+  return { a; b = (nv_b, cls_b); mode_a; mode_b; rank_seed; proof; drat; perturb }
+
+let order_of ~nv ~seed = function
+  | 0 -> Sat.Order.Vsids
+  | m ->
+    let rank = Array.init nv (fun i -> float_of_int ((i * seed) mod 7)) in
+    if m = 1 then Sat.Order.Static rank else Sat.Order.Dynamic rank
+
+(* Outcome, counters, model, core (with an interpolant: the learnt-clause
+   table) and DRAT log after one solve. *)
+let observe ~proof ~drat s outcome =
+  let st = Sat.Solver.stats s in
+  ( outcome_str outcome,
+    Sat.Stats.
+      [
+        st.decisions;
+        st.decisions_rank;
+        st.decisions_vsids;
+        st.propagations;
+        st.conflicts;
+        st.learned;
+        st.deleted;
+        st.restarts;
+        st.heuristic_switches;
+        st.max_decision_level;
+        st.blocker_hits;
+        st.arena_bytes;
+        st.arena_compactions;
+        st.shared_exported;
+        Sat.Solver.proof_edges s;
+      ],
+    (match outcome with Sat.Solver.Sat -> Some (Sat.Solver.model s) | _ -> None),
+    (match outcome with
+    | Sat.Solver.Unsat when proof ->
+      Some (Sat.Solver.core s, Sat.Solver.interpolant s ~a_side:(fun i -> i land 1 = 0))
+    | _ -> None),
+    if drat then Some (Sat.Solver.drat_events s) else None )
+
+(* Solve under a small learnt limit (database reduction in small
+   searches), inprocess, then keep going incrementally over new variables
+   with clause export on: reaches the learnt list, the frozen and
+   eliminated marks, the storage past the formula's variables and the taint
+   marks. *)
+let observe_run ~proof ~drat s =
+  Sat.Solver.set_max_learnts s 10;
+  let first = observe ~proof ~drat s (Sat.Solver.solve s) in
+  List.iter (Sat.Solver.freeze s) [ 0; 1; 2 ];
+  let inpr = Sat.Solver.inprocess s in
+  inpr.Sat.Inprocess.time <- 0.0;
+  let exported = ref [] in
+  Sat.Solver.set_share s ~max_lbd:max_int
+    ~export:(fun lits ~lbd:_ ~src_id:_ -> exported := Array.to_list lits :: !exported)
+    ~import:(fun () -> []);
+  let u = Sat.Solver.new_var s in
+  let v = Sat.Solver.new_var s in
+  Sat.Solver.add_clause s [ Sat.Lit.neg u; Sat.Lit.neg 0; Sat.Lit.pos 1 ];
+  Sat.Solver.add_clause s [ Sat.Lit.pos u; Sat.Lit.pos v; Sat.Lit.pos 2 ];
+  let second = observe ~proof ~drat s (Sat.Solver.solve s) in
+  (first, inpr, second, !exported)
+
+let prop_reload_equals_create =
+  QCheck.Test.make ~name:"reload = create (outcome, counters, model, core, DRAT)" ~count:400
+    (QCheck.make ~print:print_reload_case reload_case_gen) (fun c ->
+      let proof = c.proof and drat = c.drat in
+      let mode_of (nv, _) m = order_of ~nv ~seed:c.rank_seed m in
+      let s = Sat.Solver.create ~with_proof:proof ~with_drat:drat ~mode:(mode_of c.a c.mode_a) (build c.a) in
+      if c.perturb then begin
+        (* every setting a reload must drop, and some incremental history *)
+        Sat.Solver.set_restart_base s 1;
+        Sat.Solver.set_max_learnts s 7;
+        Sat.Solver.set_gc_fraction s 1e9;
+        Sat.Solver.set_share s ~max_lbd:max_int ~export:(fun _ ~lbd:_ ~src_id:_ -> ())
+          ~import:(fun () -> []);
+        Sat.Solver.set_order s (mode_of c.a c.mode_a)
+          ~hooks:
+            {
+              Sat.Solver.hk_name = "bias";
+              hk_on_conflict = ignore;
+              hk_on_restart = ignore;
+              hk_bias = (fun _ -> Some true);
+            };
+        Sat.Solver.mark_local s 0;
+        (* variable 0 recurs in the clause added below; the rest must
+           thaw again in the reloaded solver *)
+        for v = 0 to fst c.a - 1 do
+          Sat.Solver.freeze s v
+        done
+      end;
+      ignore (Sat.Solver.solve s);
+      if c.perturb then begin
+        ignore (Sat.Solver.inprocess s);
+        let fresh = Sat.Solver.new_var s in
+        Sat.Solver.add_clause s [ Sat.Lit.pos fresh; Sat.Lit.pos 0 ];
+        ignore (Sat.Solver.solve ~assumptions:[ Sat.Lit.neg fresh ] s)
+      end;
+      let mode_b = mode_of c.b c.mode_b in
+      Sat.Solver.reload ~mode:mode_b s (build c.b);
+      let reloaded = observe_run ~proof ~drat s in
+      let created =
+        observe_run ~proof ~drat
+          (Sat.Solver.create ~with_proof:proof ~with_drat:drat ~mode:mode_b (build c.b))
+      in
+      reloaded = created)
+
 let tests =
   [
     Alcotest.test_case "trivial sat" `Quick test_trivial_sat;
@@ -543,4 +705,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_cores_are_unsat;
     QCheck_alcotest.to_alcotest prop_core_vars_cover_core;
     QCheck_alcotest.to_alcotest prop_modes_agree_randomised;
+    QCheck_alcotest.to_alcotest prop_reload_equals_create;
   ]
