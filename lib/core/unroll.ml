@@ -127,10 +127,10 @@ let depth t = t.depth
    base. *)
 let fill_base t ~k cnf =
   extend_to t k;
-  Sat.Cnf.reset cnf ~num_vars:(Sat.Vec.get t.frame_var_limit k);
-  for i = 0 to Sat.Vec.get t.frame_clause_limit k - 1 do
-    Sat.Cnf.add_clause_a cnf (Sat.Vec.get t.base i)
-  done
+  Sat.Cnf.refill cnf
+    ~num_vars:(Sat.Vec.get t.frame_var_limit k)
+    t.base
+    (Sat.Vec.get t.frame_clause_limit k)
 
 let base_cnf t ~k =
   extend_to t k;

@@ -40,9 +40,9 @@ val base_cnf : t -> k:int -> Sat.Cnf.t
     materialised, and is never mutated. *)
 
 val fill_base : t -> k:int -> Sat.Cnf.t -> unit
-(** Make the given formula {!base_cnf} [~k] in place, reusing its clause
-    storage: the per-depth refill of a {!Session}'s [Fresh] instance
-    formula. *)
+(** Make the given formula {!base_cnf} [~k] in place ({!Sat.Cnf.refill}):
+    the per-depth refill of a {!Session}'s [Fresh] instance formula, which
+    keeps the base clauses it already holds and appends the new frames'. *)
 
 val instance : t -> k:int -> Sat.Cnf.t
 (** The depth-k BMC instance: base clauses for frames 0..k plus [¬P(V^k)].

@@ -10,12 +10,6 @@ let create ?(num_vars = 0) ?capacity () =
   if num_vars < 0 then invalid_arg "Cnf.create";
   { num_vars; clauses = Vec.create ?capacity ~dummy:[||] (); num_literals = 0 }
 
-let reset ?(num_vars = 0) f =
-  if num_vars < 0 then invalid_arg "Cnf.reset";
-  f.num_vars <- num_vars;
-  Vec.clear f.clauses;
-  f.num_literals <- 0
-
 let num_vars f = f.num_vars
 
 let num_clauses f = Vec.length f.clauses
@@ -120,10 +114,28 @@ let eval f assign =
   Vec.iter (fun c -> if not (eval_clause c assign) then sat := false) f.clauses;
   !sat
 
-let copy_into f ~into =
-  reset into ~num_vars:f.num_vars;
-  Vec.iter (Vec.push into.clauses) f.clauses;
-  into.num_literals <- f.num_literals
+(* The clauses [f] holds in the same slots as [src] — the same arrays —
+   stay: a formula refilled with a grown prefix of what it held pays for
+   the new clauses only.  Clauses past the common prefix are dropped (their
+   slots dummy-filled, so the arrays can be collected). *)
+let refill f ~num_vars src n =
+  if num_vars < 0 || n < 0 || n > Vec.length src then invalid_arg "Cnf.refill";
+  let dst = f.clauses in
+  let m = min n (Vec.length dst) in
+  let common = ref 0 in
+  while !common < m && Vec.get dst !common == Vec.get src !common do
+    incr common
+  done;
+  for i = !common to Vec.length dst - 1 do
+    f.num_literals <- f.num_literals - Array.length (Vec.get dst i)
+  done;
+  Vec.shrink dst !common;
+  f.num_vars <- num_vars;
+  for i = !common to n - 1 do
+    add_clause_a f (Vec.get src i)
+  done
+
+let copy_into f ~into = refill into ~num_vars:f.num_vars f.clauses (num_clauses f)
 
 let copy f =
   let g = create ~capacity:(num_clauses f) () in

@@ -17,10 +17,6 @@ val create : ?num_vars:int -> ?capacity:int -> unit -> t
 (** Fresh formula with [num_vars] pre-allocated variables (default 0) and
     room for [capacity] clauses before it regrows (default 16). *)
 
-val reset : ?num_vars:int -> t -> unit
-(** Empty the formula in place and set its variable count to [num_vars]
-    (default 0), keeping the clause vector's storage for the next fill. *)
-
 val num_vars : t -> int
 
 val num_clauses : t -> int
@@ -83,9 +79,18 @@ val copy : t -> t
 (** An independent formula over the same clauses: adding to either leaves
     the other unchanged.  The clause arrays themselves are shared. *)
 
+val refill : t -> num_vars:int -> clause Vec.t -> int -> unit
+(** [refill f ~num_vars clauses n] makes [f], in place, the formula of the
+    first [n] clauses of [clauses] over [num_vars] variables, which must
+    cover every variable those clauses mention.  The clauses [f] already
+    holds in the same positions — the same arrays — are kept, so refilling
+    a formula with a grown prefix of what it held costs the new clauses
+    only.
+    @raise Invalid_argument if [n] is out of range or [num_vars] negative. *)
+
 val copy_into : t -> into:t -> unit
-(** [copy_into f ~into] makes [into] a {!copy} of [f] in place, reusing
-    [into]'s storage.  [into] must not be [f]. *)
+(** [copy_into f ~into] makes [into] a {!copy} of [f] in place, through
+    {!refill}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable listing, one clause per line in DIMACS notation. *)
