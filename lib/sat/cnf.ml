@@ -132,7 +132,9 @@ let refill f ~num_vars src n =
   Vec.shrink dst !common;
   f.num_vars <- num_vars;
   for i = !common to n - 1 do
-    add_clause_a f (Vec.get src i)
+    let c = Vec.get src i in
+    f.num_literals <- f.num_literals + Array.length c;
+    Vec.push dst c
   done
 
 let copy_into f ~into = refill into ~num_vars:f.num_vars f.clauses (num_clauses f)
