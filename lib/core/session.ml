@@ -619,11 +619,11 @@ let solve_instance t =
       let mode = order_mode cfg t.unroll t.sc ~k in
       (* one solver's storage per session: the previous instance's solver,
          whose model was read before this instance began, is reloaded in
-         place into exactly the solver [create] would build.  A rebuild
-         forced a minor collection, and with it a major slice, at every
-         depth; a reload allocates too little to trigger either, and the
-         previous depth's garbage would float in the major heap for a whole
-         check.  One explicit slice per depth keeps that cadence. *)
+         place into exactly the solver [create] would build.  A reload
+         allocates too little to trigger the minor collections the major
+         GC runs its slices at, so without one explicit slice per depth the
+         previous depth's garbage floats in the major heap for a whole
+         check, and the peak heap grows with it. *)
       let solver =
         match t.spare with
         | Some s ->

@@ -59,11 +59,6 @@ let count_occurrences f ~into =
       done)
     f.clauses
 
-let occurrences f =
-  let counts = Array.make (2 * f.num_vars) 0 in
-  count_occurrences f ~into:counts;
-  counts
-
 (* Clauses are short (Tseitin gates give two or three literals), so they
    are insertion-sorted straight from the clause into the buffer, with no
    allocation; long clauses take the library sort on a copy. *)

@@ -48,12 +48,9 @@ val fold_clauses : ('acc -> clause -> 'acc) -> 'acc -> t -> 'acc
 val num_literals : t -> int
 (** Total number of literal occurrences over all clauses. *)
 
-val occurrences : t -> int array
-(** Occurrences of each literal over all clauses, indexed by
-    {!Lit.to_index} (length [2 * num_vars]). *)
-
 val count_occurrences : t -> into:int array -> unit
-(** {!occurrences} written into the first [2 * num_vars] slots of a
+(** Occurrences of each literal over all clauses, indexed by
+    {!Lit.to_index}, written into the first [2 * num_vars] slots of a
     caller-owned buffer; later slots are left alone.
     @raise Invalid_argument if [into] is shorter than that. *)
 

@@ -15,71 +15,6 @@ type t = {
   mutable pos : int array; (* literal index -> heap slot, -1 if absent *)
 }
 
-(* Install a fresh per-variable ranking (and mode) for the next solve call;
-   the caller is expected to rebuild the heap afterwards. *)
-let set_mode t mode =
-  Array.fill t.rank 0 (Array.length t.rank) 0.0;
-  (match mode with
-  | Vsids ->
-    t.use_rank <- false;
-    t.dynamic <- false
-  | Static r | Dynamic r ->
-    Array.blit r 0 t.rank 0 (min (Array.length r) t.num_vars);
-    t.use_rank <- true;
-    t.dynamic <- (match mode with Dynamic _ -> true | Vsids | Static _ -> false));
-  (* stale heap order: callers rebuild before popping *)
-  ()
-
-let grow t ~num_vars =
-  if num_vars > t.num_vars then begin
-    (* Grow capacity geometrically: callers add variables one at a time
-       (incremental clause loading), and exact-fit reallocation there is
-       quadratic.  Capacity is the smaller of the per-variable and
-       per-literal array allowances; the logical size stays [t.num_vars]. *)
-    let capacity = min (Array.length t.rank) (Array.length t.pos / 2) in
-    if num_vars > capacity then begin
-      let cap = max (2 * capacity) num_vars in
-      let nlits = max (2 * cap) 1 in
-      let copy_into src size init =
-        let dst = Array.make size init in
-        Array.blit src 0 dst 0 (Array.length src);
-        dst
-      in
-      t.act <- copy_into t.act nlits 0.0;
-      t.rank <- copy_into t.rank (max cap 1) 0.0;
-      t.pos <- copy_into t.pos nlits (-1);
-      let heap = Array.make nlits (-1) in
-      Array.blit t.heap 0 heap 0 t.heap_len;
-      t.heap <- heap
-    end;
-    t.num_vars <- num_vars
-  end
-
-let reset t ~num_vars mode =
-  if num_vars < 0 then invalid_arg "Order: negative num_vars";
-  Array.fill t.act 0 (Array.length t.act) 0.0;
-  Array.fill t.pos 0 (Array.length t.pos) (-1);
-  t.heap_len <- 0;
-  t.num_vars <- 0;
-  grow t ~num_vars;
-  set_mode t mode
-
-let create ~num_vars mode =
-  let t =
-    {
-      num_vars = 0;
-      act = [||];
-      rank = [||];
-      use_rank = false;
-      dynamic = false;
-      heap = [||];
-      heap_len = 0;
-      pos = [||];
-    }
-  in
-  reset t ~num_vars mode;
-  t
-
 let mode_uses_rank t = t.use_rank
 
 let is_dynamic t = t.dynamic
@@ -204,6 +139,72 @@ let activity t l = t.act.(Lit.to_index l)
 let rank_of t v = t.rank.(v)
 
 let decided_by_rank t v = t.use_rank && t.rank.(v) > 0.0
+
+let grow t ~num_vars =
+  if num_vars > t.num_vars then begin
+    (* Grow capacity geometrically: callers add variables one at a time
+       (incremental clause loading), and exact-fit reallocation there is
+       quadratic.  Capacity is the smaller of the per-variable and
+       per-literal array allowances; the logical size stays [t.num_vars]. *)
+    let capacity = min (Array.length t.rank) (Array.length t.pos / 2) in
+    if num_vars > capacity then begin
+      let cap = max (2 * capacity) num_vars in
+      let nlits = max (2 * cap) 1 in
+      let copy_into src size init =
+        let dst = Array.make size init in
+        Array.blit src 0 dst 0 (Array.length src);
+        dst
+      in
+      t.act <- copy_into t.act nlits 0.0;
+      t.rank <- copy_into t.rank (max cap 1) 0.0;
+      t.pos <- copy_into t.pos nlits (-1);
+      let heap = Array.make nlits (-1) in
+      Array.blit t.heap 0 heap 0 t.heap_len;
+      t.heap <- heap
+    end;
+    t.num_vars <- num_vars
+  end
+
+(* Install a fresh per-variable ranking (and mode) for the next solve call;
+   the caller is expected to rebuild the heap afterwards. *)
+let set_mode t mode =
+  (match mode with
+  | Vsids ->
+    Array.fill t.rank 0 (Array.length t.rank) 0.0;
+    t.use_rank <- false;
+    t.dynamic <- false
+  | Static r | Dynamic r ->
+    Array.fill t.rank 0 (Array.length t.rank) 0.0;
+    Array.blit r 0 t.rank 0 (min (Array.length r) t.num_vars);
+    t.use_rank <- true;
+    t.dynamic <- (match mode with Dynamic _ -> true | Vsids | Static _ -> false));
+  (* stale heap order: callers rebuild before popping *)
+  ()
+
+let reset t ~num_vars mode =
+  if num_vars < 0 then invalid_arg "Order: negative num_vars";
+  Array.fill t.act 0 (Array.length t.act) 0.0;
+  Array.fill t.pos 0 (Array.length t.pos) (-1);
+  t.heap_len <- 0;
+  t.num_vars <- 0;
+  grow t ~num_vars;
+  set_mode t mode
+
+let create ~num_vars mode =
+  let t =
+    {
+      num_vars = 0;
+      act = [||];
+      rank = [||];
+      use_rank = false;
+      dynamic = false;
+      heap = [||];
+      heap_len = 0;
+      pos = [||];
+    }
+  in
+  reset t ~num_vars mode;
+  t
 
 let bump_by t l amount =
   let i = Lit.to_index l in

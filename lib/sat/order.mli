@@ -47,8 +47,8 @@ val is_dynamic : t -> bool
 
 val init_activity : t -> int array -> unit
 (** Set every literal's score to its occurrence count in the formula, as
-    {!Cnf.occurrences} gives it.  Entries past the order's literals are
-    ignored, so a longer reused count buffer works too. *)
+    {!Cnf.count_occurrences} gives it.  Entries past the order's literals
+    are ignored, so a longer reused count buffer works too. *)
 
 val rebuild : t -> is_unassigned:(Lit.var -> bool) -> unit
 (** Fill the heap with (the literals of) all currently unassigned

@@ -257,6 +257,10 @@ let add_original t index lits =
     else attach t cr
   end
 
+(* ------------------------------------------------------------------ *)
+(* Incremental interface: growing the variable space and the formula.  *)
+(* ------------------------------------------------------------------ *)
+
 let grow_array src size init =
   let dst = Array.make size init in
   Array.blit src 0 dst 0 (Array.length src);
@@ -299,6 +303,24 @@ let ensure_vars t n =
     t.nvars <- n
   end
 
+let new_var t =
+  let v = t.nvars in
+  ensure_vars t (v + 1);
+  v
+
+(* Mark a variable instance-local: activation guards and per-instance
+   Tseitin auxiliaries.  Clauses containing such a variable — and learnt
+   clauses whose 1UIP derivation resolves against any of them — are tainted
+   and never exported to sibling solvers (their truth depends on this
+   session's private guards). *)
+let mark_local t v =
+  ensure_vars t (v + 1);
+  t.local_mask.(v) <- true
+
+(* ------------------------------------------------------------------ *)
+(* Loading a formula: [create] and [reload].                           *)
+(* ------------------------------------------------------------------ *)
+
 (* Reset [t] to exactly the state [create ~mode cnf] builds, over the
    storage [t] already holds.  [create] is this load on empty storage, so a
    reloaded solver and a new one cannot drift apart.  Proof and DRAT
@@ -308,13 +330,13 @@ let ensure_vars t n =
 
    Storage the formula outgrows grows geometrically (×2), so a run of
    growing formulas reallocates each array O(log n) times; storage it does
-   not outgrow is cleared and kept.  On empty storage every size is exact,
-   as it always was: the arena gets room for every original plus the
-   default 1024 words for learnts (on the falsify benchmark workload a
-   per-depth solver's learnts peak at 358 words, p90 227, and a solver that
-   outgrows the slack doubles the arena as before), and each watch list its
-   literal's occurrence count, an upper bound on the clauses that will
-   watch it.  The initial literal activities are the same counts. *)
+   not outgrow is cleared and kept.  On empty storage every size is exact:
+   the arena gets room for every original plus the default 1024 words for
+   learnts (on the falsify benchmark workload a per-depth solver's learnts
+   peak at 358 words, p90 227; a solver that outgrows the slack doubles the
+   arena), and each watch list its literal's occurrence count, an upper
+   bound on the clauses that will watch it.  The initial literal
+   activities are the same counts. *)
 let load t mode src =
   let cnf = t.cnf in
   Cnf.copy_into src ~into:cnf;
@@ -427,24 +449,6 @@ let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode
   in
   load t mode cnf;
   t
-
-(* ------------------------------------------------------------------ *)
-(* Incremental interface: growing the variable space and the formula.  *)
-(* ------------------------------------------------------------------ *)
-
-let new_var t =
-  let v = t.nvars in
-  ensure_vars t (v + 1);
-  v
-
-(* Mark a variable instance-local: activation guards and per-instance
-   Tseitin auxiliaries.  Clauses containing such a variable — and learnt
-   clauses whose 1UIP derivation resolves against any of them — are tainted
-   and never exported to sibling solvers (their truth depends on this
-   session's private guards). *)
-let mark_local t v =
-  ensure_vars t (v + 1);
-  t.local_mask.(v) <- true
 
 (* ------------------------------------------------------------------ *)
 (* Boolean constraint propagation (two watched literals + blockers).   *)

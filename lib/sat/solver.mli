@@ -64,7 +64,8 @@ val create :
 (** [create cnf] prepares a solver over a snapshot of [cnf] (later
     additions to [cnf] are not seen; the immutable clause arrays are
     shared, not copied).  Each clause is normalised once, straight into
-    the clause arena, which is presized from the formula.  [with_proof]
+    the clause arena, which is presized from the formula.  [create] is
+    {!reload} applied to empty storage.  [with_proof]
     (default [false]) enables the simplified-CDG bookkeeping needed for
     {!unsat_core}.  [minimize] (default [false]) enables conflict-clause
     minimisation — off by default because the paper's substrate, Chaff,

@@ -7,10 +7,15 @@ let mk_cnf clauses =
   List.iter (fun c -> Sat.Cnf.add_clause f (List.map (fun (v, s) -> Sat.Lit.make v s) c)) clauses;
   f
 
+let occurrences cnf =
+  let counts = Array.make (2 * Sat.Cnf.num_vars cnf) 0 in
+  Sat.Cnf.count_occurrences cnf ~into:counts;
+  counts
+
 let test_init_activity_counts () =
   let cnf = mk_cnf [ [ (0, true); (1, true) ]; [ (0, true); (1, false) ]; [ (0, true) ] ] in
   let o = Sat.Order.create ~num_vars:2 Sat.Order.Vsids in
-  Sat.Order.init_activity o (Sat.Cnf.occurrences cnf);
+  Sat.Order.init_activity o (occurrences cnf);
   Alcotest.(check (float 1e-9)) "x0 count" 3.0 (Sat.Order.activity o (Sat.Lit.pos 0));
   Alcotest.(check (float 1e-9)) "x1 count" 1.0 (Sat.Order.activity o (Sat.Lit.pos 1));
   Alcotest.(check (float 1e-9)) "~x1 count" 1.0 (Sat.Order.activity o (Sat.Lit.neg 1))
@@ -18,7 +23,7 @@ let test_init_activity_counts () =
 let test_pop_highest_activity () =
   let cnf = mk_cnf [ [ (0, true) ]; [ (1, false) ]; [ (1, false) ]; [ (2, true) ] ] in
   let o = Sat.Order.create ~num_vars:3 Sat.Order.Vsids in
-  Sat.Order.init_activity o (Sat.Cnf.occurrences cnf);
+  Sat.Order.init_activity o (occurrences cnf);
   Sat.Order.rebuild o ~is_unassigned:always_unassigned;
   match Sat.Order.pop_best o ~is_unassigned:always_unassigned with
   | Some l ->
