@@ -322,21 +322,14 @@ let mark_local t v =
 (* ------------------------------------------------------------------ *)
 
 (* Reset [t] to exactly the state [create ~mode cnf] builds, over the
-   storage [t] already holds.  [create] is this load on empty storage, so a
-   reloaded solver and a new one cannot drift apart.  Proof and DRAT
-   logging, minimisation, telemetry and the solver id stay as [create] fixed
-   them; everything else starts over: counters, budgets and thresholds,
-   hooks, sharing, the recorder, assumptions and inprocessing state.
-
-   Storage the formula outgrows grows geometrically (×2), so a run of
-   growing formulas reallocates each array O(log n) times; storage it does
-   not outgrow is cleared and kept.  On empty storage every size is exact:
-   the arena gets room for every original plus the default 1024 words for
-   learnts (on the falsify benchmark workload a per-depth solver's learnts
-   peak at 358 words, p90 227; a solver that outgrows the slack doubles the
-   arena), and each watch list its literal's occurrence count, an upper
-   bound on the clauses that will watch it.  The initial literal
-   activities are the same counts. *)
+   storage [t] already holds; [create] is this load on empty storage.
+   Storage the formula outgrows grows ×2, storage it fits is cleared and
+   kept, and on empty storage every size is exact.  The arena gets room
+   for every original plus the default 1024 words for learnts (on the
+   falsify benchmark workload a per-depth solver's learnts peak at 358
+   words, p90 227), and each watch list its literal's occurrence count, an
+   upper bound on the clauses that will watch it; the same counts are the
+   initial literal activities. *)
 let load t mode src =
   let cnf = t.cnf in
   Cnf.copy_into src ~into:cnf;
