@@ -106,8 +106,9 @@ val reload : ?mode:Order.mode -> t -> Cnf.t -> unit
     undone), the learnt limit ({!set_max_learnts}), the GC fraction
     ({!set_gc_fraction}), the [Dynamic] threshold, the outcome and any
     assumption state, the {!set_order} hooks, {!set_share} and
-    {!set_recorder} installations, and the inprocessing state (frozen and
-    eliminated variables and the model-reconstruction stack).  The last
+    {!set_recorder} installations, the {!mark_local} marks, and the
+    inprocessing state (frozen and eliminated variables and the
+    model-reconstruction stack).  The last
     model and core are gone: read them before reloading.
 
     This is how a per-depth BMC loop (the paper's Figure 5) keeps one
