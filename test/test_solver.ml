@@ -546,7 +546,9 @@ let reload_case_gen =
       (* growing prefix: A's clauses are B's first ones, over fewer variables *)
       let* k = 0 -- List.length cls_b in
       let cls = List.filteri (fun i _ -> i < k) cls_b in
-      let nv = List.fold_left (fun m c -> List.fold_left (fun m (v, _) -> max m (v + 1)) m c) 1 cls in
+      let nv =
+        List.fold_left (fun m c -> List.fold_left (fun m (v, _) -> max m (v + 1)) m c) 1 cls
+      in
       return (nv, cls)
     | 1 ->
       let* nv = 3 -- 24 in
@@ -629,7 +631,10 @@ let prop_reload_equals_create =
     (QCheck.make ~print:print_reload_case reload_case_gen) (fun c ->
       let proof = c.proof and drat = c.drat in
       let mode_of (nv, _) m = order_of ~nv ~seed:c.rank_seed m in
-      let s = Sat.Solver.create ~with_proof:proof ~with_drat:drat ~mode:(mode_of c.a c.mode_a) (build c.a) in
+      let s =
+        Sat.Solver.create ~with_proof:proof ~with_drat:drat ~mode:(mode_of c.a c.mode_a)
+          (build c.a)
+      in
       if c.perturb then begin
         (* every setting a reload must drop, and some incremental history *)
         Sat.Solver.set_restart_base s 1;
