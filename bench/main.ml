@@ -852,8 +852,9 @@ type quick_sharing_summary = {
 }
 
 (* Observability-overhead ablation for the snapshot: the same fixed session
-   workload with the full tracing stack on (flight recorder on every solver,
-   memory-sink telemetry distilled into a run ledger) vs everything off.
+   workload with the full tracing stack on (one event stream teed into a
+   flight recorder and a memory sink distilled into a run ledger) vs
+   everything off.
    Best-of-3 walls on each side so scheduler noise cancels; quick-check
    gates the overhead at 5% — the "cheap enough to leave on" claim. *)
 type quick_obs_summary = {
@@ -870,18 +871,20 @@ let quick_observability () =
     let recorder = if obs then Some (Obs.Recorder.create ()) else None in
     let mem = if obs then Some (Telemetry.Sink.memory ()) else None in
     let telemetry =
-      (* event stream only (~timing:false): the ledger does not buy per-BCP
-         clock reads, exactly as bmccheck --ledger configures it *)
-      match mem with
-      | Some (sink, _) -> Telemetry.create ~timing:false sink
-      | None -> Telemetry.disabled
+      (* event stream only (~timing:false): the ledger and the recorder do
+         not buy per-BCP clock reads, exactly as bmccheck --ledger
+         --flight-recorder configures it *)
+      match (mem, recorder) with
+      | Some (sink, _), Some r ->
+        Telemetry.create ~timing:false (Telemetry.Sink.tee [ sink; Obs.Recorder.sink r ])
+      | _ -> Telemetry.disabled
     in
     let w0 = Portfolio.Pool.wall () in
     List.iter
       (fun ((case : Circuit.Generators.case), depth) ->
         let config =
           Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~budget:quick_budget
-            ~max_depth:depth ~collect_cores:true ~telemetry ?recorder ()
+            ~max_depth:depth ~collect_cores:true ~telemetry ()
         in
         ignore
           (Bmc.Session.check ~config ~policy:Bmc.Session.Persistent case.netlist

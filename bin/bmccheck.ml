@@ -28,12 +28,15 @@ let load source =
     | Circuit.Aiger.Parse_error msg -> Error msg
     | Sys_error msg -> Error msg)
 
-(* Build the telemetry handle for --trace/--metrics/--ledger and register
-   the end-of-process reporting; at_exit covers every exit path (the tool
-   exits with protocol-specific codes all over).  --ledger tees a memory
-   sink into the same stream and folds it into an {!Obs.Ledger} at exit —
-   by then every worker domain has been joined, so the read-back is safe. *)
-let setup_telemetry trace_file metrics ledger_file =
+(* Build the telemetry handle for --trace/--metrics/--ledger/--flight-recorder
+   and register the end-of-process reporting; at_exit covers every exit path
+   (the tool exits with protocol-specific codes all over).  --ledger tees a
+   memory sink into the same stream and folds it into an {!Obs.Ledger} at
+   exit — by then every worker domain has been joined, so the read-back is
+   safe.  --flight-recorder tees a bounded per-domain ring
+   ({!Obs.Recorder}), dumped at exit and on SIGUSR1 so a wedged run can be
+   inspected from outside. *)
+let setup_telemetry trace_file metrics ledger_file flight_file =
   let agg = if metrics then Some (Telemetry.Sink.aggregate ()) else None in
   let trace_oc =
     Option.map
@@ -47,17 +50,32 @@ let setup_telemetry trace_file metrics ledger_file =
   let mem =
     Option.map (fun path -> (path, Telemetry.Sink.memory ())) ledger_file
   in
+  let recorder =
+    Option.map
+      (fun path ->
+        let r = Obs.Recorder.create () in
+        Obs.Recorder.on_sigusr1 r ~path;
+        at_exit (fun () ->
+            try
+              Obs.Recorder.dump r path;
+              Format.eprintf "bmccheck: flight recording written to %s@." path
+            with Sys_error msg ->
+              Format.eprintf "bmccheck: cannot write flight recording: %s@." msg);
+        r)
+      flight_file
+  in
   let sinks =
     Option.to_list (Option.map Obs.Jsonl.of_channel trace_oc)
     @ Option.to_list (Option.map Telemetry.Sink.of_aggregate agg)
     @ Option.to_list (Option.map (fun (_, (sink, _)) -> sink) mem)
+    @ Option.to_list (Option.map Obs.Recorder.sink recorder)
   in
   match sinks with
   | [] -> Telemetry.disabled
   | sinks ->
-    (* a ledger-only handle skips hot-path phase timing (two clock reads
-       per BCP) — that detail costs real wall time and only --trace and
-       --metrics consumers read it *)
+    (* a ledger- or recorder-only handle skips hot-path phase timing (two
+       clock reads per BCP) — that detail costs real wall time and only
+       --trace and --metrics consumers read it *)
     let timing = trace_file <> None || metrics in
     let telemetry = Telemetry.create ~timing (Telemetry.Sink.tee sinks) in
     at_exit (fun () ->
@@ -79,23 +97,6 @@ let setup_telemetry trace_file metrics ledger_file =
         | None -> ());
         Option.iter (Format.printf "%a@." Telemetry.Sink.pp_report) agg);
     telemetry
-
-(* --flight-recorder: a bounded per-domain event ring every solver the run
-   creates records into; dumped at exit, and on SIGUSR1 so a wedged run can
-   be inspected from outside. *)
-let setup_recorder flight_file =
-  Option.map
-    (fun path ->
-      let r = Obs.Recorder.create () in
-      Obs.Recorder.on_sigusr1 r ~path;
-      at_exit (fun () ->
-          try
-            Obs.Recorder.dump r path;
-            Format.eprintf "bmccheck: flight recording written to %s@." path
-          with Sys_error msg ->
-            Format.eprintf "bmccheck: cannot write flight recording: %s@." msg);
-      r)
-    flight_file
 
 let pp_depth_stat ppf (d : Bmc.Session.depth_stat) =
   Format.fprintf ppf
@@ -206,12 +207,11 @@ let run_single source engine_name mode_name max_depth coi weighting_name verbose
     let budget =
       { Sat.Solver.max_conflicts; max_propagations = None; max_seconds; stop = None }
     in
-    let telemetry = setup_telemetry trace_file metrics ledger_file in
-    let recorder = setup_recorder flight_file in
+    let telemetry = setup_telemetry trace_file metrics ledger_file flight_file in
     let core_mode, coremin_budget = core_opts core_min in
     let config =
       Bmc.Session.make_config ~mode ~weighting ~coi ~budget ~max_depth ?inprocess ~core_mode
-        ~coremin_budget ~telemetry ?recorder ()
+        ~coremin_budget ~telemetry ()
     in
     (* induction and LTL take the session policy directly; for the invariant
        engines the policy is the engine name (bmc = fresh, incremental =
@@ -363,12 +363,11 @@ let run_portfolio source max_depth coi weighting_name verbose max_conflicts max_
     let budget =
       { Sat.Solver.max_conflicts; max_propagations = None; max_seconds; stop = None }
     in
-    let telemetry = setup_telemetry trace_file metrics ledger_file in
-    let recorder = setup_recorder flight_file in
+    let telemetry = setup_telemetry trace_file metrics ledger_file flight_file in
     let core_mode, coremin_budget = core_opts core_min in
     let config =
       Bmc.Session.make_config ~weighting ~coi ~budget ~max_depth ?inprocess ~core_mode
-        ~coremin_budget ~telemetry ?recorder ()
+        ~coremin_budget ~telemetry ()
     in
     (* Build the named-racer roster.  Rotation needs budget exhaustion to be
        observable, so --rotate gives every racer a per-instance conflict
@@ -483,8 +482,7 @@ let run_batch sources engine_name mode_name max_depth coi weighting_name verbose
   let budget =
     { Sat.Solver.max_conflicts; max_propagations = None; max_seconds; stop = None }
   in
-  let telemetry = setup_telemetry trace_file metrics ledger_file in
-  let recorder = setup_recorder flight_file in
+  let telemetry = setup_telemetry trace_file metrics ledger_file flight_file in
   let core_mode, coremin_budget = core_opts core_min in
   let jobs =
     if jobs > 0 then jobs else min (List.length items) (Domain.recommended_domain_count ())
@@ -496,7 +494,7 @@ let run_batch sources engine_name mode_name max_depth coi weighting_name verbose
           (fun (source, netlist, property, max_depth) ->
             let config =
               Bmc.Session.make_config ~mode ~weighting ~coi ~budget ~max_depth ?inprocess
-                ~core_mode ~coremin_budget ~telemetry ?recorder ()
+                ~core_mode ~coremin_budget ~telemetry ()
             in
             (source, netlist, Bmc.Session.check ~config ~policy netlist ~property))
           items)
@@ -706,10 +704,11 @@ let flight_file =
     value
     & opt (some string) None
     & info [ "flight-recorder" ] ~docv:"FILE"
-        ~doc:"Keep a bounded in-memory flight recording (restarts, GC, ordering switches, \
-              depth transitions, racer starts/wins/cancels, clause sharing) and dump it to \
-              $(docv) as JSONL at exit — or on SIGUSR1, to inspect a wedged run.  Render \
-              it with bmcprof timeline.")
+        ~doc:"Keep the last telemetry events of every domain in a bounded in-memory \
+              ring (restarts, GC, ordering switches, solves, depths, racer \
+              starts/wins/cancels, clause sharing) and dump them to $(docv) as a JSONL \
+              trace at exit — or on SIGUSR1, to inspect a wedged run.  Render it with \
+              bmcprof timeline, or fold it with bmcprof trace.")
 
 let jobs =
   Arg.(

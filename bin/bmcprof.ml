@@ -1,7 +1,8 @@
 (* bmcprof: analysis toolchain for bmccheck run artefacts.
 
    Reads the run ledger (--ledger), the JSONL telemetry trace (--trace) and
-   the flight-recorder dump (--flight-recorder) that bmccheck writes, and
+   the flight-recorder dump (--flight-recorder: the same trace format, the
+   last events of each domain) that bmccheck writes, and
    turns them into the reports the paper's evaluation wants: per-depth heat
    tables, the ordering-effectiveness report (how many decisions the
    bmc_score rank actually steered), an ASCII racer timeline, a regression
@@ -57,101 +58,93 @@ let run_trace path =
 (* timeline: ASCII rendering of a flight-recorder dump                 *)
 (* ------------------------------------------------------------------ *)
 
-let kind_char = function
-  | Obs.Recorder.Restart -> 'R'
-  | Obs.Recorder.Reduce_db -> 'G'
-  | Obs.Recorder.Compact -> 'C'
-  | Obs.Recorder.Switch -> 'S'
-  | Obs.Recorder.Depth -> 'D'
-  | Obs.Recorder.Solve -> 'o'
-  | Obs.Recorder.Racer_start -> '<'
-  | Obs.Recorder.Racer_cancel -> 'x'
-  | Obs.Recorder.Racer_win -> '*'
-  | Obs.Recorder.Share_export -> 'e'
-  | Obs.Recorder.Share_import -> 'i'
-  | Obs.Recorder.Inprocess -> 'P'
+(* Glyph and weight per event: instant events by kind, spans by span name;
+   anything else (phase spans, counters, gauges) draws nothing.  Later
+   events overwrite earlier ones in a cell; rarer, more interesting kinds
+   take precedence over bulk ones so a win is never hidden by the solver
+   chatter around it. *)
+let glyphs =
+  [
+    ("racer_win", ('*', 6));
+    ("racer_cancel", ('x', 5));
+    ("depth", ('D', 4));
+    ("switch", ('S', 4));
+    ("racer_start", ('<', 3));
+    ("compact", ('C', 3));
+    ("inprocess", ('P', 3));
+    ("reduce_db", ('G', 2));
+    ("restart", ('R', 2));
+    ("solve", ('o', 1));
+    ("share_export", ('e', 1));
+    ("share_import", ('i', 1));
+  ]
 
-(* Later events overwrite earlier ones in a cell; rarer, more interesting
-   kinds take precedence over bulk ones so a win is never hidden by the
-   solver chatter around it. *)
-let kind_weight = function
-  | Obs.Recorder.Racer_win -> 6
-  | Obs.Recorder.Racer_cancel -> 5
-  | Obs.Recorder.Depth -> 4
-  | Obs.Recorder.Switch -> 4
-  | Obs.Recorder.Racer_start -> 3
-  | Obs.Recorder.Compact -> 3
-  | Obs.Recorder.Reduce_db -> 2
-  | Obs.Recorder.Restart -> 2
-  | Obs.Recorder.Solve -> 1
-  | Obs.Recorder.Share_export -> 1
-  | Obs.Recorder.Share_import -> 1
-  | Obs.Recorder.Inprocess -> 3
+let glyph (e : Telemetry.Sink.event) =
+  let key =
+    if e.kind = "span" then Option.value ~default:"" (Telemetry.Sink.find_str e.fields "name")
+    else e.kind
+  in
+  List.assoc_opt key glyphs
 
 let run_timeline path width =
-  let entries =
-    try Obs.Recorder.entries_of_string (read_file path)
+  let field e k = Option.value ~default:0 (Telemetry.Sink.find_int e.Telemetry.Sink.fields k) in
+  let events =
+    try Obs.Jsonl.events_of_string (read_file path)
     with Failure msg ->
       Format.eprintf "bmcprof: %s: not a flight-recorder dump: %s@." path msg;
       exit 2
   in
-  match entries with
+  match events with
   | [] -> Format.printf "flight recorder: no events@."
-  | entries ->
+  | events ->
     let width = max 20 width in
-    let t_min =
-      List.fold_left (fun a e -> min a e.Obs.Recorder.e_t_us) max_int entries
-    and t_max =
-      List.fold_left (fun a e -> max a e.Obs.Recorder.e_t_us) min_int entries
-    in
+    let t_us e = field e "t_us" and dom e = field e "dom" in
+    let t_min = List.fold_left (fun a e -> min a (t_us e)) max_int events
+    and t_max = List.fold_left (fun a e -> max a (t_us e)) min_int events in
     let span = max 1 (t_max - t_min) in
-    let doms = List.sort_uniq compare (List.map (fun e -> e.Obs.Recorder.e_dom) entries) in
+    let doms = List.sort_uniq compare (List.map dom events) in
     let lanes = List.map (fun d -> (d, Bytes.make width '.')) doms in
     let weights = List.map (fun d -> (d, Array.make width 0)) doms in
     List.iter
       (fun e ->
-        let col = min (width - 1) ((e.Obs.Recorder.e_t_us - t_min) * width / span) in
-        let lane = List.assoc e.Obs.Recorder.e_dom lanes in
-        let w = List.assoc e.Obs.Recorder.e_dom weights in
-        let kw = kind_weight e.Obs.Recorder.e_kind in
-        if kw >= w.(col) then begin
-          w.(col) <- kw;
-          Bytes.set lane col (kind_char e.Obs.Recorder.e_kind)
-        end)
-      entries;
+        match glyph e with
+        | None -> ()
+        | Some (c, kw) ->
+          let col = min (width - 1) ((t_us e - t_min) * width / span) in
+          let w = List.assoc (dom e) weights in
+          if kw >= w.(col) then begin
+            w.(col) <- kw;
+            Bytes.set (List.assoc (dom e) lanes) col c
+          end)
+      events;
     Format.printf "flight recorder: %d events, %d domain(s), %.3fs span@."
-      (List.length entries) (List.length doms)
+      (List.length events) (List.length doms)
       (float_of_int span /. 1e6);
     List.iter
       (fun (d, lane) ->
-        let n =
-          List.length (List.filter (fun e -> e.Obs.Recorder.e_dom = d) entries)
-        in
+        let n = List.length (List.filter (fun e -> dom e = d) events) in
         Format.printf "dom %3d |%s| %d ev@." d (Bytes.to_string lane) n)
       lanes;
     Format.printf
-      "legend: R restart  G reduce_db  C compact  S switch  D depth  o solve@.";
+      "legend: R restart  G reduce_db  C compact  S switch  D depth  o solve  P inprocess@.";
     Format.printf
       "        < racer_start  * racer_win  x racer_cancel  e share_export  i share_import@.";
     (* the race storyline, spelled out: who started, won, was cancelled *)
     let racers =
       List.filter
-        (fun e ->
-          match e.Obs.Recorder.e_kind with
-          | Obs.Recorder.Racer_start | Obs.Recorder.Racer_win | Obs.Recorder.Racer_cancel ->
-            true
+        (fun (e : Telemetry.Sink.event) ->
+          match e.kind with
+          | "racer_start" | "racer_win" | "racer_cancel" -> true
           | _ -> false)
-        entries
+        events
     in
     if racers <> [] then begin
       Format.printf "@.races:@.";
       List.iter
-        (fun e ->
+        (fun (e : Telemetry.Sink.event) ->
           Format.printf "  %8.3fs dom %d %-12s depth=%d slot=%d@."
-            (float_of_int (e.Obs.Recorder.e_t_us - t_min) /. 1e6)
-            e.Obs.Recorder.e_dom
-            (Obs.Recorder.kind_name e.Obs.Recorder.e_kind)
-            e.Obs.Recorder.e_a e.Obs.Recorder.e_b)
+            (float_of_int (t_us e - t_min) /. 1e6)
+            (dom e) e.kind (field e "depth") (field e "slot"))
         racers
     end
 
@@ -443,7 +436,8 @@ let trace_cmd =
   let trace_arg =
     Arg.(
       required & pos 0 (some file) None
-      & info [] ~docv:"TRACE" ~doc:"A JSONL trace written by bmccheck --trace.")
+      & info [] ~docv:"TRACE"
+          ~doc:"A JSONL trace written by bmccheck --trace, or a flight-recorder dump.")
   in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run_trace $ trace_arg)
 

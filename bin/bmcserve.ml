@@ -51,21 +51,41 @@ let take_lines buf =
 (* Telemetry / recorder plumbing (mirrors bmccheck)                    *)
 (* ------------------------------------------------------------------ *)
 
-let setup_telemetry trace_file =
-  match trace_file with
-  | None -> (Telemetry.disabled, fun () -> ())
-  | Some path ->
-    let oc =
-      try open_out path
-      with Sys_error msg ->
-        Format.eprintf "bmcserve: cannot open trace file: %s@." msg;
-        exit 2
-    in
-    let telemetry = Telemetry.create ~timing:true (Obs.Jsonl.of_channel oc) in
+(* --trace writes the stream as JSONL; --flight-recorder tees a bounded
+   per-domain ring into it, dumped on SIGUSR1 and at drain time.  The
+   returned closer flushes both, so call it once the server has quiesced. *)
+let setup_telemetry trace_file flight_file =
+  let trace_oc =
+    Option.map
+      (fun path ->
+        try open_out path
+        with Sys_error msg ->
+          Format.eprintf "bmcserve: cannot open trace file: %s@." msg;
+          exit 2)
+      trace_file
+  in
+  let recorder =
+    Option.map
+      (fun path ->
+        let r = Obs.Recorder.create () in
+        Obs.Recorder.on_sigusr1 r ~path;
+        (r, path))
+      flight_file
+  in
+  let sinks =
+    Option.to_list (Option.map Obs.Jsonl.of_channel trace_oc)
+    @ Option.to_list (Option.map (fun (r, _) -> Obs.Recorder.sink r) recorder)
+  in
+  match sinks with
+  | [] -> (Telemetry.disabled, fun () -> ())
+  | sinks ->
+    (* phase timing (clock reads per BCP) only when a trace reads it *)
+    let telemetry = Telemetry.create ~timing:(trace_file <> None) (Telemetry.Sink.tee sinks) in
     ( telemetry,
       fun () ->
         Telemetry.flush telemetry;
-        close_out_noerr oc )
+        Option.iter close_out_noerr trace_oc;
+        Option.iter (fun (r, path) -> Obs.Recorder.dump r path) recorder )
 
 let setup_ledger ledger_file =
   match ledger_file with
@@ -255,22 +275,13 @@ let run_server socket jobs cache_mb max_pending share mode depth_cap max_conflic
         (Printf.sprintf "unknown mode %S (available: %s)" mode
            (String.concat "|" (Ordering.names ())))
   in
-  let telemetry, close_telemetry = setup_telemetry trace_file in
+  let telemetry, close_telemetry = setup_telemetry trace_file flight_file in
   let ledger, close_ledger = setup_ledger ledger_file in
-  let recorder =
-    Option.map
-      (fun path ->
-        let r = Obs.Recorder.create () in
-        Obs.Recorder.on_sigusr1 r ~path;
-        (r, path))
-      flight_file
-  in
   let wake_r, wake_w = Unix.pipe () in
   let stop = ref false in
   let cfg =
     Serve.Server.make_config ~jobs ~cache_bytes:(cache_mb * 1024 * 1024) ~max_pending
-      ~share ~mode ~depth_cap ?max_conflicts ~telemetry
-      ?recorder:(Option.map fst recorder) ?ledger ()
+      ~share ~mode ~depth_cap ?max_conflicts ~telemetry ?ledger ()
   in
   let fe = ref None in
   let engine =
@@ -286,7 +297,6 @@ let run_server socket jobs cache_mb max_pending share mode depth_cap max_conflic
   | None -> serve_stdio frontend);
   (* quiesced: flush every observability stream before the pool dies *)
   Serve.Server.shutdown engine;
-  (match recorder with Some (r, path) -> Obs.Recorder.dump r path | None -> ());
   close_ledger ();
   close_telemetry ();
   finish frontend;
@@ -411,7 +421,8 @@ let flight_file =
     & opt (some string) None
     & info [ "flight-recorder" ] ~docv:"FILE"
         ~doc:
-          "Attach a flight recorder; dumped to $(docv) on SIGUSR1 and at drain time.")
+          "Keep the last telemetry events of every domain in a bounded ring; dumped to \
+           $(docv) as a JSONL trace on SIGUSR1 and at drain time.")
 
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log server events to stderr.")
 

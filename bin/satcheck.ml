@@ -3,9 +3,10 @@
    Exit codes follow the SAT-competition convention: 10 = SAT, 20 = UNSAT,
    0 = unknown (budget exhausted), 2 = input error. *)
 
-(* --trace/--metrics plumbing; the report lands on stderr so the "s ..."
-   protocol lines on stdout stay machine-parsable. *)
-let setup_telemetry trace_file metrics =
+(* --trace/--metrics/--flight-recorder plumbing; the report lands on stderr
+   so the "s ..." protocol lines on stdout stay machine-parsable.  The
+   flight recorder's ring is dumped at exit and on SIGUSR1. *)
+let setup_telemetry trace_file metrics flight_file =
   let agg = if metrics then Some (Telemetry.Sink.aggregate ()) else None in
   let trace_oc =
     Option.map
@@ -16,14 +17,29 @@ let setup_telemetry trace_file metrics =
           exit 2)
       trace_file
   in
+  let recorder =
+    Option.map
+      (fun path ->
+        let r = Obs.Recorder.create () in
+        Obs.Recorder.on_sigusr1 r ~path;
+        at_exit (fun () ->
+            try Obs.Recorder.dump r path
+            with Sys_error msg ->
+              Format.eprintf "satcheck: cannot write flight recording: %s@." msg);
+        r)
+      flight_file
+  in
   let sinks =
     Option.to_list (Option.map Obs.Jsonl.of_channel trace_oc)
     @ Option.to_list (Option.map Telemetry.Sink.of_aggregate agg)
+    @ Option.to_list (Option.map Obs.Recorder.sink recorder)
   in
   match sinks with
   | [] -> Telemetry.disabled
   | sinks ->
-    let telemetry = Telemetry.create (Telemetry.Sink.tee sinks) in
+    (* phase timing (clock reads per BCP) only for the consumers that read it *)
+    let timing = trace_file <> None || metrics in
+    let telemetry = Telemetry.create ~timing (Telemetry.Sink.tee sinks) in
     at_exit (fun () ->
         Telemetry.flush telemetry;
         Option.iter close_out trace_oc;
@@ -76,18 +92,8 @@ let run file core core_min stats_flag max_conflicts max_seconds assume drat_file
           exit 2)
     in
     let with_drat = drat_file <> None || certify in
-    let telemetry = setup_telemetry trace_file metrics in
+    let telemetry = setup_telemetry trace_file metrics flight_file in
     let solver = Sat.Solver.create ~with_proof:core ~with_drat ~telemetry cnf in
-    Option.iter
-      (fun path ->
-        let r = Obs.Recorder.create () in
-        Sat.Solver.set_recorder solver r;
-        Obs.Recorder.on_sigusr1 r ~path;
-        at_exit (fun () ->
-            try Obs.Recorder.dump r path
-            with Sys_error msg ->
-              Format.eprintf "satcheck: cannot write flight recording: %s@." msg))
-      flight_file;
     let budget =
       {
         Sat.Solver.max_conflicts;
@@ -263,9 +269,10 @@ let flight_file =
     value
     & opt (some string) None
     & info [ "flight-recorder" ] ~docv:"FILE"
-        ~doc:"Keep a bounded in-memory flight recording (restarts, clause-DB reductions, \
-              arena compactions, ordering switches) and dump it to $(docv) as JSONL at \
-              exit — or on SIGUSR1.  Render it with bmcprof timeline.")
+        ~doc:"Keep the last telemetry events in a bounded in-memory ring (restarts, \
+              clause-DB reductions, arena compactions, ordering switches, solves) and \
+              dump them to $(docv) as a JSONL trace at exit — or on SIGUSR1.  Render it \
+              with bmcprof timeline.")
 
 let metrics =
   Arg.(

@@ -23,9 +23,6 @@ let pp_verdict ppf = function
   | Falsified trace -> Format.fprintf ppf "falsified at depth %d" trace.Trace.depth
   | Unknown k -> Format.fprintf ppf "undecided up to depth %d" k
 
-(* the per-engine order_mode copies are hoisted into the session layer *)
-let order_mode = Session.order_mode
-
 (* Registers named by the core: any core variable whose Varmap key is a
    register node, at any frame. *)
 let core_registers unroll netlist core_vars =
@@ -46,12 +43,13 @@ let core_registers unroll netlist core_vars =
   tbl
 
 let prove ?(config = Session.default_config) ?(max_abstract_regs = 22) netlist ~property =
-  let cfg = config in
   (match Circuit.Netlist.validate netlist with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Abstraction.prove: " ^ msg));
-  let unroll = Unroll.create ~coi:cfg.coi netlist ~property in
-  let score = Score.create ~weighting:cfg.weighting () in
+  (* every round reads the raw proof core, whatever the ordering *)
+  let cfg = { config with Session.collect_cores = true; core_mode = Session.Core_fast } in
+  let session = Session.create ~policy:Session.Fresh cfg netlist ~property in
+  let unroll = Session.unroll session in
   let total_regs = List.length (Circuit.Netlist.regs netlist) in
   let rounds = ref [] in
   let start = Sys.time () in
@@ -62,17 +60,12 @@ let prove ?(config = Session.default_config) ?(max_abstract_regs = 22) netlist ~
     if k > cfg.max_depth then finish (Unknown cfg.max_depth)
     else begin
       let t0 = Sys.time () in
-      let cnf = Unroll.instance unroll ~k in
-      let solver =
-        Sat.Solver.create ~with_proof:true ~mode:(order_mode cfg unroll score ~k)
-          ~telemetry:cfg.telemetry cnf
-      in
-      match Sat.Solver.solve ~budget:cfg.budget solver with
+      match (Session.solve_depth session ~k).Session.outcome with
       | Sat.Solver.Sat ->
         rounds :=
           { depth = k; core_regs = 0; abstract_verdict = None; time = Sys.time () -. t0 }
           :: !rounds;
-        let trace = Trace.of_model unroll ~k ~model:(Sat.Solver.model solver) in
+        let trace = Session.trace session in
         if not (Trace.replay trace netlist ~property) then
           failwith "Abstraction.prove: counterexample failed to replay (internal error)";
         finish (Falsified trace)
@@ -82,9 +75,7 @@ let prove ?(config = Session.default_config) ?(max_abstract_regs = 22) netlist ~
           :: !rounds;
         finish (Unknown k)
       | Sat.Solver.Unsat ->
-        let core_vars = Sat.Solver.core_vars solver in
-        Score.update score ~instance:k ~core_vars;
-        let kept = core_registers unroll netlist core_vars in
+        let kept = core_registers unroll netlist (Session.last_core_vars session) in
         let kept_count = Hashtbl.length kept in
         let abstract_verdict, next_k =
           if kept_count > max_abstract_regs then (None, k + 1)

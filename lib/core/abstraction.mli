@@ -16,9 +16,9 @@
     + otherwise the abstract counterexample's length says how much deeper
       BMC must look: increase k and repeat.
 
-    The BMC phase runs under the configured decision-ordering mode, so the
-    refinement of the paper accelerates the very loop its Figure 3
-    foreshadows. *)
+    The BMC phase runs on one {!Session} under the [Fresh] policy and the
+    configured decision-ordering mode, so the refinement of the paper
+    accelerates the very loop its Figure 3 foreshadows. *)
 
 type verdict =
   | Proved of { depth : int; kept_regs : int; total_regs : int }
@@ -48,7 +48,9 @@ val prove :
   property:Circuit.Netlist.node ->
   result
 (** [prove netlist ~property] runs the abstraction loop.  [config.max_depth]
-    bounds the BMC depth; [max_abstract_regs] (default 22) bounds the
+    bounds the BMC depth; [config.collect_cores] and [config.core_mode] are
+    overridden ([true], [Core_fast]) so every round reads the raw proof
+    core.  [max_abstract_regs] (default 22) bounds the
     abstractions handed to the explicit-state checker — larger abstractions
     skip the check and deepen instead.
     @raise Invalid_argument if the netlist does not validate. *)

@@ -30,13 +30,11 @@ type mode =
   | Custom of custom
 
 (* What quality of unsat core feeds the ranking (and the reports):
-   [Fast] takes the proof-derived core as-is; [Exact] additionally asks for
-   proof collection so coordinators (the portfolio race) can stitch the
-   cross-solver core; [Minimal] runs destructive core minimisation
-   ({!Sat.Coremin}) on every UNSAT instance before folding. *)
+   [Fast] takes the proof-derived core as-is; [Minimal] runs destructive
+   core minimisation ({!Sat.Coremin}) on every UNSAT instance before
+   folding. *)
 type core_mode =
   | Core_fast
-  | Core_exact
   | Core_minimal
 
 type config = {
@@ -51,7 +49,6 @@ type config = {
   restart_base : int option;
   inprocess : Sat.Inprocess.config option;
   telemetry : Telemetry.t;
-  recorder : Obs.Recorder.t option;
 }
 
 let default_config =
@@ -67,13 +64,12 @@ let default_config =
     restart_base = None;
     inprocess = None;
     telemetry = Telemetry.disabled;
-    recorder = None;
   }
 
 let make_config ?(mode = Standard) ?(weighting = Score.Linear) ?(coi = false)
     ?(budget = Sat.Solver.no_budget) ?(max_depth = 20) ?(collect_cores = false)
     ?(core_mode = Core_fast) ?(coremin_budget = Sat.Coremin.no_budget) ?restart_base
-    ?inprocess ?(telemetry = Telemetry.disabled) ?recorder () =
+    ?inprocess ?(telemetry = Telemetry.disabled) () =
   {
     mode;
     weighting;
@@ -86,19 +82,7 @@ let make_config ?(mode = Standard) ?(weighting = Score.Linear) ?(coi = false)
     restart_base;
     inprocess;
     telemetry;
-    recorder;
   }
-
-let pp_core_mode ppf = function
-  | Core_fast -> Format.pp_print_string ppf "fast"
-  | Core_exact -> Format.pp_print_string ppf "exact"
-  | Core_minimal -> Format.pp_print_string ppf "minimal"
-
-let core_mode_of_string = function
-  | "fast" -> Some Core_fast
-  | "exact" -> Some Core_exact
-  | "minimal" -> Some Core_minimal
-  | _ -> None
 
 (* Does this mode consume unsat cores between instances? *)
 let uses_cores = function
@@ -246,11 +230,6 @@ let pp_policy ppf = function
   | Fresh -> Format.pp_print_string ppf "fresh"
   | Persistent -> Format.pp_print_string ppf "persistent"
 
-let policy_of_string = function
-  | "fresh" -> Some Fresh
-  | "persistent" -> Some Persistent
-  | _ -> None
-
 (* The session side of learnt-clause sharing: translate between this
    session's SAT variables and the exchange's solver-independent packed
    (node, frame, sign) keys, in both directions through the session's own
@@ -369,7 +348,7 @@ let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true)
   let unroll = Unroll.create ~coi:cfg.coi ?constrain_init netlist ~property in
   let sc = match score with Some s -> s | None -> Score.create ~weighting:cfg.weighting () in
   let with_proof =
-    learn_cores && (uses_cores cfg.mode || cfg.collect_cores || cfg.core_mode <> Core_fast)
+    learn_cores && (uses_cores cfg.mode || cfg.collect_cores || cfg.core_mode = Core_minimal)
   in
   let solver =
     match policy with
@@ -383,7 +362,6 @@ let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true)
         Sat.Solver.create ~with_proof ~telemetry:cfg.telemetry ~solver_id (Sat.Cnf.create ())
       in
       (match cfg.restart_base with Some b -> Sat.Solver.set_restart_base s b | None -> ());
-      (match cfg.recorder with Some r -> Sat.Solver.set_recorder s r | None -> ());
       (match share with Some ep -> install_share s unroll ep | None -> ());
       Some s
     | Fresh -> None
@@ -639,17 +617,13 @@ let solve_instance t =
       in
       (* a Custom mode's hooks are per-instance, so a Fresh policy rebuilds
          them for every instance (no cross-depth heuristic state); the
-         reload dropped the previous ones, the restart base and the
-         recorder *)
+         reload dropped the previous ones and the restart base *)
       (match cfg.mode with
       | Custom { c_hooks = Some mk; _ } ->
         Sat.Solver.set_order ~hooks:(mk t.unroll t.sc ~solver) solver mode
       | _ -> ());
       (match cfg.restart_base with
       | Some b -> Sat.Solver.set_restart_base solver b
-      | None -> ());
-      (match cfg.recorder with
-      | Some r -> Sat.Solver.set_recorder solver r
       | None -> ());
       t.fresh_solver <- Some solver;
       (solver, [])
@@ -771,11 +745,6 @@ let solve_instance t =
   in
   t.inpr_pending <- Sat.Inprocess.fresh_stats ();
   emit_depth_event cfg.telemetry stat;
-  (match cfg.recorder with
-  | Some r ->
-    Obs.Recorder.record r Obs.Recorder.Depth ~a:k
-      ~b:(match outcome with Sat.Solver.Unsat -> 0 | Sat.Solver.Sat -> 1 | Sat.Solver.Unknown -> 2)
-  | None -> ());
   stat
 
 let model t =

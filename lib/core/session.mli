@@ -71,10 +71,6 @@ type mode =
     reports. *)
 type core_mode =
   | Core_fast  (** the proof-derived core as-is (the default) *)
-  | Core_exact
-      (** force proof logging so exact cores are available in every mode;
-          under a portfolio race the coordinator additionally stitches the
-          racers' proof shards ({!exact_core_vars}) *)
   | Core_minimal
       (** additionally run destructive, checker-certified core minimisation
           ({!Sat.Coremin}) on every UNSAT instance before folding *)
@@ -86,8 +82,8 @@ type config = {
   budget : Sat.Solver.budget;  (** per-instance solver budget *)
   max_depth : int;  (** highest unrolling depth to try *)
   collect_cores : bool;
-      (** force proof logging even in modes that do not consume cores (used
-          by the overhead ablation) *)
+      (** force proof logging even in modes that do not consume cores (the
+          overhead ablation, the serve layer, proof-based abstraction) *)
   core_mode : core_mode;  (** core quality policy (default [Core_fast]) *)
   coremin_budget : Sat.Coremin.budget;
       (** work bound for [Core_minimal]'s per-instance minimisation
@@ -106,11 +102,9 @@ type config = {
   telemetry : Telemetry.t;
       (** structured-tracing handle, threaded into every solver the session
           creates; the session additionally emits one "depth" event per
-          solved instance.  Default {!Telemetry.disabled} — a no-op. *)
-  recorder : Obs.Recorder.t option;
-      (** flight recorder, installed on every solver the session creates
-          ({!Sat.Solver.set_recorder}); the session additionally records
-          one [Depth] event per solved instance.  Default [None]. *)
+          solved instance.  A flight recorder rides on it: tee
+          [Obs.Recorder.sink] into the handle's sink.  Default
+          {!Telemetry.disabled} — a no-op. *)
 }
 
 val default_config : config
@@ -129,7 +123,6 @@ val make_config :
   ?restart_base:int ->
   ?inprocess:Sat.Inprocess.config ->
   ?telemetry:Telemetry.t ->
-  ?recorder:Obs.Recorder.t ->
   unit ->
   config
 
@@ -152,11 +145,6 @@ val pp_mode : Format.formatter -> mode -> unit
 val mode_string : mode -> string
 (** What {!pp_mode} prints.  The inverse is the [Ordering] registry's
     [mode_of_name], the one place a name becomes a mode. *)
-
-val pp_core_mode : Format.formatter -> core_mode -> unit
-
-val core_mode_of_string : string -> core_mode option
-(** ["fast"], ["exact"] or ["minimal"]. *)
 
 (** {1 Per-instance statistics} *)
 
@@ -226,8 +214,6 @@ type policy =
           depths — the default substrate *)
 
 val pp_policy : Format.formatter -> policy -> unit
-
-val policy_of_string : string -> policy option
 
 type t
 

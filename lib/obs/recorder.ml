@@ -1,90 +1,20 @@
-type kind =
-  | Restart
-  | Reduce_db
-  | Compact
-  | Switch
-  | Depth
-  | Solve
-  | Racer_start
-  | Racer_cancel
-  | Racer_win
-  | Share_export
-  | Share_import
-  | Inprocess
-
-(* 0 is reserved: a fresh (all-zero) slot decodes as no event. *)
-let kind_to_int = function
-  | Restart -> 1
-  | Reduce_db -> 2
-  | Compact -> 3
-  | Switch -> 4
-  | Depth -> 5
-  | Solve -> 6
-  | Racer_start -> 7
-  | Racer_cancel -> 8
-  | Racer_win -> 9
-  | Share_export -> 10
-  | Share_import -> 11
-  | Inprocess -> 12
-
-let kind_of_int = function
-  | 1 -> Some Restart
-  | 2 -> Some Reduce_db
-  | 3 -> Some Compact
-  | 4 -> Some Switch
-  | 5 -> Some Depth
-  | 6 -> Some Solve
-  | 7 -> Some Racer_start
-  | 8 -> Some Racer_cancel
-  | 9 -> Some Racer_win
-  | 10 -> Some Share_export
-  | 11 -> Some Share_import
-  | 12 -> Some Inprocess
-  | _ -> None
-
-let kind_name = function
-  | Restart -> "restart"
-  | Reduce_db -> "reduce_db"
-  | Compact -> "compact"
-  | Switch -> "switch"
-  | Depth -> "depth"
-  | Solve -> "solve"
-  | Racer_start -> "racer_start"
-  | Racer_cancel -> "racer_cancel"
-  | Racer_win -> "racer_win"
-  | Share_export -> "share_export"
-  | Share_import -> "share_import"
-  | Inprocess -> "inprocess"
-
-let kind_of_name = function
-  | "restart" -> Some Restart
-  | "reduce_db" -> Some Reduce_db
-  | "compact" -> Some Compact
-  | "switch" -> Some Switch
-  | "depth" -> Some Depth
-  | "solve" -> Some Solve
-  | "racer_start" -> Some Racer_start
-  | "racer_cancel" -> Some Racer_cancel
-  | "racer_win" -> Some Racer_win
-  | "share_export" -> Some Share_export
-  | "share_import" -> Some Share_import
-  | "inprocess" -> Some Inprocess
-  | _ -> None
+module Sink = Telemetry.Sink
 
 (* ------------------------------------------------------------------ *)
 (* Rings.
 
-   One ring per domain that ever records through a given recorder; the
-   owning domain is the only writer.  Each event occupies 4 plain ints
-   [kind; a; b; t_us] at slot [seq mod cap]; [r_seq] counts completed
-   events and is the sole synchronisation point: the writer fills the
-   slot with plain stores, then publishes with [Atomic.set] (release).
-   A snapshotting domain reads [r_seq] (acquire) before and after
-   copying — see [snapshot] for the torn-slot argument. *)
+   One ring per domain that ever emits through a given recorder; the
+   owning domain is the only writer.  Event [seq] occupies slot
+   [seq mod cap] of both arrays; [r_seq] counts completed events and is
+   the sole synchronisation point: the writer fills the slot with plain
+   stores, then publishes with [Atomic.set] (release).  A snapshotting
+   domain reads [r_seq] (acquire) before and after copying — see
+   [snapshot_ring] for the torn-slot argument. *)
 
 type ring = {
   r_dom : int;
-  r_buf : int array;  (* 4 * cap *)
+  r_events : Sink.event array;
+  r_t_us : int array;  (* wall-clock microseconds since the recorder's epoch *)
   r_seq : int Atomic.t;  (* events completed; only the owner writes it *)
 }
 
@@ -96,6 +26,8 @@ type t = {
   key : ring Domain.DLS.key;
 }
 
+let blank = { Sink.ts = 0.0; kind = ""; fields = [] }
+
 let create ?(capacity = 4096) () =
   if capacity < 2 then invalid_arg "Recorder.create: capacity < 2";
   let registry = ref [] in
@@ -105,7 +37,8 @@ let create ?(capacity = 4096) () =
         let r =
           {
             r_dom = (Domain.self () :> int);
-            r_buf = Array.make (4 * capacity) 0;
+            r_events = Array.make capacity blank;
+            r_t_us = Array.make capacity 0;
             r_seq = Atomic.make 0;
           }
         in
@@ -114,130 +47,59 @@ let create ?(capacity = 4096) () =
   in
   { cap = capacity; epoch = Unix.gettimeofday (); registry; reg_mutex; key }
 
-let capacity t = t.cap
-
-let record t kind ~a ~b =
+let record t e =
   let r = Domain.DLS.get t.key in
   let s = Atomic.get r.r_seq in
-  let base = s mod t.cap * 4 in
-  r.r_buf.(base) <- kind_to_int kind;
-  r.r_buf.(base + 1) <- a;
-  r.r_buf.(base + 2) <- b;
-  r.r_buf.(base + 3) <- int_of_float ((Unix.gettimeofday () -. t.epoch) *. 1e6);
+  let i = s mod t.cap in
+  r.r_events.(i) <- e;
+  r.r_t_us.(i) <- int_of_float ((Unix.gettimeofday () -. t.epoch) *. 1e6);
   Atomic.set r.r_seq (s + 1)
+
+let sink t = { Sink.emit = record t; flush = ignore }
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots. *)
 
-type entry = {
-  e_dom : int;
-  e_seq : int;
-  e_kind : kind;
-  e_a : int;
-  e_b : int;
-  e_t_us : int;
-}
-
+(* (t_us, dom, seq, event) of every surviving event of one ring. *)
 let snapshot_ring cap r =
   let c1 = Atomic.get r.r_seq in
   let lo = max 0 (c1 - cap) in
-  let copied =
-    Array.init ((c1 - lo) * 4) (fun i ->
-        let ev = lo + (i / 4) in
-        r.r_buf.((ev mod cap * 4) + (i mod 4)))
-  in
+  let events = Array.init (c1 - lo) (fun i -> r.r_events.((lo + i) mod cap)) in
+  let stamps = Array.init (c1 - lo) (fun i -> r.r_t_us.((lo + i) mod cap)) in
   let c2 = Atomic.get r.r_seq in
   (* The writer may since have started (or finished) events up to [c2];
      writing event [e] dirties the slot that held event [e - cap].  Only
      indices strictly above [c2 - cap] are guaranteed untouched. *)
   let keep = ref [] in
   for i = c1 - lo - 1 downto 0 do
-    let ev = lo + i in
-    if ev > c2 - cap then begin
-      let base = i * 4 in
-      match kind_of_int copied.(base) with
-      | Some k ->
-        keep :=
-          {
-            e_dom = r.r_dom;
-            e_seq = ev;
-            e_kind = k;
-            e_a = copied.(base + 1);
-            e_b = copied.(base + 2);
-            e_t_us = copied.(base + 3);
-          }
-          :: !keep
-      | None -> ()
-    end
+    let seq = lo + i in
+    if seq > c2 - cap then keep := (stamps.(i), r.r_dom, seq, events.(i)) :: !keep
   done;
   !keep
 
 let snapshot t =
   let rings = Mutex.protect t.reg_mutex (fun () -> !(t.registry)) in
-  let all = List.concat_map (snapshot_ring t.cap) rings in
-  List.sort
-    (fun x y ->
-      let c = compare x.e_t_us y.e_t_us in
-      if c <> 0 then c
-      else
-        let c = compare x.e_dom y.e_dom in
-        if c <> 0 then c else compare x.e_seq y.e_seq)
-    all
+  List.concat_map (snapshot_ring t.cap) rings
+  |> List.sort (fun (t1, d1, s1, _) (t2, d2, s2, _) -> compare (t1, d1, s1) (t2, d2, s2))
+  |> List.map (fun (t_us, dom, seq, (e : Sink.event)) ->
+         {
+           e with
+           fields = e.fields @ [ ("dom", Sink.Int dom); ("seq", Sink.Int seq); ("t_us", Sink.Int t_us) ];
+         })
 
 (* ------------------------------------------------------------------ *)
-(* JSONL dump / load. *)
-
-let entry_to_json e =
-  Json.to_string
-    (Json.Obj
-       [
-         ("dom", Json.Int e.e_dom);
-         ("seq", Json.Int e.e_seq);
-         ("ev", Json.Str (kind_name e.e_kind));
-         ("a", Json.Int e.e_a);
-         ("b", Json.Int e.e_b);
-         ("t_us", Json.Int e.e_t_us);
-       ])
-
-let entry_of_json line =
-  match Json.of_string line with
-  | Error e -> Error e
-  | Ok j -> (
-    match Json.member "ev" j with
-    | Some (Json.Str name) -> (
-      match kind_of_name name with
-      | None -> Error (Printf.sprintf "unknown flight event %S" name)
-      | Some k ->
-        Ok
-          {
-            e_dom = Json.get_int j "dom";
-            e_seq = Json.get_int j "seq";
-            e_kind = k;
-            e_a = Json.get_int j "a";
-            e_b = Json.get_int j "b";
-            e_t_us = Json.get_int j "t_us";
-          })
-    | _ -> Error "missing \"ev\" member")
-
-let entries_of_string s =
-  String.split_on_char '\n' s
-  |> List.filter_map (fun line ->
-         if String.trim line = "" then None
-         else
-           match entry_of_json line with
-           | Ok e -> Some e
-           | Error msg -> failwith ("Recorder.entries_of_string: " ^ msg))
-
-let output t oc =
-  List.iter
-    (fun e ->
-      output_string oc (entry_to_json e);
-      output_char oc '\n')
-    (snapshot t)
+(* JSONL dump. *)
 
 let dump t path =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output t oc)
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      List.iter
+        (fun e ->
+          output_string oc (Jsonl.to_line e);
+          output_char oc '\n')
+        (snapshot t))
 
 let on_signal t ~signal ~path =
   match Sys.signal signal (Sys.Signal_handle (fun _ -> dump t path)) with

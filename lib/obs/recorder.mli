@@ -1,47 +1,37 @@
-(** Solver flight recorder: a bounded, per-domain, low-overhead event ring.
+(** Flight recorder: a bounded, per-domain telemetry sink.
 
-    A recorder keeps one fixed-size ring of binary events {e per domain}
-    that ever records through it (allocated lazily via domain-local
-    storage).  Each event is four plain ints — kind, two payload words and
-    a microsecond timestamp — so recording is a handful of array stores
-    plus one atomic publish: cheap enough to leave on in production, and
-    bounded, so a run that spins for hours still holds only the last
-    [capacity] events per domain.
+    A recorder is a {!Telemetry.Sink.t} ({!sink}) that keeps the last
+    [capacity] events {e per domain} that ever emits through it, in one
+    ring per domain (allocated lazily via domain-local storage).  Tee it
+    into a run's telemetry handle and every event the run produces — the
+    solver's restarts, switches, database reductions, compactions and
+    clause exchange, the per-solve and per-depth summaries, the
+    portfolio's racer starts, wins and cancellations — lands in the ring
+    of the domain that emitted it, stamped with wall-clock microseconds.
+    Recording is two array stores, one clock read and one atomic publish;
+    a run that spins for hours still holds only the last [capacity]
+    events per domain.
 
     {2 Memory model}
 
-    Each ring has a single writer (its owning domain).  The writer fills a
-    slot with plain stores, then publishes by bumping the ring's atomic
-    sequence counter (release).  A snapshotting domain reads the counter
-    (acquire), copies the live window, and re-reads the counter: any event
-    whose slot the writer may since have re-entered — index [<= c2 -
-    capacity] — is discarded, so a snapshot never contains a torn event.
-    Plain-int races on discarded slots are defined (no tearing per word)
-    under the OCaml memory model; the decoder additionally drops any slot
-    whose kind word does not decode, as belt and braces.
+    Each ring has a single writer (its owning domain).  The writer stores
+    the event and its stamp into slot [seq mod capacity] with plain
+    stores, then publishes by bumping the ring's atomic sequence counter
+    (release).  A snapshotting domain reads the counter (acquire), copies
+    the live window, and re-reads the counter: any event whose slot the
+    writer may since have re-entered — index [<= c2 - capacity] — is
+    discarded, so a snapshot never pairs an event with another event's
+    stamp.  Events are immutable, and a racy read of a slot yields either
+    the old or the new event, never a torn one, under the OCaml memory
+    model.
+
+    A full ring retains [capacity] event records with their field lists,
+    about 50 words per event for a solver's [solve] span; see the README's
+    "Flight recorder" section for measured sizes.
 
     Snapshots can be taken at any time from any domain — on demand, from a
     SIGUSR1 handler ({!on_sigusr1}) or an [at_exit] hook — which is what
     makes a wedged portfolio run diagnosable post-mortem. *)
-
-type kind =
-  | Restart  (** solver restart; [a] = conflicts so far, [b] = restart no. *)
-  | Reduce_db  (** learnt-DB reduction; [a] = clauses removed, [b] = kept *)
-  | Compact  (** arena compaction; [a] = bytes before, [b] = bytes after *)
-  | Switch  (** dynamic ordering fallback fired; [a] = decisions, [b] = conflicts *)
-  | Depth  (** BMC depth solved; [a] = depth, [b] = outcome (0 unsat / 1 sat / 2 unknown) *)
-  | Solve  (** one solver call finished; [a] = outcome, [b] = conflicts delta *)
-  | Racer_start  (** portfolio racer launched; [a] = depth, [b] = racer slot *)
-  | Racer_cancel  (** racer observed cancellation; [a] = depth, [b] = racer slot *)
-  | Racer_win  (** racer finished first; [a] = depth, [b] = racer slot *)
-  | Share_export  (** clause exported; [a] = LBD, [b] = size *)
-  | Share_import  (** clauses imported at level 0; [a] = count, [b] = 0 *)
-  | Inprocess
-      (** one inprocessing run at a depth boundary; [a] = variables
-          eliminated, [b] = clauses subsumed + strengthened *)
-
-val kind_name : kind -> string
-val kind_of_name : string -> kind option
 
 type t
 
@@ -49,43 +39,24 @@ val create : ?capacity:int -> unit -> t
 (** A recorder whose per-domain rings hold the last [capacity] (default
     4096) events each.  @raise Invalid_argument if [capacity < 2]. *)
 
-val capacity : t -> int
+val sink : t -> Telemetry.Sink.t
+(** The recording sink: [emit] appends the event to the calling domain's
+    ring, overwriting the oldest once full; [flush] does nothing.  Needs
+    no lock — each domain writes only its own ring. *)
 
-val record : t -> kind -> a:int -> b:int -> unit
-(** Append an event to the calling domain's ring, overwriting the oldest
-    once full.  The event is timestamped with wall-clock microseconds
-    since {!create}. *)
-
-(** {1 Snapshots} *)
-
-type entry = {
-  e_dom : int;  (** recording domain's id *)
-  e_seq : int;  (** per-domain sequence number *)
-  e_kind : kind;
-  e_a : int;
-  e_b : int;
-  e_t_us : int;  (** microseconds since the recorder was created *)
-}
-
-val snapshot : t -> entry list
+val snapshot : t -> Telemetry.Sink.event list
 (** A consistent copy of every domain's surviving events, merged and
-    sorted by timestamp (ties: domain, then sequence).  Safe to call from
-    any domain while writers are still recording; per-ring, at most one
-    in-flight event's worth of history is conservatively dropped. *)
-
-val entry_to_json : entry -> string
-(** One JSONL line: [{"dom":..,"seq":..,"ev":"restart","a":..,"b":..,"t_us":..}]. *)
-
-val entry_of_json : string -> (entry, string) result
-val entries_of_string : string -> entry list
-(** Parse a whole JSONL dump (blank lines ignored).
-    @raise Failure on malformed input. *)
-
-val output : t -> out_channel -> unit
-(** Write {!snapshot} as JSONL. *)
+    sorted by wall-clock stamp (ties: domain, then sequence).  Each event
+    carries three fields appended to its own: [dom] (the recording
+    domain's id), [seq] (its per-domain sequence number) and [t_us]
+    (microseconds since {!create}).  Safe to call from any domain while
+    writers are still recording; per ring, at most one in-flight event's
+    worth of history is conservatively dropped. *)
 
 val dump : t -> string -> unit
-(** [dump t path] writes {!snapshot} to [path] (truncating). *)
+(** [dump t path] writes {!snapshot} to [path] (truncating) as
+    {!Jsonl} lines — a trace [bmcprof trace] folds and [bmcprof timeline]
+    draws. *)
 
 val on_signal : t -> signal:int -> path:string -> unit
 (** Install a handler on [signal] that dumps a snapshot to [path].

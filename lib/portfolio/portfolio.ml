@@ -216,14 +216,15 @@ let race_depth race ~k =
   let winner = ref None in
   let cancel_at = ref 0.0 in
   let t0 = Pool.wall () in
-  (* Flight events land in the recording worker's own ring. *)
-  let frecord kind ~slot =
-    match race.r_cfg.Session.recorder with
-    | Some r -> Obs.Recorder.record r kind ~a:k ~b:slot
-    | None -> ()
+  (* Emitted on the racing worker, so a flight recorder files each mark
+     in that worker's ring. *)
+  let racer_event kind ~slot =
+    if Telemetry.enabled tel then
+      Telemetry.event tel kind
+        [ ("depth", Telemetry.Sink.Int k); ("slot", Telemetry.Sink.Int slot) ]
   in
   let job i () =
-    frecord Obs.Recorder.Racer_start ~slot:i;
+    racer_event "racer_start" ~slot:i;
     let outcome =
       try
         let s = slot_session race slots.(i) in
@@ -248,7 +249,7 @@ let race_depth race ~k =
         | Ok a when definitive a.a_stat.Session.outcome && !winner = None ->
           winner := Some i;
           cancel_at := Pool.wall ();
-          frecord Obs.Recorder.Racer_win ~slot:i;
+          racer_event "racer_win" ~slot:i;
           (* cancel from inside the winning job: lower cancellation latency
              than waiting for the coordinator to wake up *)
           Array.iteri (fun j sl -> if j <> i then Pool.Token.cancel sl.s_token) slots
@@ -256,7 +257,7 @@ let race_depth race ~k =
           if
             Pool.Token.cancelled slots.(i).s_token
             && not (definitive a.a_stat.Session.outcome)
-          then frecord Obs.Recorder.Racer_cancel ~slot:i
+          then racer_event "racer_cancel" ~slot:i
         | Error _ -> ());
         incr settled;
         Condition.broadcast ccv)

@@ -145,9 +145,10 @@ val race_depth : race -> k:int -> race_stat
     require it).  Emits one "race" telemetry event per round, a
     ["race.win.<name>"] counter for the winner, a ["race.cancelled"]
     counter, one ["cancel_latency"] span per cancelled loser and one
-    ["rotate"] event per recycled slot.  With a flight recorder in the
-    config, each racer records [Racer_start] and [Racer_win] /
-    [Racer_cancel] events to its own worker's ring. *)
+    ["rotate"] event per recycled slot.  Each racer emits
+    ["racer_start"] and ["racer_win"] / ["racer_cancel"] events
+    [{depth, slot}] on its own worker, so a flight recorder teed into the
+    handle files them in that worker's ring. *)
 
 val race_score : race -> Bmc.Score.t
 (** The shared ranking the winners have built so far.  Coordinator-only:

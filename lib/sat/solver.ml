@@ -98,7 +98,6 @@ type t = {
   mutable heur : hooks option; (* pluggable ordering heuristic, when installed *)
   mutable local_mask : bool array; (* per var: instance-local (activation/aux) *)
   mutable analysis_tainted : bool; (* scratch: current conflict analysis touched a tainted antecedent *)
-  mutable frec : Obs.Recorder.t option; (* flight recorder, when installed *)
   (* inprocessing state *)
   mutable frozen : bool array; (* per var: exempt from variable elimination *)
   mutable eliminated : bool array; (* per var: removed by BVE *)
@@ -118,12 +117,6 @@ let value_lit t l =
   if v = unassigned then unassigned else if Lit.is_pos l then v else 1 - v
 
 let decision_level t = Vec.length t.trail_lim
-
-(* Flight-recorder hook: a no-op unless a recorder was installed, and the
-   recorded events are all low-rate (restart / GC / switch / share / solve
-   boundaries — never per decision or per propagation). *)
-let frecord t kind ~a ~b =
-  match t.frec with None -> () | Some r -> Obs.Recorder.record r kind ~a ~b
 
 let watch_list t l = t.watches.(Lit.to_index l)
 
@@ -377,7 +370,6 @@ let load t mode src =
   t.share <- None;
   t.heur <- None;
   t.analysis_tainted <- false;
-  t.frec <- None;
   t.elim_stack <- [];
   t.cur_budget <- no_budget;
   t.solve_start <- 0.0;
@@ -431,7 +423,6 @@ let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode
       heur = None;
       local_mask = [||];
       analysis_tainted = false;
-      frec = None;
       frozen = [||];
       eliminated = [||];
       elim_stack = [];
@@ -681,7 +672,8 @@ let import_pending t =
         end)
       (sh.sh_import ());
     let imported = t.stats.shared_imported - before in
-    if imported > 0 then frecord t Obs.Recorder.Share_import ~a:imported ~b:0
+    if imported > 0 && Telemetry.enabled t.tel then
+      Telemetry.event t.tel "share_import" [ ("count", Telemetry.Sink.Int imported) ]
 
 (* ------------------------------------------------------------------ *)
 (* Conflict analysis (first UIP).                                      *)
@@ -874,7 +866,12 @@ let maybe_export t lits ~tainted ~src_id =
           else begin
             sh.sh_left <- sh.sh_left - 1;
             t.stats.shared_exported <- t.stats.shared_exported + 1;
-            frecord t Obs.Recorder.Share_export ~a:lbd ~b:(List.length lits);
+            if Telemetry.enabled t.tel then
+              Telemetry.event t.tel "share_export"
+                [
+                  ("lbd", Telemetry.Sink.Int lbd);
+                  ("size", Telemetry.Sink.Int (List.length lits));
+                ];
             sh.sh_export (Array.of_list lits) ~lbd ~src_id
           end
         end
@@ -955,7 +952,12 @@ let compact t =
   Arena.commit t.arena ~into;
   t.stats.arena_compactions <- t.stats.arena_compactions + 1;
   t.stats.arena_bytes <- Arena.bytes t.arena;
-  frecord t Obs.Recorder.Compact ~a:bytes_before ~b:t.stats.arena_bytes
+  if Telemetry.enabled t.tel then
+    Telemetry.event t.tel "compact"
+      [
+        ("before", Telemetry.Sink.Int bytes_before);
+        ("after", Telemetry.Sink.Int t.stats.arena_bytes);
+      ]
 
 let reduce_db t =
   let cs = Vec.to_array t.learnts in
@@ -982,7 +984,12 @@ let reduce_db t =
       t.watches;
   t.max_learnts <- t.max_learnts + (t.max_learnts / 10);
   t.stats.arena_bytes <- Arena.bytes t.arena;
-  frecord t Obs.Recorder.Reduce_db ~a:!removed ~b:(Vec.length t.learnts);
+  if Telemetry.enabled t.tel then
+    Telemetry.event t.tel "reduce_db"
+      [
+        ("removed", Telemetry.Sink.Int !removed);
+        ("kept", Telemetry.Sink.Int (Vec.length t.learnts));
+      ];
   if Arena.should_gc t.arena ~max_waste:t.gc_fraction then compact t
 
 (* ------------------------------------------------------------------ *)
@@ -1008,12 +1015,6 @@ let freeze t v =
   t.frozen.(v) <- true
 
 let melt t v = if v < Array.length t.frozen then t.frozen.(v) <- false
-
-let is_frozen t v = v < Array.length t.frozen && t.frozen.(v)
-
-let is_eliminated t v = v < Array.length t.eliminated && t.eliminated.(v)
-
-let num_eliminated t = List.length t.elim_stack
 
 (* Record a level-0 refutation discovered outside the search loop (during
    probing or while attaching derived clauses). *)
@@ -1242,8 +1243,6 @@ let inprocess ?(config = Inprocess.default) t =
     s.inpr_resolvents <- s.inpr_resolvents + st.Inprocess.resolvents;
     s.inpr_time <- s.inpr_time +. st.Inprocess.time;
     s.arena_bytes <- Arena.bytes t.arena;
-    frecord t Obs.Recorder.Inprocess ~a:st.Inprocess.eliminated
-      ~b:(st.Inprocess.subsumed + st.Inprocess.strengthened);
     if Telemetry.enabled t.tel then begin
       let open Telemetry.Sink in
       Telemetry.span_event t.tel "inprocess" ~dur:st.Inprocess.time
@@ -1312,7 +1311,6 @@ let pick_decision t =
   then begin
     Order.switch_to_vsids t.order;
     t.stats.heuristic_switches <- t.stats.heuristic_switches + 1;
-    frecord t Obs.Recorder.Switch ~a:t.stats.decisions ~b:t.stats.conflicts;
     if Telemetry.enabled t.tel then
       Telemetry.event t.tel "switch"
         [
@@ -1347,7 +1345,6 @@ let search t budget start_time =
       if !conflicts_until_restart <= 0 then begin
         t.stats.restarts <- t.stats.restarts + 1;
         conflicts_until_restart := Luby.next t.luby;
-        frecord t Obs.Recorder.Restart ~a:t.stats.conflicts ~b:t.stats.restarts;
         if Telemetry.enabled t.tel then
           Telemetry.event t.tel "restart"
             [ ("conflicts", Telemetry.Sink.Int t.stats.conflicts) ];
@@ -1419,11 +1416,26 @@ let search t budget start_time =
 
 let cdg_seconds t = match t.proof with Some p -> Proof.cdg_seconds p | None -> 0.0
 
+let solve_event t r ~dur ~dec_rank ~dec_vsids =
+  let open Telemetry.Sink in
+  Telemetry.span_event t.tel "solve" ~dur
+    [
+      ("outcome", Str (outcome_string r));
+      ("decisions", Int t.stats.decisions);
+      ("conflicts", Int t.stats.conflicts);
+      ("dec_rank", Int dec_rank);
+      ("dec_vsids", Int dec_vsids);
+    ]
+
 let solve ?(budget = no_budget) ?(assumptions = []) t =
   t.failed_assumptions <- [];
-  let confl_before = t.stats.conflicts in
   let r =
-    if not t.ok then Unsat
+    if not t.ok then begin
+      (* refuted while loading: no search, but the stream still records
+         the call *)
+      if Telemetry.enabled t.tel then solve_event t Unsat ~dur:0.0 ~dec_rank:0 ~dec_vsids:0;
+      Unsat
+    end
     else begin
       cancel_until t 0;
       (match t.proof with Some p -> Proof.clear_final p | None -> ());
@@ -1477,23 +1489,12 @@ let solve ?(budget = no_budget) ?(assumptions = []) t =
             [ ("count", Int (s.learned - learned0)) ];
         Telemetry.counter t.tel "decisions.rank" (s.decisions_rank - rank0);
         Telemetry.counter t.tel "decisions.vsids" (s.decisions_vsids - vsids0);
-        Telemetry.span_event t.tel "solve" ~dur
-          [
-            ("outcome", Str (outcome_string r));
-            ("decisions", Int s.decisions);
-            ("conflicts", Int s.conflicts);
-            ("dec_rank", Int (s.decisions_rank - rank0));
-            ("dec_vsids", Int (s.decisions_vsids - vsids0));
-          ]
+        solve_event t r ~dur ~dec_rank:(s.decisions_rank - rank0)
+          ~dec_vsids:(s.decisions_vsids - vsids0)
       end;
       r
     end
   in
-  (* outside the search path so even instances refuted during clause
-     loading (t.ok already false) leave a Solve mark in the recording *)
-  frecord t Obs.Recorder.Solve
-    ~a:(match r with Unsat -> 0 | Sat -> 1 | Unknown -> 2)
-    ~b:(t.stats.conflicts - confl_before);
   (* keep the model available after Sat; reset nothing *)
   t.result <- Some r;
   r
@@ -1574,8 +1575,6 @@ let unsat_core t = core_clauses t (core_leaves t "unsat_core")
 let core_vars t = vars_of_clauses t (unsat_core t)
 
 let solver_id t = t.sid
-
-let proof t = t.proof
 
 let original_clause t i = Array.to_list (Cnf.get_clause t.cnf i)
 
@@ -1661,8 +1660,6 @@ let set_order ?hooks t mode =
 
 let set_rank t v r = Order.set_rank t.order v r
 
-let heuristic_name t = match t.heur with Some h -> Some h.hk_name | None -> None
-
 let set_max_learnts t n = t.max_learnts <- max 1 n
 
 let set_restart_base t base = t.luby <- Luby.create ~base
@@ -1686,19 +1683,11 @@ let set_share ?(max_size = 8) ?(max_lbd = 4) ?(export_budget = max_int) ?tune t 
         sh_import = import;
       }
 
-let clear_share t = t.share <- None
-
-let set_recorder t r = t.frec <- Some r
-
-let clear_recorder t = t.frec <- None
-
 let set_gc_fraction t f =
   if f < 0.0 then invalid_arg "Solver.set_gc_fraction: negative";
   t.gc_fraction <- f
 
 let arena_bytes t = Arena.bytes t.arena
-
-let num_clauses t = Cnf.num_clauses t.cnf
 
 let outcome_opt t = t.result
 

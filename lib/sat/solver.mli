@@ -75,8 +75,13 @@ val create :
     paper.  [with_drat] (default [false]) additionally records the clausal
     (DRAT) proof for {!drat_events} / {!Checker}.  [telemetry] (default
     {!Telemetry.disabled}) turns on structured tracing: per-solve phase
-    spans ("bcp", "analyze", "cdg", "solve"), "reduce_db" spans, instant
-    "restart" / "switch" events, and per-solve "decisions.rank" /
+    spans ("bcp", "analyze", "cdg", "solve" — a call on a formula already
+    refuted while loading still emits its "solve" span), "reduce_db" and
+    "inprocess" spans, instant "restart", "switch", "reduce_db"
+    [{removed, kept}], "compact" [{before, after}] (arena bytes),
+    "share_export" [{lbd, size}] and "share_import" [{count}] events —
+    all low-rate, so a flight recorder can ride along — and per-solve
+    "decisions.rank" /
     "decisions.vsids" counters (the decision-source histogram, attributed
     per variable by {!Order.decided_by_rank} and published coalesced —
     never as per-decision events); it also feeds the wall-time fields of
@@ -105,8 +110,8 @@ val reload : ?mode:Order.mode -> t -> Cnf.t -> unit
     clauses and proof graph, the Luby sequence (a {!set_restart_base} is
     undone), the learnt limit ({!set_max_learnts}), the GC fraction
     ({!set_gc_fraction}), the [Dynamic] threshold, the outcome and any
-    assumption state, the {!set_order} hooks, {!set_share} and
-    {!set_recorder} installations, the {!mark_local} marks, and the
+    assumption state, the {!set_order} hooks, the {!set_share}
+    installation, the {!mark_local} marks, and the
     inprocessing state (frozen and eliminated variables and the
     model-reconstruction stack).  The last
     model and core are gone: read them before reloading.
@@ -175,9 +180,6 @@ val set_rank : t -> Lit.var -> float -> unit
     {!Order.set_rank}) — the mutation path for conflict-frequency
     heuristics that refine their ranking from inside [hk_on_conflict]. *)
 
-val heuristic_name : t -> string option
-(** The [hk_name] of the installed hooks, if any. *)
-
 (** {2 Clause sharing (the portfolio's learnt-clause exchange)}
 
     The solver side of cross-solver clause exchange: an export filter fired
@@ -232,8 +234,6 @@ val set_share :
     proofs coexist.
     @raise Invalid_argument on caps < 1. *)
 
-val clear_share : t -> unit
-
 (** {2 Inprocessing}
 
     Proof-aware in-solver simplification, run between {!solve} calls —
@@ -266,14 +266,6 @@ val melt : t -> Lit.var -> unit
 (** Undo {!freeze}: the variable becomes eliminable again from the next
     {!inprocess} run on. *)
 
-val is_frozen : t -> Lit.var -> bool
-
-val is_eliminated : t -> Lit.var -> bool
-(** Whether {!inprocess} eliminated the variable.  {!add_clause} and
-    assumptions mentioning such a variable raise [Invalid_argument]. *)
-
-val num_eliminated : t -> int
-
 val inprocess : ?config:Inprocess.config -> t -> Inprocess.stats
 (** Run one inprocessing pass under [config] (default
     {!Inprocess.default}) and return its statistics (also accumulated
@@ -284,15 +276,6 @@ val inprocess : ?config:Inprocess.config -> t -> Inprocess.stats
     search refutation: the next {!solve} answers [Unsat] with the proof
     final already set.  No-op when the solver is already refuted.  With
     [time_slice = None] (the default) a run is deterministic. *)
-
-val set_recorder : t -> Obs.Recorder.t -> unit
-(** Install a flight recorder.  The solver then records low-rate events to
-    the calling domain's ring — {!Obs.Recorder.Restart}, [Reduce_db],
-    [Compact], [Switch], [Solve], [Share_export], [Share_import] — cheap
-    enough to leave on in production and snapshottable post-mortem.  Hot
-    per-decision / per-propagation paths are never recorded. *)
-
-val clear_recorder : t -> unit
 
 val set_restart_base : t -> int -> unit
 (** Replace the Luby restart sequence with one of the given unit (default
@@ -316,9 +299,6 @@ val set_gc_fraction : t -> float -> unit
 val arena_bytes : t -> int
 (** Current clause-arena footprint in bytes (live plus not-yet-compacted
     waste). *)
-
-val num_clauses : t -> int
-(** Clauses added so far (original ones, not learnt). *)
 
 val model : t -> bool array
 (** Satisfying assignment indexed by variable.
@@ -351,10 +331,6 @@ val unsat_core : t -> int list
 
 val solver_id : t -> int
 (** The global provenance id passed at {!create} (default 0). *)
-
-val proof : t -> Proof.t option
-(** This solver's proof shard, when created [~with_proof:true].  Read-only
-    use by a coordinator, and only once the owning domain has quiesced. *)
 
 val stitched_core : t -> lookup:(int -> t option) -> (int * int list) list
 (** The exact cross-solver core: for each proof shard contributing at least

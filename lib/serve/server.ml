@@ -11,13 +11,12 @@ type config = {
   sv_depth_cap : int;
   sv_max_conflicts : int option;
   sv_telemetry : Telemetry.t;
-  sv_recorder : Obs.Recorder.t option;
   sv_ledger : (Json.t -> unit) option;
 }
 
 let make_config ?(jobs = 1) ?(cache_bytes = 64 * 1024 * 1024) ?(max_pending = 64)
     ?(share = false) ?(mode = Session.Dynamic) ?(depth_cap = 64) ?max_conflicts
-    ?(telemetry = Telemetry.disabled) ?recorder ?ledger () =
+    ?(telemetry = Telemetry.disabled) ?ledger () =
   {
     sv_jobs = jobs;
     sv_cache_bytes = cache_bytes;
@@ -27,7 +26,6 @@ let make_config ?(jobs = 1) ?(cache_bytes = 64 * 1024 * 1024) ?(max_pending = 64
     sv_depth_cap = depth_cap;
     sv_max_conflicts = max_conflicts;
     sv_telemetry = telemetry;
-    sv_recorder = recorder;
     sv_ledger = ledger;
   }
 
@@ -205,8 +203,7 @@ let entry_session t (e : pending Cache.entry) =
     in
     let cfg =
       Session.make_config ~mode:e.Cache.ce_mode ~budget ~max_depth:t.cfg.sv_depth_cap
-        ~collect_cores:true ~telemetry:t.cfg.sv_telemetry
-        ?recorder:t.cfg.sv_recorder ()
+        ~collect_cores:true ~telemetry:t.cfg.sv_telemetry ()
     in
     let s = Session.create ?share cfg e.Cache.ce_netlist ~property:e.Cache.ce_property in
     e.Cache.ce_session <- Some s;

@@ -38,7 +38,8 @@ type config = {
   sv_depth_cap : int;  (** requests with a deeper budget are rejected *)
   sv_max_conflicts : int option;  (** per-instance conflict budget *)
   sv_telemetry : Telemetry.t;
-  sv_recorder : Obs.Recorder.t option;
+      (** every session and solver of the server emits here; a flight
+          recorder rides on it (tee [Obs.Recorder.sink] into its sink) *)
   sv_ledger : (Obs.Json.t -> unit) option;  (** per-request ledger sink *)
 }
 
@@ -51,7 +52,6 @@ val make_config :
   ?depth_cap:int ->
   ?max_conflicts:int ->
   ?telemetry:Telemetry.t ->
-  ?recorder:Obs.Recorder.t ->
   ?ledger:(Obs.Json.t -> unit) ->
   unit ->
   config

@@ -15,7 +15,7 @@ type value =
 
 type event = {
   ts : float;  (** seconds since the owning handle was created *)
-  kind : string;  (** "span", "counter", "gauge", "depth", "decision", ... *)
+  kind : string;  (** "span", "counter", "gauge", "depth", "restart", ... *)
   fields : (string * value) list;
 }
 

@@ -5,8 +5,8 @@ type t = {
   timing : bool;
       (* Hot-path phase timing (clock reads around every BCP / conflict
          analysis).  Separately switchable so a consumer that only wants
-         the event stream — the run ledger, the flight recorder's ride-along
-         telemetry — does not pay two [Sys.time] calls per propagation. *)
+         the event stream — the run ledger, the flight recorder — does not
+         pay two [Sys.time] calls per propagation. *)
   sink : Sink.t;
   clock : unit -> float;
   epoch : float;

@@ -14,8 +14,15 @@
       additionally records [nest] (enclosing-span depth), while pre-measured
       {!span_event}s may carry a [count] of coalesced calls.
     - ["counter"] / ["gauge"]: named monotonic sums / last-value readings.
-    - ["decision"], ["restart"], ["switch"]: instant solver events.
-    - ["depth"]: one per BMC unrolling depth, emitted by the engines. *)
+    - ["restart"], ["switch"], ["reduce_db"], ["compact"],
+      ["share_export"], ["share_import"]: instant solver events.
+    - ["depth"]: one per BMC unrolling depth, emitted by the engines.
+    - ["race"], ["racer_start"], ["racer_win"], ["racer_cancel"]: the
+      portfolio's rounds and, on each racing worker, its racers' marks.
+
+    This one stream feeds the JSONL trace, the aggregate report, the run
+    ledger, the Prometheus export and the flight recorder, each a sink
+    teed into the handle. *)
 
 module Sink = Sink
 
@@ -30,7 +37,7 @@ val create : ?clock:(unit -> float) -> ?timing:bool -> Sink.t -> t
     deterministic clock.  [timing] (default [true]) additionally enables
     hot-path phase timing — clock reads around every BCP and conflict
     analysis; pass [~timing:false] for event-stream-only consumers (run
-    ledgers, flight-recorder ride-alongs) that must stay cheap enough to
+    ledgers, flight recorders) that must stay cheap enough to
     leave on. *)
 
 val enabled : t -> bool

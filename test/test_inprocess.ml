@@ -490,7 +490,10 @@ let prop_ltl_on_off =
       let check cfg = (Bmc.Ltl.check ~config:cfg case.netlist formula).verdict in
       match (check (config ()), check (config ~inprocess:eager ())) with
       | Bmc.Ltl.Falsified w, Bmc.Ltl.Falsified w' ->
-        w.Bmc.Ltl.depth = w'.Bmc.Ltl.depth && w.Bmc.Ltl.loop_start = w'.Bmc.Ltl.loop_start
+        (* the lasso's loop start is whichever one the solver's model
+           picked, so only the depth is compared; [Ltl.check] re-validates
+           each witness on the concrete lasso and raises if one fails *)
+        w.Bmc.Ltl.depth = w'.Bmc.Ltl.depth
       | Bmc.Ltl.Bounded_pass k, Bmc.Ltl.Bounded_pass k' -> k = k'
       | Bmc.Ltl.Aborted k, Bmc.Ltl.Aborted k' -> k = k'
       | ((Bmc.Ltl.Falsified _ | Bmc.Ltl.Bounded_pass _ | Bmc.Ltl.Aborted _), _) -> false)

@@ -1,5 +1,6 @@
 (* Observability layer: flight-recorder ring semantics (bounded memory,
-   overwrite order, snapshot consistency under concurrent writers), the run
+   overwrite order, snapshot consistency under concurrent writers, the
+   dump as a JSONL trace), the run
    ledger's schema round-trip and event-stream distillation, the regression
    diff and the Prometheus export. *)
 
@@ -11,12 +12,23 @@ module J = Obs.Json
 (* Flight-recorder ring.                                               *)
 (* ------------------------------------------------------------------ *)
 
+module Sink = Telemetry.Sink
+
+(* Emit one instant event into the recorder, from the calling domain. *)
+let emit rec_ kind ~a ~b =
+  (R.sink rec_).Sink.emit { Sink.ts = 0.0; kind; fields = [ ("a", Sink.Int a); ("b", Sink.Int b) ] }
+
+let int_field (e : Sink.event) k =
+  match Sink.find_int e.fields k with
+  | Some v -> v
+  | None -> Alcotest.failf "event %s lacks an int field %S" e.kind k
+
 let test_ring_bounded_overwrite () =
   let cap = 64 in
   let rec_ = R.create ~capacity:cap () in
   let total = 10 * cap in
   for i = 0 to total - 1 do
-    R.record rec_ R.Restart ~a:i ~b:(i * 2)
+    emit rec_ "restart" ~a:i ~b:(i * 2)
   done;
   let entries = R.snapshot rec_ in
   (* a wrapped ring surrenders one slot: the entry at [written - cap] may
@@ -28,24 +40,24 @@ let test_ring_bounded_overwrite () =
   List.iteri
     (fun idx e ->
       let expect = total - (cap - 1) + idx in
-      Alcotest.(check int) "sequence" expect e.R.e_seq;
-      Alcotest.(check int) "payload a" expect e.R.e_a;
-      Alcotest.(check int) "payload b" (expect * 2) e.R.e_b;
-      Alcotest.(check string) "kind" "restart" (R.kind_name e.R.e_kind))
+      Alcotest.(check int) "sequence" expect (int_field e "seq");
+      Alcotest.(check int) "payload a" expect (int_field e "a");
+      Alcotest.(check int) "payload b" (expect * 2) (int_field e "b");
+      Alcotest.(check string) "kind" "restart" e.Sink.kind)
     entries
 
 let test_ring_snapshot_under_hammer () =
   (* Two writer domains fill their own rings while the main domain
      snapshots concurrently.  Every snapshot must be internally consistent:
      per-domain sequences strictly increasing, each event's payload
-     matching its sequence (so a torn slot — kind from one event, payload
-     from another — would be caught), never more than [cap] per domain. *)
+     matching its sequence (so a torn slot — an event paired with another
+     slot's sequence — would be caught), never more than [cap] per domain. *)
   let cap = 128 in
   let rec_ = R.create ~capacity:cap () in
   let n = 20_000 in
   let worker tag () =
     for i = 0 to n - 1 do
-      R.record rec_ R.Solve ~a:tag ~b:i
+      emit rec_ "solve" ~a:tag ~b:i
     done
   in
   let d1 = Domain.spawn (worker 1) in
@@ -54,23 +66,20 @@ let test_ring_snapshot_under_hammer () =
     let last = Hashtbl.create 4 and count = Hashtbl.create 4 in
     List.iter
       (fun e ->
-        (match Hashtbl.find_opt last e.R.e_dom with
+        let dom = int_field e "dom" and seq = int_field e "seq" and b = int_field e "b" in
+        (match Hashtbl.find_opt last dom with
         | Some (prev_seq, prev_b) ->
-          if e.R.e_seq <= prev_seq then
-            Alcotest.failf "dom %d: seq %d after %d" e.R.e_dom e.R.e_seq prev_seq;
-          if e.R.e_b <= prev_b then
-            Alcotest.failf "dom %d: payload %d after %d" e.R.e_dom e.R.e_b prev_b
+          if seq <= prev_seq then Alcotest.failf "dom %d: seq %d after %d" dom seq prev_seq;
+          if b <= prev_b then Alcotest.failf "dom %d: payload %d after %d" dom b prev_b
         | None -> ());
         (* single writer per ring records b = loop index = sequence *)
-        if e.R.e_kind = R.Solve then begin
-          if e.R.e_b <> e.R.e_seq then
-            Alcotest.failf "dom %d: torn event seq=%d b=%d" e.R.e_dom e.R.e_seq e.R.e_b;
-          if e.R.e_a <> 1 && e.R.e_a <> 2 then
-            Alcotest.failf "dom %d: foreign payload a=%d" e.R.e_dom e.R.e_a
+        if e.Sink.kind = "solve" then begin
+          if b <> seq then Alcotest.failf "dom %d: torn event seq=%d b=%d" dom seq b;
+          let a = int_field e "a" in
+          if a <> 1 && a <> 2 then Alcotest.failf "dom %d: foreign payload a=%d" dom a
         end;
-        Hashtbl.replace last e.R.e_dom (e.R.e_seq, e.R.e_b);
-        Hashtbl.replace count e.R.e_dom
-          (1 + Option.value ~default:0 (Hashtbl.find_opt count e.R.e_dom)))
+        Hashtbl.replace last dom (seq, b);
+        Hashtbl.replace count dom (1 + Option.value ~default:0 (Hashtbl.find_opt count dom)))
       entries;
     Hashtbl.iter
       (fun dom c ->
@@ -91,25 +100,24 @@ let test_ring_snapshot_under_hammer () =
 
 let test_ring_entry_jsonl_roundtrip () =
   let rec_ = R.create ~capacity:8 () in
-  R.record rec_ R.Racer_win ~a:3 ~b:1;
-  R.record rec_ R.Share_export ~a:2 ~b:5;
+  emit rec_ "racer_win" ~a:3 ~b:1;
+  emit rec_ "share_export" ~a:2 ~b:5;
   let entries = R.snapshot rec_ in
   Alcotest.(check int) "two events" 2 (List.length entries);
   List.iter
     (fun e ->
-      match R.entry_of_json (R.entry_to_json e) with
+      match Obs.Jsonl.of_line (Obs.Jsonl.to_line e) with
       | Error msg -> Alcotest.failf "entry did not round-trip: %s" msg
-      | Ok e' ->
-        Alcotest.(check bool) "entry round-trips" true (e = e'))
+      | Ok e' -> Alcotest.(check bool) "entry round-trips" true (e = e'))
     entries;
-  let dump = String.concat "\n" (List.map R.entry_to_json entries) in
-  Alcotest.(check int) "entries_of_string parses the dump" 2
-    (List.length (R.entries_of_string dump))
+  let dump = String.concat "\n" (List.map Obs.Jsonl.to_line entries) in
+  Alcotest.(check int) "events_of_string parses the dump" 2
+    (List.length (Obs.Jsonl.events_of_string dump))
 
 let test_signal_dumps_snapshot () =
   let rec_ = R.create ~capacity:8 () in
-  R.record rec_ R.Depth ~a:4 ~b:0;
-  R.record rec_ R.Solve ~a:4 ~b:1;
+  emit rec_ "depth" ~a:4 ~b:0;
+  emit rec_ "solve" ~a:4 ~b:1;
   let path = Filename.temp_file "recorder" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -132,7 +140,44 @@ let test_signal_dumps_snapshot () =
           (fun () -> really_input_string ic (in_channel_length ic))
       in
       Alcotest.(check int) "dump holds both events" 2
-        (List.length (R.entries_of_string text)))
+        (List.length (Obs.Jsonl.events_of_string text)))
+
+(* The recorder is one more sink on the run's stream: a solver refuted
+   while loading still leaves its solve event, and a session run's dump
+   folds into the ledger the in-memory stream folds into. *)
+let test_recorder_rides_the_stream () =
+  let rec_ = R.create () in
+  let cnf = Sat.Cnf.create () in
+  Sat.Cnf.add_clause cnf [ Sat.Lit.pos 0 ];
+  Sat.Cnf.add_clause cnf [ Sat.Lit.neg 0 ];
+  let solver =
+    Sat.Solver.create ~telemetry:(Telemetry.create ~timing:false (R.sink rec_)) cnf
+  in
+  Alcotest.(check bool) "refuted while loading" true
+    (Sat.Solver.solve solver = Sat.Solver.Unsat);
+  let solves =
+    List.filter
+      (fun (e : Sink.event) -> Sink.find_str e.fields "name" = Some "solve")
+      (R.snapshot rec_)
+  in
+  Alcotest.(check (list (option string))) "one unsat solve span" [ Some "unsat" ]
+    (List.map (fun (e : Sink.event) -> Sink.find_str e.fields "outcome") solves);
+  let mem, events = Sink.memory () in
+  let rec_ = R.create () in
+  let telemetry = Telemetry.create ~timing:false (Sink.tee [ mem; R.sink rec_ ]) in
+  let case = Circuit.Generators.ring ~len:8 ~noise:8 () in
+  let config =
+    Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:10 ~collect_cores:true
+      ~telemetry ()
+  in
+  ignore
+    (Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.Circuit.Generators.netlist
+       ~property:case.Circuit.Generators.property
+      : Bmc.Session.result);
+  let dump = String.concat "\n" (List.map Obs.Jsonl.to_line (R.snapshot rec_)) in
+  Alcotest.(check string) "the dump folds into the stream's ledger"
+    (L.to_string (L.of_events (events ())))
+    (L.to_string (L.of_events (Obs.Jsonl.events_of_string dump)))
 
 (* ------------------------------------------------------------------ *)
 (* Ledger: distillation from a real run.                               *)
@@ -333,6 +378,8 @@ let tests =
     Alcotest.test_case "recorder entries round-trip as JSONL" `Quick
       test_ring_entry_jsonl_roundtrip;
     Alcotest.test_case "signal handler dumps a snapshot" `Quick test_signal_dumps_snapshot;
+    Alcotest.test_case "recorder rides the telemetry stream" `Quick
+      test_recorder_rides_the_stream;
     Alcotest.test_case "ledger distils a session run" `Quick test_ledger_from_session;
     Alcotest.test_case "ledger schema round-trip is the identity" `Quick
       test_ledger_schema_roundtrip;
