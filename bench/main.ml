@@ -6,7 +6,7 @@
 
    Artefacts (see DESIGN.md, "Experiment index"):
 
-     table1    Table 1  — CPU time of plain BMC vs the refined orderings
+     table1    Table 1  — time of plain BMC vs the refined orderings
                           (static and dynamic) over the 37-instance suite
      fig6      Figure 6 — the same data as scatter-plot series
      fig7      Figure 7 — per-depth decision / implication counts on one
@@ -114,7 +114,7 @@ let table1 () =
   let runs = Lazy.force table1_runs in
   Printf.printf "\n== Table 1: BMC vs refine_order BMC (static and dynamic) ==\n";
   Printf.printf
-    "   Times are CPU seconds to reach the deepest unrolling completed by all\n\
+    "   Times are wall-clock seconds to reach the deepest unrolling completed by all\n\
     \   three methods; '(k)' marks instances where a budget was hit (paper: 2 h).\n\n";
   Printf.printf "%-16s %-7s %10s %10s %10s\n" "model" "T/F(k)" "bmc(s)" "static(s)" "dyn.(s)";
   let tot_std = ref 0.0 and tot_sta = ref 0.0 and tot_dyn = ref 0.0 in
@@ -148,7 +148,7 @@ let table1 () =
     "\n   wins vs plain BMC: static %d/%d, dynamic %d/%d (paper: 26/37 and 32/37)\n" !wins_sta
     n !wins_dyn n;
   Printf.printf
-    "   total-CPU improvement (paper's statistic): static %.0f%%, dynamic %.0f%% (paper: 38%% \
+    "   total-time improvement (paper's statistic): static %.0f%%, dynamic %.0f%% (paper: 38%% \
      and 42%%)\n"
     (100.0 *. (1.0 -. (!tot_sta /. !tot_std)))
     (100.0 *. (1.0 -. (!tot_dyn /. !tot_std)));
@@ -168,7 +168,7 @@ let table1 () =
 
 let fig6 () =
   let runs = Lazy.force table1_runs in
-  Printf.printf "\n== Figure 6: scatter series, CPU time of BMC vs refine_order BMC ==\n";
+  Printf.printf "\n== Figure 6: scatter series, time of BMC vs refine_order BMC ==\n";
   Printf.printf "   Each row is one dot; dots below the diagonal (y < x) favour the\n";
   Printf.printf "   new method.\n";
   let panel name pick =
@@ -254,13 +254,13 @@ let overhead () =
       for k = 0 to depth do
         let cnf = Bmc.Unroll.instance u ~k in
         let s_off = Sat.Solver.create ~with_proof:false cnf in
-        let t0 = Sys.time () in
+        let t0 = Telemetry.wall () in
         ignore (Sat.Solver.solve s_off);
-        t_off := !t_off +. Sys.time () -. t0;
+        t_off := !t_off +. Telemetry.wall () -. t0;
         let s_on = Sat.Solver.create ~with_proof:true cnf in
-        let t1 = Sys.time () in
+        let t1 = Telemetry.wall () in
         ignore (Sat.Solver.solve s_on);
-        t_on := !t_on +. Sys.time () -. t1;
+        t_on := !t_on +. Telemetry.wall () -. t1;
         edges := !edges + Sat.Solver.proof_edges s_on
       done;
       tot_off := !tot_off +. !t_off;
@@ -371,14 +371,14 @@ let minimize_ablation () =
       for k = 0 to depth do
         let cnf = Bmc.Unroll.instance u ~k in
         let s_off = Sat.Solver.create ~minimize:false cnf in
-        let t0 = Sys.time () in
+        let t0 = Telemetry.wall () in
         ignore (Sat.Solver.solve s_off);
-        t_off := !t_off +. Sys.time () -. t0;
+        t_off := !t_off +. Telemetry.wall () -. t0;
         c_off := !c_off + (Sat.Solver.stats s_off).Sat.Stats.conflicts;
         let s_on = Sat.Solver.create ~minimize:true cnf in
-        let t1 = Sys.time () in
+        let t1 = Telemetry.wall () in
         ignore (Sat.Solver.solve s_on);
-        t_on := !t_on +. Sys.time () -. t1;
+        t_on := !t_on +. Telemetry.wall () -. t1;
         c_on := !c_on + (Sat.Solver.stats s_on).Sat.Stats.conflicts
       done;
       Printf.printf "%-14s %12.3f %12.3f %12d %12d\n" case.name !t_off !t_on !c_off !c_on)
@@ -471,9 +471,9 @@ let complement () =
   List.iter
     (fun (flavour, (case : Circuit.Generators.case)) ->
       let timed f =
-        let t0 = Sys.time () in
+        let t0 = Telemetry.wall () in
         let v = f () in
-        (v, Sys.time () -. t0)
+        (v, Telemetry.wall () -. t0)
       in
       let bmc, t_bmc =
         timed (fun () ->
@@ -598,7 +598,7 @@ type quick_inpr_summary = {
 type quick_cores_totals = {
   mutable c_pre : int; (* core clauses before minimisation, summed *)
   mutable c_post : int; (* after *)
-  mutable c_min_s : float; (* CPU seconds spent minimising *)
+  mutable c_min_s : float; (* seconds spent minimising *)
   mutable c_all_certified : bool;
 }
 
@@ -853,7 +853,7 @@ type quick_sharing_summary = {
 
 (* Observability-overhead ablation for the snapshot: the same fixed session
    workload with the full tracing stack on (one event stream teed into a
-   flight recorder and a memory sink distilled into a run ledger) vs
+   flight recorder and the aggregate a run ledger is read off) vs
    everything off.
    Best-of-3 walls on each side so scheduler noise cancels; quick-check
    gates the overhead at 5% — the "cheap enough to leave on" claim. *)
@@ -869,14 +869,15 @@ let quick_observability () =
   in
   let run_once ~obs () =
     let recorder = if obs then Some (Obs.Recorder.create ()) else None in
-    let mem = if obs then Some (Telemetry.Sink.memory ()) else None in
+    let agg = if obs then Some (Telemetry.Sink.aggregate ()) else None in
     let telemetry =
       (* event stream only (~timing:false): the ledger and the recorder do
          not buy per-BCP clock reads, exactly as bmccheck --ledger
          --flight-recorder configures it *)
-      match (mem, recorder) with
-      | Some (sink, _), Some r ->
-        Telemetry.create ~timing:false (Telemetry.Sink.tee [ sink; Obs.Recorder.sink r ])
+      match (agg, recorder) with
+      | Some agg, Some r ->
+        Telemetry.create ~timing:false
+          (Telemetry.Sink.tee [ Telemetry.Sink.of_aggregate agg; Obs.Recorder.sink r ])
       | _ -> Telemetry.disabled
     in
     let w0 = Portfolio.Pool.wall () in
@@ -891,10 +892,10 @@ let quick_observability () =
              ~property:case.property))
       subset;
     (* the enabled side pays for the whole pipeline: snapshot the rings and
-       distil the event stream into a ledger, as bmccheck --ledger would *)
-    (match (mem, recorder) with
-    | Some (_, events), Some r ->
-      ignore (Obs.Ledger.of_events (events ()));
+       read the ledger off the aggregate, as bmccheck --ledger would *)
+    (match (agg, recorder) with
+    | Some agg, Some r ->
+      ignore (Obs.Ledger.of_aggregate agg);
       ignore (Obs.Recorder.snapshot r)
     | _ -> ());
     Portfolio.Pool.wall () -. w0

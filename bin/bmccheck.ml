@@ -28,75 +28,18 @@ let load source =
     | Circuit.Aiger.Parse_error msg -> Error msg
     | Sys_error msg -> Error msg)
 
-(* Build the telemetry handle for --trace/--metrics/--ledger/--flight-recorder
-   and register the end-of-process reporting; at_exit covers every exit path
-   (the tool exits with protocol-specific codes all over).  --ledger tees a
-   memory sink into the same stream and folds it into an {!Obs.Ledger} at
-   exit — by then every worker domain has been joined, so the read-back is
-   safe.  --flight-recorder tees a bounded per-domain ring
-   ({!Obs.Recorder}), dumped at exit and on SIGUSR1 so a wedged run can be
-   inspected from outside. *)
-let setup_telemetry trace_file metrics ledger_file flight_file =
-  let agg = if metrics then Some (Telemetry.Sink.aggregate ()) else None in
-  let trace_oc =
-    Option.map
-      (fun path ->
-        try open_out path with
-        | Sys_error msg ->
-          Format.eprintf "bmccheck: cannot open trace file: %s@." msg;
-          exit 2)
-      trace_file
+(* The run's telemetry for --trace/--metrics/--ledger/--flight-recorder
+   ({!Obs.Run}); its artefacts are written at exit, which covers every exit
+   path (the tool exits with protocol-specific codes all over) and comes
+   after every worker domain has been joined.  The --metrics report goes
+   to stdout. *)
+let setup_telemetry trace metrics ledger flight =
+  let metrics = if metrics then Some Format.std_formatter else None in
+  let telemetry, finish =
+    Obs.Run.setup ~tool:"bmccheck" ?trace ?metrics ?ledger ?flight ()
   in
-  let mem =
-    Option.map (fun path -> (path, Telemetry.Sink.memory ())) ledger_file
-  in
-  let recorder =
-    Option.map
-      (fun path ->
-        let r = Obs.Recorder.create () in
-        Obs.Recorder.on_sigusr1 r ~path;
-        at_exit (fun () ->
-            try
-              Obs.Recorder.dump r path;
-              Format.eprintf "bmccheck: flight recording written to %s@." path
-            with Sys_error msg ->
-              Format.eprintf "bmccheck: cannot write flight recording: %s@." msg);
-        r)
-      flight_file
-  in
-  let sinks =
-    Option.to_list (Option.map Obs.Jsonl.of_channel trace_oc)
-    @ Option.to_list (Option.map Telemetry.Sink.of_aggregate agg)
-    @ Option.to_list (Option.map (fun (_, (sink, _)) -> sink) mem)
-    @ Option.to_list (Option.map Obs.Recorder.sink recorder)
-  in
-  match sinks with
-  | [] -> Telemetry.disabled
-  | sinks ->
-    (* a ledger- or recorder-only handle skips hot-path phase timing (two
-       clock reads per BCP) — that detail costs real wall time and only
-       --trace and --metrics consumers read it *)
-    let timing = trace_file <> None || metrics in
-    let telemetry = Telemetry.create ~timing (Telemetry.Sink.tee sinks) in
-    at_exit (fun () ->
-        Telemetry.flush telemetry;
-        Option.iter close_out trace_oc;
-        (match trace_file with
-        | Some path -> Format.eprintf "bmccheck: trace written to %s@." path
-        | None -> ());
-        (match mem with
-        | Some (path, (_, events)) -> (
-          let ledger = Obs.Ledger.of_events (events ()) in
-          try
-            let oc = open_out path in
-            output_string oc (Obs.Ledger.to_string ledger);
-            close_out oc;
-            Format.eprintf "bmccheck: ledger written to %s@." path
-          with Sys_error msg ->
-            Format.eprintf "bmccheck: cannot write ledger: %s@." msg)
-        | None -> ());
-        Option.iter (Format.printf "%a@." Telemetry.Sink.pp_report) agg);
-    telemetry
+  at_exit finish;
+  telemetry
 
 let pp_depth_stat ppf (d : Bmc.Session.depth_stat) =
   Format.fprintf ppf
@@ -641,7 +584,7 @@ let max_seconds =
   Arg.(
     value
     & opt (some float) None
-    & info [ "timeout" ] ~docv:"SEC" ~doc:"Per-instance CPU-second budget.")
+    & info [ "timeout" ] ~docv:"SEC" ~doc:"Per-instance budget in wall-clock seconds.")
 
 let inprocess =
   Arg.(
@@ -687,7 +630,8 @@ let metrics =
     value & flag
     & info [ "metrics" ]
         ~doc:"Collect telemetry in memory and print a phase-breakdown report (span times, \
-              counters, per-depth build/solve/CDG table) when the run finishes.")
+              counters, event tallies) and the run ledger's per-depth table (as bmcprof \
+              report prints it) when the run finishes.")
 
 let ledger_file =
   Arg.(

@@ -6,8 +6,8 @@
    turns them into the reports the paper's evaluation wants: per-depth heat
    tables, the ordering-effectiveness report (how many decisions the
    bmc_score rank actually steered), an ASCII racer timeline, a regression
-   diff between two runs (or two BENCH snapshots) with pass/warn/fail
-   verdicts, and a Prometheus textfile export.
+   diff between two run ledgers with pass/warn/fail verdicts, and a
+   Prometheus textfile export.
 
    Exit codes: 0 = ok (diff: no FAIL findings), 1 = diff found a FAIL,
    2 = input error. *)
@@ -149,154 +149,11 @@ let run_timeline path width =
     end
 
 (* ------------------------------------------------------------------ *)
-(* diff: ledger-vs-ledger or BENCH-vs-BENCH regression gate            *)
+(* diff: ledger-vs-ledger regression gate                              *)
 (* ------------------------------------------------------------------ *)
 
-(* BENCH_quick.json rows keyed by case name; outcomes gate hard, counters
-   gate softly, and +portfolio rows are exempt from counter drift (winners
-   are timing-dependent, so their counters are not reproducible). *)
-let bench_diff ~warn_pct a b =
-  let cases doc =
-    List.filter_map
-      (fun c ->
-        match Obs.Json.member "name" c with
-        | Some (Obs.Json.Str name) -> Some (name, c)
-        | _ -> None)
-      (Obs.Json.get_list doc "cases")
-  in
-  let ca = cases a and cb = cases b in
-  let findings = ref [] in
-  let add severity message = findings := { Obs.Ledger.severity; message } :: !findings in
-  let pct x y =
-    if x = y then 0.0
-    else if x = 0 then infinity
-    else Float.abs (float_of_int (y - x)) *. 100.0 /. float_of_int x
-  in
-  List.iter
-    (fun (name, ra) ->
-      match List.assoc_opt name cb with
-      | None -> add Obs.Ledger.Warn (Printf.sprintf "case %s only in baseline" name)
-      | Some rb ->
-        let sa = Obs.Json.get_str ra "outcomes" and sb = Obs.Json.get_str rb "outcomes" in
-        if sa <> sb then
-          add Obs.Ledger.Fail
-            (Printf.sprintf "case %s: outcomes changed %s -> %s" name sa sb);
-        let timing_dependent =
-          (* winner identity is a race, so counters drift legitimately *)
-          let has_sub sub =
-            let n = String.length sub and h = String.length name in
-            let rec at i = i + n <= h && (String.sub name i n = sub || at (i + 1)) in
-            at 0
-          in
-          has_sub "+portfolio"
-        in
-        if not timing_dependent then
-          List.iter
-            (fun key ->
-              let va = Obs.Json.get_int ra key and vb = Obs.Json.get_int rb key in
-              let d = pct va vb in
-              if d > warn_pct then
-                add Obs.Ledger.Warn
-                  (Printf.sprintf "case %s: %s drifted %.0f%% (%d -> %d)" name key d va vb))
-            [ "decisions"; "conflicts" ])
-    ca;
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem_assoc name ca) then
-        add Obs.Ledger.Warn (Printf.sprintf "case %s only in candidate" name))
-    cb;
-  (* the v6 inprocess block: counters are deterministic, so drift beyond the
-     warn threshold flags a behaviour change in the boundary simplifier
-     (absent in pre-v6 snapshots — nothing to compare then) *)
-  (match (Obs.Json.member "inprocess" a, Obs.Json.member "inprocess" b) with
-  | Some ia, Some ib ->
-    List.iter
-      (fun key ->
-        let va = Obs.Json.get_int ia key and vb = Obs.Json.get_int ib key in
-        let d = pct va vb in
-        if d > warn_pct then
-          add Obs.Ledger.Warn
-            (Printf.sprintf "inprocess: %s drifted %.0f%% (%d -> %d)" key d va vb))
-      [ "eliminated"; "subsumed"; "strengthened"; "probe_failed" ]
-  | Some _, None ->
-    add Obs.Ledger.Warn "inprocess block present in baseline but missing from candidate"
-  | None, (Some _ | None) -> ());
-  (* the v7 cores block: the minimiser's budget is a deterministic solve
-     count, so pre/post totals are reproducible — drift flags a behaviour
-     change in the proof/core pipeline, and a candidate whose post-size
-     grew past the baseline's loses the refactor's gain outright *)
-  (match (Obs.Json.member "cores" a, Obs.Json.member "cores" b) with
-  | Some ka, Some kb ->
-    List.iter
-      (fun key ->
-        let va = Obs.Json.get_int ka key and vb = Obs.Json.get_int kb key in
-        let d = pct va vb in
-        if d > warn_pct then
-          add Obs.Ledger.Warn
-            (Printf.sprintf "cores: %s drifted %.0f%% (%d -> %d)" key d va vb))
-      [ "pre_clauses"; "post_clauses" ];
-    let post_a = Obs.Json.get_int ka "post_clauses"
-    and post_b = Obs.Json.get_int kb "post_clauses" in
-    if post_b > post_a && pct post_a post_b > warn_pct then
-      add Obs.Ledger.Warn
-        (Printf.sprintf "cores: minimised size grew %d -> %d clauses" post_a post_b);
-    if
-      Obs.Json.get_bool ~default:true ka "certified"
-      && not (Obs.Json.get_bool ~default:true kb "certified")
-    then add Obs.Ledger.Fail "cores: candidate lost checker certification"
-  | Some _, None ->
-    add Obs.Ledger.Warn "cores block present in baseline but missing from candidate"
-  | None, (Some _ | None) -> ());
-  (* the v8 ordering block: win tallies and rotation counts are
-     timing-dependent (which racer wins a round is a race), so values are
-     not compared — but the roster itself is code, so a heuristic that
-     vanished from the candidate's tallies, or the whole block going
-     missing, flags a behaviour change in the ordering laboratory *)
-  (match (Obs.Json.member "ordering" a, Obs.Json.member "ordering" b) with
-  | Some oa, Some ob ->
-    let names blk =
-      match Obs.Json.member "wins" blk with
-      | Some (Obs.Json.Obj kvs) -> List.map fst kvs
-      | Some _ | None -> []
-    in
-    let nb = names ob in
-    List.iter
-      (fun n ->
-        if not (List.mem n nb) then
-          add Obs.Ledger.Warn
-            (Printf.sprintf "ordering: heuristic %s dropped from the win tallies" n))
-      (names oa)
-  | Some _, None ->
-    add Obs.Ledger.Warn "ordering block present in baseline but missing from candidate"
-  | None, (Some _ | None) -> ());
-  List.rev !findings
-
 let run_diff path_a path_b warn_pct =
-  let doc path =
-    match Obs.Json.of_string (read_file path) with
-    | Ok d -> d
-    | Error msg ->
-      Format.eprintf "bmcprof: %s: %s@." path msg;
-      exit 2
-  in
-  let da = doc path_a and db = doc path_b in
-  let schema d = Obs.Json.get_str ~default:"" d "schema" in
-  let is_bench d =
-    let s = schema d in
-    String.length s >= 6 && String.sub s 0 6 = "bench-"
-  in
-  let findings =
-    if is_bench da && is_bench db then bench_diff ~warn_pct da db
-    else
-      let ledger path d =
-        match Obs.Ledger.of_json d with
-        | Ok l -> l
-        | Error msg ->
-          Format.eprintf "bmcprof: %s: not a ledger or bench snapshot: %s@." path msg;
-          exit 2
-      in
-      Obs.Ledger.diff ~warn_pct (ledger path_a da) (ledger path_b db)
-  in
+  let findings = Obs.Ledger.diff ~warn_pct (load_ledger path_a) (load_ledger path_b) in
   let fails =
     List.length (List.filter (fun f -> f.Obs.Ledger.severity = Obs.Ledger.Fail) findings)
   in
@@ -457,11 +314,9 @@ let timeline_cmd =
   Cmd.v (Cmd.info "timeline" ~doc) Term.(const run_timeline $ flight_arg $ width)
 
 let diff_cmd =
-  let doc =
-    "regression diff between two ledgers or two BENCH snapshots (exit 1 on FAIL)"
-  in
-  let a = Arg.(required & pos 0 (some file) None & info [] ~docv:"BASELINE" ~doc:"Baseline ledger or BENCH snapshot.") in
-  let b = Arg.(required & pos 1 (some file) None & info [] ~docv:"CANDIDATE" ~doc:"Candidate ledger or BENCH snapshot.") in
+  let doc = "regression diff between two run ledgers (exit 1 on FAIL)" in
+  let a = Arg.(required & pos 0 (some file) None & info [] ~docv:"BASELINE" ~doc:"Baseline ledger.") in
+  let b = Arg.(required & pos 1 (some file) None & info [] ~docv:"CANDIDATE" ~doc:"Candidate ledger.") in
   Cmd.v (Cmd.info "diff" ~doc) Term.(const run_diff $ a $ b $ warn_pct)
 
 let serve_cmd =

@@ -48,44 +48,8 @@ let take_lines buf =
   go 0 []
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry / recorder plumbing (mirrors bmccheck)                    *)
+(* The request ledger                                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* --trace writes the stream as JSONL; --flight-recorder tees a bounded
-   per-domain ring into it, dumped on SIGUSR1 and at drain time.  The
-   returned closer flushes both, so call it once the server has quiesced. *)
-let setup_telemetry trace_file flight_file =
-  let trace_oc =
-    Option.map
-      (fun path ->
-        try open_out path
-        with Sys_error msg ->
-          Format.eprintf "bmcserve: cannot open trace file: %s@." msg;
-          exit 2)
-      trace_file
-  in
-  let recorder =
-    Option.map
-      (fun path ->
-        let r = Obs.Recorder.create () in
-        Obs.Recorder.on_sigusr1 r ~path;
-        (r, path))
-      flight_file
-  in
-  let sinks =
-    Option.to_list (Option.map Obs.Jsonl.of_channel trace_oc)
-    @ Option.to_list (Option.map (fun (r, _) -> Obs.Recorder.sink r) recorder)
-  in
-  match sinks with
-  | [] -> (Telemetry.disabled, fun () -> ())
-  | sinks ->
-    (* phase timing (clock reads per BCP) only when a trace reads it *)
-    let telemetry = Telemetry.create ~timing:(trace_file <> None) (Telemetry.Sink.tee sinks) in
-    ( telemetry,
-      fun () ->
-        Telemetry.flush telemetry;
-        Option.iter close_out_noerr trace_oc;
-        Option.iter (fun (r, path) -> Obs.Recorder.dump r path) recorder )
 
 let setup_ledger ledger_file =
   match ledger_file with
@@ -275,7 +239,11 @@ let run_server socket jobs cache_mb max_pending share mode depth_cap max_conflic
         (Printf.sprintf "unknown mode %S (available: %s)" mode
            (String.concat "|" (Ordering.names ())))
   in
-  let telemetry, close_telemetry = setup_telemetry trace_file flight_file in
+  (* finished after the drain below, not at exit, so the artefacts follow
+     the last solver event *)
+  let telemetry, close_telemetry =
+    Obs.Run.setup ~tool:"bmcserve" ?trace:trace_file ?flight:flight_file ()
+  in
   let ledger, close_ledger = setup_ledger ledger_file in
   let wake_r, wake_w = Unix.pipe () in
   let stop = ref false in

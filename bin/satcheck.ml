@@ -3,49 +3,6 @@
    Exit codes follow the SAT-competition convention: 10 = SAT, 20 = UNSAT,
    0 = unknown (budget exhausted), 2 = input error. *)
 
-(* --trace/--metrics/--flight-recorder plumbing; the report lands on stderr
-   so the "s ..." protocol lines on stdout stay machine-parsable.  The
-   flight recorder's ring is dumped at exit and on SIGUSR1. *)
-let setup_telemetry trace_file metrics flight_file =
-  let agg = if metrics then Some (Telemetry.Sink.aggregate ()) else None in
-  let trace_oc =
-    Option.map
-      (fun path ->
-        try open_out path with
-        | Sys_error msg ->
-          Format.eprintf "satcheck: cannot open trace file: %s@." msg;
-          exit 2)
-      trace_file
-  in
-  let recorder =
-    Option.map
-      (fun path ->
-        let r = Obs.Recorder.create () in
-        Obs.Recorder.on_sigusr1 r ~path;
-        at_exit (fun () ->
-            try Obs.Recorder.dump r path
-            with Sys_error msg ->
-              Format.eprintf "satcheck: cannot write flight recording: %s@." msg);
-        r)
-      flight_file
-  in
-  let sinks =
-    Option.to_list (Option.map Obs.Jsonl.of_channel trace_oc)
-    @ Option.to_list (Option.map Telemetry.Sink.of_aggregate agg)
-    @ Option.to_list (Option.map Obs.Recorder.sink recorder)
-  in
-  match sinks with
-  | [] -> Telemetry.disabled
-  | sinks ->
-    (* phase timing (clock reads per BCP) only for the consumers that read it *)
-    let timing = trace_file <> None || metrics in
-    let telemetry = Telemetry.create ~timing (Telemetry.Sink.tee sinks) in
-    at_exit (fun () ->
-        Telemetry.flush telemetry;
-        Option.iter close_out trace_oc;
-        Option.iter (Format.eprintf "%a@." Telemetry.Sink.pp_report) agg);
-    telemetry
-
 (* DIMACS-signed literals ("3 -7 12") for --assume. *)
 let parse_assumptions text =
   String.split_on_char ' ' text
@@ -92,7 +49,14 @@ let run file core core_min stats_flag max_conflicts max_seconds assume drat_file
           exit 2)
     in
     let with_drat = drat_file <> None || certify in
-    let telemetry = setup_telemetry trace_file metrics flight_file in
+    (* the --metrics report goes to stderr so the "s ..." protocol lines
+       on stdout stay machine-parsable *)
+    let telemetry, finish =
+      Obs.Run.setup ~tool:"satcheck" ?trace:trace_file
+        ?metrics:(if metrics then Some Format.err_formatter else None)
+        ?flight:flight_file ()
+    in
+    at_exit finish;
     let solver = Sat.Solver.create ~with_proof:core ~with_drat ~telemetry cnf in
     let budget =
       {
@@ -213,7 +177,7 @@ let max_conflicts =
   Arg.(value & opt (some int) None & info [ "max-conflicts" ] ~docv:"N" ~doc:"Abort after $(docv) conflicts.")
 
 let max_seconds =
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SEC" ~doc:"Abort after $(docv) CPU seconds.")
+  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SEC" ~doc:"Abort after $(docv) wall-clock seconds.")
 
 let assume =
   Arg.(

@@ -144,8 +144,6 @@ let mux t ~sel ~hi ~lo =
   | _ when hi = lo -> hi
   | _ -> hashconsed t (Mux (sel, hi, lo))
 
-let nand_ t a b = not_ t (and_ t a b)
-
 let nor_ t a b = not_ t (or_ t a b)
 
 let xnor_ t a b = not_ t (xor_ t a b)

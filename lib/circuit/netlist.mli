@@ -55,8 +55,6 @@ val xor_ : t -> node -> node -> node
 
 val mux : t -> sel:node -> hi:node -> lo:node -> node
 
-val nand_ : t -> node -> node -> node
-
 val nor_ : t -> node -> node -> node
 
 val xnor_ : t -> node -> node -> node

@@ -52,18 +52,18 @@ let prove ?(config = Session.default_config) ?(max_abstract_regs = 22) netlist ~
   let unroll = Session.unroll session in
   let total_regs = List.length (Circuit.Netlist.regs netlist) in
   let rounds = ref [] in
-  let start = Sys.time () in
+  let start = Telemetry.wall () in
   let finish verdict =
-    { verdict; rounds = List.rev !rounds; total_time = Sys.time () -. start }
+    { verdict; rounds = List.rev !rounds; total_time = Telemetry.wall () -. start }
   in
   let rec loop k =
     if k > cfg.max_depth then finish (Unknown cfg.max_depth)
     else begin
-      let t0 = Sys.time () in
+      let t0 = Telemetry.wall () in
       match (Session.solve_depth session ~k).Session.outcome with
       | Sat.Solver.Sat ->
         rounds :=
-          { depth = k; core_regs = 0; abstract_verdict = None; time = Sys.time () -. t0 }
+          { depth = k; core_regs = 0; abstract_verdict = None; time = Telemetry.wall () -. t0 }
           :: !rounds;
         let trace = Session.trace session in
         if not (Trace.replay trace netlist ~property) then
@@ -71,7 +71,7 @@ let prove ?(config = Session.default_config) ?(max_abstract_regs = 22) netlist ~
         finish (Falsified trace)
       | Sat.Solver.Unknown ->
         rounds :=
-          { depth = k; core_regs = 0; abstract_verdict = None; time = Sys.time () -. t0 }
+          { depth = k; core_regs = 0; abstract_verdict = None; time = Telemetry.wall () -. t0 }
           :: !rounds;
         finish (Unknown k)
       | Sat.Solver.Unsat ->
@@ -97,7 +97,7 @@ let prove ?(config = Session.default_config) ?(max_abstract_regs = 22) netlist ~
           end
         in
         rounds :=
-          { depth = k; core_regs = kept_count; abstract_verdict; time = Sys.time () -. t0 }
+          { depth = k; core_regs = kept_count; abstract_verdict; time = Telemetry.wall () -. t0 }
           :: !rounds;
         if next_k < 0 then finish (Proved { depth = k; kept_regs = kept_count; total_regs })
         else loop next_k

@@ -70,14 +70,14 @@ let prove ?(config = Session.default_config) ?(policy = Session.Persistent)
      survive any depth-boundary variable elimination *)
   Session.freeze_nodes step (property :: regs);
   let per_depth = ref [] in
-  let start = Sys.time () in
+  let start = Telemetry.wall () in
   let finish verdict =
-    { verdict; per_depth = List.rev !per_depth; total_time = Sys.time () -. start }
+    { verdict; per_depth = List.rev !per_depth; total_time = Telemetry.wall () -. start }
   in
   let rec loop k =
     if k > cfg.max_depth then finish (Unknown cfg.max_depth)
     else begin
-      let t0 = Sys.time () in
+      let t0 = Telemetry.wall () in
       (* base case: ordinary BMC instance k, with core refinement *)
       Session.begin_instance base ~k;
       Session.constrain base [ Sat.Lit.neg (Session.var_of base ~node:property ~frame:k) ];
@@ -93,7 +93,7 @@ let prove ?(config = Session.default_config) ?(policy = Session.Persistent)
             step_outcome = None;
             base_decisions;
             step_decisions = 0;
-            time = Sys.time () -. t0;
+            time = Telemetry.wall () -. t0;
           }
           :: !per_depth;
         let trace = Session.trace base in
@@ -108,7 +108,7 @@ let prove ?(config = Session.default_config) ?(policy = Session.Persistent)
             step_outcome = None;
             base_decisions;
             step_decisions = 0;
-            time = Sys.time () -. t0;
+            time = Telemetry.wall () -. t0;
           }
           :: !per_depth;
         finish (Unknown k)
@@ -131,7 +131,7 @@ let prove ?(config = Session.default_config) ?(policy = Session.Persistent)
             step_outcome = Some step_outcome;
             base_decisions;
             step_decisions = sstat.Session.decisions;
-            time = Sys.time () -. t0;
+            time = Telemetry.wall () -. t0;
           }
           :: !per_depth;
         (match step_outcome with

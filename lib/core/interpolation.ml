@@ -59,7 +59,7 @@ let prove ?(max_bound = 32) ?(max_iterations = 64) ?(budget = Sat.Solver.no_budg
   (match Circuit.Netlist.validate netlist with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Interpolation.prove: " ^ msg));
-  let start = Sys.time () in
+  let start = Telemetry.wall () in
   (* private copy: interpolant gates are added to it freely *)
   let nl, map = Circuit.Netlist.abstract_registers netlist ~keep:(fun _ -> true) in
   let property = map property in
@@ -76,7 +76,7 @@ let prove ?(max_bound = 32) ?(max_iterations = 64) ?(budget = Sat.Solver.no_budg
   in
   let interpolants = ref 0 in
   let finish verdict =
-    { verdict; total_time = Sys.time () -. start; interpolants = !interpolants }
+    { verdict; total_time = Telemetry.wall () -. start; interpolants = !interpolants }
   in
   (* depth-0 check on the true initial states *)
   let depth0 =

@@ -465,12 +465,12 @@ let check ?(config = Session.default_config) ?(policy = Session.Persistent) netl
      survive any depth-boundary elimination *)
   Session.freeze_nodes session (atoms regs psi);
   let per_depth = ref [] in
-  let start = Sys.time () in
+  let start = Telemetry.wall () in
   let finish verdict =
     {
       verdict;
       per_depth = List.rev !per_depth;
-      total_time = Sys.time () -. start;
+      total_time = Telemetry.wall () -. start;
     }
   in
   let rec loop k =

@@ -160,7 +160,7 @@ let prove ?(max_frames = 64) ?(max_queries = 200_000) netlist ~property =
   (match Circuit.Netlist.validate netlist with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pdr.prove: " ^ msg));
-  let start = Sys.time () in
+  let start = Telemetry.wall () in
   let unroll = Unroll.create ~constrain_init:false netlist ~property in
   let base = Unroll.base_cnf unroll ~k:1 in
   let regs = Circuit.Netlist.regs netlist in
@@ -184,7 +184,7 @@ let prove ?(max_frames = 64) ?(max_queries = 200_000) netlist ~property =
       max_queries;
     }
   in
-  let finish verdict = { verdict; queries = ctx.queries; total_time = Sys.time () -. start } in
+  let finish verdict = { verdict; queries = ctx.queries; total_time = Telemetry.wall () -. start } in
   let falsify initial transitions =
     let trace = trace_of_cex ctx initial transitions in
     if not (Trace.replay trace netlist ~property) then

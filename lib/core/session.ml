@@ -318,8 +318,7 @@ type t = {
   mutable loaded_frames : int; (* highest frame fed to the live solver *)
   mutable loaded_clauses : int;
   mutable aux_count : int; (* fresh_lit allocations, Persistent *)
-  mutable build_acc : float; (* CPU seconds building the open instance *)
-  mutable last_core : int list;
+  mutable build_acc : float; (* seconds building the open instance *)
   mutable last_core_vars : Sat.Lit.var list;
   mutable churn_base : Sat.Lit.var list;
       (* the previous solved instance's core variables ([] unless it was
@@ -387,7 +386,6 @@ let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true)
     loaded_clauses = 0;
     aux_count = 0;
     build_acc = 0.0;
-    last_core = [];
     last_core_vars = [];
     churn_base = [];
     freeze_tbl = Hashtbl.create 16;
@@ -480,9 +478,8 @@ let begin_instance ?frames t ~k =
   if frames < k then invalid_arg "Session.begin_instance: frames < k";
   if t.pol = Persistent && k <= t.instance_k then
     invalid_arg "Session.begin_instance: depth must increase between instances";
-  let tb = Sys.time () in
+  let tb = Telemetry.wall () in
   t.build_acc <- 0.0;
-  t.last_core <- [];
   t.last_core_vars <- [];
   (match t.pol with
   | Persistent ->
@@ -524,14 +521,14 @@ let begin_instance ?frames t ~k =
     Unroll.fill_base t.unroll ~k:frames cnf);
   t.instance_k <- k;
   t.instance_open <- true;
-  t.build_acc <- t.build_acc +. (Sys.time () -. tb)
+  t.build_acc <- t.build_acc +. (Telemetry.wall () -. tb)
 
 let require_open t what = if not t.instance_open then invalid_arg ("Session." ^ what ^ ": no open instance")
 
 let constrain t clause =
   assert_owner t "constrain";
   require_open t "constrain";
-  let tb = Sys.time () in
+  let tb = Telemetry.wall () in
   (match t.pol with
   | Persistent ->
     let act = match t.act with Some a -> a | None -> assert false in
@@ -540,7 +537,7 @@ let constrain t clause =
     match t.formula with
     | Some cnf -> Sat.Cnf.add_clause cnf clause
     | None -> assert false));
-  t.build_acc <- t.build_acc +. (Sys.time () -. tb)
+  t.build_acc <- t.build_acc +. (Telemetry.wall () -. tb)
 
 let fresh_lit t =
   assert_owner t "fresh_lit";
@@ -572,7 +569,7 @@ let solve_instance t =
   require_open t "solve_instance";
   let cfg = t.cfg in
   let k = t.instance_k in
-  let tb = Sys.time () in
+  let tb = Telemetry.wall () in
   let solver, assumptions =
     match t.pol with
     | Persistent ->
@@ -628,12 +625,12 @@ let solve_instance t =
       t.fresh_solver <- Some solver;
       (solver, [])
   in
-  t.build_acc <- t.build_acc +. (Sys.time () -. tb);
+  t.build_acc <- t.build_acc +. (Telemetry.wall () -. tb);
   let cdg_before = Sat.Solver.cdg_seconds solver in
   let before = Sat.Stats.copy (Sat.Solver.stats solver) in
-  let t0 = Sys.time () in
+  let t0 = Telemetry.wall () in
   let outcome = Sat.Solver.solve ~budget:cfg.budget ~assumptions solver in
-  let time = Sys.time () -. t0 in
+  let time = Telemetry.wall () -. t0 in
   let delta = stats_delta ~before ~after:(Sat.Solver.stats solver) in
   (* the instance's one proof walk: its clauses, variables and the imports
      it leaned on *)
@@ -708,7 +705,6 @@ let solve_instance t =
     | Sat.Solver.Unsat | Sat.Solver.Sat | Sat.Solver.Unknown -> (0, 0)
   in
   t.churn_base <- core_vars;
-  t.last_core <- core;
   t.last_core_vars <- core_vars;
   (match outcome with
   | Sat.Solver.Unsat when t.fold_cores && t.learn_cores && uses_cores cfg.mode ->
@@ -753,8 +749,6 @@ let model t =
   Sat.Solver.model (instance_solver t)
 
 let trace t = Trace.of_model t.unroll ~k:t.instance_k ~model:(model t)
-
-let last_core t = t.last_core
 
 let last_core_vars t = t.last_core_vars
 
@@ -854,14 +848,14 @@ let check ?(config = default_config) ?share ~policy netlist ~property =
   let cfg = config in
   let t = create ~policy ?share cfg netlist ~property in
   let per_depth = ref [] in
-  let start = Sys.time () in
+  let start = Telemetry.wall () in
   let finish verdict =
     let per_depth = List.rev !per_depth in
     let sum f = List.fold_left (fun acc d -> acc + f d) 0 per_depth in
     {
       verdict;
       per_depth;
-      total_time = Sys.time () -. start;
+      total_time = Telemetry.wall () -. start;
       total_decisions = sum (fun d -> d.decisions);
       total_implications = sum (fun d -> d.implications);
       total_conflicts = sum (fun d -> d.conflicts);

@@ -134,11 +134,6 @@ val order_mode : config -> Unroll.t -> Score.t -> k:int -> Sat.Order.mode
     snapshot over the current variable range, or the Shtrichman time-axis
     ranking.  Hoisted here from the per-engine copies. *)
 
-val stats_delta : before:Sat.Stats.t -> after:Sat.Stats.t -> Sat.Stats.t
-(** Per-instance counters from a persistent solver's cumulative totals
-    (gauges like [max_decision_level] and [arena_bytes] keep the [after]
-    value). *)
-
 val pp_mode : Format.formatter -> mode -> unit
 (** Built-in modes print their keyword; [Custom c] prints [c.c_name]. *)
 
@@ -171,21 +166,21 @@ type depth_stat = {
       (** clauses in the core {e before} minimisation (equals [core_size]
           unless [Core_minimal] shrank it) *)
   coremin_time : float;
-      (** CPU seconds spent minimising this instance's core (0 outside
+      (** seconds spent minimising this instance's core (0 outside
           [Core_minimal]) *)
   coremin_certified : bool;
       (** the reported core passed {!Sat.Coremin}'s independent checker
           re-proof ([true] when no minimisation ran) *)
   switched : bool;  (** dynamic mode fell back to VSIDS in this instance *)
-  time : float;  (** CPU seconds solving this instance *)
+  time : float;  (** seconds solving this instance *)
   build_time : float;
-      (** CPU seconds building this instance (frame deltas + constraints +
+      (** seconds building this instance (frame deltas + constraints +
           ordering refresh, or unroll + solver setup under [Fresh]) *)
   bcp_time : float;
-      (** CPU seconds of unit propagation inside the solve (0 unless
+      (** seconds of unit propagation inside the solve (0 unless
           telemetry was enabled — timing the hot path costs clock reads) *)
   cdg_time : float;
-      (** CPU seconds of CDG bookkeeping inside the solve (0 unless
+      (** seconds of CDG bookkeeping inside the solve (0 unless
           telemetry was enabled — the Section 3.1 overhead, per depth) *)
   inpr_elim : int;
       (** variables eliminated by the depth-boundary inprocessing run(s)
@@ -193,14 +188,8 @@ type depth_stat = {
   inpr_subsumed : int;  (** clauses removed by subsumption at the boundary *)
   inpr_strengthened : int;  (** self-subsuming resolutions at the boundary *)
   inpr_probe_failed : int;  (** failed-literal probes at the boundary *)
-  inpr_time : float;  (** CPU seconds of boundary inprocessing *)
+  inpr_time : float;  (** seconds of boundary inprocessing *)
 }
-
-val emit_depth_event : Telemetry.t -> depth_stat -> unit
-(** Publish a depth_stat as a "depth" telemetry event (no-op when the
-    handle is disabled).  {!solve_instance} calls this itself; exposed for
-    engines with hand-rolled instance loops so all traces share one
-    schema. *)
 
 (** {1 The session} *)
 
@@ -329,11 +318,6 @@ val trace : t -> Trace.t
 (** The counterexample trace of the open instance's model (frames
     0..[k]).
     @raise Invalid_argument as {!model}. *)
-
-val last_core : t -> int list
-(** Core clause indices of the last {!solve_instance} (meaningful against
-    the solver's own clause numbering; empty unless UNSAT with proof
-    logging). *)
 
 val last_core_vars : t -> Sat.Lit.var list
 (** Variables of the last instance's unsat core — the paper's [unsatVars]

@@ -161,10 +161,6 @@ let delta_cnf t ~frame =
   iter_delta t ~frame (Sat.Cnf.add_clause_a cnf);
   cnf
 
-let num_vars_at t ~frame =
-  extend_to t frame;
-  Sat.Vec.get t.frame_var_limit frame
-
 (* Frames are materialised in order, so clause [i] belongs to the first
    frame whose clause limit exceeds it. *)
 let clause_frame t i =

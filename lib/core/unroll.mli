@@ -76,9 +76,6 @@ val delta_cnf : t -> frame:int -> Sat.Cnf.t
     allocated once the frame is materialised (clauses of earlier frames are
     {e not} included). *)
 
-val num_vars_at : t -> frame:int -> int
-(** Number of variables allocated once the given frame is materialised. *)
-
 val clause_frame : t -> int -> int
 (** Frame tag of the [i]-th base clause (indices align with {!base_cnf} /
     {!instance} when the unrolling was materialised to exactly the

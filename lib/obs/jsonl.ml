@@ -15,6 +15,8 @@ let value_of_json : Json.t -> Sink.value option = function
 
 let fields_json fields = List.map (fun (k, v) -> (k, json_of_value v)) fields
 
+let object_of_fields fields = Json.Obj (fields_json fields)
+
 let to_line (e : Sink.event) =
   Json.to_string
     (Json.Obj (("ts", Json.Float e.ts) :: ("ev", Json.Str e.kind) :: fields_json e.fields))
@@ -66,5 +68,5 @@ let aggregate_to_json agg =
       ("gauges", table (fun v -> Json.Float v) (Sink.gauges agg));
       ("events", table (fun v -> Json.Int v) (Sink.tallies agg));
       ( "depths",
-        Json.List (List.map (fun row -> Json.Obj (fields_json row)) (Sink.depth_rows agg)) );
+        Json.List (List.map object_of_fields (Sink.depth_rows agg)) );
     ]

@@ -19,6 +19,9 @@ val of_line : string -> (Telemetry.Sink.event, string) result
     are all scalars.  The [ts] and [ev] members are extracted; everything
     else becomes [fields]. *)
 
+val object_of_fields : (string * Telemetry.Sink.value) list -> Json.t
+(** An event's fields as one JSON object, in order. *)
+
 val events_of_string : string -> Telemetry.Sink.event list
 (** Parse a whole JSONL document (blank lines ignored).
     @raise Failure on malformed input. *)

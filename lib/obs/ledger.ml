@@ -55,107 +55,6 @@ type t = {
   wins : (string * int) list;  (* ordering mode -> races won, sorted by mode *)
 }
 
-let no_share = { sh_exported = 0; sh_imported = 0; sh_rejected_tainted = 0; sh_dropped_stale = 0 }
-
-(* ------------------------------------------------------------------ *)
-(* Building from a telemetry event stream. *)
-
-let of_events (events : Sink.event list) =
-  let depths = ref [] and races = ref [] in
-  let restarts = ref 0 and switches = ref 0 in
-  let share = ref no_share in
-  List.iter
-    (fun (e : Sink.event) ->
-      let fi k = Option.value ~default:0 (Sink.find_int e.fields k) in
-      let ff k = Option.value ~default:0.0 (Sink.find_float e.fields k) in
-      let fs k = Option.value ~default:"" (Sink.find_str e.fields k) in
-      match e.kind with
-      | "depth" ->
-        depths :=
-          {
-            l_depth = fi "depth";
-            l_mode = fs "mode";
-            l_outcome = fs "outcome";
-            l_decisions = fi "decisions";
-            l_dec_rank = fi "dec_rank";
-            l_dec_vsids = fi "dec_vsids";
-            l_implications = fi "implications";
-            l_conflicts = fi "conflicts";
-            l_core_clauses = fi "core_clauses";
-            l_core_vars = fi "core_vars";
-            l_core_new = fi "core_new";
-            l_core_dropped = fi "core_dropped";
-            (* pre-minimisation size: absent in pre-coremin streams, where
-               pre == post by definition *)
-            l_core_pre =
-              (match Sink.find_int e.fields "core_pre" with
-              | Some v -> v
-              | None -> fi "core_clauses");
-            l_coremin_s = ff "coremin_s";
-            l_switched =
-              (match List.assoc_opt "switched" e.fields with
-              | Some (Sink.Bool b) -> b
-              | _ -> false);
-            l_build_s = ff "build_s";
-            l_solve_s = ff "solve_s";
-            l_bcp_s = ff "bcp_s";
-            l_cdg_s = ff "cdg_s";
-            l_inpr_elim = fi "inpr_elim";
-            l_inpr_sub = fi "inpr_sub";
-            l_inpr_str = fi "inpr_str";
-            l_inpr_probe_failed = fi "inpr_probe_failed";
-            l_inpr_s = ff "inpr_s";
-          }
-          :: !depths
-      | "race" ->
-        races :=
-          {
-            r_depth = fi "depth";
-            r_winner = fs "winner";
-            r_wall_s = ff "wall_s";
-            r_cancelled = fi "cancelled";
-            r_rotated = fi "rotated";
-            r_racers =
-              (match fs "racers" with
-              | "" -> []
-              | s -> String.split_on_char ',' s);
-          }
-          :: !races
-      | "restart" -> incr restarts
-      | "switch" -> incr switches
-      | "counter" -> (
-        let v = fi "value" in
-        match fs "name" with
-        | "share.exported" -> share := { !share with sh_exported = !share.sh_exported + v }
-        | "share.imported" -> share := { !share with sh_imported = !share.sh_imported + v }
-        | "share.rejected_tainted" ->
-          share := { !share with sh_rejected_tainted = !share.sh_rejected_tainted + v }
-        | "share.dropped_stale" ->
-          share := { !share with sh_dropped_stale = !share.sh_dropped_stale + v }
-        | _ -> ())
-      | _ -> ())
-    events;
-  let races = List.rev !races in
-  let wins =
-    List.fold_left
-      (fun acc r ->
-        if r.r_winner = "" || r.r_winner = "none" then acc
-        else
-          let n = try List.assoc r.r_winner acc with Not_found -> 0 in
-          (r.r_winner, n + 1) :: List.remove_assoc r.r_winner acc)
-      [] races
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  {
-    schema = version;
-    depths = List.rev !depths;
-    races;
-    restarts = !restarts;
-    switches = !switches;
-    share = !share;
-    wins;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* JSON codec.  Field order below is the schema; [of_json] rebuilds the
    record field-by-field, so print -> parse -> print is the identity. *)
@@ -257,6 +156,45 @@ let race_of_json j =
       | s -> String.split_on_char ',' s);
   }
 
+(* ------------------------------------------------------------------ *)
+(* Reading a ledger off a telemetry aggregate: the rows are the "depth"
+   and "race" events' fields, parsed as the ledger file's rows are. *)
+
+let of_aggregate agg =
+  let rows of_json = List.map (fun r -> of_json (Jsonl.object_of_fields r)) in
+  let races = rows race_of_json (Sink.race_rows agg) in
+  let share k = Sink.counter_value agg ("share." ^ k) in
+  let wins =
+    List.fold_left
+      (fun acc r ->
+        if r.r_winner = "" || r.r_winner = "none" then acc
+        else
+          let n = try List.assoc r.r_winner acc with Not_found -> 0 in
+          (r.r_winner, n + 1) :: List.remove_assoc r.r_winner acc)
+      [] races
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  {
+    schema = version;
+    depths = rows depth_of_json (Sink.depth_rows agg);
+    races;
+    restarts = Sink.tally_value agg "restart";
+    switches = Sink.tally_value agg "switch";
+    share =
+      {
+        sh_exported = share "exported";
+        sh_imported = share "imported";
+        sh_rejected_tainted = share "rejected_tainted";
+        sh_dropped_stale = share "dropped_stale";
+      };
+    wins;
+  }
+
+let of_events events =
+  let agg = Sink.aggregate () in
+  List.iter (Sink.of_aggregate agg).emit events;
+  of_aggregate agg
+
 let to_json t =
   Json.Obj
     [
@@ -341,7 +279,8 @@ let pp_depth_table ppf t =
       List.fold_left (fun m d -> max m d.l_decisions) 1 t.depths |> float_of_int
     in
     Format.fprintf ppf
-      "depth  outcome  mode       decisions (heat)        rank%%  conflicts  churn(+/-)  sw  solve_s@.";
+      "depth  outcome  mode       decisions (heat)        rank%%  implications  conflicts   core  \
+       churn(+/-)  sw  build_s  solve_s    cdg_s@.";
     List.iter
       (fun d ->
         let attributed = d.l_dec_rank + d.l_dec_vsids in
@@ -349,16 +288,25 @@ let pp_depth_table ppf t =
           if attributed = 0 then 0.0
           else 100.0 *. float_of_int d.l_dec_rank /. float_of_int attributed
         in
-        Format.fprintf ppf "%5d  %-7s  %-9s  %8d %s %5.1f  %9d  %+5d/%-5d  %2s  %7.3f%s@."
+        Format.fprintf ppf
+          "%5d  %-7s  %-9s  %8d %s %5.1f  %12d  %9d  %5d  %+5d/%-5d  %2s  %7.3f  %7.3f  %7.3f%s@."
           d.l_depth d.l_outcome d.l_mode d.l_decisions
           (bar 12 (float_of_int d.l_decisions /. maxd))
-          rank_pct d.l_conflicts d.l_core_new (-d.l_core_dropped)
+          rank_pct d.l_implications d.l_conflicts d.l_core_clauses d.l_core_new
+          (-d.l_core_dropped)
           (if d.l_switched then "*" else "")
-          d.l_solve_s
+          d.l_build_s d.l_solve_s d.l_cdg_s
           (if d.l_core_pre <> d.l_core_clauses then
              Printf.sprintf "  [coremin %d->%d]" d.l_core_pre d.l_core_clauses
            else ""))
-      t.depths
+      t.depths;
+    let seconds f = List.fold_left (fun acc d -> acc +. f d) 0.0 t.depths in
+    Format.fprintf ppf "%5s  %-7s  %-9s  %8d %12s %5s  %12d  %9d  %5s  %11s  %2s  %7.3f  %7.3f  %7.3f@."
+      "TOTAL" "" "" (decisions t) "" "" (total (fun d -> d.l_implications) t) (conflicts t) ""
+      "" ""
+      (seconds (fun d -> d.l_build_s))
+      (seconds (fun d -> d.l_solve_s))
+      (seconds (fun d -> d.l_cdg_s))
   end
 
 let pp_effectiveness ppf t =

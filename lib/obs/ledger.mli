@@ -1,9 +1,10 @@
 (** The run ledger: a versioned, structured per-check report.
 
-    A ledger is distilled from a telemetry event stream ({!of_events}) —
-    the same events whether they were collected in-process by a memory
-    sink ([bmccheck --ledger]) or re-read from a JSONL trace file
-    ([bmcprof trace]).  It captures what the paper's refinement is
+    A ledger is read off a telemetry aggregate ({!of_aggregate}) — the
+    same fold whether the events were aggregated in-process as the run
+    went ([bmccheck --ledger], which shares the aggregate with
+    [--metrics]) or re-read from a JSONL trace file ([bmcprof trace],
+    through {!of_events}).  It captures what the paper's refinement is
     supposed to change: per-depth decision/conflict/propagation work, the
     decision-source histogram (branches taken from the [bmc_score] rank
     versus VSIDS-activity fallback), core-variable churn between depths,
@@ -36,7 +37,7 @@ type depth_row = {
           emitted only when the row actually minimised, and parses with a
           pre-equals-post default, so pre-coremin ledgers round-trip
           byte-identically *)
-  l_coremin_s : float;  (** CPU seconds of core minimisation *)
+  l_coremin_s : float;  (** seconds of core minimisation *)
   l_switched : bool;  (** dynamic fallback fired during this depth *)
   l_build_s : float;
   l_solve_s : float;
@@ -49,7 +50,7 @@ type depth_row = {
   l_inpr_sub : int;  (** clauses subsumed at the boundary *)
   l_inpr_str : int;  (** self-subsuming resolutions at the boundary *)
   l_inpr_probe_failed : int;  (** failed-literal probes at the boundary *)
-  l_inpr_s : float;  (** CPU seconds of boundary inprocessing *)
+  l_inpr_s : float;  (** seconds of boundary inprocessing *)
 }
 
 type race_row = {
@@ -86,9 +87,15 @@ type t = {
           — built-in modes or ordering-laboratory heuristics), sorted *)
 }
 
+val of_aggregate : Telemetry.Sink.aggregate -> t
+(** The ledger of everything folded into the aggregate: its "depth" and
+    "race" rows (parsed by the same row decoders as a ledger file, so an
+    absent column reads as its file default), [restarts] and [switches]
+    from its event tallies, and the sharing flow from its [share.*]
+    counters.  Read it once the emitting domains have quiesced. *)
+
 val of_events : Telemetry.Sink.event list -> t
-(** Fold a telemetry stream (depth / race / restart / switch / counter
-    events; everything else ignored) into a ledger. *)
+(** {!of_aggregate} of a fresh aggregate the events are folded into. *)
 
 (** {1 Codec} *)
 
@@ -112,9 +119,11 @@ val rank_share : t -> float
 (** {1 Reports} *)
 
 val pp_depth_table : Format.formatter -> t -> unit
-(** Per-depth heat table: decision bars, rank share, conflicts, core
-    churn, fallback markers, solve times, and a [coremin pre->post]
-    tail on rows whose core was minimised. *)
+(** The per-depth table ([bmcprof report], [bmccheck --metrics]):
+    decision heat bars, rank share, implications, conflicts, core size,
+    core churn, fallback markers, build / solve / CDG seconds, a
+    [coremin pre->post] tail on rows whose core was minimised, and a
+    TOTAL row. *)
 
 val pp_effectiveness : Format.formatter -> t -> unit
 (** The ordering-effectiveness report: decision-source split, fallback

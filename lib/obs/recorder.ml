@@ -45,14 +45,14 @@ let create ?(capacity = 4096) () =
         Mutex.protect reg_mutex (fun () -> registry := r :: !registry);
         r)
   in
-  { cap = capacity; epoch = Unix.gettimeofday (); registry; reg_mutex; key }
+  { cap = capacity; epoch = Telemetry.wall (); registry; reg_mutex; key }
 
 let record t e =
   let r = Domain.DLS.get t.key in
   let s = Atomic.get r.r_seq in
   let i = s mod t.cap in
   r.r_events.(i) <- e;
-  r.r_t_us.(i) <- int_of_float ((Unix.gettimeofday () -. t.epoch) *. 1e6);
+  r.r_t_us.(i) <- int_of_float ((Telemetry.wall () -. t.epoch) *. 1e6);
   Atomic.set r.r_seq (s + 1)
 
 let sink t = { Sink.emit = record t; flush = ignore }

@@ -4,7 +4,7 @@
    makes the blocking protocol — workers wait for "my pinned queue, the
    shared queue, or shutdown" — trivially deadlock-free. *)
 
-let wall = Unix.gettimeofday
+let wall = Telemetry.wall
 
 type job = {
   run : unit -> unit; (* never raises; the future captures the exception *)

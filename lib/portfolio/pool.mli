@@ -35,9 +35,7 @@ val size : t -> int
 (** Number of worker domains. *)
 
 val wall : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]).  In multicore OCaml
-    [Sys.time] sums CPU time across domains, so every latency or speedup
-    measurement in the portfolio layer uses this clock instead. *)
+(** {!Telemetry.wall}: the wall clock every timing in [lib/] reads. *)
 
 (** {1 Futures} *)
 

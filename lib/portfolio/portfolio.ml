@@ -46,7 +46,7 @@ type slot = {
   mutable s_mode : Session.mode;
   mutable s_base : int option; (* per-racer Luby restart unit override *)
   mutable s_conflicts : int option; (* per-racer conflict budget *)
-  mutable s_seconds : float option; (* per-racer CPU-seconds budget *)
+  mutable s_seconds : float option; (* per-racer seconds budget *)
   s_token : Pool.Token.t;
   (* The racer's persistent session.  Created lazily by the first job that
      runs on the slot's pinned worker and only ever touched there — the
@@ -89,13 +89,8 @@ let note_name race name =
     race.r_names <- name :: race.r_names
   end
 
-let create_race ?modes ?racers ?(rotation = []) ?share ~pool cfg netlist ~property =
-  let racers =
-    match (racers, modes) with
-    | Some rs, _ -> rs
-    | None, Some ms -> List.map (fun m -> racer ~name:(Session.mode_string m) m) ms
-    | None, None -> default_racers
-  in
+let create_race ?(racers = default_racers) ?(rotation = []) ?share ~pool cfg netlist
+    ~property =
   if racers = [] then invalid_arg "Portfolio.create_race: no racers";
   (* validate the netlist in the coordinator, where the error is useful,
      rather than inside a worker job *)
@@ -419,8 +414,6 @@ let race_depth race ~k =
     trace = best.a_trace;
   }
 
-let race_score race = race.r_score
-
 (* Sessions publish per-instance share deltas (exported / imported /
    rejected_tainted) themselves; the stale-drop count only exists at the
    exchange, so the coordinator flushes it once a run is over. *)
@@ -448,9 +441,9 @@ let race_wins race =
 
 let race_rotated race = race.r_rotated
 
-let check_race ?(config = Session.default_config) ?modes ?racers ?rotation ?share ~pool
-    netlist ~property =
-  let race = create_race ?modes ?racers ?rotation ?share ~pool config netlist ~property in
+let check_race ?(config = Session.default_config) ?racers ?rotation ?share ~pool netlist
+    ~property =
+  let race = create_race ?racers ?rotation ?share ~pool config netlist ~property in
   let per_depth = ref [] in
   let t0 = Pool.wall () in
   let finish verdict =

@@ -55,7 +55,7 @@ type racer = {
           run-wide budget.  A racer that burns it loses the round and
           becomes a rotation candidate. *)
   r_seconds : float option;
-      (** per-racer per-instance CPU-seconds budget, combined like
+      (** per-racer per-instance seconds budget, combined like
           [r_conflicts] *)
 }
 
@@ -71,12 +71,7 @@ val racer :
     (e.g. one {!Ordering.mode_of_name} call per racer).
     @raise Invalid_argument on a non-positive budget. *)
 
-val default_racers : racer list
-(** The paper's three orderings with diversified restart units:
-    ["standard"]/64, ["static"]/100, ["dynamic"]/150. *)
-
 val create_race :
-  ?modes:Bmc.Session.mode list ->
   ?racers:racer list ->
   ?rotation:racer list ->
   ?share:Share.Exchange.t ->
@@ -85,9 +80,8 @@ val create_race :
   Circuit.Netlist.t ->
   property:Circuit.Netlist.node ->
   race
-(** The ensemble defaults to {!default_racers}.  [racers] overrides it
-    fully; [modes] (kept for compatibility) races the given orderings with
-    default restart units and is ignored when [racers] is present.
+(** [racers] defaults to the paper's three orderings with diversified
+    Luby restart units: ["standard"]/64, ["static"]/100, ["dynamic"]/150.
     [rotation] is the queue of untried roster entries for adaptive racer
     rotation: at the end of a round, every losing racer that exhausted its
     {e own} per-racer budget (rather than being cancelled by the winner)
@@ -150,10 +144,6 @@ val race_depth : race -> k:int -> race_stat
     [{depth, slot}] on its own worker, so a flight recorder teed into the
     handle files them in that worker's ring. *)
 
-val race_score : race -> Bmc.Score.t
-(** The shared ranking the winners have built so far.  Coordinator-only:
-    read or mutate it between {!race_depth} rounds, never during one. *)
-
 val race_wins : race -> (string * int) list
 (** Win tallies per racer name, in first-appearance order (roster first,
     then rotation entries as they come into play).  Coordinator-only,
@@ -174,7 +164,6 @@ type result = {
 
 val check_race :
   ?config:Bmc.Session.config ->
-  ?modes:Bmc.Session.mode list ->
   ?racers:racer list ->
   ?rotation:racer list ->
   ?share:Share.Exchange.t ->

@@ -135,8 +135,6 @@ let iter a f =
 
 let live_words a = a.size - a.wasted
 
-let wasted_words a = a.wasted
-
 let bytes a = a.size * (Sys.word_size / 8)
 
 let should_gc a ~max_waste =

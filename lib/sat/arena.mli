@@ -116,8 +116,6 @@ val iter : t -> (cref -> unit) -> unit
 val live_words : t -> int
 (** Words in use minus wasted words. *)
 
-val wasted_words : t -> int
-
 val bytes : t -> int
 (** Bytes occupied by blocks in use (live + wasted), excluding spare
     capacity. *)

@@ -43,8 +43,6 @@ let get_clause f i = Vec.get f.clauses i
 
 let iter_clauses g f = Vec.iteri g f.clauses
 
-let fold_clauses g acc f = Vec.fold g acc f.clauses
-
 let num_literals f = f.num_literals
 
 let count_occurrences f ~into =

@@ -43,8 +43,6 @@ val get_clause : t -> int -> clause
 val iter_clauses : (int -> clause -> unit) -> t -> unit
 (** Iterate clauses with their indices, in insertion order. *)
 
-val fold_clauses : ('acc -> clause -> 'acc) -> 'acc -> t -> 'acc
-
 val num_literals : t -> int
 (** Total number of literal occurrences over all clauses. *)
 

@@ -30,7 +30,7 @@ let certify_core arr alive ~num_vars ~assumptions =
 
 let minimise ?(budget = no_budget) ?(assumptions = []) ?(certify = true) ~num_vars ~clauses
     () =
-  let t0 = Sys.time () in
+  let t0 = Telemetry.wall () in
   let arr = Array.of_list clauses in
   let n = Array.length arr in
   (* selectors live just above every variable the candidate mentions *)
@@ -50,7 +50,7 @@ let minimise ?(budget = no_budget) ?(assumptions = []) ?(certify = true) ~num_va
     (match budget.max_solves with Some m -> !solves >= m | None -> false)
     ||
     match budget.max_seconds with
-    | Some s -> Sys.time () -. t0 >= s
+    | Some s -> Telemetry.wall () -. t0 >= s
     | None -> false
   in
   (* solve the candidate with [dropped] deactivated (its selector simply not
@@ -93,7 +93,7 @@ let minimise ?(budget = no_budget) ?(assumptions = []) ?(certify = true) ~num_va
         initial = n;
         final = List.length !kept;
         solves = !solves;
-        seconds = Sys.time () -. t0;
+        seconds = Telemetry.wall () -. t0;
         minimal;
         certified;
       } )
@@ -108,7 +108,7 @@ let minimise ?(budget = no_budget) ?(assumptions = []) ?(certify = true) ~num_va
         initial = n;
         final = n;
         solves = !solves;
-        seconds = Sys.time () -. t0;
+        seconds = Telemetry.wall () -. t0;
         minimal = false;
         certified = false;
       } )

@@ -23,7 +23,7 @@
 
 type budget = {
   max_solves : int option;  (** solver calls, counting the certification *)
-  max_seconds : float option;  (** CPU seconds, via [Sys.time] *)
+  max_seconds : float option;  (** wall-clock seconds ({!Telemetry.wall}) *)
 }
 
 val no_budget : budget
@@ -32,7 +32,7 @@ type stats = {
   initial : int;  (** candidate clauses in *)
   final : int;  (** clauses kept *)
   solves : int;  (** solver calls spent (certification included) *)
-  seconds : float;  (** CPU seconds spent *)
+  seconds : float;  (** seconds spent *)
   minimal : bool;
       (** the destructive loop completed: no kept clause is removable *)
   certified : bool;

@@ -50,13 +50,6 @@ let config_of_string s =
     in
     List.fold_left parse_kv (Ok default) (String.split_on_char ',' spec)
 
-let pp_config ppf c =
-  Format.fprintf ppf "occ=%d growth=%d probes=%d rounds=%d" c.max_occurrences c.growth
-    c.max_probes c.rounds;
-  match c.time_slice with
-  | Some s -> Format.fprintf ppf " ms=%.0f" (s *. 1000.)
-  | None -> ()
-
 type stats = {
   mutable probes : int;
   mutable probe_failed : int;
@@ -251,7 +244,7 @@ let without d l =
   done;
   out
 
-let over ~deadline = match deadline with Some d -> Sys.time () > d | None -> false
+let over ~deadline = match deadline with Some d -> Telemetry.wall () > d | None -> false
 
 (* Plain subsumption and self-subsuming resolution.  Only irredundant
    clauses act as subsumer / resolution parent: deleting an irredundant

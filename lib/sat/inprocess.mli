@@ -28,7 +28,7 @@ type config = {
           level-1 propagation); [0] disables probing. *)
   rounds : int;  (** Subsumption + elimination passes per run. *)
   time_slice : float option;
-      (** CPU-seconds cap per run; [None] (the default) runs the full
+      (** Wall-clock-seconds cap per run; [None] (the default) runs the full
           budgeted passes, which keeps a run deterministic. *)
 }
 
@@ -49,8 +49,6 @@ val config_of_string : string -> (config, string) result
     [occ] (max_occurrences), [growth], [probes], [rounds], [ms] (time slice
     in milliseconds, [0] meaning none).  E.g. ["occ=16,probes=256,ms=20"]. *)
 
-val pp_config : Format.formatter -> config -> unit
-
 (** {1 Statistics} *)
 
 type stats = {
@@ -62,7 +60,7 @@ type stats = {
   mutable eliminated : int;  (** variables eliminated *)
   mutable resolvents : int;  (** clauses added by elimination *)
   mutable rounds_run : int;
-  mutable time : float;  (** CPU seconds of the whole run *)
+  mutable time : float;  (** seconds of the whole run *)
 }
 
 val fresh_stats : unit -> stats
@@ -118,7 +116,7 @@ val simplify :
     variables are never eliminated.  Redundant clauses never subsume,
     strengthen, resolve or count toward occurrence limits, but are deleted
     when an eliminated variable occurs in them.  [deadline] (absolute
-    [Sys.time] value) stops the engine between clauses when exceeded.
+    {!Telemetry.wall} value) stops the engine between clauses when exceeded.
 
     Clauses are visited by index, a clause's literals in index order, and
     a literal's occurrences newest clause first; the script is a function

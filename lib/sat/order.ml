@@ -136,8 +136,6 @@ let switch_to_vsids t =
 
 let activity t l = t.act.(Lit.to_index l)
 
-let rank_of t v = t.rank.(v)
-
 let decided_by_rank t v = t.use_rank && t.rank.(v) > 0.0
 
 let grow t ~num_vars =

@@ -74,8 +74,6 @@ val switch_to_vsids : t -> unit
 
 val activity : t -> Lit.t -> float
 
-val rank_of : t -> Lit.var -> float
-
 val decided_by_rank : t -> Lit.var -> bool
 (** Whether a decision on [v] {e right now} is attributable to the
     [bmc_score] ranking: the rank component is active and [v] carries a

@@ -60,9 +60,9 @@ let register_import_ t ~origin:(o_solver, o_id) =
 let register_import t ~origin =
   if not t.timed then register_import_ t ~origin
   else begin
-    let t0 = Sys.time () in
+    let t0 = Telemetry.wall () in
     let id = register_import_ t ~origin in
-    t.cdg_time <- t.cdg_time +. (Sys.time () -. t0);
+    t.cdg_time <- t.cdg_time +. (Telemetry.wall () -. t0);
     id
   end
 
@@ -82,9 +82,9 @@ let register_learnt_ t ~antecedents =
 let register_learnt t ~antecedents =
   if not t.timed then register_learnt_ t ~antecedents
   else begin
-    let t0 = Sys.time () in
+    let t0 = Telemetry.wall () in
     let id = register_learnt_ t ~antecedents in
-    t.cdg_time <- t.cdg_time +. (Sys.time () -. t0);
+    t.cdg_time <- t.cdg_time +. (Telemetry.wall () -. t0);
     id
   end
 
@@ -96,9 +96,9 @@ let set_final_ t ~antecedents =
 let set_final t ~antecedents =
   if not t.timed then set_final_ t ~antecedents
   else begin
-    let t0 = Sys.time () in
+    let t0 = Telemetry.wall () in
     set_final_ t ~antecedents;
-    t.cdg_time <- t.cdg_time +. (Sys.time () -. t0)
+    t.cdg_time <- t.cdg_time +. (Telemetry.wall () -. t0)
   end
 
 let has_final t = t.final <> None
@@ -154,9 +154,9 @@ let core_ t =
 let core t =
   if not t.timed then core_ t
   else begin
-    let t0 = Sys.time () in
+    let t0 = Telemetry.wall () in
     let r = core_ t in
-    t.cdg_time <- t.cdg_time +. (Sys.time () -. t0);
+    t.cdg_time <- t.cdg_time +. (Telemetry.wall () -. t0);
     r
   end
 

@@ -124,5 +124,5 @@ val num_edges : t -> int
     (imports count one edge each). *)
 
 val cdg_seconds : t -> float
-(** CPU seconds spent in the CDG bookkeeping so far (0 unless the graph was
+(** Seconds spent in the CDG bookkeeping so far (0 unless the graph was
     created [~timed:true]). *)

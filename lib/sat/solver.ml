@@ -453,7 +453,7 @@ let budget_exceeded t budget start_time =
      | None -> false)
   ||
   match budget.max_seconds with
-  | Some s -> Sys.time () -. start_time >= s
+  | Some s -> Telemetry.wall () -. start_time >= s
   | None -> false
 
 (* Returns the conflicting cref, or [Arena.none].  Deleted clauses are
@@ -1027,7 +1027,7 @@ let refuted_at_level0 t confl =
   (match t.drat with Some d -> Vec.push d (Checker.Learnt []) | None -> ());
   t.ok <- false
 
-let over_deadline deadline = match deadline with Some d -> Sys.time () > d | None -> false
+let over_deadline deadline = match deadline with Some d -> Telemetry.wall () > d | None -> false
 
 (* Failed-literal probing: speculatively decide each candidate literal at a
    fresh level and propagate.  A conflict means the literal fails; the
@@ -1123,7 +1123,7 @@ let no_input = { Inprocess.lits = [||]; deletable = false; redundant = false }
 let inprocess ?(config = Inprocess.default) t =
   let st = Inprocess.fresh_stats () in
   if t.ok then begin
-    let t0 = Sys.time () in
+    let t0 = Telemetry.wall () in
     cancel_until t 0;
     t.result <- None;
     t.failed_assumptions <- [];
@@ -1231,7 +1231,7 @@ let inprocess ?(config = Inprocess.default) t =
         if Arena.should_gc arena ~max_waste:t.gc_fraction then compact t
       end
     end;
-    st.Inprocess.time <- Sys.time () -. t0;
+    st.Inprocess.time <- Telemetry.wall () -. t0;
     let s = t.stats in
     s.inpr_runs <- s.inpr_runs + 1;
     s.inpr_probes <- s.inpr_probes + st.Inprocess.probes;
@@ -1270,18 +1270,18 @@ let inprocess ?(config = Inprocess.default) t =
 let propagate_timed t =
   if not (Telemetry.timing t.tel) then propagate t
   else begin
-    let t0 = Sys.time () in
+    let t0 = Telemetry.wall () in
     Fun.protect
-      ~finally:(fun () -> t.stats.bcp_time <- t.stats.bcp_time +. (Sys.time () -. t0))
+      ~finally:(fun () -> t.stats.bcp_time <- t.stats.bcp_time +. (Telemetry.wall () -. t0))
       (fun () -> propagate t)
   end
 
 let analyze_timed t conflict =
   if not (Telemetry.timing t.tel) then analyze t conflict
   else begin
-    let t0 = Sys.time () in
+    let t0 = Telemetry.wall () in
     let r = analyze t conflict in
-    t.stats.analyze_time <- t.stats.analyze_time +. (Sys.time () -. t0);
+    t.stats.analyze_time <- t.stats.analyze_time +. (Telemetry.wall () -. t0);
     r
   end
 
@@ -1456,7 +1456,7 @@ let solve ?(budget = no_budget) ?(assumptions = []) t =
       let bcp0 = s.bcp_time and analyze0 = s.analyze_time and cdg0 = cdg_seconds t in
       let props0 = s.propagations and confl0 = s.conflicts and learned0 = s.learned in
       let rank0 = s.decisions_rank and vsids0 = s.decisions_vsids in
-      let start_time = Sys.time () in
+      let start_time = Telemetry.wall () in
       (* Resource budgets are per solve call: rebase the count limits onto
          the cumulative counters so an incremental solver grants every
          instance the full allowance instead of starving later depths. *)
@@ -1475,7 +1475,7 @@ let solve ?(budget = no_budget) ?(assumptions = []) t =
       let r =
         if not t.ok then Unsat else try search t budget start_time with Done r -> r
       in
-      let dur = Sys.time () -. start_time in
+      let dur = Telemetry.wall () -. start_time in
       s.solve_time <- s.solve_time +. dur;
       s.arena_bytes <- Arena.bytes t.arena;
       if Telemetry.enabled t.tel then begin

@@ -37,7 +37,7 @@ type budget = {
       (** per {!solve} call — an incremental solver grants every call the
           full allowance, whatever earlier calls consumed *)
   max_propagations : int option;  (** per {!solve} call, like [max_conflicts] *)
-  max_seconds : float option;  (** CPU seconds per {!solve} call, via [Sys.time] *)
+  max_seconds : float option;  (** wall-clock seconds per {!solve} call ({!Telemetry.wall}) *)
   stop : (unit -> bool) option;
       (** External cooperative-stop hook.  Polled together with the other
           budget checks — after every conflict, every 1024 decisions and
@@ -377,7 +377,7 @@ val proof_edges : t -> int
     the memory-overhead figure of Section 3.1. *)
 
 val cdg_seconds : t -> float
-(** CPU seconds spent in the CDG bookkeeping (0 unless proof logging and
+(** Seconds spent in the CDG bookkeeping (0 unless proof logging and
     telemetry are both on) — the runtime half of the Section 3.1 overhead
     claim. *)
 

@@ -47,13 +47,13 @@ type t = {
   mutable inpr_strengthened : int;  (** self-subsuming resolutions *)
   mutable inpr_eliminated : int;  (** variables eliminated (BVE) *)
   mutable inpr_resolvents : int;  (** clauses added by elimination *)
-  mutable inpr_time : float;  (** CPU seconds inside {!Solver.inprocess} *)
-  mutable solve_time : float;  (** CPU seconds spent inside {!Solver.solve} *)
+  mutable inpr_time : float;  (** seconds inside {!Solver.inprocess} *)
+  mutable solve_time : float;  (** seconds spent inside {!Solver.solve} *)
   mutable bcp_time : float;
-      (** CPU seconds in unit propagation; only accumulated while telemetry
+      (** seconds in unit propagation; only accumulated while telemetry
           is enabled (timing the hot path costs clock reads) *)
   mutable analyze_time : float;
-      (** CPU seconds in conflict analysis; telemetry-gated like
+      (** seconds in conflict analysis; telemetry-gated like
           [bcp_time] *)
 }
 

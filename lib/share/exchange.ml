@@ -163,8 +163,6 @@ let note_import_used ep n =
 
 let restart_budget ep = ep.ex.cfg.restart_budget
 
-let lbd_cap ep = ep.ep_lbd_cap
-
 (* Minimum deliveries between cap moves: below this the used/delivered
    ratio is noise, and the cap must not drift on it. *)
 let tune_sample = 16

@@ -115,10 +115,6 @@ val restart_budget : endpoint -> int
 (** The configured per-restart export budget (pass to
     [Solver.set_share ~export_budget]). *)
 
-val lbd_cap : endpoint -> int
-(** The endpoint's current adaptive export LBD cap (starts at the
-    configured [max_lbd], moved by {!tune}). *)
-
 val tune : endpoint -> int option
 (** One adaptation step, meant as the solver's restart-boundary tune hook:
     once enough imports accumulated since the last move, a high

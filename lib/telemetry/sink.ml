@@ -79,7 +79,8 @@ type aggregate = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
   tallies : (string, int ref) Hashtbl.t; (* instant events, by kind (and kind.src) *)
-  mutable depths : (string * value) list list; (* "depth" events, oldest first *)
+  mutable depths : (string * value) list list; (* "depth" events, newest first *)
+  mutable races : (string * value) list list; (* "race" events, newest first *)
 }
 
 let aggregate () =
@@ -89,6 +90,7 @@ let aggregate () =
     gauges = Hashtbl.create 16;
     tallies = Hashtbl.create 16;
     depths = [];
+    races = [];
   }
 
 let tally agg key n =
@@ -121,6 +123,7 @@ let feed agg e =
     | None -> Hashtbl.replace agg.gauges name (ref v))
   | "depth" -> agg.depths <- e.fields :: agg.depths
   | kind ->
+    if kind = "race" then agg.races <- e.fields :: agg.races;
     tally agg kind 1;
     (match find_str e.fields "src" with
     | Some src -> tally agg (kind ^ "." ^ src) 1
@@ -147,6 +150,8 @@ let tally_value agg name =
   match Hashtbl.find_opt agg.tallies name with Some r -> !r | None -> 0
 
 let depth_rows agg = List.rev agg.depths
+
+let race_rows agg = List.rev agg.races
 
 let spans agg = sorted_bindings agg.spans (fun c -> (c.count, c.seconds))
 
@@ -181,27 +186,6 @@ let pp_report ppf agg =
   if tallies <> [] then begin
     Format.fprintf ppf "events:@,";
     List.iter (fun (name, v) -> Format.fprintf ppf "  %-28s %12d@," name v) tallies
-  end;
-  let depths = depth_rows agg in
-  if depths <> [] then begin
-    Format.fprintf ppf "per-depth:@,";
-    Format.fprintf ppf "%5s %-8s %9s %9s %9s %10s %12s %9s %7s %7s@," "depth" "outcome"
-      "build(s)" "solve(s)" "cdg(s)" "decisions" "implications" "conflicts" "core" "vars";
-    let tot_build = ref 0.0 and tot_solve = ref 0.0 and tot_cdg = ref 0.0 in
-    List.iter
-      (fun fields ->
-        let fint k = Option.value ~default:0 (find_int fields k) in
-        let ffloat k = Option.value ~default:0.0 (find_float fields k) in
-        let fstr k = Option.value ~default:"-" (find_str fields k) in
-        tot_build := !tot_build +. ffloat "build_s";
-        tot_solve := !tot_solve +. ffloat "solve_s";
-        tot_cdg := !tot_cdg +. ffloat "cdg_s";
-        Format.fprintf ppf "%5d %-8s %9.3f %9.3f %9.3f %10d %12d %9d %7d %7d@," (fint "depth")
-          (fstr "outcome") (ffloat "build_s") (ffloat "solve_s") (ffloat "cdg_s")
-          (fint "decisions") (fint "implications") (fint "conflicts") (fint "core_clauses")
-          (fint "core_vars"))
-      depths;
-    Format.fprintf ppf "%5s %-8s %9.3f %9.3f %9.3f@," "TOTAL" "" !tot_build !tot_solve !tot_cdg
   end;
   Format.fprintf ppf "@]"
 

@@ -58,8 +58,9 @@ val memory : unit -> t * (unit -> event list)
 
 type aggregate
 (** Running totals: per-span-name call counts and seconds, counter sums,
-    last-value gauges, instant-event tallies, and the ordered list of
-    per-depth summary events. *)
+    last-value gauges, instant-event tallies, and the ordered lists of
+    per-depth summary events and portfolio race rounds — everything a run
+    ledger ([Obs.Ledger.of_aggregate]) is read from. *)
 
 val aggregate : unit -> aggregate
 
@@ -83,6 +84,10 @@ val tally_value : aggregate -> string -> int
 val depth_rows : aggregate -> (string * value) list list
 (** The fields of every "depth" event seen, in emission order. *)
 
+val race_rows : aggregate -> (string * value) list list
+(** The fields of every "race" event seen, in emission order ("race"
+    events are tallied like any other instant event as well). *)
+
 (** {2 Totals by name}
 
     Each list is sorted by name. *)
@@ -100,7 +105,7 @@ val tallies : aggregate -> (string * int) list
 
 val pp_report : Format.formatter -> aggregate -> unit
 (** Human-readable phase breakdown: span table (sorted by total seconds),
-    counters, gauges, event tallies, and a per-depth table with build /
-    solve / CDG time columns and their totals. *)
+    counters, gauges and event tallies.  The per-depth table is the run
+    ledger's ([Obs.Ledger.pp_depth_table]). *)
 
 val report_to_string : aggregate -> string

@@ -1,12 +1,14 @@
 module Sink = Sink
 
+let wall = Unix.gettimeofday
+
 type t = {
   on : bool;
   timing : bool;
       (* Hot-path phase timing (clock reads around every BCP / conflict
          analysis).  Separately switchable so a consumer that only wants
          the event stream — the run ledger, the flight recorder — does not
-         pay two [Sys.time] calls per propagation. *)
+         pay two clock reads per propagation. *)
   sink : Sink.t;
   clock : unit -> float;
   epoch : float;
@@ -28,7 +30,7 @@ let disabled =
     nest = fresh_nest ();
   }
 
-let create ?(clock = Sys.time) ?(timing = true) sink =
+let create ?(clock = wall) ?(timing = true) sink =
   { on = true; timing; sink; clock; epoch = clock (); nest = fresh_nest () }
 
 let enabled t = t.on

@@ -20,11 +20,20 @@
     - ["race"], ["racer_start"], ["racer_win"], ["racer_cancel"]: the
       portfolio's rounds and, on each racing worker, its racers' marks.
 
-    This one stream feeds the JSONL trace, the aggregate report, the run
-    ledger, the Prometheus export and the flight recorder, each a sink
-    teed into the handle. *)
+    This one stream feeds the JSONL trace, the aggregate (which the
+    metrics report and the run ledger, and through it the Prometheus
+    export, are read off) and the flight recorder, each a sink teed into
+    the handle ([Obs.Run] sets them up for the command-line tools). *)
 
 module Sink = Sink
+
+val wall : unit -> float
+(** Wall-clock seconds ([Unix.gettimeofday]): the one clock of [lib/].
+    Every timing, seconds budget and deadline in the solver, the BMC
+    engines, the portfolio and the flight recorder reads it.  A process
+    CPU clock would be wrong under multicore OCaml: it sums the CPU time of
+    every domain, so a racer's seconds would include its siblings'
+    work. *)
 
 type t
 
@@ -32,7 +41,7 @@ val disabled : t
 (** The no-op handle. *)
 
 val create : ?clock:(unit -> float) -> ?timing:bool -> Sink.t -> t
-(** An enabled handle over the sink.  [clock] (default [Sys.time]) is read
+(** An enabled handle over the sink.  [clock] (default {!wall}) is read
     once at creation; event timestamps are seconds since then.  Tests pass a
     deterministic clock.  [timing] (default [true]) additionally enables
     hot-path phase timing — clock reads around every BCP and conflict

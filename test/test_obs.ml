@@ -262,6 +262,40 @@ let test_ledger_synthetic_events () =
   | races -> Alcotest.failf "expected 1 race row, got %d" (List.length races));
   Alcotest.(check (list (pair string int))) "wins tally" [ ("static", 1) ] ledger.L.wins
 
+(* --ledger reads the live aggregate --metrics also reports from; a saved
+   trace folds into a fresh one.  A shared race reaches what a Fresh
+   session never emits: race rows, win tallies and the share.* counters. *)
+let test_ledger_of_live_aggregate () =
+  let agg = Sink.aggregate () in
+  let path = Filename.temp_file "race" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out path in
+      let telemetry =
+        Telemetry.create ~timing:false
+          (Sink.tee [ Sink.of_aggregate agg; Obs.Jsonl.of_channel oc ])
+      in
+      let case = Circuit.Generators.ring ~len:12 () in
+      let config = Bmc.Session.make_config ~max_depth:10 ~telemetry () in
+      let r =
+        Portfolio.Pool.with_pool ~telemetry ~jobs:2 (fun pool ->
+            Portfolio.check_race ~config ~share:(Share.Exchange.create ()) ~pool
+              case.Circuit.Generators.netlist ~property:case.Circuit.Generators.property)
+      in
+      Telemetry.flush telemetry;
+      close_out oc;
+      let live = L.of_aggregate agg in
+      let saved =
+        L.of_events (Obs.Jsonl.events_of_string (In_channel.with_open_bin path In_channel.input_all))
+      in
+      Alcotest.(check string) "live aggregate = re-read trace" (L.to_string saved)
+        (L.to_string live);
+      Alcotest.(check (list int)) "one race row per depth"
+        (List.map (fun (rs : Portfolio.race_stat) -> rs.Portfolio.depth) r.Portfolio.per_depth)
+        (List.map (fun (row : L.race_row) -> row.L.r_depth) live.L.races);
+      Alcotest.(check bool) "wins tallied" true (live.L.wins <> []))
+
 (* ------------------------------------------------------------------ *)
 (* Diff.                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -385,6 +419,8 @@ let tests =
       test_ledger_schema_roundtrip;
     Alcotest.test_case "ledger folds races, restarts and sharing" `Quick
       test_ledger_synthetic_events;
+    Alcotest.test_case "ledger of a live race aggregate = of its trace" `Quick
+      test_ledger_of_live_aggregate;
     Alcotest.test_case "diff of identical runs is empty" `Quick test_diff_identical_is_empty;
     Alcotest.test_case "diff fails on outcome change" `Quick test_diff_flags_regressions;
     Alcotest.test_case "prometheus export names its metrics" `Quick test_prom_render;

@@ -180,6 +180,23 @@ let test_race_telemetry_and_cancellation () =
       Alcotest.(check int) "one latency span per cancelled loser" cancelled
         (Telemetry.Sink.span_count agg "cancel_latency"))
 
+(* A winner's solve runs inside its round, so on the wall clock it cannot
+   outlast the round; a process-wide CPU clock would also count the
+   sibling racers' work on the other worker. *)
+let test_race_times_on_the_wall_clock () =
+  let case = Circuit.Generators.ring ~len:16 ~noise:24 () in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let par =
+        Portfolio.check_race ~config:(race_config ~max_depth:14) ~pool case.netlist
+          ~property:case.property
+      in
+      List.iter
+        (fun (rs : Portfolio.race_stat) ->
+          if rs.winner <> None && rs.stat.Bmc.Session.time > rs.wall then
+            Alcotest.failf "depth %d: the winner solved for %.4fs in a %.4fs round" rs.depth
+              rs.stat.Bmc.Session.time rs.wall)
+        par.per_depth)
+
 let test_race_depth_must_increase () =
   let case = Circuit.Generators.ring ~len:4 () in
   Pool.with_pool ~jobs:2 (fun pool ->
@@ -486,6 +503,7 @@ let tests =
     Alcotest.test_case "race finds the same counterexample" `Quick test_race_finds_counterexample;
     Alcotest.test_case "race telemetry and cancellation latency" `Quick
       test_race_telemetry_and_cancellation;
+    Alcotest.test_case "race seconds are wall-clock" `Quick test_race_times_on_the_wall_clock;
     Alcotest.test_case "race depths must increase" `Quick test_race_depth_must_increase;
     Alcotest.test_case "custom racer ensembles" `Quick test_race_custom_racers;
     Alcotest.test_case "adaptive racer rotation" `Quick test_race_rotation;
