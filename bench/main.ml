@@ -717,29 +717,13 @@ let quick_run_case_session ?(policy = Bmc.Session.Persistent) ?(mode = Bmc.Sessi
    what re-ranks the shared score, so core hashes and search counters are
    not reproducible.  The rows still record the winners' real core hash and
    BCP split (they fingerprint which cores steered the shared ranking on
-   THIS run); quick-check gates portfolio rows on outcomes only.  With [~share], the racers additionally
-   exchange learnt clauses through a per-case {!Share.Exchange} (the
-   [+portfolio+share] rows); sharing moves which clauses each racer holds
-   but never which verdict an instance has, so the gating is identical, and
-   the exchange counters are accumulated into [stats] for the snapshot's
-   "sharing" block. *)
-type quick_share_totals = {
-  mutable t_exported : int;
-  mutable t_imported : int;
-  mutable t_rejected_tainted : int;
-  mutable t_dropped_stale : int;
-}
-
-let quick_run_case_portfolio ?(suffix = "+portfolio") ?share pool
-    ((case : Circuit.Generators.case), depth) =
+   THIS run); quick-check gates portfolio rows on outcomes only. *)
+let quick_run_case_portfolio pool ((case : Circuit.Generators.case), depth) =
   let config =
     Bmc.Session.make_config ~budget:quick_budget ~max_depth:depth ~collect_cores:true
       ~telemetry:tel ()
   in
-  let exchange = Option.map (fun _ -> Share.Exchange.create ()) share in
-  let race =
-    Portfolio.create_race ?share:exchange ~pool config case.netlist ~property:case.property
-  in
+  let race = Portfolio.create_race ~pool config case.netlist ~property:case.property in
   let buf = Buffer.create (depth + 1) in
   let hash = ref 7 in
   let dec = ref 0 and confl = ref 0 and props = ref 0 in
@@ -763,17 +747,8 @@ let quick_run_case_portfolio ?(suffix = "+portfolio") ?share pool
     bcp := !bcp +. st.Bmc.Session.bcp_time;
     slv := !slv +. st.Bmc.Session.time
   done;
-  (match (share, exchange) with
-  | Some totals, Some ex ->
-    let st = Share.Exchange.stats ex in
-    totals.t_exported <- totals.t_exported + st.Share.Exchange.exported;
-    totals.t_imported <- totals.t_imported + st.Share.Exchange.imported;
-    totals.t_rejected_tainted <-
-      totals.t_rejected_tainted + st.Share.Exchange.rejected_tainted;
-    totals.t_dropped_stale <- totals.t_dropped_stale + st.Share.Exchange.dropped_stale
-  | _ -> ());
   {
-    q_name = case.name ^ suffix;
+    q_name = case.name ^ "+portfolio";
     q_outcomes = Buffer.contents buf;
     q_core_hash = !hash;
     q_decisions = !dec;
@@ -842,14 +817,6 @@ let quick_run_case_ordering pool wins rotated ((case : Circuit.Generators.case),
     (Portfolio.race_wins race);
   rotated := !rotated + Portfolio.race_rotated race;
   Portfolio.Pool.wall () -. w0
-
-(* Clause-sharing ablation for the snapshot: the same portfolio races with
-   the exchange off vs on, plus the aggregate exchange counters. *)
-type quick_sharing_summary = {
-  s_wall_off : float; (* total wall of the +portfolio rows *)
-  s_wall_on : float; (* total wall of the +portfolio+share rows *)
-  s_totals : quick_share_totals;
-}
 
 (* Observability-overhead ablation for the snapshot: the same fixed session
    workload with the full tracing stack on (one event stream teed into a
@@ -928,8 +895,8 @@ let quick_inpr_fields (t : quick_inpr_totals) =
     ("resolvents", t.i_resolvents);
   ]
 
-let quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~sharing:ssum ~inprocess:isum
-    ~cores:csum ~observability:osum =
+let quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~inprocess:isum ~cores:csum
+    ~observability:osum =
   let open Obs.Json in
   (* six decimals (microseconds for the timings) keep float noise out of the
      committed file *)
@@ -956,7 +923,7 @@ let quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~sharing:ssum ~inpr
   let best_name, best_wall = quick_best_seq psum in
   Obj
     [
-      ("schema", Str "bench-quick/v8");
+      ("schema", Str "bench-quick/v9");
       ("cases", List (List.map case rows));
       ( "totals",
         Obj
@@ -987,16 +954,6 @@ let quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~sharing:ssum ~inpr
             ("wall_s", num dsum.d_wall);
             ("rotations", Int dsum.d_rotated);
             ("wins", Obj (ints dsum.d_wins));
-          ] );
-      ( "sharing",
-        Obj
-          [
-            ("wall_off_s", num ssum.s_wall_off);
-            ("wall_on_s", num ssum.s_wall_on);
-            ("exported", Int ssum.s_totals.t_exported);
-            ("imported", Int ssum.s_totals.t_imported);
-            ("rejected_tainted", Int ssum.s_totals.t_rejected_tainted);
-            ("dropped_stale", Int ssum.s_totals.t_dropped_stale);
           ] );
       ( "inprocess",
         Obj
@@ -1030,7 +987,7 @@ let quick_rows () =
   let jobs = !quick_jobs in
   (* the substrates over the same cases: per-depth rebuilds (a Fresh
      session), the persistent incremental session (in all three orderings),
-     and the racing portfolio with the clause exchange off and on *)
+     and the racing portfolio *)
   let fresh = List.map (quick_run_case_session ~policy:Bmc.Session.Fresh ~suffix:"") cases in
   let inpr_tail_off = ref 0.0 in
   let session = List.map (quick_run_case_session ~unsat_tail:inpr_tail_off) cases in
@@ -1074,25 +1031,17 @@ let quick_rows () =
          ~unsat_tail:cores_tail_min ~cores_totals ~dec_split:split_min)
       (List.filter quick_cores_case cases)
   in
-  let share_totals =
-    { t_exported = 0; t_imported = 0; t_rejected_tainted = 0; t_dropped_stale = 0 }
-  in
   let ord_wins = Hashtbl.create 8 in
   let ord_rotated = ref 0 in
-  let portfolio, portfolio_share, ord_wall =
+  let portfolio, ord_wall =
     Portfolio.Pool.with_pool ~telemetry:tel ~jobs (fun pool ->
-        let off = List.map (quick_run_case_portfolio pool) cases in
-        let on =
-          List.map
-            (quick_run_case_portfolio ~suffix:"+portfolio+share" ~share:share_totals pool)
-            cases
-        in
+        let raced = List.map (quick_run_case_portfolio pool) cases in
         let ow =
           List.fold_left
             (fun acc cd -> acc +. quick_run_case_ordering pool ord_wins ord_rotated cd)
             0.0 (quick_ordering_cases ())
         in
-        (off, on, ow))
+        (raced, ow))
   in
   let wall_of rs = List.fold_left (fun a r -> a +. r.q_wall) 0.0 rs in
   let psum =
@@ -1120,13 +1069,6 @@ let quick_rows () =
           (Ordering.names ());
     }
   in
-  let ssum =
-    {
-      s_wall_off = wall_of portfolio;
-      s_wall_on = wall_of portfolio_share;
-      s_totals = share_totals;
-    }
-  in
   let isum =
     { i_tail_off_s = !inpr_tail_off; i_tail_on_s = !inpr_tail_on; i_totals = inpr_totals }
   in
@@ -1145,8 +1087,7 @@ let quick_rows () =
   in
   let osum = quick_observability () in
   let rows =
-    fresh @ session @ session_inpr @ seq_static @ seq_static_coremin @ seq_dynamic
-    @ portfolio @ portfolio_share
+    fresh @ session @ session_inpr @ seq_static @ seq_static_coremin @ seq_dynamic @ portfolio
   in
   let alloc_mb = (Gc.allocated_bytes () -. a0) /. (1024.0 *. 1024.0) in
   Printf.printf "\n== bench quick: fixed small subset (deterministic outcomes) ==\n\n";
@@ -1190,11 +1131,6 @@ let quick_rows () =
     (String.concat ""
        (List.map (fun (n, w) -> Printf.sprintf " %s=%d" n w) dsum.d_wins));
   Printf.printf
-    "   clause sharing: portfolio wall %.3fs off vs %.3fs on; exported=%d imported=%d \
-     rejected_tainted=%d dropped_stale=%d\n"
-    ssum.s_wall_off ssum.s_wall_on share_totals.t_exported share_totals.t_imported
-    share_totals.t_rejected_tainted share_totals.t_dropped_stale;
-  Printf.printf
     "   inprocessing: UNSAT-tail solve %.3fs off vs %.3fs on; eliminated=%d subsumed=%d \
      strengthened=%d probe_failed=%d resolvents=%d\n"
     isum.i_tail_off_s isum.i_tail_on_s inpr_totals.i_eliminated inpr_totals.i_subsumed
@@ -1223,11 +1159,6 @@ let quick_rows () =
   List.iter
     (fun (n, w) -> Telemetry.gauge tel ("quick.ordering.wins." ^ n) (float_of_int w))
     dsum.d_wins;
-  Telemetry.gauge tel "quick.sharing.wall_on_s" ssum.s_wall_on;
-  Telemetry.gauge tel "quick.sharing.exported" (float_of_int share_totals.t_exported);
-  Telemetry.gauge tel "quick.sharing.imported" (float_of_int share_totals.t_imported);
-  Telemetry.gauge tel "quick.sharing.rejected_tainted"
-    (float_of_int share_totals.t_rejected_tainted);
   Telemetry.gauge tel "quick.observability.overhead_pct" osum.o_overhead_pct;
   Telemetry.gauge tel "quick.inprocess.unsat_tail_off_s" isum.i_tail_off_s;
   Telemetry.gauge tel "quick.inprocess.unsat_tail_on_s" isum.i_tail_on_s;
@@ -1236,13 +1167,13 @@ let quick_rows () =
   Telemetry.gauge tel "quick.cores.pre_clauses" (float_of_int cores_totals.c_pre);
   Telemetry.gauge tel "quick.cores.post_clauses" (float_of_int cores_totals.c_post);
   Telemetry.gauge tel "quick.cores.coremin_s" cores_totals.c_min_s;
-  (rows, alloc_mb, psum, dsum, ssum, isum, csum, osum)
+  (rows, alloc_mb, psum, dsum, isum, csum, osum)
 
 let quick () =
-  let rows, alloc_mb, psum, dsum, ssum, isum, csum, osum = quick_rows () in
+  let rows, alloc_mb, psum, dsum, isum, csum, osum = quick_rows () in
   let doc =
-    quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~sharing:ssum ~inprocess:isum
-      ~cores:csum ~observability:osum
+    quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~inprocess:isum ~cores:csum
+      ~observability:osum
   in
   let oc = open_out quick_snapshot_file in
   output_string oc (Obs.Json.to_string ~indent:true doc);
@@ -1272,7 +1203,7 @@ let quick_timing_dependent name =
 
 let quick_check () =
   let snapshot = read_snapshot ~tool:"quick-check" quick_snapshot_file in
-  let rows, _, psum, _, _, isum, csum, osum = quick_rows () in
+  let rows, _, psum, _, isum, csum, osum = quick_rows () in
   let str j k = Option.bind (Obs.Json.member k j) Obs.Json.to_str in
   let int j k = Option.bind (Obs.Json.member k j) Obs.Json.to_int in
   let expected =
@@ -1348,9 +1279,8 @@ let quick_check () =
       want);
   (* cross-substrate gates: every substrate solves the same instance
      sequence, so per-depth outcomes must agree exactly across the fresh,
-     session (all three orderings), portfolio and sharing rows (which racer
-     WON a portfolio round — or which clauses travelled — is
-     timing-dependent; the verdict is not) *)
+     session (all three orderings) and portfolio rows (which racer WON a
+     portfolio round is timing-dependent; the verdict is not) *)
   let by_name = Hashtbl.create 16 in
   List.iter (fun r -> Hashtbl.replace by_name r.q_name r) rows;
   List.iter
@@ -1370,7 +1300,6 @@ let quick_check () =
           "+static+coremin";
           "+dynamic";
           "+portfolio";
-          "+portfolio+share";
         ])
     rows;
   (* the core-minimisation gates: the minimised cores must be strictly

@@ -289,8 +289,7 @@ let run_single source engine_name mode_name max_depth coi weighting_name verbose
    that burn their per-racer budget are recycled onto the untried
    heuristics). *)
 let run_portfolio source max_depth coi weighting_name verbose max_conflicts max_seconds
-    inprocess core_min trace_file metrics ledger_file flight_file jobs share share_max_lbd
-    order_names rotate =
+    inprocess core_min trace_file metrics ledger_file flight_file jobs order_names rotate =
   let weighting = parse_weighting weighting_name in
   match load source with
   | Error msg ->
@@ -334,24 +333,9 @@ let run_portfolio source max_depth coi weighting_name verbose max_conflicts max_
       else []
     in
     let jobs = if jobs > 0 then jobs else List.length racers in
-    if share_max_lbd < 1 then begin
-      Format.eprintf "bmccheck: --share-max-lbd must be at least 1@.";
-      exit 2
-    end;
-    let exchange =
-      if share then
-        Some
-          (Share.Exchange.create
-             ~config:{ Share.Exchange.default_config with Share.Exchange.max_lbd = share_max_lbd }
-             ())
-      else None
-    in
     let code =
       Portfolio.Pool.with_pool ~telemetry ~jobs (fun pool ->
-          let r =
-            Portfolio.check_race ~config ~racers ~rotation ?share:exchange ~pool netlist
-              ~property
-          in
+          let r = Portfolio.check_race ~config ~racers ~rotation ~pool netlist ~property in
           if verbose then
             List.iter
               (fun (rs : Portfolio.race_stat) ->
@@ -372,16 +356,6 @@ let run_portfolio source max_depth coi weighting_name verbose max_conflicts max_
             (if r.rotated > 0 then Printf.sprintf ", %d rotations" r.rotated else "")
             (String.concat ""
                (List.map (fun (n, c) -> Printf.sprintf " %s=%d" n c) r.wins));
-          (match exchange with
-          | Some ex ->
-            let st = Share.Exchange.stats ex in
-            Format.printf
-              "sharing: exported=%d imported=%d rejected_tainted=%d dropped_stale=%d \
-               occupancy=%d/%d@."
-              st.Share.Exchange.exported st.Share.Exchange.imported
-              st.Share.Exchange.rejected_tainted st.Share.Exchange.dropped_stale
-              st.Share.Exchange.occupancy st.Share.Exchange.capacity
-          | None -> ());
           match r.verdict with
           | Bmc.Session.Falsified trace ->
             Format.printf "%a@." (Bmc.Trace.pp ~netlist ()) trace;
@@ -463,12 +437,8 @@ let run_batch sources engine_name mode_name max_depth coi weighting_name verbose
 
 let run sources engine_name mode_name max_depth coi weighting_name verbose max_conflicts
     max_seconds simple_path fresh_solver ltl_formula inprocess_spec core_min trace_file
-    metrics ledger_file flight_file jobs portfolio share share_max_lbd order rotate =
+    metrics ledger_file flight_file jobs portfolio order rotate =
   let inprocess = parse_inprocess inprocess_spec in
-  if share && not portfolio then begin
-    Format.eprintf "bmccheck: --share requires --portfolio (clause exchange races)@.";
-    exit 2
-  end;
   if rotate && not portfolio then begin
     Format.eprintf "bmccheck: --rotate requires --portfolio (racer rotation)@.";
     exit 2
@@ -500,8 +470,7 @@ let run sources engine_name mode_name max_depth coi weighting_name verbose max_c
       exit 2
     end;
     run_portfolio source max_depth coi weighting_name verbose max_conflicts max_seconds
-      inprocess core_min trace_file metrics ledger_file flight_file jobs share share_max_lbd
-      order_names rotate
+      inprocess core_min trace_file metrics ledger_file flight_file jobs order_names rotate
   | [ source ], false ->
     run_single source engine_name mode_name max_depth coi weighting_name verbose
       max_conflicts max_seconds simple_path fresh_solver ltl_formula inprocess core_min
@@ -640,7 +609,7 @@ let ledger_file =
     & info [ "ledger" ] ~docv:"FILE"
         ~doc:"Write the structured run ledger (bmc-ledger/v1 JSON) to $(docv) when the run \
               finishes: per-depth decision/conflict work with rank-vs-VSIDS attribution, \
-              core-variable churn, racer wins and clause-sharing flow.  Analyse it with \
+              core-variable churn and racer wins.  Analyse it with \
               bmcprof report / diff / prom.")
 
 let flight_file =
@@ -650,7 +619,7 @@ let flight_file =
     & info [ "flight-recorder" ] ~docv:"FILE"
         ~doc:"Keep the last telemetry events of every domain in a bounded in-memory \
               ring (restarts, GC, ordering switches, solves, depths, racer \
-              starts/wins/cancels, clause sharing) and dump them to $(docv) as a JSONL \
+              starts/wins/cancels) and dump them to $(docv) as a JSONL \
               trace at exit — or on SIGUSR1, to inspect a wedged run.  Render it with \
               bmcprof timeline, or fold it with bmcprof trace.")
 
@@ -690,23 +659,6 @@ let rotate =
               it is recycled onto the next registry heuristic not yet racing.  Rotations \
               are counted in the race telemetry and the ledger's race rows.")
 
-let share =
-  Arg.(
-    value & flag
-    & info [ "share" ]
-        ~doc:"With --portfolio: exchange short learnt clauses between the racers.  \
-              Untainted clauses under the size/LBD caps are published to a lock-free \
-              ring; siblings import them at restart boundaries.  Prints the exchange \
-              counters (exported, imported, rejected_tainted, dropped_stale) after the \
-              run.")
-
-let share_max_lbd =
-  Arg.(
-    value & opt int 4
-    & info [ "share-max-lbd" ] ~docv:"N"
-        ~doc:"With --share: only clauses whose literal-block distance is at most $(docv) \
-              are exported (default 4).")
-
 let cmd =
   let doc = "bounded model checking with refined SAT decision orderings" in
   let info = Cmd.info "bmccheck" ~doc in
@@ -715,6 +667,6 @@ let cmd =
       const run $ sources $ engine $ mode $ max_depth $ coi $ weighting $ verbose
       $ max_conflicts $ max_seconds $ simple_path $ fresh_solver $ ltl $ inprocess
       $ core_min $ trace_file $ metrics $ ledger_file $ flight_file $ jobs $ portfolio
-      $ share $ share_max_lbd $ order $ rotate)
+      $ order $ rotate)
 
 let () = exit (Cmd.eval cmd)

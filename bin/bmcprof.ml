@@ -75,8 +75,6 @@ let glyphs =
     ("reduce_db", ('G', 2));
     ("restart", ('R', 2));
     ("solve", ('o', 1));
-    ("share_export", ('e', 1));
-    ("share_import", ('i', 1));
   ]
 
 let glyph (e : Telemetry.Sink.event) =
@@ -128,7 +126,7 @@ let run_timeline path width =
     Format.printf
       "legend: R restart  G reduce_db  C compact  S switch  D depth  o solve  P inprocess@.";
     Format.printf
-      "        < racer_start  * racer_win  x racer_cancel  e share_export  i share_import@.";
+      "        < racer_start  * racer_win  x racer_cancel@.";
     (* the race storyline, spelled out: who started, won, was cancelled *)
     let racers =
       List.filter

@@ -226,7 +226,7 @@ let serve_socket fe path =
       try Unix.unlink path with Unix.Unix_error _ -> ())
     loop
 
-let run_server socket jobs cache_mb max_pending share mode depth_cap max_conflicts trace_file
+let run_server socket jobs cache_mb max_pending mode depth_cap max_conflicts trace_file
     ledger_file flight_file verbose =
   (* --mode resolves through the heuristic registry (laboratory heuristics
      included); session-level hook state is built per session, so one
@@ -249,7 +249,7 @@ let run_server socket jobs cache_mb max_pending share mode depth_cap max_conflic
   let stop = ref false in
   let cfg =
     Serve.Server.make_config ~jobs ~cache_bytes:(cache_mb * 1024 * 1024) ~max_pending
-      ~share ~mode ~depth_cap ?max_conflicts ~telemetry ?ledger ()
+      ~mode ~depth_cap ?max_conflicts ~telemetry ?ledger ()
   in
   let fe = ref None in
   let engine =
@@ -343,12 +343,6 @@ let max_pending =
     & info [ "max-pending" ] ~docv:"N"
         ~doc:"Admission bound: requests beyond $(docv) in flight are shed.")
 
-let share =
-  Arg.(
-    value & flag
-    & info [ "share" ]
-        ~doc:"Exchange learnt clauses between cached sessions of structurally identical circuits.")
-
 let mode =
   Arg.(
     value
@@ -394,13 +388,13 @@ let flight_file =
 
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log server events to stderr.")
 
-let main socket client jobs cache_mb max_pending share mode depth_cap max_conflicts trace_file
+let main socket client jobs cache_mb max_pending mode depth_cap max_conflicts trace_file
     ledger_file flight_file verbose =
   match client with
   | Some path -> run_client path
   | None -> (
     match
-      run_server socket jobs cache_mb max_pending share mode depth_cap max_conflicts trace_file
+      run_server socket jobs cache_mb max_pending mode depth_cap max_conflicts trace_file
         ledger_file flight_file verbose
     with
     | Ok () -> ()
@@ -412,7 +406,7 @@ let cmd =
   let doc = "long-lived BMC service with a warm-session cache" in
   Cmd.v (Cmd.info "bmcserve" ~doc)
     Term.(
-      const main $ socket $ client $ jobs $ cache_mb $ max_pending $ share $ mode $ depth_cap
+      const main $ socket $ client $ jobs $ cache_mb $ max_pending $ mode $ depth_cap
       $ max_conflicts $ trace_file $ ledger_file $ flight_file $ verbose)
 
 let () = exit (Cmd.eval cmd)

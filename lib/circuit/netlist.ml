@@ -256,8 +256,7 @@ let transitive_fanin t roots =
    Aliases added with [name_node] are presentation-only and excluded, as is
    the hashcons table (derivable).  Two netlists with equal digests are
    byte-identical structures: every (node, frame) SAT variable key coincides,
-   which is what makes digest-keyed clause sharing and warm-session reuse
-   sound. *)
+   which is what makes digest-keyed warm-session reuse sound. *)
 let digest t =
   let buf = Buffer.create (64 * t.len) in
   for n = 0 to t.len - 1 do

@@ -122,8 +122,8 @@ val digest : t -> string
     are presentation-only and excluded.  Because node IDs are dense and
     creation-ordered, equal digests mean {e byte-identical} structures with
     identical node numbering — e.g. two {!Textio.parse_string} runs over
-    the same text — so digest-equal netlists can soundly share learnt
-    clauses (packed [(node, frame)] keys coincide) and warm solver state.
+    the same text — so digest-equal netlists can soundly share warm solver
+    state ([(node, frame)] variable keys coincide).
     Registers with unconnected next inputs digest with a [-1] sentinel
     rather than raising.  O(nodes) per call; cache it if hot. *)
 

@@ -117,10 +117,6 @@ let stats_delta ~(before : Sat.Stats.t) ~(after : Sat.Stats.t) =
     blocker_hits = after.blocker_hits - before.blocker_hits;
     arena_bytes = after.arena_bytes;
     arena_compactions = after.arena_compactions - before.arena_compactions;
-    shared_exported = after.shared_exported - before.shared_exported;
-    shared_imported = after.shared_imported - before.shared_imported;
-    shared_rejected_tainted = after.shared_rejected_tainted - before.shared_rejected_tainted;
-    shared_throttled = after.shared_throttled - before.shared_throttled;
     inpr_runs = after.inpr_runs - before.inpr_runs;
     inpr_probes = after.inpr_probes - before.inpr_probes;
     inpr_probe_failed = after.inpr_probe_failed - before.inpr_probe_failed;
@@ -230,75 +226,12 @@ let pp_policy ppf = function
   | Fresh -> Format.pp_print_string ppf "fresh"
   | Persistent -> Format.pp_print_string ppf "persistent"
 
-(* The session side of learnt-clause sharing: translate between this
-   session's SAT variables and the exchange's solver-independent packed
-   (node, frame, sign) keys, in both directions through the session's own
-   Varmap.
-
-   Export: a clause is only offered when every literal maps to a
-   non-negative circuit node — the reserved pseudo-nodes (activation
-   literals, instance auxiliaries) are negative, so nothing instance-local
-   can leave even if the solver's taint filter were bypassed.  Import uses
-   [Varmap.peek] (never allocating): a clause mentioning a frame this
-   session has not materialised is dropped and counted stale rather than
-   dragging unknown variables into the solver. *)
-let install_share solver unroll ep =
-  let vm = Unroll.varmap unroll in
-  let pack lits =
-    let n = Array.length lits in
-    let keys = Array.make n 0 in
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < n do
-      let l = lits.(!i) in
-      (match Varmap.key_of vm (Sat.Lit.var l) with
-      | Some (node, frame)
-        when node >= 0 && node < Share.Exchange.max_node && frame < Share.Exchange.max_frame
-        ->
-        keys.(!i) <-
-          Share.Exchange.pack_lit ~node ~frame ~neg:(not (Sat.Lit.is_pos l))
-      | Some _ | None -> ok := false);
-      incr i
-    done;
-    if !ok then Some keys else None
-  in
-  let export lits ~lbd ~src_id =
-    match pack lits with
-    | Some keys -> ignore (Share.Exchange.publish ~src_id ep keys ~lbd : bool)
-    | None -> ()
-  in
-  let import () =
-    let acc = ref [] in
-    ignore
-      (Share.Exchange.drain ep (fun keys ~origin ->
-           let n = Array.length keys in
-           let rec build i lits =
-             if i >= n then Some lits
-             else begin
-               let node, frame, neg = Share.Exchange.unpack_lit keys.(i) in
-               match Varmap.peek vm ~node ~frame with
-               | Some v -> build (i + 1) (Sat.Lit.make v (not neg) :: lits)
-               | None -> None
-             end
-           in
-           match build 0 [] with
-           | Some lits -> acc := (lits, origin) :: !acc
-           | None -> Share.Exchange.note_dropped ep 1));
-    !acc
-  in
-  Sat.Solver.set_share solver ~max_size:(Share.Exchange.max_size ep)
-    ~max_lbd:(Share.Exchange.max_lbd ep)
-    ~export_budget:(Share.Exchange.restart_budget ep)
-    ~tune:(fun () -> Share.Exchange.tune ep)
-    ~export ~import
-
 type t = {
   cfg : config;
   pol : policy;
   owner : int; (* id of the domain that created the session *)
   unroll : Unroll.t;
   sc : Score.t;
-  share : Share.Exchange.endpoint option;
   learn_cores : bool;
   fold_cores : bool;
   with_proof : bool;
@@ -337,13 +270,7 @@ type t = {
 }
 
 let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true)
-    ?(fold_cores = true) ?share cfg netlist ~property =
-  (* Sharing is Persistent-only: a Fresh instance bakes its (unguarded)
-     property constraint into the formula itself, so the solver has no way
-     to tell instance-local clauses apart and the taint filter cannot
-     protect siblings. *)
-  if share <> None && policy = Fresh then
-    invalid_arg "Session.create: clause sharing requires the Persistent policy";
+    ?(fold_cores = true) cfg netlist ~property =
   let unroll = Unroll.create ~coi:cfg.coi ?constrain_init netlist ~property in
   let sc = match score with Some s -> s | None -> Score.create ~weighting:cfg.weighting () in
   let with_proof =
@@ -352,16 +279,8 @@ let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true)
   let solver =
     match policy with
     | Persistent ->
-      (* the exchange endpoint id doubles as the global solver id, so the
-         proof shard's provenance matches what siblings record on import *)
-      let solver_id =
-        match share with Some ep -> Share.Exchange.endpoint_id ep | None -> 0
-      in
-      let s =
-        Sat.Solver.create ~with_proof ~telemetry:cfg.telemetry ~solver_id (Sat.Cnf.create ())
-      in
+      let s = Sat.Solver.create ~with_proof ~telemetry:cfg.telemetry (Sat.Cnf.create ()) in
       (match cfg.restart_base with Some b -> Sat.Solver.set_restart_base s b | None -> ());
-      (match share with Some ep -> install_share s unroll ep | None -> ());
       Some s
     | Fresh -> None
   in
@@ -371,7 +290,6 @@ let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true)
     owner = (Domain.self () :> int);
     unroll;
     sc;
-    share;
     learn_cores;
     fold_cores;
     with_proof;
@@ -429,20 +347,17 @@ let freeze_nodes t nodes =
    - circuit variables at the top loaded frame — frozen: the next frame's
      transition delta resolves against them;
    - variables of nodes an engine registered via {!freeze_nodes} — frozen
-     at every frame (induction / LTL constraints revisit old frames);
-   - everything frozen while clause sharing is on: an imported clause may
-     mention any materialised (node, frame) variable. *)
+     at every frame (induction / LTL constraints revisit old frames). *)
 let refresh_freeze t solver =
   let vm = Unroll.varmap t.unroll in
-  let all_circuit_frozen = t.share <> None in
   for v = 0 to Varmap.num_vars vm - 1 do
     match Varmap.key_of vm v with
     | None -> Sat.Solver.freeze solver v
     | Some (node, _) when node = activation_node -> Sat.Solver.freeze solver v
     | Some (node, _) when node = aux_node -> Sat.Solver.melt solver v
     | Some (node, frame) ->
-      if all_circuit_frozen || frame >= t.loaded_frames || Hashtbl.mem t.freeze_tbl node
-      then Sat.Solver.freeze solver v
+      if frame >= t.loaded_frames || Hashtbl.mem t.freeze_tbl node then
+        Sat.Solver.freeze solver v
       else Sat.Solver.melt solver v
   done
 
@@ -505,8 +420,6 @@ let begin_instance ?frames t ~k =
           t.loaded_clauses <- t.loaded_clauses + 1)
     done;
     let act = Varmap.var (Unroll.varmap t.unroll) ~node:activation_node ~frame:k in
-    (* the guard is instance-local: taint every clause derived through it *)
-    Sat.Solver.mark_local solver act;
     t.act <- Some (Sat.Lit.pos act)
   | Fresh ->
     t.fresh_solver <- None;
@@ -546,9 +459,7 @@ let fresh_lit t =
   | Persistent ->
     let frame = t.aux_count in
     t.aux_count <- t.aux_count + 1;
-    let v = Varmap.var (Unroll.varmap t.unroll) ~node:aux_node ~frame in
-    Sat.Solver.mark_local (live_solver t) v;
-    Sat.Lit.pos v
+    Sat.Lit.pos (Varmap.var (Unroll.varmap t.unroll) ~node:aux_node ~frame)
   | Fresh -> (
     match t.formula with
     | Some cnf -> Sat.Lit.pos (Sat.Cnf.fresh_var cnf)
@@ -632,67 +543,38 @@ let solve_instance t =
   let outcome = Sat.Solver.solve ~budget:cfg.budget ~assumptions solver in
   let time = Telemetry.wall () -. t0 in
   let delta = stats_delta ~before ~after:(Sat.Solver.stats solver) in
-  (* the instance's one proof walk: its clauses, variables and the imports
-     it leaned on *)
-  let core =
+  (* the instance's one proof walk: its clauses and variables *)
+  let core, core_vars =
     match outcome with
-    | Sat.Solver.Unsat when t.with_proof -> Some (Sat.Solver.core solver)
-    | Sat.Solver.Unsat | Sat.Solver.Sat | Sat.Solver.Unknown -> None
-  in
-  (match t.share with
-  | Some ep ->
-    Share.Exchange.note_rejected_tainted ep delta.Sat.Stats.shared_rejected_tainted;
-    if delta.Sat.Stats.shared_exported > 0 then
-      Telemetry.counter cfg.telemetry "share.exported" delta.Sat.Stats.shared_exported;
-    if delta.Sat.Stats.shared_imported > 0 then
-      Telemetry.counter cfg.telemetry "share.imported" delta.Sat.Stats.shared_imported;
-    if delta.Sat.Stats.shared_rejected_tainted > 0 then
-      Telemetry.counter cfg.telemetry "share.rejected_tainted"
-        delta.Sat.Stats.shared_rejected_tainted;
-    if delta.Sat.Stats.shared_throttled > 0 then
-      Telemetry.counter cfg.telemetry "share.throttled" delta.Sat.Stats.shared_throttled;
-    (match core with
-    | Some c -> Share.Exchange.note_import_used ep (List.length c.Sat.Solver.imports)
-    | None -> ())
-  | None -> ());
-  let core, core_vars, imports =
-    match core with
-    | Some c -> (c.Sat.Solver.clauses, c.Sat.Solver.vars, c.Sat.Solver.imports)
-    | None -> ([], [], [])
+    | Sat.Solver.Unsat when t.with_proof ->
+      let c = Sat.Solver.core solver in
+      (c.Sat.Solver.clauses, c.Sat.Solver.vars)
+    | Sat.Solver.Unsat | Sat.Solver.Sat | Sat.Solver.Unknown -> ([], [])
   in
   (* Destructive minimisation ([Core_minimal]): re-solve the candidate core
      under clause-selector assumptions until no clause can be dropped (or
-     the budget runs out).  Imported clauses reachable from the refutation
-     ride along as extra candidates under negative ids, so the candidate is
-     unsatisfiable even when sharing made an import load-bearing; the
-     instance's activation literal is passed as an assumption.  Every
-     minimised core is re-proved and checker-certified inside {!Sat.Coremin}. *)
+     the budget runs out), with the instance's activation literal passed as
+     an assumption.  Every minimised core is re-proved and
+     checker-certified inside {!Sat.Coremin}. *)
   let core_pre = List.length core in
   let core, core_vars, coremin_time, coremin_certified =
     if cfg.core_mode <> Core_minimal || core = [] then (core, core_vars, 0.0, true)
     else begin
-      let candidates =
-        List.map (fun i -> (i, Sat.Solver.original_clause solver i)) core
-        @ List.mapi (fun j lits -> (-1 - j, lits)) imports
-      in
       let kept, cm =
         Sat.Coremin.minimise ~budget:cfg.coremin_budget ~assumptions
-          ~num_vars:(Sat.Solver.num_vars solver) ~clauses:candidates ()
+          ~num_vars:(Sat.Solver.num_vars solver)
+          ~clauses:(List.map (fun i -> (i, Sat.Solver.original_clause solver i)) core)
+          ()
       in
       if not cm.Sat.Coremin.certified then (core, core_vars, cm.Sat.Coremin.seconds, false)
       else begin
-        let lits_of =
-          let tbl = Hashtbl.create 64 in
-          List.iter (fun (id, lits) -> Hashtbl.replace tbl id lits) candidates;
-          Hashtbl.find tbl
+        let min_core = List.sort Int.compare kept in
+        let vars =
+          List.concat_map
+            (fun i -> List.map Sat.Lit.var (Sat.Solver.original_clause solver i))
+            min_core
+          |> List.sort_uniq Int.compare
         in
-        let vtbl = Hashtbl.create 64 in
-        List.iter
-          (fun id ->
-            List.iter (fun l -> Hashtbl.replace vtbl (Sat.Lit.var l) ()) (lits_of id))
-          kept;
-        let vars = Hashtbl.fold (fun v () acc -> v :: acc) vtbl [] |> List.sort Int.compare in
-        let min_core = List.filter (fun id -> id >= 0) kept |> List.sort Int.compare in
         (min_core, vars, cm.Sat.Coremin.seconds, true)
       end
     end
@@ -752,69 +634,6 @@ let trace t = Trace.of_model t.unroll ~k:t.instance_k ~model:(model t)
 
 let last_core_vars t = t.last_core_vars
 
-let session_solver_opt t =
-  match t.pol with Persistent -> t.solver | Fresh -> t.fresh_solver
-
-let solver_id t =
-  match session_solver_opt t with Some s -> Sat.Solver.solver_id s | None -> 0
-
-(* The exact cross-solver core variables of the last UNSAT instance, in this
-   session's variable numbering.  Walks the stitched proof across sibling
-   shards ([siblings] resolves a session by its solver id) and remaps each
-   foreign shard's core-clause variables through its Varmap keys into this
-   session's Varmap.  Foreign core originals are always pure circuit clauses
-   — the export filter releases nothing derived from instance-local
-   variables — so every foreign variable carries a non-negative (node,
-   frame) key.  Coordinator-only: call once every sibling has quiesced. *)
-let exact_core_vars t ~siblings =
-  match session_solver_opt t with
-  | None -> t.last_core_vars
-  | Some s ->
-    if (not t.with_proof) || Sat.Solver.outcome_opt s <> Some Sat.Solver.Unsat then
-      t.last_core_vars
-    else begin
-      let solver_of sess = session_solver_opt sess in
-      let lookup sid = Option.bind (siblings sid) solver_of in
-      match Sat.Solver.stitched_core s ~lookup with
-      | exception Invalid_argument _ ->
-        (* a shard could not be resolved (e.g. a proof-less sibling):
-           fall back to the local projection rather than failing the race *)
-        t.last_core_vars
-      | shards ->
-        let own_vm = Unroll.varmap t.unroll in
-        let tbl = Hashtbl.create 64 in
-        List.iter
-          (fun (sid, idxs) ->
-            if sid = Sat.Solver.solver_id s then
-              List.iter
-                (fun i ->
-                  List.iter
-                    (fun l -> Hashtbl.replace tbl (Sat.Lit.var l) ())
-                    (Sat.Solver.original_clause s i))
-                idxs
-            else
-              match Option.bind (siblings sid) (fun sib ->
-                        Option.map (fun so -> (sib, so)) (solver_of sib))
-              with
-              | None -> ()
-              | Some (sib, sib_solver) ->
-                let sib_vm = Unroll.varmap sib.unroll in
-                List.iter
-                  (fun i ->
-                    List.iter
-                      (fun l ->
-                        match Varmap.key_of sib_vm (Sat.Lit.var l) with
-                        | Some (node, frame) when node >= 0 -> (
-                          match Varmap.peek own_vm ~node ~frame with
-                          | Some v -> Hashtbl.replace tbl v ()
-                          | None -> ())
-                        | Some _ | None -> ())
-                      (Sat.Solver.original_clause sib_solver i))
-                  idxs)
-          shards;
-        Hashtbl.fold (fun v () acc -> v :: acc) tbl [] |> List.sort Int.compare
-    end
-
 let loaded_clauses t = t.loaded_clauses
 
 let solver_stats t = Sat.Solver.stats (instance_solver t)
@@ -844,9 +663,9 @@ let solve_depth t ~k =
   constrain t [ Sat.Lit.neg (var_of t ~node:property ~frame:k) ];
   solve_instance t
 
-let check ?(config = default_config) ?share ~policy netlist ~property =
+let check ?(config = default_config) ~policy netlist ~property =
   let cfg = config in
-  let t = create ~policy ?share cfg netlist ~property in
+  let t = create ~policy cfg netlist ~property in
   let per_depth = ref [] in
   let start = Telemetry.wall () in
   let finish verdict =

@@ -92,7 +92,7 @@ type config = {
       (** override the solver's Luby restart unit (default [None] keeps the
           solver default of 128).  The portfolio gives each racer a
           distinct unit so restart schedules — and therefore the clauses
-          they learn and share — diversify. *)
+          they learn — diversify. *)
   inprocess : Sat.Inprocess.config option;
       (** run proof-aware inprocessing ({!Sat.Solver.inprocess}) at every
           depth boundary under this budget ([Persistent] policy only;
@@ -212,7 +212,6 @@ val create :
   ?score:Score.t ->
   ?learn_cores:bool ->
   ?fold_cores:bool ->
-  ?share:Share.Exchange.endpoint ->
   config ->
   Circuit.Netlist.t ->
   property:Circuit.Netlist.node ->
@@ -230,18 +229,9 @@ val create :
     the score by {!solve_instance} — the portfolio racers run this way, so
     the shared ranking is updated once per depth with the {e winner's}
     core by the coordinator, not three times by whichever racer finishes
-    first.  [share] attaches the session's solver to a learnt-clause
-    exchange ({!Share.Exchange}): untainted short learnt clauses are
-    published as packed literal keys, and siblings' clauses are remapped
-    through this session's {!Varmap} and attached at solve-start/restart
-    boundaries (unmappable ones are counted dropped-stale).  The endpoint
-    must be confined to the same domain as the session.  The session
-    captures the calling domain as its owner (see the domain-ownership
-    rule above).
-    @raise Invalid_argument if the netlist does not validate, or if
-    [share] is combined with the [Fresh] policy (a fresh instance bakes
-    unguarded instance constraints into its formula, so nothing it learns
-    is safe to exchange and the taint filter cannot tell). *)
+    first.  The session captures the calling domain as its owner (see the
+    domain-ownership rule above).
+    @raise Invalid_argument if the netlist does not validate. *)
 
 val policy : t -> policy
 
@@ -288,9 +278,8 @@ val freeze_nodes : t -> Circuit.Netlist.node list -> unit
     the formula atoms and the registers); plain BMC constrains only the
     newest frame, whose variables do not exist yet at boundary time, so it
     needs no registration.  The session itself already freezes the top
-    loaded frame (the next transition delta resolves against it), keeps
-    activation literals frozen, and — with clause sharing on — freezes all
-    circuit variables.  Negative (pseudo-)nodes are ignored.  No-op unless
+    loaded frame (the next transition delta resolves against it) and keeps
+    activation literals frozen.  Negative (pseudo-)nodes are ignored.  No-op unless
     [config.inprocess] is set. *)
 
 val solve_instance : t -> depth_stat
@@ -321,26 +310,7 @@ val trace : t -> Trace.t
 
 val last_core_vars : t -> Sat.Lit.var list
 (** Variables of the last instance's unsat core — the paper's [unsatVars]
-    (empty unless UNSAT with proof logging).  Under clause sharing this is
-    the exact {e local-shard} projection; {!exact_core_vars} stitches the
-    cross-solver core. *)
-
-val solver_id : t -> int
-(** The global solver id of the session's (current) solver: the exchange
-    endpoint id when sharing, 0 otherwise.  0 under [Fresh] before the
-    first solve. *)
-
-val exact_core_vars : t -> siblings:(int -> t option) -> Sat.Lit.var list
-(** The {e exact} cross-solver core variables of the last UNSAT instance,
-    in this session's variable numbering: the stitched proof walk follows
-    import cross-edges into sibling sessions' shards ([siblings] resolves a
-    session by solver id — {!solver_id}; never called for this session's
-    own id) and remaps foreign core-clause variables through the siblings'
-    Varmap keys.  Falls back to {!last_core_vars} (the local projection)
-    when a shard cannot be resolved or proof logging is off.
-    {b Coordinator-only}: call strictly after every involved session's
-    owning domain has quiesced — the walk reads sibling state without
-    synchronisation. *)
+    (empty unless UNSAT with proof logging). *)
 
 val loaded_clauses : t -> int
 (** [Persistent] only: total frame-delta clauses loaded into the live
@@ -374,7 +344,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 val check :
   ?config:config ->
-  ?share:Share.Exchange.endpoint ->
   policy:policy ->
   Circuit.Netlist.t ->
   property:Circuit.Netlist.node ->
@@ -385,8 +354,7 @@ val check :
     UNSAT refine the ordering from the core and deepen; on budget
     exhaustion abort.  This is the one BMC driver: [~policy:Fresh] is the
     per-depth-rebuild engine ([bmccheck]'s default), [~policy:Persistent]
-    the incremental one ([bmccheck --engine incremental]).  [share]
-    attaches the session to a learnt-clause exchange, as in {!create}.
+    the incremental one ([bmccheck --engine incremental]).
     @raise Invalid_argument if the netlist does not validate, and
     [Failure] if a counterexample fails to replay (a solver or encoder
     bug — surfaced loudly rather than reported as a result). *)

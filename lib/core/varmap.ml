@@ -18,8 +18,6 @@ let var t ~node ~frame =
     Sat.Vec.push t.reverse (node, frame);
     v
 
-let peek t ~node ~frame = Hashtbl.find_opt t.forward { node; frame }
-
 let key_of t v =
   if v >= 0 && v < Sat.Vec.length t.reverse then Some (Sat.Vec.get t.reverse v) else None
 

@@ -14,9 +14,6 @@ val var : t -> node:Circuit.Netlist.node -> frame:int -> Sat.Lit.var
 (** Allocate-on-first-use lookup.  @raise Invalid_argument on a negative
     frame. *)
 
-val peek : t -> node:Circuit.Netlist.node -> frame:int -> Sat.Lit.var option
-(** Lookup without allocation. *)
-
 val key_of : t -> Sat.Lit.var -> (Circuit.Netlist.node * int) option
 (** Reverse mapping: which circuit node at which frame a SAT variable
     denotes; [None] for variables not allocated by this map. *)

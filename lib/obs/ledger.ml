@@ -38,20 +38,12 @@ type race_row = {
   r_racers : string list;
 }
 
-type share_flow = {
-  sh_exported : int;
-  sh_imported : int;
-  sh_rejected_tainted : int;
-  sh_dropped_stale : int;
-}
-
 type t = {
   schema : string;
   depths : depth_row list;
   races : race_row list;
   restarts : int;
   switches : int;
-  share : share_flow;
   wins : (string * int) list;  (* ordering mode -> races won, sorted by mode *)
 }
 
@@ -163,7 +155,6 @@ let race_of_json j =
 let of_aggregate agg =
   let rows of_json = List.map (fun r -> of_json (Jsonl.object_of_fields r)) in
   let races = rows race_of_json (Sink.race_rows agg) in
-  let share k = Sink.counter_value agg ("share." ^ k) in
   let wins =
     List.fold_left
       (fun acc r ->
@@ -180,13 +171,6 @@ let of_aggregate agg =
     races;
     restarts = Sink.tally_value agg "restart";
     switches = Sink.tally_value agg "switch";
-    share =
-      {
-        sh_exported = share "exported";
-        sh_imported = share "imported";
-        sh_rejected_tainted = share "rejected_tainted";
-        sh_dropped_stale = share "dropped_stale";
-      };
     wins;
   }
 
@@ -203,21 +187,12 @@ let to_json t =
       ("races", Json.List (List.map race_to_json t.races));
       ("restarts", Json.Int t.restarts);
       ("switches", Json.Int t.switches);
-      ( "share",
-        Json.Obj
-          [
-            ("exported", Json.Int t.share.sh_exported);
-            ("imported", Json.Int t.share.sh_imported);
-            ("rejected_tainted", Json.Int t.share.sh_rejected_tainted);
-            ("dropped_stale", Json.Int t.share.sh_dropped_stale);
-          ] );
       ("wins", Json.Obj (List.map (fun (m, n) -> (m, Json.Int n)) t.wins));
     ]
 
 let of_json j =
   match Json.member "schema" j with
   | Some (Json.Str s) when s = version ->
-    let share_j = Option.value ~default:(Json.Obj []) (Json.member "share" j) in
     Ok
       {
         schema = s;
@@ -225,13 +200,6 @@ let of_json j =
         races = List.map race_of_json (Json.get_list j "races");
         restarts = Json.get_int j "restarts";
         switches = Json.get_int j "switches";
-        share =
-          {
-            sh_exported = Json.get_int share_j "exported";
-            sh_imported = Json.get_int share_j "imported";
-            sh_rejected_tainted = Json.get_int share_j "rejected_tainted";
-            sh_dropped_stale = Json.get_int share_j "dropped_stale";
-          };
         wins =
           (match Json.member "wins" j with
           | Some (Json.Obj kvs) ->
@@ -279,8 +247,8 @@ let pp_depth_table ppf t =
       List.fold_left (fun m d -> max m d.l_decisions) 1 t.depths |> float_of_int
     in
     Format.fprintf ppf
-      "depth  outcome  mode       decisions (heat)        rank%%  implications  conflicts   core  \
-       churn(+/-)  sw  build_s  solve_s    cdg_s@.";
+      "depth  outcome  mode       decisions (heat)      rank%%  implications  conflicts   core  \
+       churn(+/-)   sw  build_s  solve_s    cdg_s@.";
     List.iter
       (fun d ->
         let attributed = d.l_dec_rank + d.l_dec_vsids in
@@ -352,10 +320,6 @@ let pp_effectiveness ppf t =
        else
          String.concat ""
            (List.map (fun (m, n) -> Printf.sprintf " %s %d" m n) t.wins)));
-  Format.fprintf ppf
-    "  sharing           : exported %d, imported %d, tainted-rejected %d, dropped-stale %d@."
-    t.share.sh_exported t.share.sh_imported t.share.sh_rejected_tainted
-    t.share.sh_dropped_stale;
   if t.depths <> [] then begin
     Format.fprintf ppf "  rank share by depth :";
     List.iter

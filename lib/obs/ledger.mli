@@ -8,7 +8,7 @@
     supposed to change: per-depth decision/conflict/propagation work, the
     decision-source histogram (branches taken from the [bmc_score] rank
     versus VSIDS-activity fallback), core-variable churn between depths,
-    racer win/cancel tallies and clause-sharing flow.
+    and racer win/cancel tallies.
 
     The JSON codec is field-order-deterministic: [to_string] after
     {!of_string} reproduces the input byte-for-byte, which the schema
@@ -68,20 +68,12 @@ type race_row = {
           empty, parsed with an empty default. *)
 }
 
-type share_flow = {
-  sh_exported : int;
-  sh_imported : int;
-  sh_rejected_tainted : int;
-  sh_dropped_stale : int;
-}
-
 type t = {
   schema : string;
   depths : depth_row list;
   races : race_row list;
   restarts : int;
   switches : int;
-  share : share_flow;
   wins : (string * int) list;
       (** races won per heuristic name (whatever names the racers carried
           — built-in modes or ordering-laboratory heuristics), sorted *)
@@ -90,9 +82,9 @@ type t = {
 val of_aggregate : Telemetry.Sink.aggregate -> t
 (** The ledger of everything folded into the aggregate: its "depth" and
     "race" rows (parsed by the same row decoders as a ledger file, so an
-    absent column reads as its file default), [restarts] and [switches]
-    from its event tallies, and the sharing flow from its [share.*]
-    counters.  Read it once the emitting domains have quiesced. *)
+    absent column reads as its file default), and [restarts] and
+    [switches] from its event tallies.  Read it once the emitting domains
+    have quiesced. *)
 
 val of_events : Telemetry.Sink.event list -> t
 (** {!of_aggregate} of a fresh aggregate the events are folded into. *)
@@ -101,6 +93,10 @@ val of_events : Telemetry.Sink.event list -> t
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
+(** Members the schema does not name are ignored: ledgers from builds
+    that still had clause sharing carry a [share] member and load as
+    they are. *)
+
 val to_string : ?indent:bool -> t -> string
 (** Pretty-printed by default (ledgers are meant to be read). *)
 
@@ -127,7 +123,7 @@ val pp_depth_table : Format.formatter -> t -> unit
 
 val pp_effectiveness : Format.formatter -> t -> unit
 (** The ordering-effectiveness report: decision-source split, fallback
-    and restart counts, core churn, race and sharing tallies.  Never
+    and restart counts, core churn and race tallies.  Never
     empty, even for a ledger with no depth rows. *)
 
 (** {1 Regression diff} *)

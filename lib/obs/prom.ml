@@ -56,15 +56,6 @@ let render (t : Ledger.t) =
   add_metric b ~help:"Portfolio racers cancelled after a sibling won" ~typ:"counter"
     "bmc_race_cancelled_total"
     (int_rows [ ([], List.fold_left (fun a r -> a + r.Ledger.r_cancelled) 0 t.races) ]);
-  add_metric b ~help:"Learnt clauses exchanged between racers" ~typ:"counter"
-    "bmc_share_clauses_total"
-    (int_rows
-       [
-         ([ ("flow", "exported") ], t.share.sh_exported);
-         ([ ("flow", "imported") ], t.share.sh_imported);
-         ([ ("flow", "rejected_tainted") ], t.share.sh_rejected_tainted);
-         ([ ("flow", "dropped_stale") ], t.share.sh_dropped_stale);
-       ]);
   add_metric b ~help:"Wall-clock seconds spent solving, by phase" ~typ:"counter"
     "bmc_phase_seconds_total"
     (List.map

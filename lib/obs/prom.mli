@@ -3,8 +3,8 @@
     Renders a {!Ledger.t} in the node-exporter textfile-collector format:
     drop the output in a [*.prom] file under the collector's directory and
     every metric below appears with a [bmc_] prefix — depth outcomes,
-    decision-source split, restarts, fallback switches, core churn, race
-    wins and sharing flow. *)
+    decision-source split, restarts, fallback switches, core churn and
+    race wins. *)
 
 val render : Ledger.t -> string
 (** The full textfile document ([# HELP] / [# TYPE] / sample lines). *)

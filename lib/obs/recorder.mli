@@ -4,8 +4,8 @@
     [capacity] events {e per domain} that ever emits through it, in one
     ring per domain (allocated lazily via domain-local storage).  Tee it
     into a run's telemetry handle and every event the run produces — the
-    solver's restarts, switches, database reductions, compactions and
-    clause exchange, the per-solve and per-depth summaries, the
+    solver's restarts, switches, database reductions and compactions,
+    the per-solve and per-depth summaries, the
     portfolio's racer starts, wins and cancellations — lands in the ring
     of the domain that emitted it, stamped with wall-clock microseconds.
     Recording is two array stores, one clock read and one atomic publish;

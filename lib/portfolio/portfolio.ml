@@ -29,7 +29,7 @@ let racer ?restart_base ?conflicts ?seconds ~name mode =
   }
 
 (* Distinct Luby units diversify the racers' restart schedules — and
-   therefore which clauses each learns and offers to the exchange. *)
+   therefore which clauses each learns. *)
 let default_racers =
   [
     racer ~name:"standard" ~restart_base:64 Session.Standard;
@@ -68,7 +68,6 @@ type race = {
   mutable r_names : string list; (* reversed *)
   mutable r_rotation : racer list; (* untried roster entries, in order *)
   mutable r_rotated : int; (* total rotations performed *)
-  r_share : Share.Exchange.t option;
   mutable r_last_k : int;
 }
 
@@ -89,8 +88,7 @@ let note_name race name =
     race.r_names <- name :: race.r_names
   end
 
-let create_race ?(racers = default_racers) ?(rotation = []) ?share ~pool cfg netlist
-    ~property =
+let create_race ?(racers = default_racers) ?(rotation = []) ~pool cfg netlist ~property =
   if racers = [] then invalid_arg "Portfolio.create_race: no racers";
   (* validate the netlist in the coordinator, where the error is useful,
      rather than inside a worker job *)
@@ -111,7 +109,6 @@ let create_race ?(racers = default_racers) ?(rotation = []) ?share ~pool cfg net
       r_names = [];
       r_rotation = rotation;
       r_rotated = 0;
-      r_share = share;
       r_last_k = -1;
     }
   in
@@ -154,18 +151,11 @@ let slot_session race slot =
           | None -> race.r_cfg.Session.restart_base);
       }
     in
-    (* The endpoint, like the session, is created inside the pinned worker
-       and confined to it; only the exchange itself is shared. *)
-    let share =
-      Option.map
-        (fun ex -> Share.Exchange.endpoint ex ~name:slot.s_name)
-        race.r_share
-    in
     (* [fold_cores:false]: racers extract cores but never write the shared
        score — the coordinator folds exactly one core (the winner's) per
        depth, between rounds. *)
     let s =
-      Session.create ?share ~score:race.r_score ~fold_cores:false cfg race.r_netlist
+      Session.create ~score:race.r_score ~fold_cores:false cfg race.r_netlist
         ~property:race.r_property
     in
     slot.s_session <- Some s;
@@ -276,7 +266,6 @@ let race_depth race ~k =
   in
   let cancelled = ref 0 in
   let max_latency = ref 0.0 in
-  let folded_core_vars = ref None in
   (* The winner's name is read before rotation reconfigures any slot. *)
   let winner_name = Option.map (fun w -> slots.(w).s_name) !winner in
   (match !winner with
@@ -302,33 +291,10 @@ let race_depth race ~k =
         end)
       attempts;
     (* the paper's refinement step, once per depth: only the winner's core
-       reaches the shared ranking.  With sharing on, the winner's local core
-       may lean on imported clauses; every racer has settled by now (the
-       wait loop above is the quiescence barrier), so stitch the racers'
-       proof shards and fold the winner's true cross-solver core instead of
-       its local projection. *)
+       reaches the shared ranking *)
     let wa = attempts.(w) in
     (match wa.a_stat.Session.outcome with
-    | Sat.Solver.Unsat ->
-      let core_vars =
-        match (race.r_share, slots.(w).s_session) with
-        | Some _, Some ws ->
-          let siblings sid =
-            Array.fold_left
-              (fun acc sl ->
-                match acc with
-                | Some _ -> acc
-                | None -> (
-                  match sl.s_session with
-                  | Some s when Session.solver_id s = sid -> Some s
-                  | Some _ | None -> None))
-              None slots
-          in
-          Session.exact_core_vars ws ~siblings
-        | _ -> wa.a_core_vars
-      in
-      folded_core_vars := Some core_vars;
-      Bmc.Score.update race.r_score ~instance:k ~core_vars
+    | Sat.Solver.Unsat -> Bmc.Score.update race.r_score ~instance:k ~core_vars:wa.a_core_vars
     | Sat.Solver.Sat | Sat.Solver.Unknown -> ()));
   (* Capture the round's attempt labels before rotation renames slots. *)
   let attempt_list =
@@ -404,8 +370,7 @@ let race_depth race ~k =
     depth = k;
     winner = winner_name;
     stat = best.a_stat;
-    core_vars =
-      (match !folded_core_vars with Some v -> v | None -> best.a_core_vars);
+    core_vars = best.a_core_vars;
     attempts = attempt_list;
     wall;
     cancelled = !cancelled;
@@ -413,18 +378,6 @@ let race_depth race ~k =
     rotated = !rotated;
     trace = best.a_trace;
   }
-
-(* Sessions publish per-instance share deltas (exported / imported /
-   rejected_tainted) themselves; the stale-drop count only exists at the
-   exchange, so the coordinator flushes it once a run is over. *)
-let emit_share_drops tel = function
-  | None -> ()
-  | Some ex ->
-    if Telemetry.enabled tel then
-      List.iter
-        (fun (name, v) -> if name = "dropped_stale" && v > 0 then
-            Telemetry.counter tel ("share." ^ name) v)
-        (Share.Exchange.stats_fields (Share.Exchange.stats ex))
 
 type result = {
   verdict : Session.verdict;
@@ -441,13 +394,11 @@ let race_wins race =
 
 let race_rotated race = race.r_rotated
 
-let check_race ?(config = Session.default_config) ?racers ?rotation ?share ~pool netlist
-    ~property =
-  let race = create_race ?racers ?rotation ?share ~pool config netlist ~property in
+let check_race ?(config = Session.default_config) ?racers ?rotation ~pool netlist ~property =
+  let race = create_race ?racers ?rotation ~pool config netlist ~property in
   let per_depth = ref [] in
   let t0 = Pool.wall () in
   let finish verdict =
-    emit_share_drops config.Session.telemetry race.r_share;
     {
       verdict;
       per_depth = List.rev !per_depth;
@@ -484,55 +435,14 @@ let check_race ?(config = Session.default_config) ?racers ?rotation ?share ~pool
 (* Mode B: property batches.                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Clause exchange is sound only between sessions unrolling structurally
-   identical circuits (packed keys are (node, frame) pairs, and equal
-   digests guarantee identical node numbering), so group the batch by
-   structural digest — two separately parsed copies of one circuit land in
-   the same group, where the old physical ([==]) grouping kept them
-   apart. *)
-let batch_share_groups items =
-  let order = ref [] in
-  let groups : (string, string list ref) Hashtbl.t = Hashtbl.create 7 in
-  List.iter
-    (fun (name, netlist, _) ->
-      let d = Circuit.Netlist.digest netlist in
-      match Hashtbl.find_opt groups d with
-      | Some members -> members := name :: !members
-      | None ->
-        Hashtbl.add groups d (ref [ name ]);
-        order := d :: !order)
-    items;
-  List.rev_map
-    (fun d -> (d, List.rev !(Hashtbl.find groups d)))
-    !order
-  |> List.filter (fun (_, members) -> List.length members >= 2)
-
-let check_batch ?(config = Session.default_config) ?(policy = Session.Persistent)
-    ?(share = false) ~pool items =
+let check_batch ?(config = Session.default_config) ?(policy = Session.Persistent) ~pool items =
   let tel = config.Session.telemetry in
-  (* One exchange per digest group of two or more properties.  Fresh-policy
-     batches never share (Session.create would reject the combination). *)
-  let exchanges =
-    if not (share && policy = Session.Persistent) then []
-    else
-      List.map (fun (d, _) -> (d, Share.Exchange.create ())) (batch_share_groups items)
-  in
   Pool.map_list ~label:"batch" pool
     (fun (name, netlist, property) ->
       let t0 = Pool.wall () in
-      (* endpoint created inside whichever worker stole the job, and
-         confined to it *)
-      let share =
-        Option.map
-          (fun ex -> Share.Exchange.endpoint ex ~name)
-          (List.assoc_opt (Circuit.Netlist.digest netlist) exchanges)
-      in
-      let r = Session.check ~config ?share ~policy netlist ~property in
+      let r = Session.check ~config ~policy netlist ~property in
       if Telemetry.enabled tel then
         Telemetry.span_event tel "batch_item" ~dur:(Pool.wall () -. t0)
           [ ("name", Telemetry.Sink.Str name) ];
       (name, r))
     items
-  |> fun results ->
-  List.iter (fun (_, ex) -> emit_share_drops tel (Some ex)) exchanges;
-  results

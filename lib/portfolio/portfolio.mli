@@ -41,15 +41,14 @@ type race
 
 type racer = {
   r_name : string;
-      (** the racer's display name — win tallies, race rows, telemetry
-          counters and share-endpoint names are all keyed by it (typically
-          an {!Ordering}-registry heuristic name) *)
+      (** the racer's display name — win tallies, race rows and telemetry
+          counters are all keyed by it (typically an {!Ordering}-registry
+          heuristic name) *)
   r_mode : Bmc.Session.mode;  (** the racer's decision ordering *)
   r_restart_base : int option;
       (** Luby restart unit override ([None] keeps the solver default).
           Distinct units diversify restart schedules across the ensemble,
-          so the racers learn — and, with an exchange attached, share —
-          different clauses. *)
+          so the racers learn different clauses. *)
   r_conflicts : int option;
       (** per-racer per-instance conflict budget; combined (min) with the
           run-wide budget.  A racer that burns it loses the round and
@@ -74,7 +73,6 @@ val racer :
 val create_race :
   ?racers:racer list ->
   ?rotation:racer list ->
-  ?share:Share.Exchange.t ->
   pool:Pool.t ->
   Bmc.Session.config ->
   Circuit.Netlist.t ->
@@ -90,15 +88,7 @@ val create_race :
     next depth.  The [config]'s [mode] field is ignored (each racer gets
     its own); its budget, COI, weighting, max_depth and telemetry apply to
     every racer, and [collect_cores] is forced on so the winner always has
-    a core to contribute.  [share] attaches every racer to the given
-    learnt-clause exchange: each racer's session gets its own
-    {!Share.Exchange.endpoint} (created inside its pinned worker, named
-    after the racer), exports untainted short learnt clauses, and imports
-    the siblings' at restart boundaries.  Imports carry their provenance
-    (source solver, source clause id), so the winner's core stays {e
-    exact} under sharing — see {!race_stat}'s [core_vars].  The caller
-    keeps the exchange and reads {!Share.Exchange.stats} from it between
-    rounds.  Racer [i] is pinned to pool worker [i mod Pool.size pool];
+    a core to contribute.  Racer [i] is pinned to pool worker [i mod Pool.size pool];
     with fewer workers than racers the race serialises gracefully.
     @raise Invalid_argument if the ensemble is empty. *)
 
@@ -113,12 +103,7 @@ type race_stat = {
       (** the winner's unsat-core variables ([[]] unless it answered UNSAT
           with proof logging) — the set folded into the shared ranking,
           exposed so reports and benches can fingerprint which core
-          actually steered depth k+1.  With an exchange attached this is
-          the {e exact cross-solver} core: after every racer settles, the
-          coordinator stitches the racers' proof shards
-          ({!Bmc.Session.exact_core_vars}) so imports in the winner's
-          refutation resolve to the sibling clauses that produced them
-          instead of being dropped at the shard boundary *)
+          actually steered depth k+1 *)
   attempts : (string * Sat.Solver.outcome) list;
       (** every racer's (name, outcome), in slot order ([Unknown] for
           cancelled losers); names are the round's, before any rotation *)
@@ -166,7 +151,6 @@ val check_race :
   ?config:Bmc.Session.config ->
   ?racers:racer list ->
   ?rotation:racer list ->
-  ?share:Share.Exchange.t ->
   pool:Pool.t ->
   Circuit.Netlist.t ->
   property:Circuit.Netlist.node ->
@@ -182,21 +166,9 @@ val check_race :
 
 (** {1 Mode B: property batches} *)
 
-val batch_share_groups :
-  (string * Circuit.Netlist.t * Circuit.Netlist.node) list ->
-  (string * string list) list
-(** The sharing groups {!check_batch} [~share:true] would form: batch items
-    grouped by {!Circuit.Netlist.digest} (structural identity, so two
-    separately parsed copies of one circuit group together), keeping only
-    groups of two or more.  Each group is [(digest, property names)] with
-    both group order and member order following the input.  Exposed so
-    tests and schedulers can inspect the grouping without running the
-    batch. *)
-
 val check_batch :
   ?config:Bmc.Session.config ->
   ?policy:Bmc.Session.policy ->
-  ?share:bool ->
   pool:Pool.t ->
   (string * Circuit.Netlist.t * Circuit.Netlist.node) list ->
   (string * Bmc.Session.result) list
@@ -204,12 +176,5 @@ val check_batch :
     pool's shared queue, each running the plain sequential
     {!Bmc.Session.check} (policy defaults to [Persistent]) on whichever
     worker steals it.  Results come back in input order, and each is
-    bit-identical to a sequential run of the same property — clause
-    sharing included, since imports are sound clauses of the same
-    formula.  [share] (default [false]) groups the batch by structural
-    digest ({!batch_share_groups}) and attaches the properties of each
-    group of two or more to a common learnt-clause exchange (endpoints
-    named after the properties);
-    it has no effect under the [Fresh] policy or on netlists checked only
-    once.  Emits one ["batch_item"] telemetry span per property (wall
+    bit-identical to a sequential run of the same property.  Emits one ["batch_item"] telemetry span per property (wall
     seconds, tagged with the property's name). *)

@@ -3,7 +3,7 @@ type cref = int
 let none = -1
 
 (* Block layout: [header | cid | activity | lits...].  The header packs
-   (size lsl 4) with the four flag bits below; the cid slot doubles as the
+   (size lsl 3) with the three flag bits below; the cid slot doubles as the
    forwarding pointer once a block has been relocated. *)
 let hdr_words = 3
 
@@ -12,11 +12,6 @@ let flag_learnt = 1
 let flag_deleted = 2
 
 let flag_reloced = 4
-
-(* The clause (or its derivation) involves an instance-local literal, so it
-   must never be exported to a sibling solver.  Lives in the header because
-   compaction blits headers verbatim: taint survives relocation. *)
-let flag_tainted = 8
 
 let activity_unit = 1 lsl 10
 
@@ -42,15 +37,13 @@ let reset a ~capacity =
    [reloc], so the block bounds are an invariant, not a runtime question. *)
 let[@inline] header a cr = Array.unsafe_get a.data cr
 
-let[@inline] size a cr = header a cr lsr 4
+let[@inline] size a cr = header a cr lsr 3
 
 let[@inline] learnt a cr = header a cr land flag_learnt <> 0
 
 let[@inline] deleted a cr = header a cr land flag_deleted <> 0
 
 let[@inline] relocated a cr = header a cr land flag_reloced <> 0
-
-let[@inline] tainted a cr = header a cr land flag_tainted <> 0
 
 let[@inline] cid a cr = Array.unsafe_get a.data (cr + 1)
 
@@ -83,12 +76,11 @@ let ensure a words =
     a.data <- data
   end
 
-let alloc a ~cid ~learnt ?(tainted = false) lits n =
+let alloc a ~cid ~learnt lits n =
   if n < 0 || n > Array.length lits then invalid_arg "Arena.alloc: bad length";
   ensure a (hdr_words + n);
   let cr = a.size in
-  a.data.(cr) <-
-    (n lsl 4) lor (if learnt then flag_learnt else 0) lor (if tainted then flag_tainted else 0);
+  a.data.(cr) <- (n lsl 3) lor (if learnt then flag_learnt else 0);
   a.data.(cr + 1) <- cid;
   a.data.(cr + 2) <- (if learnt then activity_unit else 0);
   for i = 0 to n - 1 do

@@ -5,9 +5,8 @@
     {v [header | cid | activity | lit_0 ... lit_{n-1}] v}
 
     addressed by an integer {e clause reference} ([cref]): the offset of the
-    header word.  The header packs the literal count with four flag bits
-    (learnt, deleted, relocated, tainted).  Compared to boxed clause records
-    behind
+    header word.  The header packs the literal count with three flag bits
+    (learnt, deleted, relocated).  Compared to boxed clause records behind
     pointers, this layout removes a dereference per clause visit in BCP,
     keeps the clause database off the OCaml heap scan, and makes the whole
     database one cache-friendly allocation.
@@ -51,14 +50,11 @@ val reset : t -> capacity:int -> unit
     [capacity] words: an arena short of it grows to
     [max capacity (2 * current)] words. *)
 
-val alloc : t -> cid:int -> learnt:bool -> ?tainted:bool -> Lit.t array -> int -> cref
+val alloc : t -> cid:int -> learnt:bool -> Lit.t array -> int -> cref
 (** [alloc a ~cid ~learnt lits n] appends a block holding the first [n]
     literals of [lits] — a whole clause array, or a scratch buffer the
     caller normalised into.  The literals are copied.  Learnt clauses
-    start with activity 1.0, originals with 0.  [tainted] (default [false])
-    marks clauses whose derivation involves an instance-local literal — the
-    clause-sharing export filter refuses them (see {!Solver.set_share});
-    the flag lives in the header, so it survives relocation. *)
+    start with activity 1.0, originals with 0. *)
 
 val size : t -> cref -> int
 (** Number of literals in the clause. *)
@@ -75,11 +71,6 @@ val cid : t -> cref -> int
     off). *)
 
 val learnt : t -> cref -> bool
-
-val tainted : t -> cref -> bool
-(** Whether the clause was allocated [~tainted:true] — its derivation
-    involves an instance-local (activation/auxiliary) literal, so it is
-    unsound in a sibling solver and must never be exported. *)
 
 val deleted : t -> cref -> bool
 

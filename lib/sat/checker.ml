@@ -1,6 +1,5 @@
 type event =
   | Learnt of Lit.t list
-  | Imported of Lit.t list
   | Deleted of Lit.t list
 
 (* Replay state.  The original scan-every-clause-to-fixpoint loop is
@@ -285,14 +284,6 @@ let check_refutation cnf events =
         Error
           (Printf.sprintf "step %d: learnt clause {%s} is not a RUP consequence" i
              (String.concat ", " (List.map (fun l -> string_of_int (Lit.to_dimacs l)) lits)))
-    | Imported lits ->
-      (* An import crosses the trust boundary: the clause was derived by a
-         sibling solver over the same shared formula, so it is sound there
-         but not RUP-derivable from this solver's clauses alone.  The
-         checker admits it as an axiom; certifying the {e sibling's} proof
-         is the sibling's checker's job. *)
-      if not !refuted then add_clause db lits;
-      Ok ()
     | Deleted lits ->
       delete_clause db lits;
       Ok ()
@@ -308,16 +299,9 @@ let check_refutation cnf events =
 
 let to_drat events =
   let buf = Buffer.create 1024 in
-  if List.exists (function Imported _ -> true | Learnt _ | Deleted _ -> false) events
-  then
-    Buffer.add_string buf
-      "c trust boundary: 'i'-prefixed clauses were imported from sibling solvers \
-       over the same formula; they are admitted as axioms, not RUP-checked here\n";
   List.iter
     (fun event ->
-      let lits, prefix =
-        match event with Learnt l -> (l, "") | Imported l -> (l, "i ") | Deleted l -> (l, "d ")
-      in
+      let lits, prefix = match event with Learnt l -> (l, "") | Deleted l -> (l, "d ") in
       Buffer.add_string buf prefix;
       List.iter (fun l -> Buffer.add_string buf (string_of_int (Lit.to_dimacs l) ^ " ")) lits;
       Buffer.add_string buf "0\n")
@@ -329,12 +313,8 @@ let of_drat text =
     let line = String.trim line in
     if line = "" || line.[0] = 'c' then None
     else begin
-      let prefixed p = String.length line >= 2 && String.sub line 0 2 = p in
-      let deleted = prefixed "d " in
-      let imported = prefixed "i " in
-      let body =
-        if deleted || imported then String.sub line 2 (String.length line - 2) else line
-      in
+      let deleted = String.length line >= 2 && String.sub line 0 2 = "d " in
+      let body = if deleted then String.sub line 2 (String.length line - 2) else line in
       let nums =
         String.split_on_char ' ' body
         |> List.filter (fun s -> s <> "")
@@ -346,10 +326,7 @@ let of_drat text =
       match List.rev nums with
       | 0 :: rev_lits ->
         let lits = List.rev_map Lit.of_dimacs rev_lits in
-        Some
-          (if deleted then Deleted lits
-           else if imported then Imported lits
-           else Learnt lits)
+        Some (if deleted then Deleted lits else Learnt lits)
       | _ -> failwith "Checker.of_drat: missing terminating 0"
     end
   in

@@ -25,28 +25,18 @@ type event =
   | Learnt of Lit.t list
       (** clause added by conflict analysis, in derivation order; the empty
           clause terminates a refutation *)
-  | Imported of Lit.t list
-      (** clause imported from a sibling solver through the learnt-clause
-          exchange.  Sound over the shared formula (the export filter only
-          releases clauses derivable from the unguarded circuit clauses)
-          but not RUP-derivable from {e this} solver's trace alone, so the
-          checker admits it as an axiom — the trust boundary of a sharing
-          run's proof *)
   | Deleted of Lit.t list  (** clause removed by database reduction *)
 
 val check_refutation : Cnf.t -> event list -> (unit, string) result
 (** Replay the proof against the formula.  [Ok ()] iff every [Learnt]
     clause passes the RUP test against the originals plus the previously
-    accepted (and not yet deleted) learnt and imported clauses, and the
-    proof derives the empty clause.  [Imported] clauses are admitted
-    without a RUP test (see {!event}). *)
+    accepted (and not yet deleted) learnt clauses, and the proof derives
+    the empty clause. *)
 
 val to_drat : event list -> string
 (** Serialise in the standard DRAT text format (one clause per line,
-    deletions prefixed with [d], DIMACS literals, 0-terminated).  Imported
-    clauses use a non-standard [i] prefix; when any are present the output
-    opens with a comment line documenting the trust boundary. *)
+    deletions prefixed with [d], DIMACS literals, 0-terminated). *)
 
 val of_drat : string -> event list
-(** Parse DRAT text (including the [i]-prefixed import extension).
+(** Parse DRAT text.
     @raise Failure on malformed input. *)

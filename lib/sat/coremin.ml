@@ -100,8 +100,7 @@ let minimise ?(budget = no_budget) ?(assumptions = []) ?(certify = true) ~num_va
   in
   match solve_without (-1) with
   | Solver.Sat | Solver.Unknown ->
-    (* not a core (e.g. a local projection whose imports were load-bearing):
-       hand the input back unimproved rather than guessing *)
+    (* not a core: hand the input back unimproved rather than guessing *)
     let kept = Array.to_list (Array.map fst arr) in
     ( kept,
       {

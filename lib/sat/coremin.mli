@@ -59,8 +59,7 @@ val minimise :
     as unit clauses for certification.  [certify] (default [true]) runs the
     independent re-proof; switch it off for throwaway calls.
 
-    If the candidate turns out satisfiable (it was not a core — e.g. the
-    local projection of a sharing run whose imports were load-bearing), the
-    input is returned unchanged with [minimal = false] and
+    If the candidate turns out satisfiable (it was not a core), the input
+    is returned unchanged with [minimal = false] and
     [certified = false]: the caller keeps a well-defined, if unimproved,
     result. *)

@@ -79,7 +79,7 @@ type clause_in = {
           clause it stores); the engine normalises the array in place
           with {!Cnf.normalize_into} *)
   deletable : bool;  (** false for locked (reason) clauses *)
-  redundant : bool;  (** learnt/imported: may be deleted, never relied on *)
+  redundant : bool;  (** learnt: may be deleted, never relied on *)
 }
 
 (** The script replayed by the solver, in derivation order.  Clause ids are

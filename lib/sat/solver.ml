@@ -15,23 +15,6 @@ type budget = {
 let no_budget =
   { max_conflicts = None; max_propagations = None; max_seconds = None; stop = None }
 
-(* Clause-exchange hooks (the portfolio's learnt-clause sharing).  The
-   solver stays transport-agnostic: [sh_export] receives learnt clauses
-   that pass the size/LBD caps and the taint filter together with their
-   proof pseudo ID ([src_id], -1 when proof logging is off), [sh_import]
-   is asked for foreign clauses (already remapped to this solver's
-   variables, each with its global (solver id, clause id) provenance when
-   the exporter supplied one) at solve-start and restart boundaries. *)
-type share = {
-  sh_max_size : int;
-  mutable sh_max_lbd : int; (* adaptive: a tune hook may move it between restarts *)
-  sh_budget : int; (* exports allowed per restart interval; [max_int] = unlimited *)
-  mutable sh_left : int;
-  sh_tune : (unit -> int option) option; (* polled at restarts for a new LBD cap *)
-  sh_export : Lit.t array -> lbd:int -> src_id:int -> unit;
-  sh_import : unit -> (Lit.t list * (int * int) option) list;
-}
-
 (* Pluggable branching-heuristic hooks (the ordering laboratory).  The
    solver keeps its Chaff core and exposes exactly three narrow seams: a
    per-conflict notification (fired after the built-in activity bumps), a
@@ -70,11 +53,10 @@ type t = {
   trail_lim : int Vec.t; (* trail index at the start of each decision level *)
   mutable qhead : int;
   order : Order.t;
-  sid : int; (* global solver id (proof provenance); 0 outside a portfolio *)
   proof : Proof.t option;
   mutable cnf_index : int array;
-      (* proof pseudo ID -> original clause index, -1 for every other node
-         (learnts, imports); grown on demand, see [set_cnf_index] *)
+      (* proof pseudo ID -> original clause index, -1 for learnt nodes;
+         grown on demand, see [set_cnf_index] *)
   mutable norm_buf : Lit.t array; (* [add_original]'s normalisation scratch *)
   mutable occ : int array; (* [load]'s occurrence-count scratch, per literal *)
   learnt_lits : (int, Lit.t list) Hashtbl.t; (* proof ID -> literals (proof mode) *)
@@ -93,11 +75,7 @@ type t = {
   mutable assumptions : Lit.t array; (* for the solve call in progress *)
   mutable failed_assumptions : Lit.t list; (* valid after assumption-UNSAT *)
   tel : Telemetry.t;
-  (* clause-sharing state *)
-  mutable share : share option;
   mutable heur : hooks option; (* pluggable ordering heuristic, when installed *)
-  mutable local_mask : bool array; (* per var: instance-local (activation/aux) *)
-  mutable analysis_tainted : bool; (* scratch: current conflict analysis touched a tainted antecedent *)
   (* inprocessing state *)
   mutable frozen : bool array; (* per var: exempt from variable elimination *)
   mutable eliminated : bool array; (* per var: removed by BVE *)
@@ -170,8 +148,7 @@ let final_analysis t confl =
 
 (* Originals are registered in clause-index order ([create] loads them in
    order, [add_clause_a] appends), so the map is monotone: ascending proof
-   IDs give ascending clause indices.  An original leaf without an index
-   is a provenance-less import. *)
+   IDs give ascending clause indices. *)
 let set_cnf_index t id index =
   let n = Array.length t.cnf_index in
   if id >= n then begin
@@ -183,15 +160,6 @@ let set_cnf_index t id index =
 
 let cnf_index t id = if id < Array.length t.cnf_index then t.cnf_index.(id) else -1
 
-(* The clause indices behind a list of proof IDs, skipping every ID that
-   names no original clause. *)
-let clause_indices t ids =
-  List.filter_map
-    (fun id ->
-      let i = cnf_index t id in
-      if i >= 0 then Some i else None)
-    ids
-
 (* Every original clause is registered in the proof (even ones we drop or
    leave unwatched) and its pseudo ID recorded against its clause index.
    The clause array is only read: it is normalised into the solver's
@@ -200,8 +168,6 @@ let clause_indices t ids =
    level-0 propagation: watches must sit on non-false literals, a clause
    with a single non-false literal is a (possibly pending) unit, and a
    clause with none is a top-level conflict. *)
-let[@inline] is_local t v = t.local_mask.(v)
-
 let add_original t index lits =
   let cid =
     match t.proof with
@@ -219,17 +185,16 @@ let add_original t index lits =
   (* n = -1: a tautology, never needed, never a core member *)
   if n >= 0 then begin
     (* move the non-false (at level 0) literals to the front *)
-    let nf = ref 0 and tainted = ref false in
+    let nf = ref 0 in
     for i = 0 to n - 1 do
       let l = buf.(i) in
-      if is_local t (Lit.var l) then tainted := true;
       if value_lit t l <> 0 then begin
         buf.(i) <- buf.(!nf);
         buf.(!nf) <- l;
         incr nf
       end
     done;
-    let cr = Arena.alloc t.arena ~cid ~learnt:false ~tainted:!tainted buf n in
+    let cr = Arena.alloc t.arena ~cid ~learnt:false buf n in
     if !nf = 0 then begin
       (* conflicts with the level-0 assignment: the formula is refuted *)
       t.ok <- false;
@@ -280,7 +245,6 @@ let ensure_vars t n =
       t.reason <- grow_array t.reason cap Arena.none;
       t.seen <- grow_array t.seen cap false;
       t.trail_height <- grow_array t.trail_height cap 0;
-      t.local_mask <- grow_array t.local_mask cap false;
       t.frozen <- grow_array t.frozen cap false;
       t.eliminated <- grow_array t.eliminated cap false;
       let have = Array.length t.watches in
@@ -300,15 +264,6 @@ let new_var t =
   let v = t.nvars in
   ensure_vars t (v + 1);
   v
-
-(* Mark a variable instance-local: activation guards and per-instance
-   Tseitin auxiliaries.  Clauses containing such a variable — and learnt
-   clauses whose 1UIP derivation resolves against any of them — are tainted
-   and never exported to sibling solvers (their truth depends on this
-   session's private guards). *)
-let mark_local t v =
-  ensure_vars t (v + 1);
-  t.local_mask.(v) <- true
 
 (* ------------------------------------------------------------------ *)
 (* Loading a formula: [create] and [reload].                           *)
@@ -341,7 +296,6 @@ let load t mode src =
   Array.fill t.reason 0 (Array.length t.reason) Arena.none;
   Array.fill t.seen 0 (Array.length t.seen) false;
   Array.fill t.trail_height 0 (Array.length t.trail_height) 0;
-  Array.fill t.local_mask 0 (Array.length t.local_mask) false;
   Array.fill t.frozen 0 (Array.length t.frozen) false;
   Array.fill t.eliminated 0 (Array.length t.eliminated) false;
   Array.iter (fun w -> Arena.Watch.truncate w 0) t.watches;
@@ -367,9 +321,7 @@ let load t mode src =
   t.luby <- Luby.create ~base:128;
   t.assumptions <- [||];
   t.failed_assumptions <- [];
-  t.share <- None;
   t.heur <- None;
-  t.analysis_tainted <- false;
   t.elim_stack <- [];
   t.cur_budget <- no_budget;
   t.solve_start <- 0.0;
@@ -379,7 +331,7 @@ let load t mode src =
 let reload ?(mode = Order.Vsids) t cnf = load t mode cnf
 
 let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode = Order.Vsids)
-    ?(telemetry = Telemetry.disabled) ?(solver_id = 0) cnf =
+    ?(telemetry = Telemetry.disabled) cnf =
   (* empty storage and what [load] keeps; [load] sets everything else *)
   let t =
     {
@@ -395,10 +347,8 @@ let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode
       trail_lim = Vec.create ~dummy:0 ();
       qhead = 0;
       order = Order.create ~num_vars:0 Order.Vsids;
-      sid = solver_id;
       proof =
-        (if with_proof then
-           Some (Proof.create ~timed:(Telemetry.timing telemetry) ~solver_id ())
+        (if with_proof then Some (Proof.create ~timed:(Telemetry.timing telemetry) ())
          else None);
       cnf_index = [||];
       norm_buf = [||];
@@ -419,10 +369,7 @@ let create ?(with_proof = false) ?(with_drat = false) ?(minimize = false) ?(mode
       assumptions = [||];
       failed_assumptions = [];
       tel = telemetry;
-      share = None;
       heur = None;
-      local_mask = [||];
-      analysis_tainted = false;
       frozen = [||];
       eliminated = [||];
       elim_stack = [];
@@ -587,95 +534,6 @@ let add_clause_a t c =
 let add_clause t lits = add_clause_a t (Array.of_list lits)
 
 (* ------------------------------------------------------------------ *)
-(* Clause import (sharing).                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Attach one foreign clause, already remapped to this solver's variables.
-   Precondition: decision level 0 (solve start or a restart), so every
-   current assignment is a level-0 fact.  Mirrors [add_original]'s
-   assignment-aware attachment, but the clause enters as a learnt — never
-   recorded in [t.cnf], eligible for [reduce_db].  In proof mode it becomes
-   an [Import] cross-edge into the exporter's shard when the exchange
-   supplied [origin], so stitched cores stay exact; without provenance it
-   falls back to an original leaf that core reporting skips.  In DRAT mode
-   the clause is recorded as an [i]-prefixed trusted axiom. *)
-let attach_import ?origin t lits =
-  match Cnf.normalize_clause lits with
-  | None -> ()
-  | Some lits ->
-    (* a clause mentioning an eliminated variable cannot be attached: the
-       variable is gone from the search and its value is reconstructed, so
-       drop the import (sound — imports are optional consequences) *)
-    if
-      (not (List.exists (fun l -> t.eliminated.(Lit.var l)) lits))
-      && not (List.exists (fun l -> value_lit t l = 1) lits)
-    then begin
-      let arr = Array.of_list lits in
-      let n = Array.length arr in
-      let nf = ref 0 in
-      for i = 0 to n - 1 do
-        if value_lit t arr.(i) <> 0 then begin
-          let tmp = arr.(!nf) in
-          arr.(!nf) <- arr.(i);
-          arr.(i) <- tmp;
-          incr nf
-        end
-      done;
-      let cid =
-        match t.proof with
-        | Some p ->
-          let id =
-            match origin with
-            | Some origin -> Proof.register_import p ~origin
-            | None -> Proof.register_original p
-          in
-          Hashtbl.replace t.learnt_lits id lits;
-          id
-        | None -> -1
-      in
-      (match t.drat with Some d -> Vec.push d (Checker.Imported lits) | None -> ());
-      let cr = Arena.alloc t.arena ~cid ~learnt:true arr n in
-      t.stats.shared_imported <- t.stats.shared_imported + 1;
-      if !nf = 0 then begin
-        (* conflicts with the level-0 facts: the shared formula is refuted *)
-        t.ok <- false;
-        (match t.drat with Some d -> Vec.push d (Checker.Learnt []) | None -> ());
-        match t.proof with
-        | Some p ->
-          if not (Proof.has_final p) then
-            Proof.set_final p ~antecedents:(final_analysis t cr)
-        | None -> ()
-      end
-      else begin
-        if !nf = 1 then begin
-          match value_lit t arr.(0) with
-          | 1 -> ()
-          | _ -> enqueue t arr.(0) cr
-        end;
-        if n >= 2 then begin
-          attach t cr;
-          Vec.push t.learnts cr
-        end
-      end
-    end
-
-let import_pending t =
-  match t.share with
-  | None -> ()
-  | Some sh ->
-    let before = t.stats.shared_imported in
-    List.iter
-      (fun (lits, origin) ->
-        if t.ok then begin
-          List.iter (fun l -> ensure_vars t (Lit.var l + 1)) lits;
-          attach_import ?origin t lits
-        end)
-      (sh.sh_import ());
-    let imported = t.stats.shared_imported - before in
-    if imported > 0 && Telemetry.enabled t.tel then
-      Telemetry.event t.tel "share_import" [ ("count", Telemetry.Sink.Int imported) ]
-
-(* ------------------------------------------------------------------ *)
 (* Conflict analysis (first UIP).                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -683,7 +541,6 @@ let import_pending t =
    level, antecedent clause IDs).  Precondition: decision_level > 0. *)
 let analyze t conflict =
   let arena = t.arena in
-  t.analysis_tainted <- false;
   let learnt = ref [] in
   let steps = ref [] in
   let path_count = ref 0 in
@@ -708,7 +565,6 @@ let analyze t conflict =
           let r = t.reason.(v) in
           if r <> Arena.none then begin
             steps := (v, Arena.cid arena r) :: !steps;
-            if Arena.tainted arena r then t.analysis_tainted <- true;
             Arena.iter_lits arena r (fun l ->
                 let u = Lit.var l in
                 if u <> v && t.level.(u) = 0 then stack := u :: !stack)
@@ -725,9 +581,6 @@ let analyze t conflict =
     let c = !confl in
     if not !first_iter then steps := (Lit.var (Option.get !p), Arena.cid arena c) :: !steps;
     first_iter := false;
-    (* taint flows through every antecedent: the conflict clause itself on
-       the first iteration, reason clauses afterwards *)
-    if Arena.tainted arena c then t.analysis_tainted <- true;
     if Arena.learnt arena c then Arena.bump_activity arena c;
     let start = match !p with None -> 0 | Some _ -> 1 in
     for jj = start to Arena.size arena c - 1 do
@@ -777,7 +630,6 @@ let analyze t conflict =
               if v <> Lit.var q && (not t.seen.(v)) && t.level.(v) > 0 then ok := false);
           if !ok then begin
             steps := (Lit.var q, Arena.cid arena r) :: !steps;
-            if Arena.tainted arena r then t.analysis_tainted <- true;
             Arena.iter_lits arena r (fun l ->
                 let v = Lit.var l in
                 if v <> Lit.var q && (not t.seen.(v)) && t.level.(v) = 0 then
@@ -836,48 +688,6 @@ let analyze_final_assumption t p =
 (* Learning.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Literal block distance at learning time: distinct decision levels among
-   the clause's literals.  Computed only for export candidates (short
-   clauses when sharing is on), so the sort stays off the common path.
-   [t.level] of the just-unassigned UIP variable is stale but still holds
-   the conflict level, which is exactly the value LBD wants. *)
-let learnt_lbd t lits =
-  List.map (fun l -> t.level.(Lit.var l)) lits |> List.sort_uniq Int.compare |> List.length
-
-(* The export filter.  A clause leaves the solver only when (a) no
-   antecedent of its 1UIP derivation was tainted, (b) none of its own
-   literals is instance-local (an assumption guard can enter the clause as
-   a decision literal without ever being resolved against), and (c) it is
-   short and low-LBD enough to be worth a sibling's attention. *)
-let maybe_export t lits ~tainted ~src_id =
-  match t.share with
-  | None -> ()
-  | Some sh ->
-    if List.compare_length_with lits sh.sh_max_size <= 0 then begin
-      if tainted then
-        t.stats.shared_rejected_tainted <- t.stats.shared_rejected_tainted + 1
-      else begin
-        let lbd = learnt_lbd t lits in
-        if lbd <= sh.sh_max_lbd then begin
-          if sh.sh_left <= 0 then
-            (* per-restart export budget exhausted: withhold until the next
-               restart refills it (the adaptive-throttle path) *)
-            t.stats.shared_throttled <- t.stats.shared_throttled + 1
-          else begin
-            sh.sh_left <- sh.sh_left - 1;
-            t.stats.shared_exported <- t.stats.shared_exported + 1;
-            if Telemetry.enabled t.tel then
-              Telemetry.event t.tel "share_export"
-                [
-                  ("lbd", Telemetry.Sink.Int lbd);
-                  ("size", Telemetry.Sink.Int (List.length lits));
-                ];
-            sh.sh_export (Array.of_list lits) ~lbd ~src_id
-          end
-        end
-      end
-    end
-
 let record_learnt t lits ants =
   let cid =
     match t.proof with
@@ -889,14 +699,6 @@ let record_learnt t lits ants =
   in
   (match t.drat with Some d -> Vec.push d (Checker.Learnt lits) | None -> ());
   t.stats.learned <- t.stats.learned + 1;
-  let tainted =
-    t.analysis_tainted || List.exists (fun l -> is_local t (Lit.var l)) lits
-  in
-  (* the learnt's own proof pseudo ID travels with the clause: an importer
-     records it as a cross-edge into this shard, keeping stitched cores
-     exact (cid is -1 when proof logging is off — imports then degrade to
-     provenance-less leaves, as before) *)
-  maybe_export t lits ~tainted ~src_id:cid;
   (* Chaff's new_lit_counts: every literal of the new conflict clause gets
      one activity point. *)
   List.iter (Order.bump t.order) lits;
@@ -904,7 +706,7 @@ let record_learnt t lits ants =
   match lits with
   | [] -> assert false
   | [ l ] ->
-    let cr = Arena.alloc t.arena ~cid ~learnt:true ~tainted [| l |] 1 in
+    let cr = Arena.alloc t.arena ~cid ~learnt:true [| l |] 1 in
     enqueue t l cr
   | first :: _ ->
     let arr = Array.of_list lits in
@@ -916,7 +718,7 @@ let record_learnt t lits ants =
     let tmp = arr.(1) in
     arr.(1) <- arr.(!best);
     arr.(!best) <- tmp;
-    let cr = Arena.alloc t.arena ~cid ~learnt:true ~tainted arr (Array.length arr) in
+    let cr = Arena.alloc t.arena ~cid ~learnt:true arr (Array.length arr) in
     Vec.push t.learnts cr;
     attach t cr;
     t.stats.propagations <- t.stats.propagations + 1;
@@ -1031,8 +833,8 @@ let over_deadline deadline = match deadline with Some d -> Telemetry.wall () > d
 
 (* Failed-literal probing: speculatively decide each candidate literal at a
    fresh level and propagate.  A conflict means the literal fails; the
-   ordinary 1UIP machinery then learns the implied unit — proof node, DRAT
-   record and export filtering for free — and level-0 propagation
+   ordinary 1UIP machinery then learns the implied unit — proof node and
+   DRAT record for free — and level-0 propagation
    saturates before the next probe.  Probing never removes a variable, so
    frozen variables are fair game. *)
 let probe_round t (cfg : Inprocess.config) (st : Inprocess.stats) ~deadline =
@@ -1180,7 +982,6 @@ let inprocess ?(config = Inprocess.default) t =
         in
         let derive ~id ~lits ~parent1 ~parent2 ~learnt =
           let c1 = Vec.get crefs parent1 and c2 = Vec.get crefs parent2 in
-          let tainted = Arena.tainted arena c1 || Arena.tainted arena c2 in
           let lits_l =
             match (t.proof, t.drat) with None, None -> [] | _ -> Array.to_list lits
           in
@@ -1195,7 +996,7 @@ let inprocess ?(config = Inprocess.default) t =
             | None -> -1
           in
           (match t.drat with Some d -> Vec.push d (Checker.Learnt lits_l) | None -> ());
-          let cr = Arena.alloc arena ~cid ~learnt ~tainted lits (Array.length lits) in
+          let cr = Arena.alloc arena ~cid ~learnt lits (Array.length lits) in
           assert (id = Vec.length crefs);
           Vec.push crefs cr;
           if learnt then Vec.push t.learnts cr
@@ -1349,20 +1150,7 @@ let search t budget start_time =
           Telemetry.event t.tel "restart"
             [ ("conflicts", Telemetry.Sink.Int t.stats.conflicts) ];
         cancel_until t 0;
-        (match t.heur with Some h -> h.hk_on_restart () | None -> ());
-        (* restart boundary: refill the export budget, let the adaptive
-           throttle move the LBD cap, then adopt foreign clauses while at
-           level 0 *)
-        (match t.share with
-        | Some sh ->
-          sh.sh_left <- sh.sh_budget;
-          (match sh.sh_tune with
-          | Some f -> (
-            match f () with Some cap -> sh.sh_max_lbd <- max 1 cap | None -> ())
-          | None -> ());
-          import_pending t;
-          if not t.ok then raise (Done Unsat)
-        | None -> ())
+        match t.heur with Some h -> h.hk_on_restart () | None -> ()
       end;
       loop ()
     end
@@ -1470,11 +1258,7 @@ let solve ?(budget = no_budget) ?(assumptions = []) t =
       t.cur_budget <- budget;
       t.solve_start <- start_time;
       t.props_at_poll <- s.propagations;
-      (* adopt foreign clauses before searching; they may already refute *)
-      import_pending t;
-      let r =
-        if not t.ok then Unsat else try search t budget start_time with Done r -> r
-      in
+      let r = try search t budget start_time with Done r -> r in
       let dur = Telemetry.wall () -. start_time in
       s.solve_time <- s.solve_time +. dur;
       s.arena_bytes <- Arena.bytes t.arena;
@@ -1524,25 +1308,14 @@ let model t =
     m
   | Some (Unsat | Unknown) | None -> invalid_arg "Solver.model: no satisfying assignment"
 
-(* The one proof walk behind every core query below. *)
-let core_leaves t what =
+(* The one proof walk behind every core query below: the original
+   clauses the refutation reaches.  The index map is monotone, so the
+   indices come out ascending. *)
+let core_clauses t what =
   match (t.result, t.proof) with
-  | Some Unsat, Some p -> Proof.core p
+  | Some Unsat, Some p -> List.map (cnf_index t) (Proof.core p)
   | Some Unsat, None -> invalid_arg ("Solver." ^ what ^ ": proof logging was off")
   | (Some (Sat | Unknown) | None), _ -> invalid_arg ("Solver." ^ what ^ ": not UNSAT")
-
-(* The exact local-shard core.  Imported clauses are [Import] leaves (or,
-   when the exporter logged no proof, original leaves without a clause
-   index) and are excluded here — they belong to sibling shards;
-   {!stitched_core} follows them for the exact cross-solver core.  The
-   index map is monotone, so the indices come out ascending. *)
-let core_clauses t (leaves : Proof.core) = clause_indices t leaves.Proof.originals
-
-(* The foreign axioms the refutation reaches, by their literals:
-   provenanced imports first, then provenance-less ones. *)
-let core_imports t (leaves : Proof.core) =
-  let originless = List.filter (fun id -> cnf_index t id < 0) leaves.Proof.originals in
-  List.filter_map (fun id -> Hashtbl.find_opt t.learnt_lits id) (leaves.Proof.imports @ originless)
 
 let vars_of_clauses t idxs =
   let mark = Bytes.make t.nvars '\000' in
@@ -1562,45 +1335,17 @@ let vars_of_clauses t idxs =
 type core = {
   clauses : int list;
   vars : Lit.var list;
-  imports : Lit.t list list;
 }
 
 let core t =
-  let leaves = core_leaves t "core" in
-  let clauses = core_clauses t leaves in
-  { clauses; vars = vars_of_clauses t clauses; imports = core_imports t leaves }
+  let clauses = core_clauses t "core" in
+  { clauses; vars = vars_of_clauses t clauses }
 
-let unsat_core t = core_clauses t (core_leaves t "unsat_core")
+let unsat_core t = core_clauses t "unsat_core"
 
 let core_vars t = vars_of_clauses t (unsat_core t)
 
-let solver_id t = t.sid
-
 let original_clause t i = Array.to_list (Cnf.get_clause t.cnf i)
-
-(* The exact cross-solver core.  [lookup] resolves a sibling solver by its
-   global id; call only once every sibling has quiesced — the walk reads
-   their proof shards and clause tables without synchronisation. *)
-let stitched_core t ~lookup =
-  match (t.result, t.proof) with
-  | Some Unsat, Some p ->
-    let shards =
-      Proof.stitched_core p ~lookup:(fun sid -> Option.bind (lookup sid) (fun s -> s.proof))
-    in
-    List.filter_map
-      (fun (sid, ids) ->
-        let s =
-          if sid = t.sid then t
-          else
-            match lookup sid with
-            | Some s -> s
-            | None -> assert false (* Proof.stitched_core resolved it already *)
-        in
-        let idxs = clause_indices s ids in
-        if idxs = [] then None else Some (sid, idxs))
-      shards
-  | Some Unsat, None -> invalid_arg "Solver.stitched_core: proof logging was off"
-  | (Some (Sat | Unknown) | None), _ -> invalid_arg "Solver.stitched_core: not UNSAT"
 
 let stats t = t.stats
 
@@ -1639,11 +1384,7 @@ let interpolant t ~a_side =
     Itp.compute ~clause_lits
       ~antecedents:(fun id -> Proof.antecedents p id)
       ~final
-      ~side:(fun id ->
-        let i = cnf_index t id in
-        if i < 0 then invalid_arg "Solver.interpolant: the proof uses imported (shared) clauses"
-        else if a_side i then `A
-        else `B)
+      ~side:(fun id -> if a_side (cnf_index t id) then `A else `B)
       ~b_vars:(fun v -> v >= 0 && v < Array.length b_vars && b_vars.(v))
   | Some Unsat, None -> invalid_arg "Solver.interpolant: proof logging was off"
   | (Some (Sat | Unknown) | None), _ -> invalid_arg "Solver.interpolant: not UNSAT"
@@ -1664,32 +1405,11 @@ let set_max_learnts t n = t.max_learnts <- max 1 n
 
 let set_restart_base t base = t.luby <- Luby.create ~base
 
-let set_share ?(max_size = 8) ?(max_lbd = 4) ?(export_budget = max_int) ?tune t ~export
-    ~import =
-  (* DRAT and sharing now coexist: imports are recorded as [i]-prefixed
-     trusted axioms (see {!Checker.event}), so the clausal proof stays
-     replayable instead of being refused outright. *)
-  if max_size < 1 || max_lbd < 1 || export_budget < 1 then
-    invalid_arg "Solver.set_share: caps must be >= 1";
-  t.share <-
-    Some
-      {
-        sh_max_size = max_size;
-        sh_max_lbd = max_lbd;
-        sh_budget = export_budget;
-        sh_left = export_budget;
-        sh_tune = tune;
-        sh_export = export;
-        sh_import = import;
-      }
-
 let set_gc_fraction t f =
   if f < 0.0 then invalid_arg "Solver.set_gc_fraction: negative";
   t.gc_fraction <- f
 
 let arena_bytes t = Arena.bytes t.arena
-
-let outcome_opt t = t.result
 
 let pp_outcome ppf = function
   | Sat -> Format.pp_print_string ppf "SAT"

@@ -58,7 +58,6 @@ val create :
   ?minimize:bool ->
   ?mode:Order.mode ->
   ?telemetry:Telemetry.t ->
-  ?solver_id:int ->
   Cnf.t ->
   t
 (** [create cnf] prepares a solver over a snapshot of [cnf] (later
@@ -78,19 +77,15 @@ val create :
     spans ("bcp", "analyze", "cdg", "solve" — a call on a formula already
     refuted while loading still emits its "solve" span), "reduce_db" and
     "inprocess" spans, instant "restart", "switch", "reduce_db"
-    [{removed, kept}], "compact" [{before, after}] (arena bytes),
-    "share_export" [{lbd, size}] and "share_import" [{count}] events —
-    all low-rate, so a flight recorder can ride along — and per-solve
+    [{removed, kept}] and "compact" [{before, after}] (arena bytes)
+    events — all low-rate, so a flight recorder can ride along — and
+    per-solve
     "decisions.rank" /
     "decisions.vsids" counters (the decision-source histogram, attributed
     per variable by {!Order.decided_by_rank} and published coalesced —
     never as per-decision events); it also feeds the wall-time fields of
     {!Stats.t} and enables the timed CDG bookkeeping.  The attribution
-    counters in {!Stats.t} are maintained unconditionally.  [solver_id]
-    (default [0]) is this solver's global provenance id — its proof shard's
-    name in a cross-solver dependency graph; the portfolio layer passes
-    each racer its exchange endpoint id so [(solver id, clause id)] pairs
-    travelling with shared clauses resolve unambiguously. *)
+    counters in {!Stats.t} are maintained unconditionally. *)
 
 val reload : ?mode:Order.mode -> t -> Cnf.t -> unit
 (** [reload ~mode t cnf] resets [t] in place to exactly the solver
@@ -103,16 +98,14 @@ val reload : ?mode:Order.mode -> t -> Cnf.t -> unit
     construction: the same load order, normalisation, initial activities,
     ranking, thresholds and Luby sequence, hence the same search.
 
-    What survives a reload: [with_proof], [with_drat], [minimize],
-    [telemetry] and [solver_id].  What is reset, exactly as {!create} sets
+    What survives a reload: [with_proof], [with_drat], [minimize] and
+    [telemetry].  What is reset, exactly as {!create} sets
     it: the formula and [mode] (default {!Order.Vsids}), every {!Stats.t}
     counter (zeroed in place, so [stats t] reads zero again), the learnt
     clauses and proof graph, the Luby sequence (a {!set_restart_base} is
     undone), the learnt limit ({!set_max_learnts}), the GC fraction
     ({!set_gc_fraction}), the [Dynamic] threshold, the outcome and any
-    assumption state, the {!set_order} hooks, the {!set_share}
-    installation, the {!mark_local} marks, and the
-    inprocessing state (frozen and eliminated variables and the
+    assumption state, the {!set_order} hooks, and the inprocessing state (frozen and eliminated variables and the
     model-reconstruction stack).  The last
     model and core are gone: read them before reloading.
 
@@ -180,60 +173,6 @@ val set_rank : t -> Lit.var -> float -> unit
     {!Order.set_rank}) — the mutation path for conflict-frequency
     heuristics that refine their ranking from inside [hk_on_conflict]. *)
 
-(** {2 Clause sharing (the portfolio's learnt-clause exchange)}
-
-    The solver side of cross-solver clause exchange: an export filter fired
-    at clause-learning time and an import hook polled at solve-start and
-    restart boundaries.  The solver stays transport-agnostic — packing,
-    remapping and deduplication live in the exchange layer above.
-
-    {b Soundness.}  A clause learnt under instance-local activation guards
-    may be true only in this session, so exporting it to a sibling would be
-    unsound.  The filter tracks {e taint} through derivations: originals
-    containing a variable marked with {!mark_local} are tainted, a learnt
-    clause is tainted when any antecedent of its 1UIP derivation (including
-    level-0 reason chains and minimisation steps) was tainted or when the
-    clause itself mentions a local variable (an assumption guard can enter
-    as a decision literal without being resolved against).  Tainted clauses
-    are never handed to [export]. *)
-
-val mark_local : t -> Lit.var -> unit
-(** Declare a variable instance-local (activation guards, per-instance
-    Tseitin auxiliaries).  Grows the variable space if needed. *)
-
-val set_share :
-  ?max_size:int ->
-  ?max_lbd:int ->
-  ?export_budget:int ->
-  ?tune:(unit -> int option) ->
-  t ->
-  export:(Lit.t array -> lbd:int -> src_id:int -> unit) ->
-  import:(unit -> (Lit.t list * (int * int) option) list) ->
-  unit
-(** Install sharing hooks.  [export] receives each learnt clause that is at
-    most [max_size] literals (default 8), has literal-block distance at
-    most [max_lbd] (default 4) and is untainted, together with the clause's
-    pseudo ID in this solver's proof shard ([src_id]; [-1] when proof
-    logging is off).  [export_budget] (default unlimited) caps the number
-    of exports per restart interval; clauses withheld by the cap count as
-    [shared_throttled] in {!Stats.t} and the quota refills at every
-    restart.  [tune] is polled at each restart boundary: returning
-    [Some cap] moves the live LBD cap (clamped to at least 1) — the
-    adaptive-throttle path, typically fed by the exchange layer's
-    import-usefulness counters ([Share.Exchange.tune]).  [import] is polled at solve-start and at every
-    restart (decision level 0); it must return clauses already remapped to
-    this solver's variables, each sound for the formula being solved and
-    each paired with its global [(solver id, clause id)] provenance when
-    the exporter supplied one.  Imports attach as learnt clauses (eligible
-    for database reduction); in proof mode a provenance-carrying import
-    becomes an [Import] cross-edge into the exporter's shard — {!unsat_core}
-    still reports the exact {e local-shard} core (foreign leaves excluded),
-    and {!stitched_core} resolves the cross-edges for the exact cross-solver
-    core.  With DRAT logging on, each import is additionally recorded as an
-    [i]-prefixed trusted axiom ({!Checker.event}), so sharing and clausal
-    proofs coexist.
-    @raise Invalid_argument on caps < 1. *)
-
 (** {2 Inprocessing}
 
     Proof-aware in-solver simplification, run between {!solve} calls —
@@ -280,7 +219,7 @@ val inprocess : ?config:Inprocess.config -> t -> Inprocess.stats
 val set_restart_base : t -> int -> unit
 (** Replace the Luby restart sequence with one of the given unit (default
     128), restarting the sequence.  The portfolio gives each racer a
-    distinct unit so sharing has heterogeneous producers.
+    distinct unit to diversify the racers' searches.
     @raise Invalid_argument if the base is < 1 (via {!Luby.create}). *)
 
 val set_max_learnts : t -> int -> unit
@@ -307,40 +246,18 @@ val model : t -> bool array
 type core = {
   clauses : int list;  (** {!unsat_core} *)
   vars : Lit.var list;  (** {!core_vars} *)
-  imports : Lit.t list list;
-      (** The literal contents of the imported clauses the refutation's
-          backward closure reaches — the foreign axioms {!unsat_core}
-          excludes.  Empty when no import was load-bearing; together with
-          the [clauses] these form an unsatisfiable set even when siblings
-          cannot be stitched. *)
 }
 
 val core : t -> core
-(** The core's clauses, variables and imports from a single walk of the
-    proof graph — what a caller needing more than one of them should use.
+(** The core's clauses and variables from a single walk of the proof
+    graph — what a caller needing both should use.
     @raise Invalid_argument as {!unsat_core}. *)
 
 val unsat_core : t -> int list
 (** Indices (into the original formula's clause list) of an unsatisfiable
-    core, ascending.  Under clause sharing this is the exact {e local-shard}
-    core: foreign (imported) leaves are excluded — see {!stitched_core} for
-    the exact cross-solver core and {!core}'s [imports] for the foreign
-    axioms themselves.
+    core, ascending.
     @raise Invalid_argument unless the outcome was [Unsat] and the solver
     was created [~with_proof:true]. *)
-
-val solver_id : t -> int
-(** The global provenance id passed at {!create} (default 0). *)
-
-val stitched_core : t -> lookup:(int -> t option) -> (int * int list) list
-(** The exact cross-solver core: for each proof shard contributing at least
-    one original clause, the pair of its solver id and the ascending clause
-    indices {e into that solver's formula}.  [lookup] resolves a sibling
-    solver by its global id (never called for this solver's own id).  Call
-    only after every sibling has quiesced — the walk reads their shards
-    without synchronisation.
-    @raise Invalid_argument as {!unsat_core}, or if a referenced shard
-    cannot be resolved. *)
 
 val original_clause : t -> int -> Lit.t list
 (** The literals of original clause [i], as loaded (before normalisation) —
@@ -384,8 +301,5 @@ val cdg_seconds : t -> float
 val outcome_string : outcome -> string
 (** Lower-case tag: ["sat"], ["unsat"] or ["unknown"] (used in telemetry
     events). *)
-
-val outcome_opt : t -> outcome option
-(** The cached outcome, if {!solve} already ran. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

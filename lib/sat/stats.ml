@@ -12,10 +12,6 @@ type t = {
   mutable blocker_hits : int;
   mutable arena_bytes : int;
   mutable arena_compactions : int;
-  mutable shared_exported : int;
-  mutable shared_imported : int;
-  mutable shared_rejected_tainted : int;
-  mutable shared_throttled : int;
   mutable inpr_runs : int;
   mutable inpr_probes : int;
   mutable inpr_probe_failed : int;
@@ -45,10 +41,6 @@ let create () =
     blocker_hits = 0;
     arena_bytes = 0;
     arena_compactions = 0;
-    shared_exported = 0;
-    shared_imported = 0;
-    shared_rejected_tainted = 0;
-    shared_throttled = 0;
     inpr_runs = 0;
     inpr_probes = 0;
     inpr_probe_failed = 0;
@@ -77,10 +69,6 @@ let reset s =
   s.blocker_hits <- 0;
   s.arena_bytes <- 0;
   s.arena_compactions <- 0;
-  s.shared_exported <- 0;
-  s.shared_imported <- 0;
-  s.shared_rejected_tainted <- 0;
-  s.shared_throttled <- 0;
   s.inpr_runs <- 0;
   s.inpr_probes <- 0;
   s.inpr_probe_failed <- 0;
@@ -110,10 +98,6 @@ let add acc s =
   acc.blocker_hits <- acc.blocker_hits + s.blocker_hits;
   acc.arena_bytes <- max acc.arena_bytes s.arena_bytes;
   acc.arena_compactions <- acc.arena_compactions + s.arena_compactions;
-  acc.shared_exported <- acc.shared_exported + s.shared_exported;
-  acc.shared_imported <- acc.shared_imported + s.shared_imported;
-  acc.shared_rejected_tainted <- acc.shared_rejected_tainted + s.shared_rejected_tainted;
-  acc.shared_throttled <- acc.shared_throttled + s.shared_throttled;
   acc.inpr_runs <- acc.inpr_runs + s.inpr_runs;
   acc.inpr_probes <- acc.inpr_probes + s.inpr_probes;
   acc.inpr_probe_failed <- acc.inpr_probe_failed + s.inpr_probe_failed;
@@ -137,10 +121,6 @@ let pp ppf s =
     Format.fprintf ppf " dec_rank=%d dec_vsids=%d" s.decisions_rank s.decisions_vsids;
   if s.arena_bytes > 0 then
     Format.fprintf ppf " arena=%dB gcs=%d" s.arena_bytes s.arena_compactions;
-  if s.shared_exported > 0 || s.shared_imported > 0 || s.shared_rejected_tainted > 0 then
-    Format.fprintf ppf " sh_exported=%d sh_imported=%d sh_tainted=%d" s.shared_exported
-      s.shared_imported s.shared_rejected_tainted;
-  if s.shared_throttled > 0 then Format.fprintf ppf " sh_throttled=%d" s.shared_throttled;
   if s.inpr_runs > 0 then
     Format.fprintf ppf " inpr_elim=%d inpr_sub=%d inpr_str=%d inpr_probe_failed=%d"
       s.inpr_eliminated s.inpr_subsumed s.inpr_strengthened s.inpr_probe_failed;

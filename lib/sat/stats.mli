@@ -27,18 +27,6 @@ type t = {
       (** current clause-arena footprint in bytes (live + not-yet-compacted
           waste); a gauge, so {!add} takes the max *)
   mutable arena_compactions : int;  (** arena garbage collections run *)
-  mutable shared_exported : int;
-      (** learnt clauses offered to the clause exchange (passed the
-          size/LBD caps and the taint filter; see {!Solver.set_share}) *)
-  mutable shared_imported : int;
-      (** clauses attached from the exchange at solve-start/restart
-          boundaries *)
-  mutable shared_rejected_tainted : int;
-      (** exports withheld because the derivation involved an
-          instance-local (activation/auxiliary) literal *)
-  mutable shared_throttled : int;
-      (** exports withheld by the per-restart export budget (the adaptive
-          sharing throttle; see {!Solver.set_share}) *)
   mutable inpr_runs : int;  (** {!Solver.inprocess} invocations *)
   mutable inpr_probes : int;  (** failed-literal probes attempted *)
   mutable inpr_probe_failed : int;  (** probes that yielded a conflict *)

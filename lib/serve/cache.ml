@@ -20,7 +20,6 @@ type 'a t = {
   max_bytes : int;
   jobs : int;
   tbl : (string, 'a entry) Hashtbl.t;
-  exchanges : (string, Share.Exchange.t) Hashtbl.t;
   mutable clock : int;
 }
 
@@ -29,7 +28,6 @@ let create ~max_bytes ~jobs () =
     max_bytes;
     jobs = max 1 jobs;
     tbl = Hashtbl.create 64;
-    exchanges = Hashtbl.create 16;
     clock = 0;
   }
 
@@ -104,11 +102,3 @@ let evict t =
     | None -> continue_ := false
   done;
   List.rev !dropped
-
-let exchange t ~digest =
-  match Hashtbl.find_opt t.exchanges digest with
-  | Some ex -> ex
-  | None ->
-    let ex = Share.Exchange.create () in
-    Hashtbl.replace t.exchanges digest ex;
-    ex

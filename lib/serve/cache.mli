@@ -88,11 +88,3 @@ val size : 'a t -> int
 
 val entries : 'a t -> 'a entry list
 (** Unordered. *)
-
-val exchange : 'a t -> digest:string -> Share.Exchange.t
-(** The per-digest learnt-clause exchange (created on first use): with
-    sharing on, entries over structurally identical circuits — equal
-    digests mean identical node numbering, so packed clause keys line up —
-    exchange learnt clauses even when their requests arrived as separate
-    parses.  Exchanges are per-digest, not per-entry, and survive entry
-    eviction. *)

@@ -6,7 +6,6 @@ type config = {
   sv_jobs : int;
   sv_cache_bytes : int;
   sv_max_pending : int;
-  sv_share : bool;
   sv_mode : Session.mode;
   sv_depth_cap : int;
   sv_max_conflicts : int option;
@@ -15,13 +14,12 @@ type config = {
 }
 
 let make_config ?(jobs = 1) ?(cache_bytes = 64 * 1024 * 1024) ?(max_pending = 64)
-    ?(share = false) ?(mode = Session.Dynamic) ?(depth_cap = 64) ?max_conflicts
+    ?(mode = Session.Dynamic) ?(depth_cap = 64) ?max_conflicts
     ?(telemetry = Telemetry.disabled) ?ledger () =
   {
     sv_jobs = jobs;
     sv_cache_bytes = cache_bytes;
     sv_max_pending = max_pending;
-    sv_share = share;
     sv_mode = mode;
     sv_depth_cap = depth_cap;
     sv_max_conflicts = max_conflicts;
@@ -193,19 +191,11 @@ let entry_session t (e : pending Cache.entry) =
         stop = Some stop;
       }
     in
-    let share =
-      if t.cfg.sv_share then
-        Some
-          (Share.Exchange.endpoint
-             (Cache.exchange t.cache ~digest:e.Cache.ce_digest)
-             ~name:e.Cache.ce_key)
-      else None
-    in
     let cfg =
       Session.make_config ~mode:e.Cache.ce_mode ~budget ~max_depth:t.cfg.sv_depth_cap
         ~collect_cores:true ~telemetry:t.cfg.sv_telemetry ()
     in
-    let s = Session.create ?share cfg e.Cache.ce_netlist ~property:e.Cache.ce_property in
+    let s = Session.create cfg e.Cache.ce_netlist ~property:e.Cache.ce_property in
     e.Cache.ce_session <- Some s;
     s
 

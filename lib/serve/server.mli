@@ -31,9 +31,6 @@ type config = {
   sv_max_pending : int;
       (** admission bound: in-flight + queued requests above this are
           shed *)
-  sv_share : bool;
-      (** attach sessions of digest-equal entries to a per-digest
-          learnt-clause exchange *)
   sv_mode : Bmc.Session.mode;  (** ordering for requests without one *)
   sv_depth_cap : int;  (** requests with a deeper budget are rejected *)
   sv_max_conflicts : int option;  (** per-instance conflict budget *)
@@ -47,7 +44,6 @@ val make_config :
   ?jobs:int ->
   ?cache_bytes:int ->
   ?max_pending:int ->
-  ?share:bool ->
   ?mode:Bmc.Session.mode ->
   ?depth_cap:int ->
   ?max_conflicts:int ->
@@ -55,8 +51,7 @@ val make_config :
   ?ledger:(Obs.Json.t -> unit) ->
   unit ->
   config
-(** Defaults: 1 job, 64 MiB cache, 64 pending, no sharing, [Dynamic]
-    ordering, depth cap 64, no conflict budget, telemetry disabled. *)
+(** Defaults: 1 job, 64 MiB cache, 64 pending, [Dynamic] ordering, depth cap 64, no conflict budget, telemetry disabled. *)
 
 type t
 

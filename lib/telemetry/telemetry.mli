@@ -14,8 +14,8 @@
       additionally records [nest] (enclosing-span depth), while pre-measured
       {!span_event}s may carry a [count] of coalesced calls.
     - ["counter"] / ["gauge"]: named monotonic sums / last-value readings.
-    - ["restart"], ["switch"], ["reduce_db"], ["compact"],
-      ["share_export"], ["share_import"]: instant solver events.
+    - ["restart"], ["switch"], ["reduce_db"], ["compact"]: instant solver
+      events.
     - ["depth"]: one per BMC unrolling depth, emitted by the engines.
     - ["race"], ["racer_start"], ["racer_win"], ["racer_cancel"]: the
       portfolio's rounds and, on each racing worker, its racers' marks.

@@ -1,9 +1,8 @@
 (* Destructive core minimisation: known candidates, budget behaviour, the
    SAT-candidate escape hatch, QCheck subset/certification properties, and
-   the exact-under-sharing differentials (a single-racer race with the
-   exchange attached must report the same cores as the plain sequential
-   session — provenance makes sharing invisible when nothing is imported,
-   and keeps the stitched core exact when something is). *)
+   the race-core differentials (a single-racer race must report the same
+   cores as the plain sequential session, and a full race's folded cores
+   are real, sorted variable sets). *)
 
 let lit (v, s) = Sat.Lit.make v s
 
@@ -136,7 +135,7 @@ let prop_minimisation_idempotent =
       again = kept && st2.Sat.Coremin.minimal)
 
 (* ------------------------------------------------------------------ *)
-(* Exact-under-sharing differentials.                                  *)
+(* Race-core differentials.                                            *)
 (* ------------------------------------------------------------------ *)
 
 let seq_core_trace case depth ~core_mode =
@@ -155,52 +154,71 @@ let seq_core_trace case depth ~core_mode =
       let st = Bmc.Session.solve_instance s in
       (st.Bmc.Session.outcome, Bmc.Session.last_core_vars s))
 
-(* One racer, exchange attached: nothing is ever imported, so the stitched
-   core must degenerate to exactly the sequential session's core, depth for
-   depth — sharing with provenance is a no-op when no clause crosses. *)
-let test_single_racer_share_equals_sequential () =
+(* One racer: it wins every round, so the core folded per depth must be
+   exactly the sequential session's, depth for depth, and the round's stat
+   must match {!Bmc.Session.check}'s core for core. *)
+let test_single_racer_equals_sequential () =
   let case = Circuit.Generators.ring ~len:5 () in
   let depth = 6 in
+  let config = Bmc.Session.make_config ~max_depth:depth ~collect_cores:true () in
+  let checked =
+    Bmc.Session.check ~config ~policy:Bmc.Session.Persistent case.netlist
+      ~property:case.property
+  in
   let seq = seq_core_trace case depth ~core_mode:Bmc.Session.Core_fast in
+  Alcotest.(check int) "one checked row per traced depth" (List.length seq)
+    (List.length checked.Bmc.Session.per_depth);
   Portfolio.Pool.with_pool ~jobs:1 (fun pool ->
-      let config = Bmc.Session.make_config ~max_depth:depth ~collect_cores:true () in
       let race =
         Portfolio.create_race
           ~racers:[ Portfolio.racer ~name:"standard" Bmc.Session.Standard ]
-          ~share:(Share.Exchange.create ()) ~pool config case.netlist
-          ~property:case.property
+          ~pool config case.netlist ~property:case.property
       in
-      List.iteri
-        (fun k (seq_outcome, seq_core) ->
+      List.iter2
+        (fun (want : Bmc.Session.depth_stat) (seq_outcome, seq_core) ->
+          let k = want.Bmc.Session.depth in
           let rs = Portfolio.race_depth race ~k in
+          let got = rs.Portfolio.stat in
           Alcotest.(check bool)
             (Printf.sprintf "depth %d outcome agrees" k)
             true
-            (rs.Portfolio.stat.Bmc.Session.outcome = seq_outcome);
+            (got.Bmc.Session.outcome = want.Bmc.Session.outcome
+            && got.Bmc.Session.outcome = seq_outcome);
           Alcotest.(check (list int))
             (Printf.sprintf "depth %d core identical" k)
-            seq_core rs.Portfolio.core_vars)
-        seq)
+            seq_core rs.Portfolio.core_vars;
+          Alcotest.(check (list int))
+            (Printf.sprintf "depth %d search and core sizes = Session.check" k)
+            [
+              want.Bmc.Session.decisions;
+              want.Bmc.Session.conflicts;
+              want.Bmc.Session.core_size;
+              want.Bmc.Session.core_var_count;
+            ]
+            [
+              got.Bmc.Session.decisions;
+              got.Bmc.Session.conflicts;
+              got.Bmc.Session.core_size;
+              got.Bmc.Session.core_var_count;
+            ])
+        checked.Bmc.Session.per_depth seq)
 
-(* Full ensemble with the exchange on: winners are timing-dependent but the
-   stitched core must always be a nonempty, certified-by-construction set of
-   real variables on UNSAT depths (imports resolve across shards instead of
-   truncating the walk). *)
+(* Full ensemble: winners are timing-dependent but the folded core must
+   always be a nonempty, sorted set of real variables on UNSAT depths. *)
 let test_shared_race_cores_nonempty () =
   let case = Circuit.Generators.ring ~len:5 () in
   let depth = 5 in
   Portfolio.Pool.with_pool ~jobs:3 (fun pool ->
       let config = Bmc.Session.make_config ~max_depth:depth ~collect_cores:true () in
       let race =
-        Portfolio.create_race ~share:(Share.Exchange.create ()) ~pool config case.netlist
-          ~property:case.property
+        Portfolio.create_race ~pool config case.netlist ~property:case.property
       in
       for k = 0 to depth do
         let rs = Portfolio.race_depth race ~k in
         match rs.Portfolio.stat.Bmc.Session.outcome with
         | Sat.Solver.Unsat ->
           Alcotest.(check bool)
-            (Printf.sprintf "depth %d stitched core nonempty" k)
+            (Printf.sprintf "depth %d core nonempty" k)
             true
             (rs.Portfolio.core_vars <> []);
           Alcotest.(check bool)
@@ -253,8 +271,7 @@ let tests =
     Alcotest.test_case "certify off" `Quick test_certify_off;
     QCheck_alcotest.to_alcotest prop_minimised_subset_and_certified;
     QCheck_alcotest.to_alcotest prop_minimisation_idempotent;
-    Alcotest.test_case "single racer + share = sequential" `Quick
-      test_single_racer_share_equals_sequential;
+    Alcotest.test_case "single racer = sequential" `Quick test_single_racer_equals_sequential;
     Alcotest.test_case "shared race cores nonempty" `Quick test_shared_race_cores_nonempty;
     Alcotest.test_case "session Core_minimal shrinks, certified" `Quick
       test_session_core_minimal_shrinks_and_certifies;

@@ -101,7 +101,7 @@ let test_ring_snapshot_under_hammer () =
 let test_ring_entry_jsonl_roundtrip () =
   let rec_ = R.create ~capacity:8 () in
   emit rec_ "racer_win" ~a:3 ~b:1;
-  emit rec_ "share_export" ~a:2 ~b:5;
+  emit rec_ "reduce_db" ~a:2 ~b:5;
   let entries = R.snapshot rec_ in
   Alcotest.(check int) "two events" 2 (List.length entries);
   List.iter
@@ -227,7 +227,7 @@ let test_ledger_schema_roundtrip () =
     Alcotest.(check string) "schema version" L.version reparsed.L.schema
 
 let test_ledger_synthetic_events () =
-  (* counters and race events fold into the ledger's flow blocks *)
+  (* race events and the restart / switch tallies fold into the ledger *)
   let ev kind fields = { Telemetry.Sink.ts = 0.0; kind; fields } in
   let open Telemetry.Sink in
   let ledger =
@@ -243,18 +243,10 @@ let test_ledger_synthetic_events () =
         ev "restart" [ ("conflicts", Int 100) ];
         ev "restart" [ ("conflicts", Int 200) ];
         ev "switch" [ ("decisions", Int 50) ];
-        ev "counter" [ ("name", Str "share.exported"); ("value", Int 7) ];
-        ev "counter" [ ("name", Str "share.imported"); ("value", Int 4) ];
-        ev "counter" [ ("name", Str "share.rejected_tainted"); ("value", Int 1) ];
-        ev "counter" [ ("name", Str "share.dropped_stale"); ("value", Int 2) ];
       ]
   in
   Alcotest.(check int) "restarts" 2 ledger.L.restarts;
   Alcotest.(check int) "switches" 1 ledger.L.switches;
-  Alcotest.(check int) "exported" 7 ledger.L.share.L.sh_exported;
-  Alcotest.(check int) "imported" 4 ledger.L.share.L.sh_imported;
-  Alcotest.(check int) "rejected" 1 ledger.L.share.L.sh_rejected_tainted;
-  Alcotest.(check int) "dropped" 2 ledger.L.share.L.sh_dropped_stale;
   (match ledger.L.races with
   | [ race ] ->
     Alcotest.(check string) "race winner" "static" race.L.r_winner;
@@ -263,8 +255,8 @@ let test_ledger_synthetic_events () =
   Alcotest.(check (list (pair string int))) "wins tally" [ ("static", 1) ] ledger.L.wins
 
 (* --ledger reads the live aggregate --metrics also reports from; a saved
-   trace folds into a fresh one.  A shared race reaches what a Fresh
-   session never emits: race rows, win tallies and the share.* counters. *)
+   trace folds into a fresh one.  A race reaches what a Fresh session never
+   emits: race rows and win tallies. *)
 let test_ledger_of_live_aggregate () =
   let agg = Sink.aggregate () in
   let path = Filename.temp_file "race" ".jsonl" in
@@ -280,8 +272,8 @@ let test_ledger_of_live_aggregate () =
       let config = Bmc.Session.make_config ~max_depth:10 ~telemetry () in
       let r =
         Portfolio.Pool.with_pool ~telemetry ~jobs:2 (fun pool ->
-            Portfolio.check_race ~config ~share:(Share.Exchange.create ()) ~pool
-              case.Circuit.Generators.netlist ~property:case.Circuit.Generators.property)
+            Portfolio.check_race ~config ~pool case.Circuit.Generators.netlist
+              ~property:case.Circuit.Generators.property)
       in
       Telemetry.flush telemetry;
       close_out oc;
@@ -295,6 +287,55 @@ let test_ledger_of_live_aggregate () =
         (List.map (fun (rs : Portfolio.race_stat) -> rs.Portfolio.depth) r.Portfolio.per_depth)
         (List.map (fun (row : L.race_row) -> row.L.r_depth) live.L.races);
       Alcotest.(check bool) "wins tallied" true (live.L.wins <> []))
+
+(* A two-depth ledger in the bmc-ledger/v1 file format as builds with
+   clause sharing wrote it, [share] member included: it still loads, and
+   the per-depth table prints every header over its column. *)
+let golden_ledger =
+  {|{
+  "schema": "bmc-ledger/v1",
+  "depths": [
+    {"depth": 0, "mode": "dynamic", "outcome": "unsat", "decisions": 120, "dec_rank": 90,
+     "dec_vsids": 30, "implications": 4567, "conflicts": 45, "core_clauses": 37,
+     "core_vars": 21, "core_new": 21, "core_dropped": 0, "switched": false,
+     "build_s": 0.0124, "solve_s": 0.034, "bcp_s": 0.02, "cdg_s": 0.0015,
+     "inpr_elim": 0, "inpr_sub": 0, "inpr_str": 0, "inpr_probe_failed": 0, "inpr_s": 0.0,
+     "core_pre": 50, "coremin_s": 0.25},
+    {"depth": 1, "mode": "dynamic", "outcome": "sat", "decisions": 240, "dec_rank": 60,
+     "dec_vsids": 180, "implications": 19876, "conflicts": 99, "core_clauses": 0,
+     "core_vars": 0, "core_new": 3, "core_dropped": 21, "switched": true,
+     "build_s": 0.5, "solve_s": 1.25, "bcp_s": 0.75, "cdg_s": 0.0,
+     "inpr_elim": 0, "inpr_sub": 0, "inpr_str": 0, "inpr_probe_failed": 0, "inpr_s": 0.0}
+  ],
+  "races": [],
+  "restarts": 4,
+  "switches": 1,
+  "share": {"exported": 7, "imported": 4, "rejected_tainted": 1, "dropped_stale": 2},
+  "wins": {}
+}|}
+
+let golden_table =
+  String.concat "\n"
+    [
+      "depth  outcome  mode       decisions (heat)      rank%  implications  conflicts   core  \
+       churn(+/-)   sw  build_s  solve_s    cdg_s";
+      "    0  unsat    dynamic         120 ######        75.0          4567         45     37  \
+      \  +21/0            0.012    0.034    0.002  [coremin 50->37]";
+      "    1  sat      dynamic         240 ############  25.0         19876         99      0  \
+      \   +3/-21     *    0.500    1.250    0.000";
+      "TOTAL                           360                            24443        144       \
+      \                     0.512    1.284    0.002";
+      "";
+    ]
+
+let test_depth_table_golden () =
+  match L.of_string golden_ledger with
+  | Error msg -> Alcotest.failf "a v1 ledger with a share member must load: %s" msg
+  | Ok ledger ->
+    Alcotest.(check int) "two depth rows" 2 (List.length ledger.L.depths);
+    Alcotest.(check int) "restarts" 4 ledger.L.restarts;
+    Alcotest.(check string) "per-depth table" golden_table
+      (Format.asprintf "%a" L.pp_depth_table ledger)
 
 (* ------------------------------------------------------------------ *)
 (* Diff.                                                               *)
@@ -417,8 +458,10 @@ let tests =
     Alcotest.test_case "ledger distils a session run" `Quick test_ledger_from_session;
     Alcotest.test_case "ledger schema round-trip is the identity" `Quick
       test_ledger_schema_roundtrip;
-    Alcotest.test_case "ledger folds races, restarts and sharing" `Quick
+    Alcotest.test_case "ledger folds races, restarts and switches" `Quick
       test_ledger_synthetic_events;
+    Alcotest.test_case "depth table golden (v1 ledger with share member)" `Quick
+      test_depth_table_golden;
     Alcotest.test_case "ledger of a live race aggregate = of its trace" `Quick
       test_ledger_of_live_aggregate;
     Alcotest.test_case "diff of identical runs is empty" `Quick test_diff_identical_is_empty;

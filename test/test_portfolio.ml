@@ -273,68 +273,6 @@ let test_race_rotation () =
         [ "starved0"; "rot1" ])
 
 (* ------------------------------------------------------------------ *)
-(* Clause sharing (satellite): the exchange must not change any answer. *)
-(* ------------------------------------------------------------------ *)
-
-let test_race_share_differential () =
-  (* sharing on ≡ sharing off ≡ sequential, on a holding circuit and on a
-     falsifiable one — imported clauses are sound consequences of the same
-     netlist, so only the route to the answer may differ, never the answer *)
-  List.iter
-    (fun (case : Circuit.Generators.case) ->
-      let config = race_config ~max_depth:7 in
-      let seq =
-        Bmc.Session.check ~config ~policy:Bmc.Session.Persistent case.netlist
-          ~property:case.property
-      in
-      Pool.with_pool ~jobs:3 (fun pool ->
-          let off =
-            Portfolio.check_race ~config ~pool case.netlist ~property:case.property
-          in
-          let ex = Share.Exchange.create () in
-          let on =
-            Portfolio.check_race ~config ~share:ex ~pool case.netlist
-              ~property:case.property
-          in
-          Alcotest.(check string)
-            (case.name ^ ": sharing off = sequential")
-            (session_outcomes seq) (race_outcomes off);
-          Alcotest.(check string)
-            (case.name ^ ": sharing on = sequential")
-            (session_outcomes seq) (race_outcomes on);
-          (match (seq.verdict, on.verdict) with
-          | Bmc.Session.Bounded_pass a, Bmc.Session.Bounded_pass b ->
-            Alcotest.(check int) (case.name ^ ": same bound") a b
-          | Bmc.Session.Falsified ts, Bmc.Session.Falsified tp ->
-            Alcotest.(check int)
-              (case.name ^ ": same counterexample depth")
-              ts.Bmc.Trace.depth tp.Bmc.Trace.depth
-          | _ -> Alcotest.failf "%s: verdicts diverge under sharing" case.name);
-          let st = Share.Exchange.stats ex in
-          Alcotest.(check bool) "imported <= exported" true
-            (st.Share.Exchange.imported <= st.Share.Exchange.exported)))
-    [
-      Circuit.Generators.ring ~len:6 ~noise:8 ();
-      Circuit.Generators.counter ~noise:6 ~bits:4 ~target:5 ();
-    ]
-
-let test_batch_share_differential () =
-  (* two checks of the same physical netlist share one exchange; results
-     must be bit-identical to the unshared batch *)
-  let case = Circuit.Generators.ring ~len:6 ~noise:8 () in
-  let items = [ ("a", case.netlist, case.property); ("b", case.netlist, case.property) ] in
-  let config = race_config ~max_depth:6 in
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let off = Portfolio.check_batch ~config ~pool items in
-      let on = Portfolio.check_batch ~config ~share:true ~pool items in
-      List.iter2
-        (fun (n, a) (n', b) ->
-          Alcotest.(check string) "name" n n';
-          Alcotest.(check string) (n ^ ": outcomes unchanged by sharing")
-            (session_outcomes a) (session_outcomes b))
-        off on)
-
-(* ------------------------------------------------------------------ *)
 (* The deterministic-portfolio differential (satellite): outcomes at     *)
 (* --jobs 2 and 4 must equal the sequential run, per engine.            *)
 (* ------------------------------------------------------------------ *)
@@ -427,55 +365,6 @@ let test_batch_differential_ltl () =
             seq batch))
     [ 2; 4 ]
 
-(* check_batch used to group by physical netlist identity (assq), so two
-   parses of the same circuit never shared an exchange.  Grouping is by
-   structural digest now: separately-parsed copies are one group. *)
-let test_batch_groups_by_digest () =
-  let case = Circuit.Generators.ring ~len:6 ~noise:8 () in
-  let text = Circuit.Textio.to_string case.netlist ~property:case.property in
-  let parse name =
-    let nl, p = Circuit.Textio.parse_string text in
-    (name, nl, p)
-  in
-  let other = Circuit.Generators.lfsr ~width:6 ~noise:8 () in
-  (* two physically distinct parses of one circuit, plus an unrelated one *)
-  let items = [ parse "a"; ("c", other.netlist, other.property); parse "b" ] in
-  let parsed_digest =
-    let nl, _ = Circuit.Textio.parse_string text in
-    Circuit.Netlist.digest nl
-  in
-  (match Portfolio.batch_share_groups items with
-  | [ (digest, names) ] ->
-    Alcotest.(check string) "group key is the parses' digest" parsed_digest digest;
-    Alcotest.(check (list string)) "both parses, input order" [ "a"; "b" ] names
-  | groups -> Alcotest.failf "expected one group, got %d" (List.length groups));
-  (* structurally distinct circuits never group *)
-  Alcotest.(check int) "distinct circuits form no group" 0
-    (List.length
-       (Portfolio.batch_share_groups
-          [ ("a", case.netlist, case.property); ("c", other.netlist, other.property) ]))
-
-let test_batch_share_across_parses () =
-  (* the differential the digest grouping enables: sharing across two
-     separately-parsed copies must leave every verdict unchanged *)
-  let case = Circuit.Generators.ring ~len:6 ~noise:8 () in
-  let text = Circuit.Textio.to_string case.netlist ~property:case.property in
-  let parse name =
-    let nl, p = Circuit.Textio.parse_string text in
-    (name, nl, p)
-  in
-  let items = [ parse "a"; parse "b" ] in
-  let config = race_config ~max_depth:6 in
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let off = Portfolio.check_batch ~config ~pool items in
-      let on = Portfolio.check_batch ~config ~share:true ~pool items in
-      List.iter2
-        (fun (n, a) (n', b) ->
-          Alcotest.(check string) "name" n n';
-          Alcotest.(check string) (n ^ ": outcomes unchanged by cross-parse sharing")
-            (session_outcomes a) (session_outcomes b))
-        off on)
-
 let test_batch_results_in_input_order () =
   let cases = differential_cases () in
   Pool.with_pool ~jobs:4 (fun pool ->
@@ -507,12 +396,6 @@ let tests =
     Alcotest.test_case "race depths must increase" `Quick test_race_depth_must_increase;
     Alcotest.test_case "custom racer ensembles" `Quick test_race_custom_racers;
     Alcotest.test_case "adaptive racer rotation" `Quick test_race_rotation;
-    Alcotest.test_case "differential: sharing on/off (race)" `Quick test_race_share_differential;
-    Alcotest.test_case "differential: sharing on/off (batch)" `Quick
-      test_batch_share_differential;
-    Alcotest.test_case "batch groups by structural digest" `Quick test_batch_groups_by_digest;
-    Alcotest.test_case "differential: sharing across parses" `Quick
-      test_batch_share_across_parses;
     Alcotest.test_case "differential: engine (jobs 2/4)" `Quick test_batch_differential_engine;
     Alcotest.test_case "differential: induction (jobs 2/4)" `Quick
       test_batch_differential_induction;

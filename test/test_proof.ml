@@ -9,7 +9,7 @@ let test_core_simple_chain () =
   let _l2 = Sat.Proof.register_learnt p ~antecedents:[ c ] in
   Sat.Proof.set_final p ~antecedents:[ l1 ];
   (* only a and b are reachable; c's learnt clause is not used *)
-  Alcotest.(check (list int)) "core" [ a; b ] (Sat.Proof.core p).originals
+  Alcotest.(check (list int)) "core" [ a; b ] (Sat.Proof.core p)
 
 let test_core_through_layers () =
   let p = Sat.Proof.create () in
@@ -21,7 +21,7 @@ let test_core_through_layers () =
     let l3 = Sat.Proof.register_learnt p ~antecedents:[ l2; l1 ] in
     Sat.Proof.set_final p ~antecedents:[ l3; o3 ];
     Alcotest.(check (list int))
-      "all originals reachable" [ o0; o1; o2; o3 ] (Sat.Proof.core p).originals
+      "all originals reachable" [ o0; o1; o2; o3 ] (Sat.Proof.core p)
   | _ -> Alcotest.fail "setup"
 
 let test_counts () =
@@ -50,89 +50,20 @@ let test_ids_dense () =
     Alcotest.(check int) "dense id" i (Sat.Proof.register_original p)
   done
 
-(* Provenance: imports are cross-edges, not core members. *)
-
-let test_import_is_leaf_not_core () =
-  let p = Sat.Proof.create ~solver_id:3 () in
-  let o = Sat.Proof.register_original p in
-  let i = Sat.Proof.register_import p ~origin:(7, 4) in
-  let l = Sat.Proof.register_learnt p ~antecedents:[ o; i ] in
-  Sat.Proof.set_final p ~antecedents:[ l ];
-  Alcotest.(check int) "solver id" 3 (Sat.Proof.solver_id p);
-  Alcotest.(check int) "imports counted" 1 (Sat.Proof.num_import p);
-  let core = Sat.Proof.core p in
-  Alcotest.(check (list int)) "core skips the import" [ o ] core.originals;
-  Alcotest.(check (list int)) "imports name it" [ i ] core.imports;
-  Alcotest.(check (option (pair int int))) "origin roundtrip" (Some (7, 4))
-    (Sat.Proof.origin_of p i);
-  Alcotest.(check (option (pair int int))) "originals have no origin" None
-    (Sat.Proof.origin_of p o)
-
-let test_import_negative_origin () =
-  let p = Sat.Proof.create () in
-  Alcotest.check_raises "negative origin"
-    (Invalid_argument "Proof.register_import: negative origin id -1") (fun () ->
-      ignore (Sat.Proof.register_import p ~origin:(0, -1)))
-
-(* Two shards: B refutes using a clause imported from A; the stitched core
-   must name A's originals behind the import, while B's local core stays
-   the shard projection. *)
-let test_stitched_core_two_shards () =
-  let a = Sat.Proof.create ~solver_id:1 () in
-  let a0 = Sat.Proof.register_original a in
-  let a1 = Sat.Proof.register_original a in
-  let al = Sat.Proof.register_learnt a ~antecedents:[ a0; a1 ] in
-  let b = Sat.Proof.create ~solver_id:2 () in
-  let b0 = Sat.Proof.register_original b in
-  let bi = Sat.Proof.register_import b ~origin:(1, al) in
-  let bl = Sat.Proof.register_learnt b ~antecedents:[ b0; bi ] in
-  Sat.Proof.set_final b ~antecedents:[ bl ];
-  Alcotest.(check (list int)) "local projection" [ b0 ] (Sat.Proof.core b).originals;
-  let stitched =
-    Sat.Proof.stitched_core b ~lookup:(fun sid -> if sid = 1 then Some a else None)
-  in
-  Alcotest.(check (list (pair int (list int))))
-    "stitched: both shards' originals"
-    [ (1, [ a0; a1 ]); (2, [ b0 ]) ]
-    stitched
-
-let test_stitched_core_missing_shard () =
-  let b = Sat.Proof.create ~solver_id:2 () in
-  let bi = Sat.Proof.register_import b ~origin:(9, 0) in
-  Sat.Proof.set_final b ~antecedents:[ bi ];
-  Alcotest.check_raises "unresolvable shard"
-    (Invalid_argument "Proof.stitched_core: no shard for solver 9") (fun () ->
-      ignore (Sat.Proof.stitched_core b ~lookup:(fun _ -> None)))
-
-(* Without imports, stitching degenerates to the local core under this
-   shard's own id — the single-solver case costs nothing. *)
-let test_stitched_equals_core_without_imports () =
-  let p = Sat.Proof.create ~solver_id:5 () in
-  let o0 = Sat.Proof.register_original p in
-  let o1 = Sat.Proof.register_original p in
-  let l = Sat.Proof.register_learnt p ~antecedents:[ o0; o1 ] in
-  Sat.Proof.set_final p ~antecedents:[ l ];
-  Alcotest.(check (list (pair int (list int))))
-    "one shard, same ids"
-    [ (5, (Sat.Proof.core p).originals) ]
-    (Sat.Proof.stitched_core p ~lookup:(fun _ -> None))
-
-(* Random DAG over originals, imports and learnts: the one walk must
-   return exactly the originals and the imports that some chain of learnt
-   clauses connects to the final node, each ascending. *)
+(* Random DAG over originals and learnts: the one walk must return exactly
+   the originals that some chain of learnt clauses connects to the final
+   node, ascending. *)
 let prop_core_is_backward_reachable_set =
   QCheck.Test.make ~name:"core = originals backward-reachable from final" ~count:100
-    QCheck.(triple (int_range 1 8) (int_range 0 4) (int_range 0 20))
-    (fun (n_orig, n_import, n_learnt) ->
+    QCheck.(pair (int_range 1 8) (int_range 0 20))
+    (fun (n_orig, n_learnt) ->
       let p = Sat.Proof.create () in
-      let rng = Random.State.make [| n_orig; n_import; n_learnt |] in
+      let rng = Random.State.make [| n_orig; n_learnt |] in
       (* the mirror: each node's kind and antecedents *)
       let mirror = Hashtbl.create 32 in
       let origs = List.init n_orig (fun _ -> Sat.Proof.register_original p) in
       List.iter (fun id -> Hashtbl.replace mirror id (`Original, [])) origs;
-      let imports = List.init n_import (fun j -> Sat.Proof.register_import p ~origin:(1, j)) in
-      List.iter (fun id -> Hashtbl.replace mirror id (`Import, [])) imports;
-      let all = ref (origs @ imports) in
+      let all = ref origs in
       for _ = 1 to n_learnt do
         let arr = Array.of_list !all in
         let k = 1 + Random.State.int rng 3 in
@@ -159,7 +90,7 @@ let prop_core_is_backward_reachable_set =
           reached []
         |> List.sort Int.compare
       in
-      core.originals = expect `Original && core.imports = expect `Import)
+      core = expect `Original)
 
 let tests =
   [
@@ -169,11 +100,5 @@ let tests =
     Alcotest.test_case "no final" `Quick test_no_final;
     Alcotest.test_case "unknown antecedent" `Quick test_unknown_antecedent;
     Alcotest.test_case "dense ids" `Quick test_ids_dense;
-    Alcotest.test_case "import is leaf" `Quick test_import_is_leaf_not_core;
-    Alcotest.test_case "import negative origin" `Quick test_import_negative_origin;
-    Alcotest.test_case "stitched core, two shards" `Quick test_stitched_core_two_shards;
-    Alcotest.test_case "stitched core, missing shard" `Quick test_stitched_core_missing_shard;
-    Alcotest.test_case "stitched = core without imports" `Quick
-      test_stitched_equals_core_without_imports;
     QCheck_alcotest.to_alcotest prop_core_is_backward_reachable_set;
   ]

@@ -21,9 +21,9 @@ let mk_request ?(id = "t") ?mode ?deadline_ms ?(stats = false) src depth =
 let inline_of (case : Circuit.Generators.case) =
   P.Inline (Circuit.Textio.to_string case.netlist ~property:case.property)
 
-let with_engine ?jobs ?max_pending ?share ?max_conflicts ?ledger f =
+let with_engine ?jobs ?max_pending ?cache_bytes ?max_conflicts ?ledger f =
   let cfg =
-    S.make_config ?jobs ?max_pending ?share ?max_conflicts ?ledger
+    S.make_config ?jobs ?max_pending ?cache_bytes ?max_conflicts ?ledger
       ~mode:Bmc.Session.Dynamic ()
   in
   let t = S.create cfg in
@@ -331,28 +331,52 @@ let test_drain_answers_everything () =
         !ledger)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel serving with clause sharing.                               *)
+(* Parallel serving and the cache bound.                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_share_two_parses_one_exchange () =
+let test_two_parses_one_entry () =
   (* two separately-parsed copies of one circuit: digest-keyed identity
-     must give them the same cache entry and (with sharing on) the same
-     exchange — and the answers must match the sequential reference *)
+     must give them the same cache entry, and the answers must match the
+     sequential reference *)
   let case = Circuit.Generators.lfsr ~width:8 ~noise:8 () in
   let depth = 7 in
   let want, _ = reference case depth in
-  List.iter
-    (fun share ->
-      with_engine ~jobs:2 ~share (fun t ->
-          let rs1 = S.check_now t (mk_request ~id:"p1" (inline_of case) depth) in
-          let rs2 = S.check_now t (mk_request ~id:"p2" (inline_of case) depth) in
-          check_cache "first parse is a miss" P.Miss rs1;
-          check_cache "second parse hits the same entry" P.Hit rs2;
-          same_verdict
-            (Printf.sprintf "share=%b vs session" share)
-            want (answer rs1).P.rs_verdict;
-          same_verdict "hit answer" want (answer rs2).P.rs_verdict))
-    [ false; true ]
+  with_engine ~jobs:2 (fun t ->
+      let rs1 = S.check_now t (mk_request ~id:"p1" (inline_of case) depth) in
+      let rs2 = S.check_now t (mk_request ~id:"p2" (inline_of case) depth) in
+      check_cache "first parse is a miss" P.Miss rs1;
+      check_cache "second parse hits the same entry" P.Hit rs2;
+      same_verdict "cold vs session" want (answer rs1).P.rs_verdict;
+      same_verdict "hit answer" want (answer rs2).P.rs_verdict)
+
+(* The byte bound across many distinct digests: twenty circuits that
+   differ only in their noise registers, each a cold miss on a new entry,
+   through one server whose budget holds one or two of them (an entry
+   solved to depth 2 holds 12-64 KB of clause arena).  Resident bytes stay
+   within the bound after every answer and after the drain, and the LRU
+   keeps them there by evicting the older entries, not the newest. *)
+let test_cache_bound_across_digests () =
+  let bound = 96 * 1024 in
+  let depth = 2 in
+  with_engine ~cache_bytes:bound (fun t ->
+      let digests = Hashtbl.create 32 in
+      for n = 0 to 19 do
+        let case = Circuit.Generators.lfsr ~width:8 ~noise:n () in
+        Hashtbl.replace digests (Circuit.Netlist.digest case.netlist) ();
+        let rs = S.check_now t (mk_request ~id:(string_of_int n) (inline_of case) depth) in
+        check_cache (Printf.sprintf "request %d is a miss" n) P.Miss rs;
+        let bytes = (S.stats t).S.st_bytes in
+        if bytes > bound then
+          Alcotest.failf "after request %d: %d resident bytes exceed the %d-byte bound" n bytes
+            bound
+      done;
+      Alcotest.(check int) "twenty distinct digests" 20 (Hashtbl.length digests);
+      S.drain t;
+      let st = S.stats t in
+      Alcotest.(check bool) "within the bound after the drain" true (st.S.st_bytes <= bound);
+      Alcotest.(check bool) "the bound evicted entries" true (st.S.st_evicted > 0);
+      Alcotest.(check bool) "some entries stayed resident" true (st.S.st_entries > 0);
+      Alcotest.(check int) "every request answered" 20 st.S.st_answered)
 
 let test_modes_are_distinct_entries () =
   (* same circuit, different requested orderings: distinct sessions, all
@@ -397,7 +421,8 @@ let tests =
     Alcotest.test_case "bad requests answered inline" `Quick test_bad_requests_answered_inline;
     Alcotest.test_case "drain answers everything, ledgers it" `Quick
       test_drain_answers_everything;
-    Alcotest.test_case "two parses share one entry (jobs=2, +share)" `Quick
-      test_share_two_parses_one_exchange;
+    Alcotest.test_case "two parses share one entry (jobs=2)" `Quick test_two_parses_one_entry;
+    Alcotest.test_case "cache bound holds across 20 digests" `Quick
+      test_cache_bound_across_digests;
     Alcotest.test_case "modes get distinct entries" `Quick test_modes_are_distinct_entries;
   ]

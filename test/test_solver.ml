@@ -594,7 +594,6 @@ let observe ~proof ~drat s outcome =
         st.blocker_hits;
         st.arena_bytes;
         st.arena_compactions;
-        st.shared_exported;
         Sat.Solver.proof_edges s;
       ],
     (match outcome with Sat.Solver.Sat -> Some (Sat.Solver.model s) | _ -> None),
@@ -605,26 +604,21 @@ let observe ~proof ~drat s outcome =
     if drat then Some (Sat.Solver.drat_events s) else None )
 
 (* Solve under a small learnt limit (database reduction in small
-   searches), inprocess, then keep going incrementally over new variables
-   with clause export on: reaches the learnt list, the frozen and
-   eliminated marks, the storage past the formula's variables and the taint
-   marks. *)
+   searches), inprocess, then keep going incrementally over new variables:
+   reaches the learnt list, the frozen and eliminated marks and the
+   storage past the formula's variables. *)
 let observe_run ~proof ~drat s =
   Sat.Solver.set_max_learnts s 10;
   let first = observe ~proof ~drat s (Sat.Solver.solve s) in
   List.iter (Sat.Solver.freeze s) [ 0; 1; 2 ];
   let inpr = Sat.Solver.inprocess s in
   inpr.Sat.Inprocess.time <- 0.0;
-  let exported = ref [] in
-  Sat.Solver.set_share s ~max_lbd:max_int
-    ~export:(fun lits ~lbd:_ ~src_id:_ -> exported := Array.to_list lits :: !exported)
-    ~import:(fun () -> []);
   let u = Sat.Solver.new_var s in
   let v = Sat.Solver.new_var s in
   Sat.Solver.add_clause s [ Sat.Lit.neg u; Sat.Lit.neg 0; Sat.Lit.pos 1 ];
   Sat.Solver.add_clause s [ Sat.Lit.pos u; Sat.Lit.pos v; Sat.Lit.pos 2 ];
   let second = observe ~proof ~drat s (Sat.Solver.solve s) in
-  (first, inpr, second, !exported)
+  (first, inpr, second)
 
 let prop_reload_equals_create =
   QCheck.Test.make ~name:"reload = create (outcome, counters, model, core, DRAT)" ~count:400
@@ -640,8 +634,6 @@ let prop_reload_equals_create =
         Sat.Solver.set_restart_base s 1;
         Sat.Solver.set_max_learnts s 7;
         Sat.Solver.set_gc_fraction s 1e9;
-        Sat.Solver.set_share s ~max_lbd:max_int ~export:(fun _ ~lbd:_ ~src_id:_ -> ())
-          ~import:(fun () -> []);
         Sat.Solver.set_order s (mode_of c.a c.mode_a)
           ~hooks:
             {
@@ -650,7 +642,6 @@ let prop_reload_equals_create =
               hk_on_restart = ignore;
               hk_bias = (fun _ -> Some true);
             };
-        Sat.Solver.mark_local s 0;
         (* variable 0 recurs in the clause added below; the rest must
            thaw again in the reloaded solver *)
         for v = 0 to fst c.a - 1 do

@@ -14,12 +14,6 @@ let test_stable_lookup () =
   Alcotest.(check int) "same var on re-lookup" v (Bmc.Varmap.var m ~node:5 ~frame:2);
   Alcotest.(check int) "no extra allocation" 1 (Bmc.Varmap.num_vars m)
 
-let test_peek () =
-  let m = Bmc.Varmap.create () in
-  Alcotest.(check (option int)) "absent" None (Bmc.Varmap.peek m ~node:1 ~frame:0);
-  let v = Bmc.Varmap.var m ~node:1 ~frame:0 in
-  Alcotest.(check (option int)) "present" (Some v) (Bmc.Varmap.peek m ~node:1 ~frame:0)
-
 let test_reverse () =
   let m = Bmc.Varmap.create () in
   let v = Bmc.Varmap.var m ~node:9 ~frame:4 in
@@ -46,7 +40,6 @@ let tests =
   [
     Alcotest.test_case "monotone allocation" `Quick test_allocation_monotone;
     Alcotest.test_case "stable lookup" `Quick test_stable_lookup;
-    Alcotest.test_case "peek" `Quick test_peek;
     Alcotest.test_case "reverse" `Quick test_reverse;
     Alcotest.test_case "negative frame" `Quick test_negative_frame;
     QCheck_alcotest.to_alcotest prop_bijective;
