@@ -41,22 +41,29 @@ let find_str fields key =
 
 let null = { emit = (fun _ -> ()); flush = (fun () -> ()) }
 
-let tee sinks =
-  {
-    emit = (fun e -> List.iter (fun s -> s.emit e) sinks);
-    flush = (fun () -> List.iter (fun s -> s.flush ()) sinks);
-  }
-
 (* Every sink that mutates shared state is wrapped in [locked] so emission
    from multiple domains (the portfolio workers) serialises instead of
-   corrupting channels / hashtables.  [tee] and [null] own no state and need
-   no lock of their own. *)
+   corrupting channels / hashtables.  [null] owns no state and needs no
+   lock. *)
 let locked sink =
   let m = Mutex.create () in
   {
     emit = (fun e -> Mutex.protect m (fun () -> sink.emit e));
     flush = (fun () -> Mutex.protect m (fun () -> sink.flush ()));
   }
+
+(* A fan-out is locked as a whole: with one lock per constituent only, two
+   domains could reach the trace file and the aggregate in opposite orders,
+   and a ledger folded from one would disagree with the other. *)
+let tee = function
+  | [] -> null
+  | [ sink ] -> sink
+  | sinks ->
+    locked
+      {
+        emit = (fun e -> List.iter (fun s -> s.emit e) sinks);
+        flush = (fun () -> List.iter (fun s -> s.flush ()) sinks);
+      }
 
 let memory () =
   let events = ref [] in

@@ -39,8 +39,10 @@ val null : t
 (** Drops everything. *)
 
 val tee : t list -> t
-(** Forward every event to all of the given sinks.  Stateless itself; each
-    constituent sink keeps (or lacks) its own lock. *)
+(** Forward every event to all of the given sinks, in list order.  With two
+    or more sinks the whole fan-out is serialised behind one mutex, so every
+    sink sees concurrent domains' events in the same order; a single sink is
+    returned as is. *)
 
 val locked : t -> t
 (** Serialise [emit] / [flush] calls to the wrapped sink behind a fresh

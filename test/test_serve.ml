@@ -421,7 +421,8 @@ let tests =
     Alcotest.test_case "bad requests answered inline" `Quick test_bad_requests_answered_inline;
     Alcotest.test_case "drain answers everything, ledgers it" `Quick
       test_drain_answers_everything;
-    Alcotest.test_case "two parses share one entry (jobs=2)" `Quick test_two_parses_one_entry;
+    Alcotest.test_case "two parses share one entry (jobs=2, one digest)" `Quick
+      test_two_parses_one_entry;
     Alcotest.test_case "cache bound holds across 20 digests" `Quick
       test_cache_bound_across_digests;
     Alcotest.test_case "modes get distinct entries" `Quick test_modes_are_distinct_entries;
