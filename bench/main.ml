@@ -772,52 +772,6 @@ type quick_portfolio_summary = {
   p_seq : (string * float) list; (* sequential session wall per ordering *)
 }
 
-(* Ordering-laboratory block for the snapshot: chb, shtrichman and
-   standard raced as a named roster with per-racer conflict budgets and
-   dynamic and static on the rotation queue.  WHICH heuristic
-   wins a round — and hence whether a starved racer ever rotates — is
-   timing-dependent, so the block records win tallies and rotation counts
-   for trajectory tracking, not value gating; CI gates on its presence. *)
-type quick_ordering_summary = {
-  d_jobs : int;
-  d_wall : float;
-  d_rotated : int; (* rotation-queue promotions across the subset *)
-  d_wins : (string * int) list; (* race wins keyed by heuristic name *)
-}
-
-(* The subset the ordering roster races over: the lighter half of the
-   suite (full registry coverage of every case belongs to the
-   differential test, not a quick gate). *)
-let quick_ordering_cases () =
-  match quick_cases () with a :: b :: c :: d :: _ -> [ a; b; c; d ] | short -> short
-
-let quick_run_case_ordering pool wins rotated ((case : Circuit.Generators.case), depth) =
-  let config =
-    Bmc.Session.make_config ~budget:quick_budget ~max_depth:depth ~collect_cores:true
-      ~telemetry:tel ()
-  in
-  let mk name =
-    match Ordering.mode_of_name name with
-    | Some mode -> Portfolio.racer ~name ~conflicts:256 mode
-    | None -> invalid_arg ("bench: unknown heuristic " ^ name)
-  in
-  let race =
-    Portfolio.create_race
-      ~racers:[ mk "chb"; mk "shtrichman"; mk "standard" ]
-      ~rotation:[ mk "dynamic"; mk "static" ]
-      ~pool config case.netlist ~property:case.property
-  in
-  let w0 = Portfolio.Pool.wall () in
-  for k = 0 to depth do
-    ignore (Portfolio.race_depth race ~k)
-  done;
-  List.iter
-    (fun (n, w) ->
-      Hashtbl.replace wins n (w + Option.value ~default:0 (Hashtbl.find_opt wins n)))
-    (Portfolio.race_wins race);
-  rotated := !rotated + Portfolio.race_rotated race;
-  Portfolio.Pool.wall () -. w0
-
 (* Observability-overhead ablation for the snapshot: the same fixed session
    workload with the full tracing stack on (one event stream teed into a
    flight recorder and the aggregate a run ledger is read off) vs
@@ -895,8 +849,7 @@ let quick_inpr_fields (t : quick_inpr_totals) =
     ("resolvents", t.i_resolvents);
   ]
 
-let quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~inprocess:isum ~cores:csum
-    ~observability:osum =
+let quick_json rows ~alloc_mb ~portfolio:psum ~inprocess:isum ~cores:csum ~observability:osum =
   let open Obs.Json in
   (* six decimals (microseconds for the timings) keep float noise out of the
      committed file *)
@@ -923,7 +876,7 @@ let quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~inprocess:isum ~co
   let best_name, best_wall = quick_best_seq psum in
   Obj
     [
-      ("schema", Str "bench-quick/v9");
+      ("schema", Str "bench-quick/v10");
       ("cases", List (List.map case rows));
       ( "totals",
         Obj
@@ -946,14 +899,6 @@ let quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~inprocess:isum ~co
             ("sequential_wall_s", floats psum.p_seq);
             ("best_sequential", Str best_name);
             ("speedup", num (if psum.p_wall > 0.0 then best_wall /. psum.p_wall else 0.0));
-          ] );
-      ( "ordering",
-        Obj
-          [
-            ("jobs", Int dsum.d_jobs);
-            ("wall_s", num dsum.d_wall);
-            ("rotations", Int dsum.d_rotated);
-            ("wins", Obj (ints dsum.d_wins));
           ] );
       ( "inprocess",
         Obj
@@ -1031,17 +976,9 @@ let quick_rows () =
          ~unsat_tail:cores_tail_min ~cores_totals ~dec_split:split_min)
       (List.filter quick_cores_case cases)
   in
-  let ord_wins = Hashtbl.create 8 in
-  let ord_rotated = ref 0 in
-  let portfolio, ord_wall =
+  let portfolio =
     Portfolio.Pool.with_pool ~telemetry:tel ~jobs (fun pool ->
-        let raced = List.map (quick_run_case_portfolio pool) cases in
-        let ow =
-          List.fold_left
-            (fun acc cd -> acc +. quick_run_case_ordering pool ord_wins ord_rotated cd)
-            0.0 (quick_ordering_cases ())
-        in
-        (raced, ow))
+        List.map (quick_run_case_portfolio pool) cases)
   in
   let wall_of rs = List.fold_left (fun a r -> a +. r.q_wall) 0.0 rs in
   let psum =
@@ -1055,18 +992,6 @@ let quick_rows () =
           ("static", wall_of seq_static);
           ("dynamic", wall_of seq_dynamic);
         ];
-    }
-  in
-  let dsum =
-    {
-      d_jobs = jobs;
-      d_wall = ord_wall;
-      d_rotated = !ord_rotated;
-      d_wins =
-        (* registry order, names the roster never tallied omitted *)
-        List.filter_map
-          (fun n -> Option.map (fun w -> (n, w)) (Hashtbl.find_opt ord_wins n))
-          (Ordering.names ());
     }
   in
   let isum =
@@ -1125,12 +1050,6 @@ let quick_rows () =
       \    the race cannot beat sequential here; speedup > 1 needs >= %d cores)\n"
       jobs hw jobs;
   Printf.printf
-    "   ordering roster (%s): %.3fs wall, %d rotation(s); wins:%s\n"
-    (String.concat "," (List.map fst dsum.d_wins))
-    dsum.d_wall dsum.d_rotated
-    (String.concat ""
-       (List.map (fun (n, w) -> Printf.sprintf " %s=%d" n w) dsum.d_wins));
-  Printf.printf
     "   inprocessing: UNSAT-tail solve %.3fs off vs %.3fs on; eliminated=%d subsumed=%d \
      strengthened=%d probe_failed=%d resolvents=%d\n"
     isum.i_tail_off_s isum.i_tail_on_s inpr_totals.i_eliminated inpr_totals.i_subsumed
@@ -1154,11 +1073,6 @@ let quick_rows () =
   Telemetry.gauge tel "quick.portfolio.wall_s" psum.p_wall;
   Telemetry.gauge tel "quick.portfolio.speedup"
     (if psum.p_wall > 0.0 then best_wall /. psum.p_wall else 0.0);
-  Telemetry.gauge tel "quick.ordering.wall_s" dsum.d_wall;
-  Telemetry.gauge tel "quick.ordering.rotations" (float_of_int dsum.d_rotated);
-  List.iter
-    (fun (n, w) -> Telemetry.gauge tel ("quick.ordering.wins." ^ n) (float_of_int w))
-    dsum.d_wins;
   Telemetry.gauge tel "quick.observability.overhead_pct" osum.o_overhead_pct;
   Telemetry.gauge tel "quick.inprocess.unsat_tail_off_s" isum.i_tail_off_s;
   Telemetry.gauge tel "quick.inprocess.unsat_tail_on_s" isum.i_tail_on_s;
@@ -1167,13 +1081,12 @@ let quick_rows () =
   Telemetry.gauge tel "quick.cores.pre_clauses" (float_of_int cores_totals.c_pre);
   Telemetry.gauge tel "quick.cores.post_clauses" (float_of_int cores_totals.c_post);
   Telemetry.gauge tel "quick.cores.coremin_s" cores_totals.c_min_s;
-  (rows, alloc_mb, psum, dsum, isum, csum, osum)
+  (rows, alloc_mb, psum, isum, csum, osum)
 
 let quick () =
-  let rows, alloc_mb, psum, dsum, isum, csum, osum = quick_rows () in
+  let rows, alloc_mb, psum, isum, csum, osum = quick_rows () in
   let doc =
-    quick_json rows ~alloc_mb ~portfolio:psum ~ordering:dsum ~inprocess:isum ~cores:csum
-      ~observability:osum
+    quick_json rows ~alloc_mb ~portfolio:psum ~inprocess:isum ~cores:csum ~observability:osum
   in
   let oc = open_out quick_snapshot_file in
   output_string oc (Obs.Json.to_string ~indent:true doc);
@@ -1203,7 +1116,7 @@ let quick_timing_dependent name =
 
 let quick_check () =
   let snapshot = read_snapshot ~tool:"quick-check" quick_snapshot_file in
-  let rows, _, psum, _, isum, csum, osum = quick_rows () in
+  let rows, _, psum, isum, csum, osum = quick_rows () in
   let str j k = Option.bind (Obs.Json.member k j) Obs.Json.to_str in
   let int j k = Option.bind (Obs.Json.member k j) Obs.Json.to_int in
   let expected =

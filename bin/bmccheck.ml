@@ -3,10 +3,9 @@
    Checks the invariant property of a circuit (a .rnl netlist, an AIGER
    .aag/.aig file, or a named built-in benchmark) by bounded model checking
    with a selectable decision ordering, or proves it by k-induction.
-   With --portfolio a roster of decision orderings (--order, default the
-   paper's three) races on a domain pool — first definitive answer per
-   depth wins, and --rotate recycles budget-exhausted losers onto untried
-   heuristics; with several CIRCUIT arguments the properties are
+   With --portfolio a fixed roster of decision orderings (--order, default
+   the paper's three) races on a domain pool — first definitive answer per
+   depth wins; with several CIRCUIT arguments the properties are
    batch-solved across the pool.
    Exit codes: 10 = counterexample found, 20 = bounded pass / proved,
    0 = aborted on budget / undecided, 2 = input error.  A batch exits with
@@ -285,11 +284,9 @@ let run_single source engine_name mode_name max_depth coi weighting_name verbose
 
 (* --portfolio: race a roster of named orderings on a domain pool, one full
    BMC run.  The roster defaults to the paper's three; --order picks named
-   registry heuristics instead, and --rotate arms adaptive rotation (losers
-   that burn their per-racer budget are recycled onto the untried
-   heuristics). *)
+   registry heuristics instead. *)
 let run_portfolio source max_depth coi weighting_name verbose max_conflicts max_seconds
-    inprocess core_min trace_file metrics ledger_file flight_file jobs order_names rotate =
+    inprocess core_min trace_file metrics ledger_file flight_file jobs order_names =
   let weighting = parse_weighting weighting_name in
   match load source with
   | Error msg ->
@@ -311,49 +308,36 @@ let run_portfolio source max_depth coi weighting_name verbose max_conflicts max_
       Bmc.Session.make_config ~weighting ~coi ~budget ~max_depth ?inprocess ~core_mode
         ~coremin_budget ~telemetry ()
     in
-    (* Build the named-racer roster.  Rotation needs budget exhaustion to be
-       observable, so --rotate gives every racer a per-instance conflict
-       budget (the --max-conflicts value, or 4096) and queues up the
-       registry heuristics not already racing. *)
+    (* The named-racer roster, each racer on its own Luby restart unit. *)
     let roster_names =
       match order_names with Some ns -> ns | None -> [ "standard"; "static"; "dynamic" ]
     in
     let bases = [| 64; 100; 150; 200; 250; 300 |] in
-    let racer_conflicts = if rotate then Some (Option.value max_conflicts ~default:4096) else None in
-    let mk_racer i name =
-      Portfolio.racer ~name ~restart_base:bases.(i mod Array.length bases)
-        ?conflicts:racer_conflicts (parse_mode name)
-    in
-    let racers = List.mapi mk_racer roster_names in
-    let rotation =
-      if rotate then
-        Ordering.names ()
-        |> List.filter (fun n -> not (List.mem n roster_names))
-        |> List.mapi (fun i n -> mk_racer (List.length roster_names + i) n)
-      else []
+    let racers =
+      List.mapi
+        (fun i name ->
+          Portfolio.racer ~name ~restart_base:bases.(i mod Array.length bases)
+            (parse_mode name))
+        roster_names
     in
     let jobs = if jobs > 0 then jobs else List.length racers in
     let code =
       Portfolio.Pool.with_pool ~telemetry ~jobs (fun pool ->
-          let r = Portfolio.check_race ~config ~racers ~rotation ~pool netlist ~property in
+          let r = Portfolio.check_race ~config ~racers ~pool netlist ~property in
           if verbose then
             List.iter
               (fun (rs : Portfolio.race_stat) ->
-                Format.printf "depth %3d: %-7s won by %-9s wall=%.3fs cancelled=%d%s@."
+                Format.printf "depth %3d: %-7s won by %-9s wall=%.3fs cancelled=%d@."
                   rs.Portfolio.depth
                   (Sat.Solver.outcome_string rs.stat.Bmc.Session.outcome)
                   (match rs.winner with Some n -> n | None -> "-")
-                  rs.Portfolio.wall rs.Portfolio.cancelled
-                  (if rs.Portfolio.rotated > 0 then
-                     Printf.sprintf " rotated=%d" rs.Portfolio.rotated
-                   else ""))
+                  rs.Portfolio.wall rs.Portfolio.cancelled)
               r.per_depth;
           if core_min <> None then
             pp_coremin_summary source
               (List.map (fun (rs : Portfolio.race_stat) -> rs.Portfolio.stat) r.per_depth);
-          Format.printf "%s: %a (%.3fs wall, %d workers%s, wins:%s)@." source
+          Format.printf "%s: %a (%.3fs wall, %d workers, wins:%s)@." source
             Bmc.Session.pp_verdict r.verdict r.total_wall jobs
-            (if r.rotated > 0 then Printf.sprintf ", %d rotations" r.rotated else "")
             (String.concat ""
                (List.map (fun (n, c) -> Printf.sprintf " %s=%d" n c) r.wins));
           match r.verdict with
@@ -401,25 +385,23 @@ let run_batch sources engine_name mode_name max_depth coi weighting_name verbose
   in
   let telemetry = setup_telemetry trace_file metrics ledger_file flight_file in
   let core_mode, coremin_budget = core_opts core_min in
+  (* each item's own max depth replaces the config's *)
+  let config =
+    Bmc.Session.make_config ~mode ~weighting ~coi ~budget ?inprocess ~core_mode
+      ~coremin_budget ~telemetry ()
+  in
   let jobs =
     if jobs > 0 then jobs else min (List.length items) (Domain.recommended_domain_count ())
   in
   let t0 = Portfolio.Pool.wall () in
   let results =
     Portfolio.Pool.with_pool ~telemetry ~jobs (fun pool ->
-        Portfolio.Pool.map_list ~label:"batch" pool
-          (fun (source, netlist, property, max_depth) ->
-            let config =
-              Bmc.Session.make_config ~mode ~weighting ~coi ~budget ~max_depth ?inprocess
-                ~core_mode ~coremin_budget ~telemetry ()
-            in
-            (source, netlist, Bmc.Session.check ~config ~policy netlist ~property))
-          items)
+        Portfolio.check_batch ~config ~policy ~pool items)
   in
   let wall = Portfolio.Pool.wall () -. t0 in
   let code = ref 20 in
-  List.iter
-    (fun (source, netlist, (r : Bmc.Session.result)) ->
+  List.iter2
+    (fun (_, netlist, _, _) (source, (r : Bmc.Session.result)) ->
       if verbose then List.iter (fun d -> Format.printf "%a@." pp_depth_stat d) r.per_depth;
       if core_min <> None then pp_coremin_summary source r.per_depth;
       Format.printf "%s: %a (%.3fs, %d decisions)@." source Bmc.Session.pp_verdict r.verdict
@@ -430,19 +412,15 @@ let run_batch sources engine_name mode_name max_depth coi weighting_name verbose
         code := 10
       | Bmc.Session.Bounded_pass _ -> ()
       | Bmc.Session.Aborted _ -> if !code <> 10 then code := 0)
-    results;
+    items results;
   Format.printf "batch: %d properties on %d workers in %.3fs wall@." (List.length results)
     jobs wall;
   exit !code
 
 let run sources engine_name mode_name max_depth coi weighting_name verbose max_conflicts
     max_seconds simple_path fresh_solver ltl_formula inprocess_spec core_min trace_file
-    metrics ledger_file flight_file jobs portfolio order rotate =
+    metrics ledger_file flight_file jobs portfolio order =
   let inprocess = parse_inprocess inprocess_spec in
-  if rotate && not portfolio then begin
-    Format.eprintf "bmccheck: --rotate requires --portfolio (racer rotation)@.";
-    exit 2
-  end;
   let order_names =
     match Option.map split_names order with
     | Some [] ->
@@ -470,7 +448,7 @@ let run sources engine_name mode_name max_depth coi weighting_name verbose max_c
       exit 2
     end;
     run_portfolio source max_depth coi weighting_name verbose max_conflicts max_seconds
-      inprocess core_min trace_file metrics ledger_file flight_file jobs order_names rotate
+      inprocess core_min trace_file metrics ledger_file flight_file jobs order_names
   | [ source ], false ->
     run_single source engine_name mode_name max_depth coi weighting_name verbose
       max_conflicts max_seconds simple_path fresh_solver ltl_formula inprocess core_min
@@ -627,9 +605,8 @@ let jobs =
   Arg.(
     value & opt int 0
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for --portfolio or batch solving.  0 (the default) picks 3 \
-              for a portfolio race (one per ordering) and min(circuits, cores) for a \
-              batch.")
+        ~doc:"Worker domains for --portfolio or batch solving.  0 (the default) picks one \
+              worker per racer for a portfolio race and min(circuits, cores) for a batch.")
 
 let portfolio =
   Arg.(
@@ -650,15 +627,6 @@ let order =
               a synonym for --mode; with --portfolio the comma-separated list is the \
               racing roster, one named racer per heuristic.")
 
-let rotate =
-  Arg.(
-    value & flag
-    & info [ "rotate" ]
-        ~doc:"With --portfolio: adaptive racer rotation.  Every racer gets a per-instance \
-              conflict budget (--max-conflicts, or 4096), and a losing racer that burns \
-              it is recycled onto the next registry heuristic not yet racing.  Rotations \
-              are counted in the race telemetry and the ledger's race rows.")
-
 let cmd =
   let doc = "bounded model checking with refined SAT decision orderings" in
   let info = Cmd.info "bmccheck" ~doc in
@@ -667,6 +635,6 @@ let cmd =
       const run $ sources $ engine $ mode $ max_depth $ coi $ weighting $ verbose
       $ max_conflicts $ max_seconds $ simple_path $ fresh_solver $ ltl $ inprocess
       $ core_min $ trace_file $ metrics $ ledger_file $ flight_file $ jobs $ portfolio
-      $ order $ rotate)
+      $ order)
 
 let () = exit (Cmd.eval cmd)

@@ -34,7 +34,6 @@ type race_row = {
   r_winner : string;
   r_wall_s : float;
   r_cancelled : int;
-  r_rotated : int;
   r_racers : string list;
 }
 
@@ -120,9 +119,9 @@ let depth_of_json j =
   }
 
 let race_to_json (r : race_row) =
-  (* "rotated" and "racers" are additive and conditional, like the coremin
-     columns: a row with no rotation (or no recorded roster) omits them, so
-     pre-rotation ledgers round-trip byte-identically. *)
+  (* "racers" is additive and conditional, like the coremin columns: a row
+     with no recorded roster omits it, so ledgers written before the column
+     existed round-trip byte-identically. *)
   Json.Obj
     ([
        ("depth", Json.Int r.r_depth);
@@ -130,7 +129,6 @@ let race_to_json (r : race_row) =
        ("wall_s", Json.Float r.r_wall_s);
        ("cancelled", Json.Int r.r_cancelled);
      ]
-    @ (if r.r_rotated > 0 then [ ("rotated", Json.Int r.r_rotated) ] else [])
     @
     if r.r_racers = [] then []
     else [ ("racers", Json.Str (String.concat "," r.r_racers)) ])
@@ -141,7 +139,6 @@ let race_of_json j =
     r_winner = Json.get_str j "winner";
     r_wall_s = Json.get_float j "wall_s";
     r_cancelled = Json.get_int j "cancelled";
-    r_rotated = Json.get_int ~default:0 j "rotated";
     r_racers =
       (match Json.get_str ~default:"" j "racers" with
       | "" -> []
@@ -312,10 +309,8 @@ let pp_effectiveness ppf t =
   | [] -> Format.fprintf ppf "  races             : none@."
   | races ->
     let cancelled = List.fold_left (fun a r -> a + r.r_cancelled) 0 races in
-    let rotated = List.fold_left (fun a r -> a + r.r_rotated) 0 races in
-    Format.fprintf ppf "  races             : %d (cancelled racers %d%s; wins:%s)@."
+    Format.fprintf ppf "  races             : %d (cancelled racers %d; wins:%s)@."
       (List.length races) cancelled
-      (if rotated > 0 then Printf.sprintf ", rotations %d" rotated else "")
       (if t.wins = [] then " none"
        else
          String.concat ""
@@ -366,13 +361,29 @@ let diff ?(warn_pct = 25.0) (a : t) (b : t) =
   in
   let tbl_a = keyed a.depths in
   let tbl_b = keyed b.depths in
+  (* A depth's verdict is what the instance is: the definitive outcome any
+     row at that depth reports (a race's winner), or "unknown" when none
+     does.  A losing racer's row reads "unknown" when it was cancelled and
+     "unsat" when it finished first, so only the verdict is a Fail. *)
+  let verdict t k =
+    match List.find_opt (fun d -> d.l_depth = k && d.l_outcome <> "unknown") t.depths with
+    | Some d -> d.l_outcome
+    | None -> "unknown"
+  in
+  List.sort_uniq compare (List.map (fun d -> d.l_depth) a.depths)
+  |> List.iter (fun k ->
+         if List.exists (fun d -> d.l_depth = k) b.depths then begin
+           let va = verdict a k and vb = verdict b k in
+           if va <> vb then add Fail "depth %d verdict changed: %s -> %s" k va vb
+         end);
   List.iter
-    (fun ((k, _, _) as key, da) ->
+    (fun ((k, mode, _) as key, da) ->
       match List.assoc_opt key tbl_b with
       | None -> add Warn "depth %d present only in baseline" k
       | Some db ->
         if da.l_outcome <> db.l_outcome then
-          add Fail "depth %d outcome changed: %s -> %s" k da.l_outcome db.l_outcome;
+          add Warn "depth %d %s row outcome changed: %s -> %s" k mode da.l_outcome
+            db.l_outcome;
         if pct_drift da.l_decisions db.l_decisions > warn_pct then
           add Warn "depth %d decisions drifted %d -> %d (>%.0f%%)" k da.l_decisions
             db.l_decisions warn_pct;

@@ -58,14 +58,10 @@ type race_row = {
   r_winner : string;  (** winning racer's heuristic name, or "none" *)
   r_wall_s : float;
   r_cancelled : int;
-  r_rotated : int;
-      (** racers recycled onto the rotation queue at this depth boundary.
-          Additive column: emitted only when non-zero and parsed with a 0
-          default, so pre-rotation ledgers round-trip byte-identically. *)
   r_racers : string list;
-      (** the round's roster, by heuristic name, in slot order.  Additive
-          column like [r_rotated]: serialised comma-joined, omitted when
-          empty, parsed with an empty default. *)
+      (** the race's roster, by heuristic name, in slot order.  Additive
+          column: serialised comma-joined, omitted when empty, parsed with
+          an empty default. *)
 }
 
 type t = {
@@ -93,9 +89,9 @@ val of_events : Telemetry.Sink.event list -> t
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
-(** Members the schema does not name are ignored: ledgers from builds
-    that still had clause sharing carry a [share] member and load as
-    they are. *)
+(** Members the schema does not name are ignored, so ledgers written by
+    older builds load as they are: a [share] member from the builds with
+    clause sharing, or a race row member this build no longer writes. *)
 
 val to_string : ?indent:bool -> t -> string
 (** Pretty-printed by default (ledgers are meant to be read). *)
@@ -133,11 +129,16 @@ type severity = Fail | Warn
 type finding = { severity : severity; message : string }
 
 val diff : ?warn_pct:float -> t -> t -> finding list
-(** [diff baseline candidate]: [Fail] on a changed per-depth outcome;
-    [Warn] on decision/conflict drift beyond [warn_pct] (default 25%), a
-    candidate core growing past the baseline's by more than [warn_pct], a
-    depth present on only one side, a fallback firing differently, or the
-    rank-guided share moving more than 10 points.  Two equal ledgers
-    produce []. *)
+(** [diff baseline candidate]: [Fail] on a changed depth verdict — the
+    definitive outcome any row at that depth reports, or ["unknown"] when
+    none does — for every depth both ledgers hold.  A race writes one row
+    per racer per depth, and a loser's row flips between ["unsat"] and
+    ["unknown"] with who finished first, so row-level drift is a [Warn]:
+    a row's outcome changing, decision/conflict drift beyond [warn_pct]
+    (default 25%), a candidate core growing past the baseline's by more
+    than [warn_pct], a row present on only one side, a fallback firing
+    differently, or the rank-guided share moving more than 10 points.
+    Rows pair by (depth, mode, occurrence).  Two equal ledgers produce
+    []. *)
 
 val pp_finding : Format.formatter -> finding -> unit

@@ -9,24 +9,10 @@ type racer = {
   r_name : string;
   r_mode : Session.mode;
   r_restart_base : int option;
-  r_conflicts : int option;
-  r_seconds : float option;
 }
 
-let racer ?restart_base ?conflicts ?seconds ~name mode =
-  (match conflicts with
-  | Some c when c < 1 -> invalid_arg "Portfolio.racer: conflicts must be >= 1"
-  | _ -> ());
-  (match seconds with
-  | Some s when s <= 0.0 -> invalid_arg "Portfolio.racer: seconds must be positive"
-  | _ -> ());
-  {
-    r_name = name;
-    r_mode = mode;
-    r_restart_base = restart_base;
-    r_conflicts = conflicts;
-    r_seconds = seconds;
-  }
+let racer ?restart_base ~name mode =
+  { r_name = name; r_mode = mode; r_restart_base = restart_base }
 
 (* Distinct Luby units diversify the racers' restart schedules — and
    therefore which clauses each learns. *)
@@ -37,58 +23,47 @@ let default_racers =
     racer ~name:"dynamic" ~restart_base:150 Session.Dynamic;
   ]
 
-(* Every slot field except the token is reconfigured when the slot rotates
-   onto the next roster entry.  The coordinator only touches them between
-   rounds (race_depth's wait loop is the quiescence barrier), so the
-   worker that runs the slot's jobs always sees a settled configuration. *)
 type slot = {
-  mutable s_name : string;
-  mutable s_mode : Session.mode;
-  mutable s_base : int option; (* per-racer Luby restart unit override *)
-  mutable s_conflicts : int option; (* per-racer conflict budget *)
-  mutable s_seconds : float option; (* per-racer seconds budget *)
+  s_racer : racer;
   s_token : Pool.Token.t;
-  (* The racer's persistent session.  Created lazily by the first job that
-     runs on the slot's pinned worker and only ever touched there — the
-     coordinator must never dereference it (Session's ownership rule);
-     dropping the reference on rotation is its only permitted write. *)
-  mutable s_session : Session.t option;
+  (* The racer's persistent session.  Forced by the first job that runs on
+     the slot's pinned worker and only ever touched there — the
+     coordinator must never force it (Session's ownership rule). *)
+  s_session : Session.t Lazy.t;
 }
 
 type race = {
   r_pool : Pool.t;
-  r_cfg : Session.config;
-  r_netlist : Circuit.Netlist.t;
-  r_property : Circuit.Netlist.node;
+  r_tel : Telemetry.t;
   r_slots : slot array;
   r_score : Bmc.Score.t;
-  (* Win tallies are keyed by racer name (slots change identity under
-     rotation); r_names remembers first-appearance order for reports. *)
-  r_wins : (string, int) Hashtbl.t;
-  mutable r_names : string list; (* reversed *)
-  mutable r_rotation : racer list; (* untried roster entries, in order *)
-  mutable r_rotated : int; (* total rotations performed *)
+  (* Win tallies keyed by racer name, in roster order (a name two racers
+     share is tallied once). *)
+  r_wins : (string * int ref) list;
   mutable r_last_k : int;
 }
 
-let slot_of_racer r =
+(* The racer's session config: its own ordering and restart unit, and the
+   run-wide budget with the slot's token as an extra stop hook. *)
+let racer_config cfg r token =
+  let base = cfg.Session.budget in
+  let token_stop = Pool.Token.stop_hook token in
+  let stop =
+    match base.Sat.Solver.stop with
+    | None -> token_stop
+    | Some f -> fun () -> token_stop () || f ()
+  in
   {
-    s_name = r.r_name;
-    s_mode = r.r_mode;
-    s_base = r.r_restart_base;
-    s_conflicts = r.r_conflicts;
-    s_seconds = r.r_seconds;
-    s_token = Pool.Token.create ();
-    s_session = None;
+    cfg with
+    Session.mode = r.r_mode;
+    budget = { base with Sat.Solver.stop = Some stop };
+    restart_base =
+      (match r.r_restart_base with
+      | Some _ as b -> b
+      | None -> cfg.Session.restart_base);
   }
 
-let note_name race name =
-  if not (Hashtbl.mem race.r_wins name) then begin
-    Hashtbl.replace race.r_wins name 0;
-    race.r_names <- name :: race.r_names
-  end
-
-let create_race ?(racers = default_racers) ?(rotation = []) ~pool cfg netlist ~property =
+let create_race ?(racers = default_racers) ~pool cfg netlist ~property =
   if racers = [] then invalid_arg "Portfolio.create_race: no racers";
   (* validate the netlist in the coordinator, where the error is useful,
      rather than inside a worker job *)
@@ -96,70 +71,34 @@ let create_race ?(racers = default_racers) ?(rotation = []) ~pool cfg netlist ~p
   | Ok () -> ()
   | Error msg -> invalid_arg ("Portfolio.create_race: " ^ msg));
   let cfg = { cfg with Session.collect_cores = true } in
-  let slots = Array.of_list (List.map slot_of_racer racers) in
-  let race =
+  let score = Bmc.Score.create ~weighting:cfg.Session.weighting () in
+  let slot r =
+    let token = Pool.Token.create () in
     {
-      r_pool = pool;
-      r_cfg = cfg;
-      r_netlist = netlist;
-      r_property = property;
-      r_slots = slots;
-      r_score = Bmc.Score.create ~weighting:cfg.Session.weighting ();
-      r_wins = Hashtbl.create 7;
-      r_names = [];
-      r_rotation = rotation;
-      r_rotated = 0;
-      r_last_k = -1;
+      s_racer = r;
+      s_token = token;
+      (* [fold_cores:false]: racers extract cores but never write the
+         shared score — the coordinator folds exactly one core (the
+         winner's) per depth, between rounds. *)
+      s_session =
+        lazy
+          (Session.create ~score ~fold_cores:false (racer_config cfg r token) netlist
+             ~property);
     }
   in
-  Array.iter (fun sl -> note_name race sl.s_name) slots;
-  race
-
-(* Runs inside the slot's pinned worker. *)
-let slot_session race slot =
-  match slot.s_session with
-  | Some s -> s
-  | None ->
-    let base = race.r_cfg.Session.budget in
-    let token_stop = Pool.Token.stop_hook slot.s_token in
-    let stop =
-      match base.Sat.Solver.stop with
-      | None -> token_stop
-      | Some f -> fun () -> token_stop () || f ()
-    in
-    (* tightest of the run-wide and per-racer budgets wins *)
-    let min_opt a b =
-      match (a, b) with
-      | Some x, Some y -> Some (min x y)
-      | (Some _ as s), None | None, s -> s
-    in
-    let cfg =
-      {
-        race.r_cfg with
-        Session.mode = slot.s_mode;
-        budget =
-          {
-            base with
-            Sat.Solver.max_conflicts =
-              min_opt base.Sat.Solver.max_conflicts slot.s_conflicts;
-            max_seconds = min_opt base.Sat.Solver.max_seconds slot.s_seconds;
-            stop = Some stop;
-          };
-        restart_base =
-          (match slot.s_base with
-          | Some _ as b -> b
-          | None -> race.r_cfg.Session.restart_base);
-      }
-    in
-    (* [fold_cores:false]: racers extract cores but never write the shared
-       score — the coordinator folds exactly one core (the winner's) per
-       depth, between rounds. *)
-    let s =
-      Session.create ~score:race.r_score ~fold_cores:false cfg race.r_netlist
-        ~property:race.r_property
-    in
-    slot.s_session <- Some s;
-    s
+  let wins =
+    List.fold_left
+      (fun acc r -> if List.mem_assoc r.r_name acc then acc else (r.r_name, ref 0) :: acc)
+      [] racers
+  in
+  {
+    r_pool = pool;
+    r_tel = cfg.Session.telemetry;
+    r_slots = Array.of_list (List.map slot racers);
+    r_score = score;
+    r_wins = List.rev wins;
+    r_last_k = -1;
+  }
 
 type attempt = {
   a_stat : Session.depth_stat;
@@ -177,7 +116,6 @@ type race_stat = {
   wall : float;
   cancelled : int;
   max_cancel_latency : float;
-  rotated : int;
   trace : Bmc.Trace.t option;
 }
 
@@ -191,7 +129,7 @@ let race_depth race ~k =
   race.r_last_k <- k;
   let slots = race.r_slots in
   let n = Array.length slots in
-  let tel = race.r_cfg.Session.telemetry in
+  let tel = race.r_tel in
   (* all prior rounds have settled, so re-arming the tokens is safe *)
   Array.iter (fun sl -> Pool.Token.reset sl.s_token) slots;
   let cm = Mutex.create () in
@@ -212,7 +150,7 @@ let race_depth race ~k =
     racer_event "racer_start" ~slot:i;
     let outcome =
       try
-        let s = slot_session race slots.(i) in
+        let s = Lazy.force slots.(i).s_session in
         let st = Session.solve_depth s ~k in
         let tr =
           match st.Session.outcome with
@@ -266,14 +204,12 @@ let race_depth race ~k =
   in
   let cancelled = ref 0 in
   let max_latency = ref 0.0 in
-  (* The winner's name is read before rotation reconfigures any slot. *)
-  let winner_name = Option.map (fun w -> slots.(w).s_name) !winner in
+  let name i = slots.(i).s_racer.r_name in
+  let winner_name = Option.map name !winner in
   (match !winner with
   | None -> ()
   | Some w ->
-    let name = slots.(w).s_name in
-    Hashtbl.replace race.r_wins name
-      (1 + Option.value (Hashtbl.find_opt race.r_wins name) ~default:0);
+    incr (List.assoc (name w) race.r_wins);
     Array.iteri
       (fun j a ->
         if j <> w && Pool.Token.cancelled slots.(j).s_token
@@ -284,10 +220,7 @@ let race_depth race ~k =
           if lat > !max_latency then max_latency := lat;
           if Telemetry.enabled tel then
             Telemetry.span_event tel "cancel_latency" ~dur:lat
-              [
-                ("depth", Telemetry.Sink.Int k);
-                ("mode", Telemetry.Sink.Str slots.(j).s_name);
-              ]
+              [ ("depth", Telemetry.Sink.Int k); ("mode", Telemetry.Sink.Str (name j)) ]
         end)
       attempts;
     (* the paper's refinement step, once per depth: only the winner's core
@@ -296,57 +229,9 @@ let race_depth race ~k =
     (match wa.a_stat.Session.outcome with
     | Sat.Solver.Unsat -> Bmc.Score.update race.r_score ~instance:k ~core_vars:wa.a_core_vars
     | Sat.Solver.Sat | Sat.Solver.Unknown -> ()));
-  (* Capture the round's attempt labels before rotation renames slots. *)
   let attempt_list =
-    Array.to_list
-      (Array.mapi (fun i a -> (slots.(i).s_name, a.a_stat.Session.outcome)) attempts)
+    Array.to_list (Array.mapi (fun i a -> (name i, a.a_stat.Session.outcome)) attempts)
   in
-  (* Restart-boundary rotation: a loser that burned through its own
-     per-racer budget (rather than being cancelled early by the winner) is
-     recycled onto the next untried roster entry.  Its session reference is
-     dropped — the quiescence barrier above guarantees no worker holds it —
-     and the replacement heuristic's session is built lazily on the same
-     pinned worker at the next round. *)
-  let rotated = ref 0 in
-  let budget_spent sl (a : attempt) =
-    (match sl.s_conflicts with
-    | Some c -> a.a_stat.Session.conflicts >= c
-    | None -> false)
-    || match sl.s_seconds with
-       | Some s -> a.a_stat.Session.time >= s
-       | None -> false
-  in
-  Array.iteri
-    (fun i a ->
-      let losing = match !winner with Some w -> i <> w | None -> true in
-      if
-        losing
-        && (not (definitive a.a_stat.Session.outcome))
-        && budget_spent slots.(i) a
-      then
-        match race.r_rotation with
-        | [] -> ()
-        | next :: rest ->
-          race.r_rotation <- rest;
-          let sl = slots.(i) in
-          let old = sl.s_name in
-          sl.s_name <- next.r_name;
-          sl.s_mode <- next.r_mode;
-          sl.s_base <- next.r_restart_base;
-          sl.s_conflicts <- next.r_conflicts;
-          sl.s_seconds <- next.r_seconds;
-          sl.s_session <- None;
-          note_name race next.r_name;
-          incr rotated;
-          race.r_rotated <- race.r_rotated + 1;
-          if Telemetry.enabled tel then
-            Telemetry.event tel "rotate"
-              [
-                ("depth", Telemetry.Sink.Int k);
-                ("from", Telemetry.Sink.Str old);
-                ("to", Telemetry.Sink.Str next.r_name);
-              ])
-    attempts;
   if Telemetry.enabled tel then begin
     Telemetry.event tel "race"
       [
@@ -356,7 +241,6 @@ let race_depth race ~k =
             (match winner_name with Some n -> n | None -> "none") );
         ("wall_s", Telemetry.Sink.Float wall);
         ("cancelled", Telemetry.Sink.Int !cancelled);
-        ("rotated", Telemetry.Sink.Int !rotated);
         ( "racers",
           Telemetry.Sink.Str (String.concat "," (List.map fst attempt_list)) );
       ];
@@ -375,7 +259,6 @@ let race_depth race ~k =
     wall;
     cancelled = !cancelled;
     max_cancel_latency = !max_latency;
-    rotated = !rotated;
     trace = best.a_trace;
   }
 
@@ -384,18 +267,12 @@ type result = {
   per_depth : race_stat list;
   total_wall : float;
   wins : (string * int) list;
-  rotated : int;
 }
 
-let race_wins race =
-  List.rev_map
-    (fun n -> (n, Option.value (Hashtbl.find_opt race.r_wins n) ~default:0))
-    race.r_names
+let race_wins race = List.map (fun (n, c) -> (n, !c)) race.r_wins
 
-let race_rotated race = race.r_rotated
-
-let check_race ?(config = Session.default_config) ?racers ?rotation ~pool netlist ~property =
-  let race = create_race ?racers ?rotation ~pool config netlist ~property in
+let check_race ?(config = Session.default_config) ?racers ~pool netlist ~property =
+  let race = create_race ?racers ~pool config netlist ~property in
   let per_depth = ref [] in
   let t0 = Pool.wall () in
   let finish verdict =
@@ -404,7 +281,6 @@ let check_race ?(config = Session.default_config) ?racers ?rotation ~pool netlis
       per_depth = List.rev !per_depth;
       total_wall = Pool.wall () -. t0;
       wins = race_wins race;
-      rotated = race.r_rotated;
     }
   in
   let rec loop k =
@@ -438,11 +314,13 @@ let check_race ?(config = Session.default_config) ?racers ?rotation ~pool netlis
 let check_batch ?(config = Session.default_config) ?(policy = Session.Persistent) ~pool items =
   let tel = config.Session.telemetry in
   Pool.map_list ~label:"batch" pool
-    (fun (name, netlist, property) ->
+    (fun (name, netlist, property, max_depth) ->
       let t0 = Pool.wall () in
-      let r = Session.check ~config ~policy netlist ~property in
+      let r =
+        Session.check ~config:{ config with Session.max_depth } ~policy netlist ~property
+      in
       if Telemetry.enabled tel then
         Telemetry.span_event tel "batch_item" ~dur:(Pool.wall () -. t0)
-          [ ("name", Telemetry.Sink.Str name) ];
+          [ ("property", Telemetry.Sink.Str name) ];
       (name, r))
     items

@@ -49,30 +49,15 @@ type racer = {
       (** Luby restart unit override ([None] keeps the solver default).
           Distinct units diversify restart schedules across the ensemble,
           so the racers learn different clauses. *)
-  r_conflicts : int option;
-      (** per-racer per-instance conflict budget; combined (min) with the
-          run-wide budget.  A racer that burns it loses the round and
-          becomes a rotation candidate. *)
-  r_seconds : float option;
-      (** per-racer per-instance seconds budget, combined like
-          [r_conflicts] *)
 }
 
-val racer :
-  ?restart_base:int ->
-  ?conflicts:int ->
-  ?seconds:float ->
-  name:string ->
-  Bmc.Session.mode ->
-  racer
+val racer : ?restart_base:int -> name:string -> Bmc.Session.mode -> racer
 (** Smart constructor.  Heuristics with hook state ({!Bmc.Session.Custom})
     must not be shared between racers — build each racer's mode freshly
-    (e.g. one {!Ordering.mode_of_name} call per racer).
-    @raise Invalid_argument on a non-positive budget. *)
+    (e.g. one {!Ordering.mode_of_name} call per racer). *)
 
 val create_race :
   ?racers:racer list ->
-  ?rotation:racer list ->
   pool:Pool.t ->
   Bmc.Session.config ->
   Circuit.Netlist.t ->
@@ -80,16 +65,14 @@ val create_race :
   race
 (** [racers] defaults to the paper's three orderings with diversified
     Luby restart units: ["standard"]/64, ["static"]/100, ["dynamic"]/150.
-    [rotation] is the queue of untried roster entries for adaptive racer
-    rotation: at the end of a round, every losing racer that exhausted its
-    {e own} per-racer budget (rather than being cancelled by the winner)
-    is recycled onto the next queue entry — its persistent session is
-    dropped and the replacement heuristic takes over the slot from the
-    next depth.  The [config]'s [mode] field is ignored (each racer gets
-    its own); its budget, COI, weighting, max_depth and telemetry apply to
-    every racer, and [collect_cores] is forced on so the winner always has
-    a core to contribute.  Racer [i] is pinned to pool worker [i mod Pool.size pool];
-    with fewer workers than racers the race serialises gracefully.
+    The roster is fixed for the race's lifetime: every racer keeps its slot
+    and its persistent session from the first depth to the last.  The
+    [config]'s [mode] field is ignored (each racer gets its own); its
+    budget, COI, weighting, max_depth and telemetry apply to every racer,
+    and [collect_cores] is forced on so the winner always has a core to
+    contribute.  Racer [i] is pinned to pool worker
+    [i mod Pool.size pool]; with fewer workers than racers the race
+    serialises gracefully.
     @raise Invalid_argument if the ensemble is empty. *)
 
 type race_stat = {
@@ -106,14 +89,12 @@ type race_stat = {
           actually steered depth k+1 *)
   attempts : (string * Sat.Solver.outcome) list;
       (** every racer's (name, outcome), in slot order ([Unknown] for
-          cancelled losers); names are the round's, before any rotation *)
+          cancelled losers) *)
   wall : float;  (** wall-clock seconds for the whole round *)
   cancelled : int;  (** losers that were cancelled mid-solve *)
   max_cancel_latency : float;
       (** slowest observed cancel-to-exit wall latency this round (0 when
           nothing was cancelled) *)
-  rotated : int;
-      (** slots recycled onto the rotation queue at the end of this round *)
   trace : Bmc.Trace.t option;  (** the winner's counterexample, if SAT *)
 }
 
@@ -123,34 +104,27 @@ val race_depth : race -> k:int -> race_stat
     must strictly increase across calls (the racers' persistent sessions
     require it).  Emits one "race" telemetry event per round, a
     ["race.win.<name>"] counter for the winner, a ["race.cancelled"]
-    counter, one ["cancel_latency"] span per cancelled loser and one
-    ["rotate"] event per recycled slot.  Each racer emits
-    ["racer_start"] and ["racer_win"] / ["racer_cancel"] events
-    [{depth, slot}] on its own worker, so a flight recorder teed into the
-    handle files them in that worker's ring. *)
+    counter and one ["cancel_latency"] span per cancelled loser.  Each
+    racer emits ["racer_start"] and ["racer_win"] / ["racer_cancel"]
+    events [{depth, slot}] on its own worker, so a flight recorder teed
+    into the handle files them in that worker's ring. *)
 
 val race_wins : race -> (string * int) list
-(** Win tallies per racer name, in first-appearance order (roster first,
-    then rotation entries as they come into play).  Coordinator-only,
+(** Win tallies per racer name, in roster order.  Coordinator-only,
     between rounds. *)
-
-val race_rotated : race -> int
-(** Total rotations performed so far.  Coordinator-only, between rounds. *)
 
 type result = {
   verdict : Bmc.Session.verdict;
   per_depth : race_stat list;  (** ascending depth *)
   total_wall : float;
   wins : (string * int) list;
-      (** race wins per racer name, first-appearance order (includes
-          zero-win racers and rotated-in heuristics) *)
-  rotated : int;  (** total racer rotations over the run *)
+      (** race wins per racer name, roster order (includes zero-win
+          racers) *)
 }
 
 val check_race :
   ?config:Bmc.Session.config ->
   ?racers:racer list ->
-  ?rotation:racer list ->
   pool:Pool.t ->
   Circuit.Netlist.t ->
   property:Circuit.Netlist.node ->
@@ -170,11 +144,14 @@ val check_batch :
   ?config:Bmc.Session.config ->
   ?policy:Bmc.Session.policy ->
   pool:Pool.t ->
-  (string * Circuit.Netlist.t * Circuit.Netlist.node) list ->
+  (string * Circuit.Netlist.t * Circuit.Netlist.node * int) list ->
   (string * Bmc.Session.result) list
-(** Check many properties concurrently: one job per named property on the
-    pool's shared queue, each running the plain sequential
-    {!Bmc.Session.check} (policy defaults to [Persistent]) on whichever
-    worker steals it.  Results come back in input order, and each is
-    bit-identical to a sequential run of the same property.  Emits one ["batch_item"] telemetry span per property (wall
-    seconds, tagged with the property's name). *)
+(** Check many properties concurrently: one job per
+    [(name, netlist, property, max_depth)] item on the pool's shared
+    queue, each running the plain sequential {!Bmc.Session.check}
+    (policy defaults to [Persistent]) on whichever worker steals it.
+    Every item runs under [config] with its own [max_depth] in place of
+    the config's.  Results come back in input order, and each is
+    bit-identical to a sequential run of the same property.  Emits one
+    ["batch_item"] telemetry span per property (wall seconds, its
+    [property] field the item's name). *)

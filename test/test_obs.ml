@@ -288,9 +288,11 @@ let test_ledger_of_live_aggregate () =
         (List.map (fun (row : L.race_row) -> row.L.r_depth) live.L.races);
       Alcotest.(check bool) "wins tallied" true (live.L.wins <> []))
 
-(* A two-depth ledger in the bmc-ledger/v1 file format as builds with
-   clause sharing wrote it, [share] member included: it still loads, and
-   the per-depth table prints every header over its column. *)
+(* A two-depth ledger in the bmc-ledger/v1 file format as older builds
+   wrote it: a [share] member from the builds with clause sharing and a
+   race row carrying a member the schema no longer names.  It still
+   loads, the per-depth table prints every header over its column, and
+   the race tally reads only the members the schema names. *)
 let golden_ledger =
   {|{
   "schema": "bmc-ledger/v1",
@@ -307,11 +309,14 @@ let golden_ledger =
      "build_s": 0.5, "solve_s": 1.25, "bcp_s": 0.75, "cdg_s": 0.0,
      "inpr_elim": 0, "inpr_sub": 0, "inpr_str": 0, "inpr_probe_failed": 0, "inpr_s": 0.0}
   ],
-  "races": [],
+  "races": [
+    {"depth": 0, "winner": "dynamic", "wall_s": 0.05, "cancelled": 1, "rotated": 1,
+     "racers": "dynamic,chb"}
+  ],
   "restarts": 4,
   "switches": 1,
   "share": {"exported": 7, "imported": 4, "rejected_tainted": 1, "dropped_stale": 2},
-  "wins": {}
+  "wins": {"dynamic": 1}
 }|}
 
 let golden_table =
@@ -335,7 +340,15 @@ let test_depth_table_golden () =
     Alcotest.(check int) "two depth rows" 2 (List.length ledger.L.depths);
     Alcotest.(check int) "restarts" 4 ledger.L.restarts;
     Alcotest.(check string) "per-depth table" golden_table
-      (Format.asprintf "%a" L.pp_depth_table ledger)
+      (Format.asprintf "%a" L.pp_depth_table ledger);
+    (match ledger.L.races with
+    | [ race ] ->
+      Alcotest.(check (list string)) "race roster" [ "dynamic"; "chb" ] race.L.r_racers
+    | races -> Alcotest.failf "expected 1 race row, got %d" (List.length races));
+    let report = Format.asprintf "%a" L.pp_effectiveness ledger in
+    Alcotest.(check bool) "race tally: cancellations and wins only" true
+      (List.mem "  races             : 1 (cancelled racers 1; wins: dynamic 1)"
+         (String.split_on_char '\n' report))
 
 (* ------------------------------------------------------------------ *)
 (* Diff.                                                               *)
@@ -362,6 +375,50 @@ let test_diff_identical_is_empty () =
   in
   Alcotest.(check int) "identical portfolio ledgers diff clean" 0
     (List.length (L.diff racers racers))
+
+(* A race ledger holds one row per racer per depth.  Who finishes first is
+   timing: a loser reads "unknown" when the winner cancelled it and
+   "unsat" when it finished too, so two runs of one race differ in the
+   losers' rows.  Only the depth's verdict — the definitive outcome any of
+   its rows reports — may fail the diff. *)
+let test_diff_keys_race_verdicts () =
+  let ledger, _ = run_ledger () in
+  let race ~loser =
+    {
+      ledger with
+      L.depths =
+        List.concat_map
+          (fun (d : L.depth_row) ->
+            [
+              { d with L.l_mode = "static" };
+              { d with L.l_mode = "dynamic"; l_outcome = loser d };
+            ])
+          ledger.L.depths;
+    }
+  in
+  let cancelled = race ~loser:(fun _ -> "unknown") in
+  let finished = race ~loser:(fun d -> if d.L.l_depth = 2 then d.L.l_outcome else "unknown") in
+  let fails a b = List.filter (fun f -> f.L.severity = L.Fail) (L.diff a b) in
+  Alcotest.(check int) "a loser's outcome flip is no Fail" 0
+    (List.length (fails cancelled finished));
+  Alcotest.(check bool) "the flip is still a row warning" true
+    (L.diff cancelled finished <> []);
+  let aborted =
+    {
+      cancelled with
+      L.depths =
+        List.map
+          (fun (d : L.depth_row) ->
+            if d.L.l_depth = 2 then { d with L.l_outcome = "unknown" } else d)
+          cancelled.L.depths;
+    }
+  in
+  match fails cancelled aborted with
+  | [ f ] ->
+    Alcotest.(check string) "the flipped verdict fails"
+      "FAIL depth 2 verdict changed: unsat -> unknown"
+      (Format.asprintf "%a" L.pp_finding f)
+  | fs -> Alcotest.failf "expected one Fail, got %d" (List.length fs)
 
 let test_diff_flags_regressions () =
   let ledger, _ = run_ledger () in
@@ -466,6 +523,7 @@ let tests =
       test_ledger_of_live_aggregate;
     Alcotest.test_case "diff of identical runs is empty" `Quick test_diff_identical_is_empty;
     Alcotest.test_case "diff fails on outcome change" `Quick test_diff_flags_regressions;
+    Alcotest.test_case "diff keys races on depth verdicts" `Quick test_diff_keys_race_verdicts;
     Alcotest.test_case "prometheus export names its metrics" `Quick test_prom_render;
     Alcotest.test_case "json codec round-trips and rejects garbage" `Quick
       test_json_roundtrip;

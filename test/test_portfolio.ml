@@ -235,43 +235,6 @@ let test_race_custom_racers () =
       in
       Alcotest.(check string) "outcome string" (session_outcomes seq) (race_outcomes par))
 
-(* Adaptive rotation: a lone racer with a one-conflict budget cannot be
-   cancelled (there is no winner to cancel it), so the first depth whose
-   instance needs more than one conflict deterministically exhausts the
-   budget and recycles the slot onto the rotation queue. *)
-let test_race_rotation () =
-  let case = Circuit.Generators.parity_pipe ~stages:12 () in
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let starved name = Portfolio.racer ~name ~conflicts:1 Bmc.Session.Standard in
-      let race =
-        Portfolio.create_race
-          ~racers:[ starved "starved0" ]
-          ~rotation:[ starved "rot1"; starved "rot2" ]
-          ~pool (race_config ~max_depth:24) case.netlist ~property:case.property
-      in
-      let rotations = ref [] in
-      let rec drive k =
-        if k <= 24 && Portfolio.race_rotated race < 1 then begin
-          let rs = Portfolio.race_depth race ~k in
-          if rs.Portfolio.rotated > 0 then rotations := rs :: !rotations;
-          drive (k + 1)
-        end
-      in
-      drive 0;
-      Alcotest.(check bool) "rotation fired" true (Portfolio.race_rotated race >= 1);
-      (* per-round counts account for the run total *)
-      Alcotest.(check int) "per-round rotation counts sum"
-        (Portfolio.race_rotated race)
-        (List.fold_left
-           (fun acc (rs : Portfolio.race_stat) -> acc + rs.Portfolio.rotated)
-           0 !rotations);
-      (* the rotated-in heuristic is tallied (zero wins so far), the
-         recycled slot keeps its history *)
-      let names = List.map fst (Portfolio.race_wins race) in
-      List.iter
-        (fun n -> Alcotest.(check bool) (n ^ " tallied") true (List.mem n names))
-        [ "starved0"; "rot1" ])
-
 (* ------------------------------------------------------------------ *)
 (* The deterministic-portfolio differential (satellite): outcomes at     *)
 (* --jobs 2 and 4 must equal the sequential run, per engine.            *)
@@ -303,7 +266,7 @@ let test_batch_differential_engine () =
             Portfolio.check_batch ~pool ~config
               (List.map
                  (fun (case : Circuit.Generators.case) ->
-                   (case.name, case.netlist, case.property))
+                   (case.name, case.netlist, case.property, config.Bmc.Session.max_depth))
                  cases)
           in
           List.iter2
@@ -365,18 +328,32 @@ let test_batch_differential_ltl () =
             seq batch))
     [ 2; 4 ]
 
+(* Each item carries its own bound: the batch must hand every property its
+   own max depth and return the results in input order. *)
 let test_batch_results_in_input_order () =
   let cases = differential_cases () in
+  (* all below the failing cases' counterexample depths, so every item
+     ends in a bounded pass at exactly its own bound *)
+  let depths = [ 2; 3; 5; 4 ] in
   Pool.with_pool ~jobs:4 (fun pool ->
       let results =
-        Portfolio.check_batch ~pool ~config:(race_config ~max_depth:5)
-          (List.map
-             (fun (case : Circuit.Generators.case) -> (case.name, case.netlist, case.property))
-             cases)
+        Portfolio.check_batch ~pool ~config:(race_config ~max_depth:6)
+          (List.map2
+             (fun (case : Circuit.Generators.case) depth ->
+               (case.name, case.netlist, case.property, depth))
+             cases depths)
       in
       Alcotest.(check (list string)) "names in input order"
         (List.map (fun (case : Circuit.Generators.case) -> case.name) cases)
-        (List.map fst results))
+        (List.map fst results);
+      List.iter2
+        (fun depth (name, (r : Bmc.Session.result)) ->
+          (match r.verdict with
+          | Bmc.Session.Bounded_pass k -> Alcotest.(check int) (name ^ " bound") depth k
+          | _ -> Alcotest.failf "%s: expected a bounded pass at depth %d" name depth);
+          Alcotest.(check int) (name ^ " depths checked") (depth + 1)
+            (List.length r.per_depth))
+        depths results)
 
 let tests =
   [
@@ -395,7 +372,6 @@ let tests =
     Alcotest.test_case "race seconds are wall-clock" `Quick test_race_times_on_the_wall_clock;
     Alcotest.test_case "race depths must increase" `Quick test_race_depth_must_increase;
     Alcotest.test_case "custom racer ensembles" `Quick test_race_custom_racers;
-    Alcotest.test_case "adaptive racer rotation" `Quick test_race_rotation;
     Alcotest.test_case "differential: engine (jobs 2/4)" `Quick test_batch_differential_engine;
     Alcotest.test_case "differential: induction (jobs 2/4)" `Quick
       test_batch_differential_induction;
