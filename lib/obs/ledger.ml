@@ -361,10 +361,18 @@ let diff ?(warn_pct = 25.0) (a : t) (b : t) =
   in
   let tbl_a = keyed a.depths in
   let tbl_b = keyed b.depths in
-  (* A depth's verdict is what the instance is: the definitive outcome any
-     row at that depth reports (a race's winner), or "unknown" when none
-     does.  A losing racer's row reads "unknown" when it was cancelled and
-     "unsat" when it finished first, so only the verdict is a Fail. *)
+  (* A race writes one row per racer per depth, and which losers finish
+     before the winner cancels them is timing: a loser's row flips between
+     a definitive outcome and "unknown" from run to run.  So at a depth
+     either ledger raced, the Fail is keyed on the depth's verdict — the
+     definitive outcome any of its rows reports, or "unknown" when none
+     does — and such a row flip is a warning.  Racers never disagree on
+     sat versus unsat, so a row flipping between those fails anywhere.  At
+     every other depth (a single run, an induction ledger's step and base
+     rows, a batch's properties) each row's outcome is its own verdict. *)
+  let raced k =
+    List.exists (fun r -> r.r_depth = k) a.races || List.exists (fun r -> r.r_depth = k) b.races
+  in
   let verdict t k =
     match List.find_opt (fun d -> d.l_depth = k && d.l_outcome <> "unknown") t.depths with
     | Some d -> d.l_outcome
@@ -372,7 +380,7 @@ let diff ?(warn_pct = 25.0) (a : t) (b : t) =
   in
   List.sort_uniq compare (List.map (fun d -> d.l_depth) a.depths)
   |> List.iter (fun k ->
-         if List.exists (fun d -> d.l_depth = k) b.depths then begin
+         if raced k && List.exists (fun d -> d.l_depth = k) b.depths then begin
            let va = verdict a k and vb = verdict b k in
            if va <> vb then add Fail "depth %d verdict changed: %s -> %s" k va vb
          end);
@@ -381,9 +389,12 @@ let diff ?(warn_pct = 25.0) (a : t) (b : t) =
       match List.assoc_opt key tbl_b with
       | None -> add Warn "depth %d present only in baseline" k
       | Some db ->
-        if da.l_outcome <> db.l_outcome then
-          add Warn "depth %d %s row outcome changed: %s -> %s" k mode da.l_outcome
-            db.l_outcome;
+        if da.l_outcome <> db.l_outcome then begin
+          if raced k && (da.l_outcome = "unknown" || db.l_outcome = "unknown") then
+            add Warn "depth %d %s row outcome changed: %s -> %s" k mode da.l_outcome
+              db.l_outcome
+          else add Fail "depth %d outcome changed: %s -> %s" k da.l_outcome db.l_outcome
+        end;
         if pct_drift da.l_decisions db.l_decisions > warn_pct then
           add Warn "depth %d decisions drifted %d -> %d (>%.0f%%)" k da.l_decisions
             db.l_decisions warn_pct;

@@ -129,16 +129,20 @@ type severity = Fail | Warn
 type finding = { severity : severity; message : string }
 
 val diff : ?warn_pct:float -> t -> t -> finding list
-(** [diff baseline candidate]: [Fail] on a changed depth verdict — the
-    definitive outcome any row at that depth reports, or ["unknown"] when
-    none does — for every depth both ledgers hold.  A race writes one row
-    per racer per depth, and a loser's row flips between ["unsat"] and
-    ["unknown"] with who finished first, so row-level drift is a [Warn]:
-    a row's outcome changing, decision/conflict drift beyond [warn_pct]
-    (default 25%), a candidate core growing past the baseline's by more
-    than [warn_pct], a row present on only one side, a fallback firing
-    differently, or the rank-guided share moving more than 10 points.
-    Rows pair by (depth, mode, occurrence).  Two equal ledgers produce
-    []. *)
+(** [diff baseline candidate]: [Fail] on a row's outcome changing, rows
+    paired by (depth, mode, occurrence).  At a depth either ledger holds
+    a race row for, the rows are racers on one instance, and a loser's
+    row flips between a definitive outcome and ["unknown"] with who
+    finished first: there such a flip is a [Warn], and the [Fail] is on
+    the depth verdict instead — the definitive outcome any row at that
+    depth reports, or ["unknown"] when none does.  A row flipping between
+    ["sat"] and ["unsat"] fails at every depth.  Elsewhere each row is its
+    own instance (an induction ledger's step and base rows, a batch's
+    properties), so every row flip fails.  [Warn] also on
+    decision/conflict drift beyond [warn_pct] (default 25%), a candidate
+    core growing past the baseline's by more than [warn_pct], a row
+    present on only one side, a fallback firing differently, or the
+    rank-guided share moving more than 10 points.  Two equal ledgers
+    produce []. *)
 
 val pp_finding : Format.formatter -> finding -> unit

@@ -269,8 +269,6 @@ type result = {
   wins : (string * int) list;
 }
 
-let race_wins race = List.map (fun (n, c) -> (n, !c)) race.r_wins
-
 let check_race ?(config = Session.default_config) ?racers ~pool netlist ~property =
   let race = create_race ?racers ~pool config netlist ~property in
   let per_depth = ref [] in
@@ -280,7 +278,7 @@ let check_race ?(config = Session.default_config) ?racers ~pool netlist ~propert
       verdict;
       per_depth = List.rev !per_depth;
       total_wall = Pool.wall () -. t0;
-      wins = race_wins race;
+      wins = List.map (fun (n, c) -> (n, !c)) race.r_wins;
     }
   in
   let rec loop k =

@@ -109,10 +109,6 @@ val race_depth : race -> k:int -> race_stat
     events [{depth, slot}] on its own worker, so a flight recorder teed
     into the handle files them in that worker's ring. *)
 
-val race_wins : race -> (string * int) list
-(** Win tallies per racer name, in roster order.  Coordinator-only,
-    between rounds. *)
-
 type result = {
   verdict : Bmc.Session.verdict;
   per_depth : race_stat list;  (** ascending depth *)

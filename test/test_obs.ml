@@ -376,14 +376,36 @@ let test_diff_identical_is_empty () =
   Alcotest.(check int) "identical portfolio ledgers diff clean" 0
     (List.length (L.diff racers racers))
 
-(* A race ledger holds one row per racer per depth.  Who finishes first is
-   timing: a loser reads "unknown" when the winner cancelled it and
-   "unsat" when it finished too, so two runs of one race differ in the
-   losers' rows.  Only the depth's verdict — the definitive outcome any of
-   its rows reports — may fail the diff. *)
+let fails a b = List.filter (fun f -> f.L.severity = L.Fail) (L.diff a b)
+
+let rendered findings = List.map (Format.asprintf "%a" L.pp_finding) findings
+
+(* Rewrites the outcome of the [nth] row (0-based) at depth [k]. *)
+let set_outcome ~k ~nth outcome (t : L.t) =
+  let seen = ref 0 in
+  {
+    t with
+    L.depths =
+      List.map
+        (fun (d : L.depth_row) ->
+          if d.L.l_depth <> k then d
+          else begin
+            let i = !seen in
+            incr seen;
+            if i = nth then { d with L.l_outcome = outcome } else d
+          end)
+        t.L.depths;
+  }
+
+(* A race ledger holds one row per racer per depth and one race row per
+   depth.  Who finishes first is timing: a loser reads "unknown" when the
+   winner cancelled it and "unsat" when it finished too, so two runs of
+   one race differ in the losers' rows.  At a raced depth only the
+   depth's verdict — the definitive outcome any of its rows reports — and
+   a row flipping between sat and unsat may fail the diff. *)
 let test_diff_keys_race_verdicts () =
   let ledger, _ = run_ledger () in
-  let race ~loser =
+  let cancelled =
     {
       ledger with
       L.depths =
@@ -391,34 +413,56 @@ let test_diff_keys_race_verdicts () =
           (fun (d : L.depth_row) ->
             [
               { d with L.l_mode = "static" };
-              { d with L.l_mode = "dynamic"; l_outcome = loser d };
+              { d with L.l_mode = "dynamic"; l_outcome = "unknown" };
             ])
+          ledger.L.depths;
+      races =
+        List.map
+          (fun (d : L.depth_row) ->
+            {
+              L.r_depth = d.L.l_depth;
+              r_winner = "static";
+              r_wall_s = 0.0;
+              r_cancelled = 1;
+              r_racers = [ "static"; "dynamic" ];
+            })
           ledger.L.depths;
     }
   in
-  let cancelled = race ~loser:(fun _ -> "unknown") in
-  let finished = race ~loser:(fun d -> if d.L.l_depth = 2 then d.L.l_outcome else "unknown") in
-  let fails a b = List.filter (fun f -> f.L.severity = L.Fail) (L.diff a b) in
-  Alcotest.(check int) "a loser's outcome flip is no Fail" 0
-    (List.length (fails cancelled finished));
-  Alcotest.(check bool) "the flip is still a row warning" true
-    (L.diff cancelled finished <> []);
-  let aborted =
+  let finished = set_outcome ~k:2 ~nth:1 "unsat" cancelled in
+  Alcotest.(check (list string)) "a loser's outcome flip is no Fail" []
+    (rendered (fails cancelled finished));
+  Alcotest.(check (list string)) "the flip is a row warning"
+    [ "WARN depth 2 dynamic row outcome changed: unknown -> unsat" ]
+    (rendered (L.diff cancelled finished));
+  Alcotest.(check (list string)) "the flipped verdict fails"
+    [ "FAIL depth 2 verdict changed: unsat -> unknown" ]
+    (rendered (fails cancelled (set_outcome ~k:2 ~nth:0 "unknown" cancelled)));
+  Alcotest.(check (list string)) "a loser flipping unsat -> sat fails"
+    [ "FAIL depth 2 outcome changed: unsat -> sat" ]
+    (rendered (fails finished (set_outcome ~k:2 ~nth:1 "sat" finished)))
+
+(* Outside a race several rows at one depth are separate instances: an
+   induction ledger writes step(j) and then base(j) at depth j in one
+   mode, and a batch writes one row per property.  The step row's "sat"
+   must not stand in for the base row, so every base flip fails. *)
+let test_diff_fails_unraced_rows () =
+  let ledger, _ = run_ledger () in
+  let induction =
     {
-      cancelled with
+      ledger with
       L.depths =
-        List.map
-          (fun (d : L.depth_row) ->
-            if d.L.l_depth = 2 then { d with L.l_outcome = "unknown" } else d)
-          cancelled.L.depths;
+        List.concat_map
+          (fun (d : L.depth_row) -> [ { d with L.l_outcome = "sat" }; d ])
+          ledger.L.depths;
     }
   in
-  match fails cancelled aborted with
-  | [ f ] ->
-    Alcotest.(check string) "the flipped verdict fails"
-      "FAIL depth 2 verdict changed: unsat -> unknown"
-      (Format.asprintf "%a" L.pp_finding f)
-  | fs -> Alcotest.failf "expected one Fail, got %d" (List.length fs)
+  Alcotest.(check (list string)) "base unsat -> sat fails"
+    [ "FAIL depth 2 outcome changed: unsat -> sat" ]
+    (rendered (fails induction (set_outcome ~k:2 ~nth:1 "sat" induction)));
+  Alcotest.(check (list string)) "base unsat -> unknown fails"
+    [ "FAIL depth 2 outcome changed: unsat -> unknown" ]
+    (rendered (fails induction (set_outcome ~k:2 ~nth:1 "unknown" induction)))
 
 let test_diff_flags_regressions () =
   let ledger, _ = run_ledger () in
@@ -524,6 +568,7 @@ let tests =
     Alcotest.test_case "diff of identical runs is empty" `Quick test_diff_identical_is_empty;
     Alcotest.test_case "diff fails on outcome change" `Quick test_diff_flags_regressions;
     Alcotest.test_case "diff keys races on depth verdicts" `Quick test_diff_keys_race_verdicts;
+    Alcotest.test_case "diff fails unraced row flips" `Quick test_diff_fails_unraced_rows;
     Alcotest.test_case "prometheus export names its metrics" `Quick test_prom_render;
     Alcotest.test_case "json codec round-trips and rejects garbage" `Quick
       test_json_roundtrip;
