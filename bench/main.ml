@@ -528,9 +528,8 @@ let complement () =
    state — so outcomes, core-variable sets and search counters are stable
    across runs and machines, and only the time/allocation fields move.
    [quick] writes the snapshot (BENCH_quick.json); [quick-check] re-runs and
-   fails if any outcome diverges from the snapshot, or, on the rows that do
-   not race, any core-variable set or search counter (decisions, conflicts,
-   propagations). *)
+   fails if any outcome, core-variable set or search counter (decisions,
+   conflicts, propagations) diverges from the snapshot. *)
 
 let quick_budget =
   { Sat.Solver.max_conflicts = Some 200_000; max_propagations = None; max_seconds = None; stop = None }
@@ -559,12 +558,8 @@ type quick_row = {
   q_build : float; (* instance construction: unroll/deltas + solver setup *)
   q_bcp : float;
   q_solve : float;
-  q_wall : float; (* wall-clock for the whole depth sweep; the only time that
-                     is comparable across sequential and portfolio rows *)
+  q_wall : float; (* wall-clock for the whole depth sweep *)
 }
-
-(* Worker count for the portfolio rows; [--jobs N] on the command line. *)
-let quick_jobs = ref 3
 
 let quick_mix h x = ((h * 131) + x) land 0x3FFFFFFF
 
@@ -632,12 +627,11 @@ let quick_cores_case ((case : Circuit.Generators.case), _) =
    clauses survive and cores may name activation variables — so each
    substrate is compared against its own snapshot history.  [mode]/[suffix]
    default to the snapshot row; the Static/Dynamic instantiations
-   ([+static] / [+dynamic]) are the per-ordering sequential baselines the
-   portfolio rows race against — snapshotted and gated like every other
-   sequential row, since their orderings are deterministic functions of the
-   (deterministic) core sequence.  [~policy:Fresh] with no suffix gives the
-   per-depth-rebuild rows (the seed engines' behaviour: a fresh solver over
-   the whole instance at every depth). *)
+   ([+static] / [+dynamic]) are the per-ordering baselines — snapshotted
+   and gated like every other row, since their orderings are deterministic
+   functions of the (deterministic) core sequence.  [~policy:Fresh] with no
+   suffix gives the per-depth-rebuild rows (the seed engines' behaviour: a
+   fresh solver over the whole instance at every depth). *)
 let quick_run_case_session ?(policy = Bmc.Session.Persistent) ?(mode = Bmc.Session.Standard)
     ?(suffix = "+session") ?inprocess ?core_mode ?coremin_budget ?unsat_tail ?inpr_totals
     ?cores_totals ?dec_split ((case : Circuit.Generators.case), depth) =
@@ -710,68 +704,6 @@ let quick_run_case_session ?(policy = Bmc.Session.Persistent) ?(mode = Bmc.Sessi
     q_wall = Portfolio.Pool.wall () -. w0;
   }
 
-(* The portfolio substrate: race the three orderings per depth on a worker
-   pool (Mode A).  The verdict at each depth is a property of the instance,
-   so the outcome string is deterministic and gated like any other row — but
-   WHICH racer wins a round is timing-dependent, and the winner's core is
-   what re-ranks the shared score, so core hashes and search counters are
-   not reproducible.  The rows still record the winners' real core hash and
-   BCP split (they fingerprint which cores steered the shared ranking on
-   THIS run); quick-check gates portfolio rows on outcomes only. *)
-let quick_run_case_portfolio pool ((case : Circuit.Generators.case), depth) =
-  let config =
-    Bmc.Session.make_config ~budget:quick_budget ~max_depth:depth ~collect_cores:true
-      ~telemetry:tel ()
-  in
-  let race = Portfolio.create_race ~pool config case.netlist ~property:case.property in
-  let buf = Buffer.create (depth + 1) in
-  let hash = ref 7 in
-  let dec = ref 0 and confl = ref 0 and props = ref 0 in
-  let build = ref 0.0 and bcp = ref 0.0 and slv = ref 0.0 in
-  let w0 = Portfolio.Pool.wall () in
-  for k = 0 to depth do
-    let rs = Portfolio.race_depth race ~k in
-    let st = rs.Portfolio.stat in
-    (match st.Bmc.Session.outcome with
-    | Sat.Solver.Sat -> Buffer.add_char buf 's'
-    | Sat.Solver.Unsat ->
-      Buffer.add_char buf 'u';
-      (* the winner's core — the set that re-ranked the shared score *)
-      hash := quick_mix !hash (k + 1);
-      List.iter (fun v -> hash := quick_mix !hash v) rs.Portfolio.core_vars
-    | Sat.Solver.Unknown -> Buffer.add_char buf '?');
-    dec := !dec + st.Bmc.Session.decisions;
-    confl := !confl + st.Bmc.Session.conflicts;
-    props := !props + st.Bmc.Session.implications;
-    build := !build +. st.Bmc.Session.build_time;
-    bcp := !bcp +. st.Bmc.Session.bcp_time;
-    slv := !slv +. st.Bmc.Session.time
-  done;
-  {
-    q_name = case.name ^ "+portfolio";
-    q_outcomes = Buffer.contents buf;
-    q_core_hash = !hash;
-    q_decisions = !dec;
-    q_conflicts = !confl;
-    q_propagations = !props;
-    q_build = !build;
-    q_bcp = !bcp; (* the winning racers' BCP split, summed over depths *)
-    q_solve = !slv;
-    q_wall = Portfolio.Pool.wall () -. w0;
-  }
-
-(* Per-ordering sequential walls vs the racing wall, for the speedup line
-   and the snapshot's "portfolio" block.  [p_cores] is the machine's
-   detected core count: on fewer than two cores the racers are
-   time-sliced, so the recorded speedup is < 1 by construction and
-   quick-check skips the speedup gate. *)
-type quick_portfolio_summary = {
-  p_jobs : int;
-  p_cores : int; (* Domain.recommended_domain_count at run time *)
-  p_wall : float; (* total wall of the +portfolio rows *)
-  p_seq : (string * float) list; (* sequential session wall per ordering *)
-}
-
 (* Observability-overhead ablation for the snapshot: the same fixed session
    workload with the full tracing stack on (one event stream teed into a
    flight recorder and the aggregate a run ledger is read off) vs
@@ -833,12 +765,6 @@ let quick_observability () =
     o_overhead_pct = (if off > 0.0 then (on_ -. off) /. off *. 100.0 else 0.0);
   }
 
-let quick_best_seq psum =
-  List.fold_left
-    (fun (bn, bw) (n, w) -> if w < bw then (n, w) else (bn, bw))
-    ("standard", List.assoc "standard" psum.p_seq)
-    psum.p_seq
-
 (* The inprocess block's counters, in snapshot order. *)
 let quick_inpr_fields (t : quick_inpr_totals) =
   [
@@ -849,7 +775,7 @@ let quick_inpr_fields (t : quick_inpr_totals) =
     ("resolvents", t.i_resolvents);
   ]
 
-let quick_json rows ~alloc_mb ~portfolio:psum ~inprocess:isum ~cores:csum ~observability:osum =
+let quick_json rows ~alloc_mb ~inprocess:isum ~cores:csum ~observability:osum =
   let open Obs.Json in
   (* six decimals (microseconds for the timings) keep float noise out of the
      committed file *)
@@ -873,10 +799,9 @@ let quick_json rows ~alloc_mb ~portfolio:psum ~inprocess:isum ~cores:csum ~obser
   in
   let tot f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
   let toti f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let best_name, best_wall = quick_best_seq psum in
   Obj
     [
-      ("schema", Str "bench-quick/v10");
+      ("schema", Str "bench-quick/v11");
       ("cases", List (List.map case rows));
       ( "totals",
         Obj
@@ -889,16 +814,6 @@ let quick_json rows ~alloc_mb ~portfolio:psum ~inprocess:isum ~cores:csum ~obser
             ("conflicts", Int (toti (fun r -> r.q_conflicts)));
             ("propagations", Int (toti (fun r -> r.q_propagations)));
             ("alloc_mb", num alloc_mb);
-          ] );
-      ( "portfolio",
-        Obj
-          [
-            ("jobs", Int psum.p_jobs);
-            ("cores", Int psum.p_cores);
-            ("wall_s", num psum.p_wall);
-            ("sequential_wall_s", floats psum.p_seq);
-            ("best_sequential", Str best_name);
-            ("speedup", num (if psum.p_wall > 0.0 then best_wall /. psum.p_wall else 0.0));
           ] );
       ( "inprocess",
         Obj
@@ -929,10 +844,9 @@ let quick_json rows ~alloc_mb ~portfolio:psum ~inprocess:isum ~cores:csum ~obser
 let quick_rows () =
   let a0 = Gc.allocated_bytes () in
   let cases = quick_cases () in
-  let jobs = !quick_jobs in
   (* the substrates over the same cases: per-depth rebuilds (a Fresh
-     session), the persistent incremental session (in all three orderings),
-     and the racing portfolio *)
+     session) and the persistent incremental session (in all three
+     orderings) *)
   let fresh = List.map (quick_run_case_session ~policy:Bmc.Session.Fresh ~suffix:"") cases in
   let inpr_tail_off = ref 0.0 in
   let session = List.map (quick_run_case_session ~unsat_tail:inpr_tail_off) cases in
@@ -946,8 +860,7 @@ let quick_rows () =
          ~unsat_tail:inpr_tail_on ~inpr_totals)
       cases
   in
-  (* per-ordering sequential baselines: snapshotted rows AND the walls the
-     portfolio speedup line compares against *)
+  (* per-ordering baselines *)
   let cores_tail_plain = ref 0.0 in
   let split_plain = (ref 0, ref 0) in
   let seq_static =
@@ -976,24 +889,6 @@ let quick_rows () =
          ~unsat_tail:cores_tail_min ~cores_totals ~dec_split:split_min)
       (List.filter quick_cores_case cases)
   in
-  let portfolio =
-    Portfolio.Pool.with_pool ~telemetry:tel ~jobs (fun pool ->
-        List.map (quick_run_case_portfolio pool) cases)
-  in
-  let wall_of rs = List.fold_left (fun a r -> a +. r.q_wall) 0.0 rs in
-  let psum =
-    {
-      p_jobs = jobs;
-      p_cores = Domain.recommended_domain_count ();
-      p_wall = wall_of portfolio;
-      p_seq =
-        [
-          ("standard", wall_of session);
-          ("static", wall_of seq_static);
-          ("dynamic", wall_of seq_dynamic);
-        ];
-    }
-  in
   let isum =
     { i_tail_off_s = !inpr_tail_off; i_tail_on_s = !inpr_tail_on; i_totals = inpr_totals }
   in
@@ -1012,7 +907,7 @@ let quick_rows () =
   in
   let osum = quick_observability () in
   let rows =
-    fresh @ session @ session_inpr @ seq_static @ seq_static_coremin @ seq_dynamic @ portfolio
+    fresh @ session @ session_inpr @ seq_static @ seq_static_coremin @ seq_dynamic
   in
   let alloc_mb = (Gc.allocated_bytes () -. a0) /. (1024.0 *. 1024.0) in
   Printf.printf "\n== bench quick: fixed small subset (deterministic outcomes) ==\n\n";
@@ -1038,17 +933,6 @@ let quick_rows () =
   Printf.printf
     "\n   instance build time: fresh %.3fs (O(k^2) rebuilds), session %.3fs (frame deltas)\n"
     (build_of fresh) (build_of session);
-  let best_name, best_wall = quick_best_seq psum in
-  Printf.printf
-    "   portfolio (%d workers): %.3fs wall vs best sequential ordering (%s) %.3fs — %.2fx\n"
-    jobs psum.p_wall best_name best_wall
-    (if psum.p_wall > 0.0 then best_wall /. psum.p_wall else 0.0);
-  let hw = Domain.recommended_domain_count () in
-  if hw < jobs then
-    Printf.printf
-      "   (note: %d worker domains on %d hardware thread(s) — racers are time-sliced, so\n\
-      \    the race cannot beat sequential here; speedup > 1 needs >= %d cores)\n"
-      jobs hw jobs;
   Printf.printf
     "   inprocessing: UNSAT-tail solve %.3fs off vs %.3fs on; eliminated=%d subsumed=%d \
      strengthened=%d probe_failed=%d resolvents=%d\n"
@@ -1070,9 +954,6 @@ let quick_rows () =
   Telemetry.gauge tel "quick.alloc_mb" alloc_mb;
   Telemetry.gauge tel "quick.decisions"
     (float_of_int (List.fold_left (fun a r -> a + r.q_decisions) 0 rows));
-  Telemetry.gauge tel "quick.portfolio.wall_s" psum.p_wall;
-  Telemetry.gauge tel "quick.portfolio.speedup"
-    (if psum.p_wall > 0.0 then best_wall /. psum.p_wall else 0.0);
   Telemetry.gauge tel "quick.observability.overhead_pct" osum.o_overhead_pct;
   Telemetry.gauge tel "quick.inprocess.unsat_tail_off_s" isum.i_tail_off_s;
   Telemetry.gauge tel "quick.inprocess.unsat_tail_on_s" isum.i_tail_on_s;
@@ -1081,13 +962,11 @@ let quick_rows () =
   Telemetry.gauge tel "quick.cores.pre_clauses" (float_of_int cores_totals.c_pre);
   Telemetry.gauge tel "quick.cores.post_clauses" (float_of_int cores_totals.c_post);
   Telemetry.gauge tel "quick.cores.coremin_s" cores_totals.c_min_s;
-  (rows, alloc_mb, psum, isum, csum, osum)
+  (rows, alloc_mb, isum, csum, osum)
 
 let quick () =
-  let rows, alloc_mb, psum, isum, csum, osum = quick_rows () in
-  let doc =
-    quick_json rows ~alloc_mb ~portfolio:psum ~inprocess:isum ~cores:csum ~observability:osum
-  in
+  let rows, alloc_mb, isum, csum, osum = quick_rows () in
+  let doc = quick_json rows ~alloc_mb ~inprocess:isum ~cores:csum ~observability:osum in
   let oc = open_out quick_snapshot_file in
   output_string oc (Obs.Json.to_string ~indent:true doc);
   output_char oc '\n';
@@ -1106,17 +985,9 @@ let read_snapshot ~tool file =
   | text -> (
     match Obs.Json.of_string text with Ok d -> d | Error msg -> fail (file ^ ": " ^ msg))
 
-(* Rows whose counters are timing-dependent (racing portfolios: which racer
-   wins steers the shared ranking) are gated on outcomes only. *)
-let quick_timing_dependent name =
-  let sub = "+portfolio" in
-  let n = String.length sub and h = String.length name in
-  let rec at i = i + n <= h && (String.sub name i n = sub || at (i + 1)) in
-  at 0
-
 let quick_check () =
   let snapshot = read_snapshot ~tool:"quick-check" quick_snapshot_file in
-  let rows, _, psum, isum, csum, osum = quick_rows () in
+  let rows, _, isum, csum, osum = quick_rows () in
   let str j k = Option.bind (Obs.Json.member k j) Obs.Json.to_str in
   let int j k = Option.bind (Obs.Json.member k j) Obs.Json.to_int in
   let expected =
@@ -1146,31 +1017,29 @@ let quick_check () =
             (Option.value ~default:"?" outcomes)
             r.q_outcomes
         end;
-        if (not (quick_timing_dependent r.q_name)) && hash <> Some got_hash then begin
+        if hash <> Some got_hash then begin
           incr failures;
           Printf.eprintf "quick-check: %s core-variable sets diverge: snapshot %s, got %s\n"
             r.q_name
             (Option.value ~default:"?" hash)
             got_hash
         end;
-        (* the search itself is deterministic on these rows: a hot-path
-           change must reproduce it counter for counter *)
-        if not (quick_timing_dependent r.q_name) then
-          List.iter2
-            (fun (field, got) want ->
-              if want <> Some got then begin
-                incr failures;
-                Printf.eprintf "quick-check: %s %s diverge: snapshot %s, got %d\n" r.q_name
-                  field
-                  (match want with Some n -> string_of_int n | None -> "?")
-                  got
-              end)
-            [
-              ("decisions", r.q_decisions);
-              ("conflicts", r.q_conflicts);
-              ("propagations", r.q_propagations);
-            ]
-            counters)
+        (* the search itself is deterministic: a hot-path change must
+           reproduce it counter for counter *)
+        List.iter2
+          (fun (field, got) want ->
+            if want <> Some got then begin
+              incr failures;
+              Printf.eprintf "quick-check: %s %s diverge: snapshot %s, got %d\n" r.q_name field
+                (match want with Some n -> string_of_int n | None -> "?")
+                got
+            end)
+          [
+            ("decisions", r.q_decisions);
+            ("conflicts", r.q_conflicts);
+            ("propagations", r.q_propagations);
+          ]
+          counters)
     rows;
   (* the inprocessing counters are deterministic too (the default preset
      has no wall-clock slice): a change to the engine or its replay must
@@ -1191,9 +1060,8 @@ let quick_check () =
       (quick_inpr_fields isum.i_totals)
       want);
   (* cross-substrate gates: every substrate solves the same instance
-     sequence, so per-depth outcomes must agree exactly across the fresh,
-     session (all three orderings) and portfolio rows (which racer WON a
-     portfolio round is timing-dependent; the verdict is not) *)
+     sequence, so per-depth outcomes must agree exactly across the fresh
+     and session rows (all three orderings) *)
   let by_name = Hashtbl.create 16 in
   List.iter (fun r -> Hashtbl.replace by_name r.q_name r) rows;
   List.iter
@@ -1212,7 +1080,6 @@ let quick_check () =
           "+static";
           "+static+coremin";
           "+dynamic";
-          "+portfolio";
         ])
     rows;
   (* the core-minimisation gates: the minimised cores must be strictly
@@ -1248,26 +1115,6 @@ let quick_check () =
        plain vs %.1f%% minimised)\n"
       csum.c_rank_share_plain csum.c_rank_share_min
   end;
-  (* the portfolio speedup gate: with at least two detected cores the race
-     must not lose badly to the best sequential ordering; on fewer cores
-     the worker domains are time-sliced over one core, so the recorded
-     speedup is < 1 by construction and the gate is skipped with a note *)
-  if psum.p_cores >= 2 then begin
-    let _, best_wall = quick_best_seq psum in
-    let speedup = if psum.p_wall > 0.0 then best_wall /. psum.p_wall else 0.0 in
-    if speedup < 0.5 then begin
-      incr failures;
-      Printf.eprintf
-        "quick-check: portfolio speedup %.2fx on %d cores (gate: >= 0.5x of the best \
-         sequential ordering)\n"
-        speedup psum.p_cores
-    end
-  end
-  else
-    Printf.printf
-      "quick-check: note: %d core(s) detected — portfolio speedup gate skipped (racers \
-       are time-sliced, speedup < 1 by construction)\n"
-      psum.p_cores;
   (* the tracing-overhead gate: the flight recorder + ledger pipeline must
      stay within 5% of the bare wall (fresh measurement, best of 3) *)
   if osum.o_overhead_pct > 5.0 then begin
@@ -1283,8 +1130,7 @@ let quick_check () =
   end;
   Printf.printf
     "quick-check: all outcomes, core-variable sets, search and inprocessing counters match \
-     %s (fresh, session and portfolio agree; observability overhead %.1f%% within the 5%% \
-     gate)\n"
+     %s (fresh and session agree; observability overhead %.1f%% within the 5%% gate)\n"
     quick_snapshot_file osum.o_overhead_pct
 
 (* ------------------------------------------------------------------ *)
@@ -1596,16 +1442,15 @@ let micro () =
 
 let usage () =
   Printf.printf
-    "usage: main.exe [--jobs N] \
+    "usage: main.exe \
      [table1|fig6|fig7|overhead|ablation|complement|quick|quick-check|serve|serve-check|micro]...\n\
      with no arguments, runs every artefact except quick-check and serve-check.\n\
      quick       small fixed-seed subset; writes the BENCH_quick.json snapshot\n\
-     quick-check re-runs the quick subset and fails on any outcome divergence, or\n\
-    \             any core or search-counter divergence on the rows that do not race\n\
+     quick-check re-runs the quick subset and fails on any outcome, core or\n\
+    \             search-counter divergence\n\
      serve       cold/repeat/extend workload through the service layer;\n\
     \             writes the BENCH_serve.json snapshot\n\
-     serve-check re-runs the serve workload and fails on any divergence\n\
-     --jobs N    worker domains for the quick portfolio rows (default 3)\n"
+     serve-check re-runs the serve workload and fails on any divergence\n"
 
 let write_results () =
   let oc = open_out results_file in
@@ -1633,20 +1478,7 @@ let () =
     ]
   in
   let canonical = function "--quick" -> "quick" | "--quick-check" -> "quick-check" | a -> a in
-  (* peel off [--jobs N] (or -j N) anywhere on the line; the rest are artefacts *)
-  let rec strip = function
-    | [] -> []
-    | ("--jobs" | "-j") :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some j when j > 0 ->
-        quick_jobs := j;
-        strip rest
-      | Some _ | None ->
-        usage ();
-        exit 2)
-    | a :: rest -> canonical a :: strip rest
-  in
-  match strip (List.tl (Array.to_list Sys.argv)) with
+  match List.map canonical (List.tl (Array.to_list Sys.argv)) with
   | [] ->
     List.iter
       (fun (name, f) ->

@@ -3,10 +3,8 @@
    Checks the invariant property of a circuit (a .rnl netlist, an AIGER
    .aag/.aig file, or a named built-in benchmark) by bounded model checking
    with a selectable decision ordering, or proves it by k-induction.
-   With --portfolio a fixed roster of decision orderings (--order, default
-   the paper's three) races on a domain pool — first definitive answer per
-   depth wins; with several CIRCUIT arguments the properties are
-   batch-solved across the pool.
+   With several CIRCUIT arguments the properties are batch-solved across
+   a domain pool, one ordering per property.
    Exit codes: 10 = counterexample found, 20 = bounded pass / proved,
    0 = aborted on budget / undecided, 2 = input error.  A batch exits with
    the most severe code across its properties (10 over 0 over 20). *)
@@ -109,8 +107,7 @@ let parse_inprocess = function
       exit 2)
 
 (* Every ordering name resolves through the heuristic registry, so --mode
-   and --order accept the laboratory heuristic chb next to the four
-   built-ins. *)
+   accepts the laboratory heuristic chb next to the four built-ins. *)
 let parse_mode mode_name =
   match Ordering.mode_of_name mode_name with
   | Some m -> m
@@ -118,9 +115,6 @@ let parse_mode mode_name =
     Format.eprintf "bmccheck: unknown ordering %S (available: %s)@." mode_name
       (String.concat "|" (Ordering.names ()));
     exit 2
-
-let split_names s =
-  String.split_on_char ',' s |> List.map String.trim |> List.filter (fun n -> n <> "")
 
 let parse_weighting = function
   | "linear" -> Bmc.Score.Linear
@@ -282,73 +276,6 @@ let run_single source engine_name mode_name max_depth coi weighting_name verbose
     | Bmc.Session.Bounded_pass _ -> exit 20
     | Bmc.Session.Aborted _ -> exit 0)
 
-(* --portfolio: race a roster of named orderings on a domain pool, one full
-   BMC run.  The roster defaults to the paper's three; --order picks named
-   registry heuristics instead. *)
-let run_portfolio source max_depth coi weighting_name verbose max_conflicts max_seconds
-    inprocess core_min trace_file metrics ledger_file flight_file jobs order_names =
-  let weighting = parse_weighting weighting_name in
-  match load source with
-  | Error msg ->
-    Format.eprintf "bmccheck: %s@." msg;
-    exit 2
-  | Ok (netlist, property, case) ->
-    let max_depth =
-      match (max_depth, case) with
-      | Some d, _ -> d
-      | None, Some c -> c.Circuit.Generators.suggested_depth
-      | None, None -> 20
-    in
-    let budget =
-      { Sat.Solver.max_conflicts; max_propagations = None; max_seconds; stop = None }
-    in
-    let telemetry = setup_telemetry trace_file metrics ledger_file flight_file in
-    let core_mode, coremin_budget = core_opts core_min in
-    let config =
-      Bmc.Session.make_config ~weighting ~coi ~budget ~max_depth ?inprocess ~core_mode
-        ~coremin_budget ~telemetry ()
-    in
-    (* The named-racer roster, each racer on its own Luby restart unit. *)
-    let roster_names =
-      match order_names with Some ns -> ns | None -> [ "standard"; "static"; "dynamic" ]
-    in
-    let bases = [| 64; 100; 150; 200; 250; 300 |] in
-    let racers =
-      List.mapi
-        (fun i name ->
-          Portfolio.racer ~name ~restart_base:bases.(i mod Array.length bases)
-            (parse_mode name))
-        roster_names
-    in
-    let jobs = if jobs > 0 then jobs else List.length racers in
-    let code =
-      Portfolio.Pool.with_pool ~telemetry ~jobs (fun pool ->
-          let r = Portfolio.check_race ~config ~racers ~pool netlist ~property in
-          if verbose then
-            List.iter
-              (fun (rs : Portfolio.race_stat) ->
-                Format.printf "depth %3d: %-7s won by %-9s wall=%.3fs cancelled=%d@."
-                  rs.Portfolio.depth
-                  (Sat.Solver.outcome_string rs.stat.Bmc.Session.outcome)
-                  (match rs.winner with Some n -> n | None -> "-")
-                  rs.Portfolio.wall rs.Portfolio.cancelled)
-              r.per_depth;
-          if core_min <> None then
-            pp_coremin_summary source
-              (List.map (fun (rs : Portfolio.race_stat) -> rs.Portfolio.stat) r.per_depth);
-          Format.printf "%s: %a (%.3fs wall, %d workers, wins:%s)@." source
-            Bmc.Session.pp_verdict r.verdict r.total_wall jobs
-            (String.concat ""
-               (List.map (fun (n, c) -> Printf.sprintf " %s=%d" n c) r.wins));
-          match r.verdict with
-          | Bmc.Session.Falsified trace ->
-            Format.printf "%a@." (Bmc.Trace.pp ~netlist ()) trace;
-            10
-          | Bmc.Session.Bounded_pass _ -> 20
-          | Bmc.Session.Aborted _ -> 0)
-    in
-    exit code
-
 (* Several CIRCUITs: batch-solve the properties across the pool (mode B). *)
 let run_batch sources engine_name mode_name max_depth coi weighting_name verbose
     max_conflicts max_seconds inprocess core_min trace_file metrics ledger_file flight_file
@@ -419,41 +346,15 @@ let run_batch sources engine_name mode_name max_depth coi weighting_name verbose
 
 let run sources engine_name mode_name max_depth coi weighting_name verbose max_conflicts
     max_seconds simple_path fresh_solver ltl_formula inprocess_spec core_min trace_file
-    metrics ledger_file flight_file jobs portfolio order =
+    metrics ledger_file flight_file jobs =
   let inprocess = parse_inprocess inprocess_spec in
-  let order_names =
-    match Option.map split_names order with
-    | Some [] ->
-      Format.eprintf "bmccheck: --order needs at least one heuristic name@.";
-      exit 2
-    | o -> o
-  in
-  (* without --portfolio a single --order name is a synonym for --mode *)
-  let mode_name =
-    match (order_names, portfolio) with
-    | Some [ n ], false -> n
-    | Some (_ :: _ :: _), false ->
-      Format.eprintf "bmccheck: racing several orderings needs --portfolio@.";
-      exit 2
-    | _ -> mode_name
-  in
-  match (sources, portfolio) with
-  | [], _ -> assert false (* cmdliner: the positional list is non-empty *)
-  | _ :: _ :: _, true ->
-    Format.eprintf "bmccheck: --portfolio races one circuit; give a single CIRCUIT@.";
-    exit 2
-  | [ source ], true ->
-    if ltl_formula <> None then begin
-      Format.eprintf "bmccheck: --portfolio checks the built-in invariant, not --ltl@.";
-      exit 2
-    end;
-    run_portfolio source max_depth coi weighting_name verbose max_conflicts max_seconds
-      inprocess core_min trace_file metrics ledger_file flight_file jobs order_names
-  | [ source ], false ->
+  match sources with
+  | [] -> assert false (* cmdliner: the positional list is non-empty *)
+  | [ source ] ->
     run_single source engine_name mode_name max_depth coi weighting_name verbose
       max_conflicts max_seconds simple_path fresh_solver ltl_formula inprocess core_min
       trace_file metrics ledger_file flight_file
-  | sources, false ->
+  | sources ->
     if ltl_formula <> None then begin
       Format.eprintf "bmccheck: batch mode checks built-in invariants, not --ltl@.";
       exit 2
@@ -545,8 +446,8 @@ let inprocess =
               dead auxiliaries are swept before the next depth's deltas load.  $(docv) is \
               a preset (default | light | aggressive) or comma-separated \
               occ=/growth=/probes=/rounds=/ms= overrides (e.g. 'occ=16,probes=256').  \
-              Requires a persistent session (--engine incremental, --portfolio, batch \
-              incremental, or --ltl / --engine induction without --fresh-solver).")
+              Requires a persistent session (--engine incremental, a batch on the \
+              incremental engine, or --ltl / --engine induction without --fresh-solver).")
 
 let core_min =
   Arg.(
@@ -559,7 +460,7 @@ let core_min =
               certified by the independent checker (uncertified results fall back to the \
               raw core).  With a value, spend at most $(docv) minimisation solver calls \
               per depth; without one, run each core to minimality.  Works with every \
-              session-based engine, --portfolio and batches.")
+              session-based engine and with batches.")
 
 let trace_file =
   Arg.(
@@ -586,9 +487,9 @@ let ledger_file =
     & opt (some string) None
     & info [ "ledger" ] ~docv:"FILE"
         ~doc:"Write the structured run ledger (bmc-ledger/v1 JSON) to $(docv) when the run \
-              finishes: per-depth decision/conflict work with rank-vs-VSIDS attribution, \
-              core-variable churn and racer wins.  Analyse it with \
-              bmcprof report / diff / prom.")
+              finishes: per-depth decision/conflict work with rank-vs-VSIDS attribution \
+              and core-variable churn; in a batch every row names its CIRCUIT.  Analyse \
+              it with bmcprof report / diff / prom.")
 
 let flight_file =
   Arg.(
@@ -596,8 +497,8 @@ let flight_file =
     & opt (some string) None
     & info [ "flight-recorder" ] ~docv:"FILE"
         ~doc:"Keep the last telemetry events of every domain in a bounded in-memory \
-              ring (restarts, GC, ordering switches, solves, depths, racer \
-              starts/wins/cancels) and dump them to $(docv) as a JSONL \
+              ring (restarts, GC, ordering switches, solves, depths, queue \
+              waits) and dump them to $(docv) as a JSONL \
               trace at exit — or on SIGUSR1, to inspect a wedged run.  Render it with \
               bmcprof timeline, or fold it with bmcprof trace.")
 
@@ -605,27 +506,8 @@ let jobs =
   Arg.(
     value & opt int 0
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for --portfolio or batch solving.  0 (the default) picks one \
-              worker per racer for a portfolio race and min(circuits, cores) for a batch.")
-
-let portfolio =
-  Arg.(
-    value & flag
-    & info [ "portfolio" ]
-        ~doc:"Race a roster of decision orderings (default: standard, static, dynamic; \
-              override with --order) on parallel workers; per depth, the first definitive \
-              answer wins, the losers are cancelled, and the winner's unsat core refines \
-              the shared ranking.")
-
-let order =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "order" ] ~docv:"NAME[,NAME...]"
-        ~doc:"Decision ordering(s) from the heuristic registry (standard, static, \
-              dynamic, shtrichman, chb).  One name without --portfolio is \
-              a synonym for --mode; with --portfolio the comma-separated list is the \
-              racing roster, one named racer per heuristic.")
+        ~doc:"Worker domains for batch solving (several CIRCUITs).  0 (the default) \
+              picks min(circuits, cores).")
 
 let cmd =
   let doc = "bounded model checking with refined SAT decision orderings" in
@@ -634,7 +516,6 @@ let cmd =
     Term.(
       const run $ sources $ engine $ mode $ max_depth $ coi $ weighting $ verbose
       $ max_conflicts $ max_seconds $ simple_path $ fresh_solver $ ltl $ inprocess
-      $ core_min $ trace_file $ metrics $ ledger_file $ flight_file $ jobs $ portfolio
-      $ order)
+      $ core_min $ trace_file $ metrics $ ledger_file $ flight_file $ jobs)
 
 let () = exit (Cmd.eval cmd)

@@ -5,9 +5,9 @@
    last events of each domain) that bmccheck writes, and
    turns them into the reports the paper's evaluation wants: per-depth heat
    tables, the ordering-effectiveness report (how many decisions the
-   bmc_score rank actually steered), an ASCII racer timeline, a regression
-   diff between two run ledgers with pass/warn/fail verdicts, and a
-   Prometheus textfile export.
+   bmc_score rank actually steered), an ASCII per-domain timeline, a
+   regression diff between two run ledgers with pass/warn/fail verdicts,
+   and a Prometheus textfile export.
 
    Exit codes: 0 = ok (diff: no FAIL findings), 1 = diff found a FAIL,
    2 = input error. *)
@@ -61,15 +61,12 @@ let run_trace path =
 (* Glyph and weight per event: instant events by kind, spans by span name;
    anything else (phase spans, counters, gauges) draws nothing.  Later
    events overwrite earlier ones in a cell; rarer, more interesting kinds
-   take precedence over bulk ones so a win is never hidden by the solver
+   take precedence over bulk ones so a depth is never hidden by the solver
    chatter around it. *)
 let glyphs =
   [
-    ("racer_win", ('*', 6));
-    ("racer_cancel", ('x', 5));
     ("depth", ('D', 4));
     ("switch", ('S', 4));
-    ("racer_start", ('<', 3));
     ("compact", ('C', 3));
     ("inprocess", ('P', 3));
     ("reduce_db", ('G', 2));
@@ -124,27 +121,7 @@ let run_timeline path width =
         Format.printf "dom %3d |%s| %d ev@." d (Bytes.to_string lane) n)
       lanes;
     Format.printf
-      "legend: R restart  G reduce_db  C compact  S switch  D depth  o solve  P inprocess@.";
-    Format.printf
-      "        < racer_start  * racer_win  x racer_cancel@.";
-    (* the race storyline, spelled out: who started, won, was cancelled *)
-    let racers =
-      List.filter
-        (fun (e : Telemetry.Sink.event) ->
-          match e.kind with
-          | "racer_start" | "racer_win" | "racer_cancel" -> true
-          | _ -> false)
-        events
-    in
-    if racers <> [] then begin
-      Format.printf "@.races:@.";
-      List.iter
-        (fun (e : Telemetry.Sink.event) ->
-          Format.printf "  %8.3fs dom %d %-12s depth=%d slot=%d@."
-            (float_of_int (t_us e - t_min) /. 1e6)
-            (dom e) e.kind (field e "depth") (field e "slot"))
-        racers
-    end
+      "legend: R restart  G reduce_db  C compact  S switch  D depth  o solve  P inprocess@."
 
 (* ------------------------------------------------------------------ *)
 (* diff: ledger-vs-ledger regression gate                              *)

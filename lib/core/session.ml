@@ -46,7 +46,6 @@ type config = {
   collect_cores : bool;
   core_mode : core_mode;
   coremin_budget : Sat.Coremin.budget;
-  restart_base : int option;
   inprocess : Sat.Inprocess.config option;
   telemetry : Telemetry.t;
 }
@@ -61,15 +60,14 @@ let default_config =
     collect_cores = false;
     core_mode = Core_fast;
     coremin_budget = Sat.Coremin.no_budget;
-    restart_base = None;
     inprocess = None;
     telemetry = Telemetry.disabled;
   }
 
 let make_config ?(mode = Standard) ?(weighting = Score.Linear) ?(coi = false)
     ?(budget = Sat.Solver.no_budget) ?(max_depth = 20) ?(collect_cores = false)
-    ?(core_mode = Core_fast) ?(coremin_budget = Sat.Coremin.no_budget) ?restart_base
-    ?inprocess ?(telemetry = Telemetry.disabled) () =
+    ?(core_mode = Core_fast) ?(coremin_budget = Sat.Coremin.no_budget) ?inprocess
+    ?(telemetry = Telemetry.disabled) () =
   {
     mode;
     weighting;
@@ -79,7 +77,6 @@ let make_config ?(mode = Standard) ?(weighting = Score.Linear) ?(coi = false)
     collect_cores;
     core_mode;
     coremin_budget;
-    restart_base;
     inprocess;
     telemetry;
   }
@@ -233,7 +230,6 @@ type t = {
   unroll : Unroll.t;
   sc : Score.t;
   learn_cores : bool;
-  fold_cores : bool;
   with_proof : bool;
   solver : Sat.Solver.t option; (* the live solver, Persistent only *)
   mutable fresh_solver : Sat.Solver.t option;
@@ -269,8 +265,8 @@ type t = {
          conflict tables and assumption statistics survive across depths *)
 }
 
-let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true)
-    ?(fold_cores = true) cfg netlist ~property =
+let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true) cfg netlist
+    ~property =
   let unroll = Unroll.create ~coi:cfg.coi ?constrain_init netlist ~property in
   let sc = match score with Some s -> s | None -> Score.create ~weighting:cfg.weighting () in
   let with_proof =
@@ -279,9 +275,7 @@ let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true)
   let solver =
     match policy with
     | Persistent ->
-      let s = Sat.Solver.create ~with_proof ~telemetry:cfg.telemetry (Sat.Cnf.create ()) in
-      (match cfg.restart_base with Some b -> Sat.Solver.set_restart_base s b | None -> ());
-      Some s
+      Some (Sat.Solver.create ~with_proof ~telemetry:cfg.telemetry (Sat.Cnf.create ()))
     | Fresh -> None
   in
   {
@@ -291,7 +285,6 @@ let create ?(policy = Persistent) ?constrain_init ?score ?(learn_cores = true)
     unroll;
     sc;
     learn_cores;
-    fold_cores;
     with_proof;
     solver;
     fresh_solver = None;
@@ -315,9 +308,10 @@ let policy t = t.pol
 
 (* Sessions (and the solvers under them) are domain-confined: every
    instance-building or solving entry point must run on the domain that
-   called [create].  The portfolio layer relies on this rule — each racer's
-   session lives on one pinned pool worker — and violating it would race on
-   the solver's mutable state, so it is an [Invalid_argument], not UB. *)
+   called [create].  The pool's callers rely on this rule — a batch item's
+   session lives on the worker that runs it, a warm serve session on its
+   pinned worker — and violating it would race on the solver's mutable
+   state, so it is an [Invalid_argument], not UB. *)
 let assert_owner t what =
   if (Domain.self () :> int) <> t.owner then
     invalid_arg
@@ -525,14 +519,11 @@ let solve_instance t =
       in
       (* a Custom mode's hooks are per-instance, so a Fresh policy rebuilds
          them for every instance (no cross-depth heuristic state); the
-         reload dropped the previous ones and the restart base *)
+         reload dropped the previous ones *)
       (match cfg.mode with
       | Custom { c_hooks = Some mk; _ } ->
         Sat.Solver.set_order ~hooks:(mk t.unroll t.sc ~solver) solver mode
       | _ -> ());
-      (match cfg.restart_base with
-      | Some b -> Sat.Solver.set_restart_base solver b
-      | None -> ());
       t.fresh_solver <- Some solver;
       (solver, [])
   in
@@ -589,7 +580,7 @@ let solve_instance t =
   t.churn_base <- core_vars;
   t.last_core_vars <- core_vars;
   (match outcome with
-  | Sat.Solver.Unsat when t.fold_cores && t.learn_cores && uses_cores cfg.mode ->
+  | Sat.Solver.Unsat when t.learn_cores && uses_cores cfg.mode ->
     Score.update t.sc ~instance:k ~core_vars
   | Sat.Solver.Unsat | Sat.Solver.Sat | Sat.Solver.Unknown -> ());
   let stat =

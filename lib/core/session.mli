@@ -33,10 +33,9 @@
     or solving entry point ({!begin_instance}, {!constrain}, {!fresh_lit},
     {!solve_instance}, {!model}, and therefore {!trace}) asserts this and
     raises [Invalid_argument] when called from another domain.  The
-    {!Portfolio} layer builds on the rule: each racer's session is created
-    lazily {e inside} its pinned pool worker and never leaves it; the
-    coordinator communicates only through immutable results, cancellation
-    tokens and the (coordinator-confined) shared {!Score}.  Read-only
+    worker pool's callers build on the rule: a {!Portfolio.check_batch}
+    item creates its session inside the worker that runs it, and the
+    serve layer pins each warm session's jobs to one worker.  Read-only
     accessors ({!score}, {!last_core_vars}, ...) are not asserted but are
     only meaningful once the owning domain has quiesced. *)
 
@@ -88,11 +87,6 @@ type config = {
   coremin_budget : Sat.Coremin.budget;
       (** work bound for [Core_minimal]'s per-instance minimisation
           (default {!Sat.Coremin.no_budget}: run to a minimal core) *)
-  restart_base : int option;
-      (** override the solver's Luby restart unit (default [None] keeps the
-          solver default of 128).  The portfolio gives each racer a
-          distinct unit so restart schedules — and therefore the clauses
-          they learn — diversify. *)
   inprocess : Sat.Inprocess.config option;
       (** run proof-aware inprocessing ({!Sat.Solver.inprocess}) at every
           depth boundary under this budget ([Persistent] policy only;
@@ -120,7 +114,6 @@ val make_config :
   ?collect_cores:bool ->
   ?core_mode:core_mode ->
   ?coremin_budget:Sat.Coremin.budget ->
-  ?restart_base:int ->
   ?inprocess:Sat.Inprocess.config ->
   ?telemetry:Telemetry.t ->
   unit ->
@@ -211,7 +204,6 @@ val create :
   ?constrain_init:bool ->
   ?score:Score.t ->
   ?learn_cores:bool ->
-  ?fold_cores:bool ->
   config ->
   Circuit.Netlist.t ->
   property:Circuit.Netlist.node ->
@@ -224,12 +216,7 @@ val create :
     [false], cores are neither extracted nor folded into the score even in
     [Static]/[Dynamic] mode — the step case of induction, whose instances
     are not part of the correlated refutation sequence, runs this way.
-    [fold_cores] (default [true]): when [false], cores are still extracted
-    (subject to [learn_cores] / [collect_cores]) but {e not} folded into
-    the score by {!solve_instance} — the portfolio racers run this way, so
-    the shared ranking is updated once per depth with the {e winner's}
-    core by the coordinator, not three times by whichever racer finishes
-    first.  The session captures the calling domain as its owner (see the
+    The session captures the calling domain as its owner (see the
     domain-ownership rule above).
     @raise Invalid_argument if the netlist does not validate. *)
 
@@ -295,7 +282,7 @@ val solve_depth : t -> k:int -> depth_stat
 (** One step of the {!check} loop: open the depth-[k] instance, constrain
     the session's property to fail at frame [k], and solve.  The unit of
     work of callers that interleave depths with other concerns — the
-    portfolio racers, the serve layer's warm-session cache.  On SAT the
+    serve layer's warm-session cache, proof-based abstraction.  On SAT the
     instance stays open so {!trace} works; the depth rule of
     {!begin_instance} applies unchanged.
     @raise Invalid_argument as {!begin_instance}. *)

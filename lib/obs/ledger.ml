@@ -3,6 +3,7 @@ module Sink = Telemetry.Sink
 let version = "bmc-ledger/v1"
 
 type depth_row = {
+  l_property : string option;
   l_depth : int;
   l_mode : string;
   l_outcome : string;
@@ -29,21 +30,11 @@ type depth_row = {
   l_inpr_s : float;
 }
 
-type race_row = {
-  r_depth : int;
-  r_winner : string;
-  r_wall_s : float;
-  r_cancelled : int;
-  r_racers : string list;
-}
-
 type t = {
   schema : string;
   depths : depth_row list;
-  races : race_row list;
   restarts : int;
   switches : int;
-  wins : (string * int) list;  (* ordering mode -> races won, sorted by mode *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -59,8 +50,14 @@ let depth_to_json (d : depth_row) =
       [ ("core_pre", Json.Int d.l_core_pre); ("coremin_s", Json.Float d.l_coremin_s) ]
     else []
   in
+  (* a batch item's rows name their property; every other row omits the
+     member, so single-run ledgers keep their bytes *)
+  let property =
+    match d.l_property with Some p -> [ ("property", Json.Str p) ] | None -> []
+  in
   Json.Obj
-    ([
+    (property
+    @ [
       ("depth", Json.Int d.l_depth);
       ("mode", Json.Str d.l_mode);
       ("outcome", Json.Str d.l_outcome);
@@ -88,6 +85,7 @@ let depth_to_json (d : depth_row) =
 
 let depth_of_json j =
   {
+    l_property = Option.bind (Json.member "property" j) Json.to_str;
     l_depth = Json.get_int j "depth";
     l_mode = Json.get_str j "mode";
     l_outcome = Json.get_str j "outcome";
@@ -118,57 +116,17 @@ let depth_of_json j =
     l_inpr_s = Json.get_float ~default:0.0 j "inpr_s";
   }
 
-let race_to_json (r : race_row) =
-  (* "racers" is additive and conditional, like the coremin columns: a row
-     with no recorded roster omits it, so ledgers written before the column
-     existed round-trip byte-identically. *)
-  Json.Obj
-    ([
-       ("depth", Json.Int r.r_depth);
-       ("winner", Json.Str r.r_winner);
-       ("wall_s", Json.Float r.r_wall_s);
-       ("cancelled", Json.Int r.r_cancelled);
-     ]
-    @
-    if r.r_racers = [] then []
-    else [ ("racers", Json.Str (String.concat "," r.r_racers)) ])
-
-let race_of_json j =
-  {
-    r_depth = Json.get_int j "depth";
-    r_winner = Json.get_str j "winner";
-    r_wall_s = Json.get_float j "wall_s";
-    r_cancelled = Json.get_int j "cancelled";
-    r_racers =
-      (match Json.get_str ~default:"" j "racers" with
-      | "" -> []
-      | s -> String.split_on_char ',' s);
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Reading a ledger off a telemetry aggregate: the rows are the "depth"
-   and "race" events' fields, parsed as the ledger file's rows are. *)
+   events' fields, parsed as the ledger file's rows are. *)
 
 let of_aggregate agg =
-  let rows of_json = List.map (fun r -> of_json (Jsonl.object_of_fields r)) in
-  let races = rows race_of_json (Sink.race_rows agg) in
-  let wins =
-    List.fold_left
-      (fun acc r ->
-        if r.r_winner = "" || r.r_winner = "none" then acc
-        else
-          let n = try List.assoc r.r_winner acc with Not_found -> 0 in
-          (r.r_winner, n + 1) :: List.remove_assoc r.r_winner acc)
-      [] races
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   {
     schema = version;
-    depths = rows depth_of_json (Sink.depth_rows agg);
-    races;
+    depths =
+      List.map (fun r -> depth_of_json (Jsonl.object_of_fields r)) (Sink.depth_rows agg);
     restarts = Sink.tally_value agg "restart";
     switches = Sink.tally_value agg "switch";
-    wins;
   }
 
 let of_events events =
@@ -181,10 +139,8 @@ let to_json t =
     [
       ("schema", Json.Str t.schema);
       ("depths", Json.List (List.map depth_to_json t.depths));
-      ("races", Json.List (List.map race_to_json t.races));
       ("restarts", Json.Int t.restarts);
       ("switches", Json.Int t.switches);
-      ("wins", Json.Obj (List.map (fun (m, n) -> (m, Json.Int n)) t.wins));
     ]
 
 let of_json j =
@@ -194,16 +150,8 @@ let of_json j =
       {
         schema = s;
         depths = List.map depth_of_json (Json.get_list j "depths");
-        races = List.map race_of_json (Json.get_list j "races");
         restarts = Json.get_int j "restarts";
         switches = Json.get_int j "switches";
-        wins =
-          (match Json.member "wins" j with
-          | Some (Json.Obj kvs) ->
-            List.filter_map
-              (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.to_int v))
-              kvs
-          | _ -> []);
       }
   | Some (Json.Str s) -> Error (Printf.sprintf "unsupported ledger schema %S" s)
   | _ -> Error "not a ledger: missing \"schema\" member"
@@ -305,16 +253,6 @@ let pp_effectiveness ppf t =
    and cm_s = List.fold_left (fun acc d -> acc +. d.l_coremin_s) 0.0 t.depths in
    if pre <> post || cm_s > 0.0 then
      Format.fprintf ppf "  core minimisation : %d -> %d clauses (%.3fs)@." pre post cm_s);
-  (match t.races with
-  | [] -> Format.fprintf ppf "  races             : none@."
-  | races ->
-    let cancelled = List.fold_left (fun a r -> a + r.r_cancelled) 0 races in
-    Format.fprintf ppf "  races             : %d (cancelled racers %d; wins:%s)@."
-      (List.length races) cancelled
-      (if t.wins = [] then " none"
-       else
-         String.concat ""
-           (List.map (fun (m, n) -> Printf.sprintf " %s %d" m n) t.wins)));
   if t.depths <> [] then begin
     Format.fprintf ppf "  rank share by depth :";
     List.iter
@@ -346,76 +284,56 @@ let diff ?(warn_pct = 25.0) (a : t) (b : t) =
   let add severity fmt =
     Printf.ksprintf (fun message -> findings := { severity; message } :: !findings) fmt
   in
-  (* A portfolio run records one row per racer per depth, so depth alone is
-     not a key: pair rows by (depth, mode, occurrence index) so identical
-     ledgers always diff clean and each racer's row meets its counterpart. *)
+  (* Several rows can share a depth and a mode: an induction ledger's step
+     and base rows, a batch's properties.  Rows pair by (property, depth,
+     mode, occurrence index), so identical ledgers always diff clean and a
+     batch's rows meet their own property's whatever order the items
+     finished in. *)
   let keyed depths =
     let seen = Hashtbl.create 16 in
     List.map
       (fun d ->
-        let k = (d.l_depth, d.l_mode) in
+        let k = (d.l_property, d.l_depth, d.l_mode) in
         let n = Option.value ~default:0 (Hashtbl.find_opt seen k) in
         Hashtbl.replace seen k (n + 1);
-        ((d.l_depth, d.l_mode, n), d))
+        ((d.l_property, d.l_depth, d.l_mode, n), d))
       depths
   in
   let tbl_a = keyed a.depths in
   let tbl_b = keyed b.depths in
-  (* A race writes one row per racer per depth, and which losers finish
-     before the winner cancels them is timing: a loser's row flips between
-     a definitive outcome and "unknown" from run to run.  So at a depth
-     either ledger raced, the Fail is keyed on the depth's verdict — the
-     definitive outcome any of its rows reports, or "unknown" when none
-     does — and such a row flip is a warning.  Racers never disagree on
-     sat versus unsat, so a row flipping between those fails anywhere.  At
-     every other depth (a single run, an induction ledger's step and base
-     rows, a batch's properties) each row's outcome is its own verdict. *)
-  let raced k =
-    List.exists (fun r -> r.r_depth = k) a.races || List.exists (fun r -> r.r_depth = k) b.races
+  let where d =
+    match d.l_property with
+    | Some p -> Printf.sprintf "%s depth %d" p d.l_depth
+    | None -> Printf.sprintf "depth %d" d.l_depth
   in
-  let verdict t k =
-    match List.find_opt (fun d -> d.l_depth = k && d.l_outcome <> "unknown") t.depths with
-    | Some d -> d.l_outcome
-    | None -> "unknown"
-  in
-  List.sort_uniq compare (List.map (fun d -> d.l_depth) a.depths)
-  |> List.iter (fun k ->
-         if raced k && List.exists (fun d -> d.l_depth = k) b.depths then begin
-           let va = verdict a k and vb = verdict b k in
-           if va <> vb then add Fail "depth %d verdict changed: %s -> %s" k va vb
-         end);
   List.iter
-    (fun ((k, mode, _) as key, da) ->
+    (fun (key, da) ->
+      let at = where da in
       match List.assoc_opt key tbl_b with
-      | None -> add Warn "depth %d present only in baseline" k
+      | None -> add Warn "%s present only in baseline" at
       | Some db ->
-        if da.l_outcome <> db.l_outcome then begin
-          if raced k && (da.l_outcome = "unknown" || db.l_outcome = "unknown") then
-            add Warn "depth %d %s row outcome changed: %s -> %s" k mode da.l_outcome
-              db.l_outcome
-          else add Fail "depth %d outcome changed: %s -> %s" k da.l_outcome db.l_outcome
-        end;
+        if da.l_outcome <> db.l_outcome then
+          add Fail "%s outcome changed: %s -> %s" at da.l_outcome db.l_outcome;
         if pct_drift da.l_decisions db.l_decisions > warn_pct then
-          add Warn "depth %d decisions drifted %d -> %d (>%.0f%%)" k da.l_decisions
+          add Warn "%s decisions drifted %d -> %d (>%.0f%%)" at da.l_decisions
             db.l_decisions warn_pct;
         if pct_drift da.l_conflicts db.l_conflicts > warn_pct then
-          add Warn "depth %d conflicts drifted %d -> %d (>%.0f%%)" k da.l_conflicts
+          add Warn "%s conflicts drifted %d -> %d (>%.0f%%)" at da.l_conflicts
             db.l_conflicts warn_pct;
         if
           da.l_core_clauses > 0
           && db.l_core_clauses > da.l_core_clauses
           && pct_drift da.l_core_clauses db.l_core_clauses > warn_pct
         then
-          add Warn "depth %d core grew %d -> %d clauses (>%.0f%%)" k da.l_core_clauses
+          add Warn "%s core grew %d -> %d clauses (>%.0f%%)" at da.l_core_clauses
             db.l_core_clauses warn_pct;
         if da.l_switched <> db.l_switched then
-          add Warn "depth %d dynamic fallback %s" k
+          add Warn "%s dynamic fallback %s" at
             (if db.l_switched then "now fires" else "no longer fires"))
     tbl_a;
   List.iter
-    (fun ((k, _, _) as key, _) ->
-      if not (List.mem_assoc key tbl_a) then
-        add Warn "depth %d present only in candidate" k)
+    (fun (key, db) ->
+      if not (List.mem_assoc key tbl_a) then add Warn "%s present only in candidate" (where db))
     tbl_b;
   let ra = rank_share a and rb = rank_share b in
   if Float.abs (ra -. rb) > 10.0 then

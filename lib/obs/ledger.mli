@@ -7,8 +7,8 @@
     through {!of_events}).  It captures what the paper's refinement is
     supposed to change: per-depth decision/conflict/propagation work, the
     decision-source histogram (branches taken from the [bmc_score] rank
-    versus VSIDS-activity fallback), core-variable churn between depths,
-    and racer win/cancel tallies.
+    versus VSIDS-activity fallback), and core-variable churn between
+    depths.
 
     The JSON codec is field-order-deterministic: [to_string] after
     {!of_string} reproduces the input byte-for-byte, which the schema
@@ -18,6 +18,10 @@ val version : string
 (** ["bmc-ledger/v1"]. *)
 
 type depth_row = {
+  l_property : string option;
+      (** the batch item the row belongs to ({!Portfolio.check_batch} tags
+          its items' rows); [None] in a single run.  Serialised first and
+          only when set, so single-run ledgers keep their bytes *)
   l_depth : int;
   l_mode : string;  (** configured ordering for this depth *)
   l_outcome : string;  (** "unsat" | "sat" | "unknown" *)
@@ -53,33 +57,18 @@ type depth_row = {
   l_inpr_s : float;  (** seconds of boundary inprocessing *)
 }
 
-type race_row = {
-  r_depth : int;
-  r_winner : string;  (** winning racer's heuristic name, or "none" *)
-  r_wall_s : float;
-  r_cancelled : int;
-  r_racers : string list;
-      (** the race's roster, by heuristic name, in slot order.  Additive
-          column: serialised comma-joined, omitted when empty, parsed with
-          an empty default. *)
-}
-
 type t = {
   schema : string;
   depths : depth_row list;
-  races : race_row list;
   restarts : int;
   switches : int;
-  wins : (string * int) list;
-      (** races won per heuristic name (whatever names the racers carried
-          — built-in modes or ordering-laboratory heuristics), sorted *)
 }
 
 val of_aggregate : Telemetry.Sink.aggregate -> t
-(** The ledger of everything folded into the aggregate: its "depth" and
-    "race" rows (parsed by the same row decoders as a ledger file, so an
-    absent column reads as its file default), and [restarts] and
-    [switches] from its event tallies.  Read it once the emitting domains
+(** The ledger of everything folded into the aggregate: its "depth" rows
+    (parsed by the same row decoder as a ledger file, so an absent column
+    reads as its file default), and [restarts] and [switches] from its
+    event tallies.  Read it once the emitting domains
     have quiesced. *)
 
 val of_events : Telemetry.Sink.event list -> t
@@ -91,7 +80,8 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Members the schema does not name are ignored, so ledgers written by
     older builds load as they are: a [share] member from the builds with
-    clause sharing, or a race row member this build no longer writes. *)
+    clause sharing, and the [races] and [wins] members from the builds
+    that raced orderings. *)
 
 val to_string : ?indent:bool -> t -> string
 (** Pretty-printed by default (ledgers are meant to be read). *)
@@ -119,8 +109,8 @@ val pp_depth_table : Format.formatter -> t -> unit
 
 val pp_effectiveness : Format.formatter -> t -> unit
 (** The ordering-effectiveness report: decision-source split, fallback
-    and restart counts, core churn and race tallies.  Never
-    empty, even for a ledger with no depth rows. *)
+    and restart counts, and core churn.  Never empty, even for a ledger
+    with no depth rows. *)
 
 (** {1 Regression diff} *)
 
@@ -130,19 +120,13 @@ type finding = { severity : severity; message : string }
 
 val diff : ?warn_pct:float -> t -> t -> finding list
 (** [diff baseline candidate]: [Fail] on a row's outcome changing, rows
-    paired by (depth, mode, occurrence).  At a depth either ledger holds
-    a race row for, the rows are racers on one instance, and a loser's
-    row flips between a definitive outcome and ["unknown"] with who
-    finished first: there such a flip is a [Warn], and the [Fail] is on
-    the depth verdict instead — the definitive outcome any row at that
-    depth reports, or ["unknown"] when none does.  A row flipping between
-    ["sat"] and ["unsat"] fails at every depth.  Elsewhere each row is its
-    own instance (an induction ledger's step and base rows, a batch's
-    properties), so every row flip fails.  [Warn] also on
-    decision/conflict drift beyond [warn_pct] (default 25%), a candidate
-    core growing past the baseline's by more than [warn_pct], a row
-    present on only one side, a fallback firing differently, or the
-    rank-guided share moving more than 10 points.  Two equal ledgers
-    produce []. *)
+    paired by (property, depth, mode, occurrence).  Each row is its own
+    instance (an induction ledger's step and base rows share a depth and
+    a mode), and the property keeps a batch's items apart whatever order
+    they finished in.  [Warn] on decision/conflict drift beyond
+    [warn_pct] (default 25%), a candidate core growing past the
+    baseline's by more than [warn_pct], a row present on only one side, a
+    fallback firing differently, or the rank-guided share moving more
+    than 10 points.  Two equal ledgers produce []. *)
 
 val pp_finding : Format.formatter -> finding -> unit

@@ -50,12 +50,6 @@ let render (t : Ledger.t) =
          ( [ ("kind", "dropped") ],
            List.fold_left (fun a d -> a + d.Ledger.l_core_dropped) 0 t.depths );
        ]);
-  add_metric b ~help:"Portfolio races won per ordering mode" ~typ:"counter"
-    "bmc_race_wins_total"
-    (int_rows (List.map (fun (m, n) -> ([ ("mode", m) ], n)) t.wins));
-  add_metric b ~help:"Portfolio racers cancelled after a sibling won" ~typ:"counter"
-    "bmc_race_cancelled_total"
-    (int_rows [ ([], List.fold_left (fun a r -> a + r.Ledger.r_cancelled) 0 t.races) ]);
   add_metric b ~help:"Wall-clock seconds spent solving, by phase" ~typ:"counter"
     "bmc_phase_seconds_total"
     (List.map

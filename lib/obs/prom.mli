@@ -4,7 +4,7 @@
     drop the output in a [*.prom] file under the collector's directory and
     every metric below appears with a [bmc_] prefix — depth outcomes,
     decision-source split, restarts, fallback switches, core churn and
-    race wins. *)
+    phase seconds. *)
 
 val render : Ledger.t -> string
 (** The full textfile document ([# HELP] / [# TYPE] / sample lines). *)

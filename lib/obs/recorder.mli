@@ -5,12 +5,11 @@
     ring per domain (allocated lazily via domain-local storage).  Tee it
     into a run's telemetry handle and every event the run produces — the
     solver's restarts, switches, database reductions and compactions,
-    the per-solve and per-depth summaries, the
-    portfolio's racer starts, wins and cancellations — lands in the ring
-    of the domain that emitted it, stamped with wall-clock microseconds.
-    Recording is two array stores, one clock read and one atomic publish;
-    a run that spins for hours still holds only the last [capacity]
-    events per domain.
+    the per-solve and per-depth summaries, the pool's queue waits — lands
+    in the ring of the domain that emitted it, stamped with wall-clock
+    microseconds.  Recording is two array stores, one clock read and one
+    atomic publish; a run that spins for hours still holds only the last
+    [capacity] events per domain.
 
     {2 Memory model}
 
@@ -31,7 +30,7 @@
 
     Snapshots can be taken at any time from any domain — on demand, from a
     SIGUSR1 handler ({!on_sigusr1}) or an [at_exit] hook — which is what
-    makes a wedged portfolio run diagnosable post-mortem. *)
+    makes a wedged multi-domain run diagnosable post-mortem. *)
 
 type t
 

@@ -1,5 +1,5 @@
 (* The ordering laboratory's registry: named branching heuristics the
-   CLIs, the portfolio roster and the differential tests enumerate.  The
+   CLIs, the serve protocol and the differential tests enumerate.  The
    four built-in Session modes are registered under their usual names so
    one namespace covers everything; the laboratory heuristics are
    [Session.Custom] values whose mutable state (conflict-frequency tables)

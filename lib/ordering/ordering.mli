@@ -13,8 +13,8 @@
       added on top of the paper's folded bmc_score rank, with phase bias
       towards the more conflict-active literal.
 
-    CLIs resolve [--order NAME] here, the portfolio builds named-racer
-    rosters from it, and the differential test suite enumerates it. *)
+    The CLIs resolve [--mode NAME] here, the serve protocol resolves a
+    request's ["mode"], and the differential test suite enumerates it. *)
 
 type spec
 (** A registered heuristic: a name, a one-line description, and a mode

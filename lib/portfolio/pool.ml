@@ -125,24 +125,6 @@ let map_list ?label t f xs =
   List.map (function Ok v -> v | Error e -> raise e) rs
 
 (* ------------------------------------------------------------------ *)
-(* Cancellation tokens.                                                *)
-(* ------------------------------------------------------------------ *)
-
-module Token = struct
-  type t = bool Atomic.t
-
-  let create () = Atomic.make false
-
-  let cancel t = Atomic.set t true
-
-  let cancelled t = Atomic.get t
-
-  let reset t = Atomic.set t false
-
-  let stop_hook t () = Atomic.get t
-end
-
-(* ------------------------------------------------------------------ *)
 (* Shutdown.                                                           *)
 (* ------------------------------------------------------------------ *)
 

@@ -1,22 +1,16 @@
 (** A fixed pool of [Domain.t] workers behind a mutex/condition job queue.
 
-    The pool is the substrate of the {!Portfolio} layer: strategy races
-    submit one job per decision ordering, property batches submit one job
-    per property, and both rely on two properties the pool guarantees:
+    The pool is the substrate of {!Portfolio.check_batch}, which submits
+    one job per property to the shared queue, and of the serve layer,
+    which pins each warm session's jobs to one worker.  The pool
+    guarantees {e affinity}: a job submitted with [~affinity:i] always
+    runs on worker [i mod size], so state a job creates on its worker (a
+    {!Bmc.Session}, which is domain-confined) can be reused by every
+    later job with the same affinity.
 
-    - {e affinity}: a job submitted with [~affinity:i] always runs on
-      worker [i mod size], so state a job creates on its worker (a
-      {!Bmc.Session}, which is domain-confined) can be reused by every
-      later job with the same affinity;
-    - {e cooperative cancellation}: a {!Token.t} is an [Atomic.t] flag
-      shared between the coordinator and a running job; {!Token.stop_hook}
-      adapts it to the [stop] hook of {!Sat.Solver.budget}, which the
-      solver polls at conflict / 1024-decision boundaries.
-
-    Jobs never block on other jobs (no job-to-job dependencies), so a pool
-    smaller than a race is safe: pinned jobs sharing a worker serialise in
-    submission order and the race degenerates gracefully towards the
-    sequential portfolio.
+    Jobs never block on other jobs (no job-to-job dependencies), so any
+    pool size is safe: pinned jobs sharing a worker serialise in
+    submission order.
 
     When the pool has a telemetry handle, every executed job emits a
     ["queue_wait"] span (wall-clock seconds between submission and the
@@ -55,30 +49,6 @@ val await : 'a future -> 'a
 val map_list : ?label:string -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** Submit one unpinned job per element, await them all, preserve order.
     Exceptions re-raise after every job has settled (first one wins). *)
-
-(** {1 Cancellation tokens} *)
-
-module Token : sig
-  type t
-  (** A cancellation flag shared between a coordinator and running jobs.
-      Purely cooperative: cancelling never interrupts a worker, it only
-      makes {!cancelled} (and the solver's [stop] poll) answer [true]. *)
-
-  val create : unit -> t
-
-  val cancel : t -> unit
-
-  val cancelled : t -> bool
-
-  val reset : t -> unit
-  (** Re-arm a token for the next round.  Only safe once every job holding
-      the token has settled (e.g. between race rounds, after the
-      coordinator awaited all racers). *)
-
-  val stop_hook : t -> unit -> bool
-  (** The token as a {!Sat.Solver.budget} [stop] hook: an [Atomic.get]
-      behind a closure, cheap enough for the solver's per-conflict poll. *)
-end
 
 (** {1 Shutdown} *)
 

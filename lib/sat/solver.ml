@@ -389,10 +389,10 @@ exception Done of outcome
 
 let budget_exceeded t budget start_time =
   (* The external stop hook comes first: it is the cooperative-cancellation
-     path of the portfolio layer (typically an [Atomic.get] behind a closure),
-     so a cancelled worker abandons its solve at the next conflict,
-     1024-decision or 4096-propagation boundary — within one restart
-     interval even for conflict-free BCP-heavy instances. *)
+     path of its callers (the serve layer's request deadlines), so a
+     stopped solve is abandoned at the next conflict, 1024-decision or
+     4096-propagation boundary — within one restart interval even for
+     conflict-free BCP-heavy instances. *)
   (match budget.stop with Some f -> f () | None -> false)
   || (match budget.max_conflicts with Some m -> t.stats.conflicts >= m | None -> false)
   || (match budget.max_propagations with
@@ -412,8 +412,8 @@ let propagate t =
   let conflict = ref Arena.none in
   while !conflict = Arena.none && t.qhead < Vec.length t.trail do
     (* Propagation-count poll: a conflict-free solve with huge implication
-       chains would otherwise only observe its budget (and the portfolio's
-       cancellation hook) at decision boundaries.  Checked between trail
+       chains would otherwise only observe its budget (and its stop hook)
+       at decision boundaries.  Checked between trail
        literals, so the watch lists are always in a consistent state when
        [Done] aborts the solve. *)
     if t.stats.propagations - t.props_at_poll >= propagation_poll_period then begin

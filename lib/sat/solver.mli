@@ -46,7 +46,7 @@ type budget = {
           observes cancellation promptly).  At most one restart interval
           elapses between the hook first returning [true] and the solve
           returning [Unknown].  The hook must be cheap and thread-safe (the
-          portfolio layer passes an [Atomic.get] behind a closure); it is
+          serve layer passes a wall-clock deadline comparison); it is
           called from the solver's own domain. *)
 }
 
@@ -143,7 +143,7 @@ val failed_assumptions : t -> Lit.t list
     (see [lib/ordering]) compose without touching this module. *)
 
 type hooks = {
-  hk_name : string;  (** heuristic name, for ledgers and race rows *)
+  hk_name : string;  (** heuristic name, for ledgers *)
   hk_on_conflict : Lit.t list -> unit;
       (** fired once per learnt conflict clause (after the built-in
           activity bumps), with the learnt literals *)
@@ -218,8 +218,8 @@ val inprocess : ?config:Inprocess.config -> t -> Inprocess.stats
 
 val set_restart_base : t -> int -> unit
 (** Replace the Luby restart sequence with one of the given unit (default
-    128), restarting the sequence.  The portfolio gives each racer a
-    distinct unit to diversify the racers' searches.
+    128), restarting the sequence.  Nothing in the BMC layers changes the
+    unit; the reload property sets it to check that {!reload} undoes it.
     @raise Invalid_argument if the base is < 1 (via {!Luby.create}). *)
 
 val set_max_learnts : t -> int -> unit

@@ -42,7 +42,7 @@ let find_str fields key =
 let null = { emit = (fun _ -> ()); flush = (fun () -> ()) }
 
 (* Every sink that mutates shared state is wrapped in [locked] so emission
-   from multiple domains (the portfolio workers) serialises instead of
+   from multiple domains (the pool workers) serialises instead of
    corrupting channels / hashtables.  [null] owns no state and needs no
    lock. *)
 let locked sink =
@@ -87,7 +87,6 @@ type aggregate = {
   gauges : (string, float ref) Hashtbl.t;
   tallies : (string, int ref) Hashtbl.t; (* instant events, by kind (and kind.src) *)
   mutable depths : (string * value) list list; (* "depth" events, newest first *)
-  mutable races : (string * value) list list; (* "race" events, newest first *)
 }
 
 let aggregate () =
@@ -97,7 +96,6 @@ let aggregate () =
     gauges = Hashtbl.create 16;
     tallies = Hashtbl.create 16;
     depths = [];
-    races = [];
   }
 
 let tally agg key n =
@@ -130,7 +128,6 @@ let feed agg e =
     | None -> Hashtbl.replace agg.gauges name (ref v))
   | "depth" -> agg.depths <- e.fields :: agg.depths
   | kind ->
-    if kind = "race" then agg.races <- e.fields :: agg.races;
     tally agg kind 1;
     (match find_str e.fields "src" with
     | Some src -> tally agg (kind ^ "." ^ src) 1
@@ -157,8 +154,6 @@ let tally_value agg name =
   match Hashtbl.find_opt agg.tallies name with Some r -> !r | None -> 0
 
 let depth_rows agg = List.rev agg.depths
-
-let race_rows agg = List.rev agg.races
 
 let spans agg = sorted_bindings agg.spans (fun c -> (c.count, c.seconds))
 

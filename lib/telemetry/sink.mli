@@ -60,9 +60,9 @@ val memory : unit -> t * (unit -> event list)
 
 type aggregate
 (** Running totals: per-span-name call counts and seconds, counter sums,
-    last-value gauges, instant-event tallies, and the ordered lists of
-    per-depth summary events and portfolio race rounds — everything a run
-    ledger ([Obs.Ledger.of_aggregate]) is read from. *)
+    last-value gauges, instant-event tallies, and the ordered list of
+    per-depth summary events — everything a run ledger
+    ([Obs.Ledger.of_aggregate]) is read from. *)
 
 val aggregate : unit -> aggregate
 
@@ -85,10 +85,6 @@ val tally_value : aggregate -> string -> int
 
 val depth_rows : aggregate -> (string * value) list list
 (** The fields of every "depth" event seen, in emission order. *)
-
-val race_rows : aggregate -> (string * value) list list
-(** The fields of every "race" event seen, in emission order ("race"
-    events are tallied like any other instant event as well). *)
 
 (** {2 Totals by name}
 

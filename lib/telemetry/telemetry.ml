@@ -14,7 +14,7 @@ type t = {
   epoch : float;
   nest : int ref Domain.DLS.key;
       (* Span nesting depth.  Domain-local: concurrent domains sharing one
-         handle (e.g. portfolio racers) each keep their own depth, so a span
+         handle (e.g. pool workers) each keep their own depth, so a span
          opened on one domain never shifts the [nest] recorded by another. *)
 }
 
@@ -32,6 +32,8 @@ let disabled =
 
 let create ?(clock = wall) ?(timing = true) sink =
   { on = true; timing; sink; clock; epoch = clock (); nest = fresh_nest () }
+
+let map_sink t f = if t.on then { t with sink = f t.sink } else t
 
 let enabled t = t.on
 

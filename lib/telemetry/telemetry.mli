@@ -16,9 +16,8 @@
     - ["counter"] / ["gauge"]: named monotonic sums / last-value readings.
     - ["restart"], ["switch"], ["reduce_db"], ["compact"]: instant solver
       events.
-    - ["depth"]: one per BMC unrolling depth, emitted by the engines.
-    - ["race"], ["racer_start"], ["racer_win"], ["racer_cancel"]: the
-      portfolio's rounds and, on each racing worker, its racers' marks.
+    - ["depth"]: one per BMC unrolling depth, emitted by the engines (a
+      property batch adds the item's name as a [property] field).
 
     This one stream feeds the JSONL trace, the aggregate (which the
     metrics report and the run ledger, and through it the Prometheus
@@ -30,10 +29,10 @@ module Sink = Sink
 val wall : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]): the one clock of [lib/].
     Every timing, seconds budget and deadline in the solver, the BMC
-    engines, the portfolio and the flight recorder reads it.  A process
+    engines, the worker pool and the flight recorder reads it.  A process
     CPU clock would be wrong under multicore OCaml: it sums the CPU time of
-    every domain, so a racer's seconds would include its siblings'
-    work. *)
+    every domain, so one batch item's seconds would include the work of
+    the items on the other workers. *)
 
 type t
 
@@ -48,6 +47,11 @@ val create : ?clock:(unit -> float) -> ?timing:bool -> Sink.t -> t
     analysis; pass [~timing:false] for event-stream-only consumers (run
     ledgers, flight recorders) that must stay cheap enough to
     leave on. *)
+
+val map_sink : t -> (Sink.t -> Sink.t) -> t
+(** [map_sink t f] emits through [f]'s wrapping of [t]'s sink, with [t]'s
+    clock, epoch, timing switch and span nesting, so its events
+    interleave with [t]'s on one timeline.  {!disabled} stays disabled. *)
 
 val enabled : t -> bool
 (** [false] only for {!disabled}.  Guard any emission whose argument list is
@@ -75,7 +79,7 @@ val span : t -> string -> ?fields:(string * Sink.value) list -> (unit -> 'a) -> 
     (or raises — the event is emitted either way and the exception
     re-raised).  The event's [ts] is the span's start; [nest] records how
     many spans were open around it {e on the calling domain} — nesting
-    depth is domain-local, so concurrent racers sharing a handle do not
+    depth is domain-local, so concurrent workers sharing a handle do not
     corrupt each other's depths.  When disabled this is exactly
     [f ()]. *)
 

@@ -1,8 +1,6 @@
 (* Destructive core minimisation: known candidates, budget behaviour, the
    SAT-candidate escape hatch, QCheck subset/certification properties, and
-   the race-core differentials (a single-racer race must report the same
-   cores as the plain sequential session, and a full race's folded cores
-   are real, sorted variable sets). *)
+   the session's Core_minimal pipeline end to end. *)
 
 let lit (v, s) = Sat.Lit.make v s
 
@@ -135,98 +133,8 @@ let prop_minimisation_idempotent =
       again = kept && st2.Sat.Coremin.minimal)
 
 (* ------------------------------------------------------------------ *)
-(* Race-core differentials.                                            *)
+(* Session pipeline.                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let seq_core_trace case depth ~core_mode =
-  let config =
-    Bmc.Session.make_config ~mode:Bmc.Session.Standard ~max_depth:depth ~collect_cores:true
-      ~core_mode ()
-  in
-  let s =
-    Bmc.Session.create ~policy:Bmc.Session.Persistent config
-      case.Circuit.Generators.netlist ~property:case.Circuit.Generators.property
-  in
-  List.init (depth + 1) (fun k ->
-      Bmc.Session.begin_instance s ~k;
-      Bmc.Session.constrain s
-        [ Sat.Lit.neg (Bmc.Session.var_of s ~node:case.Circuit.Generators.property ~frame:k) ];
-      let st = Bmc.Session.solve_instance s in
-      (st.Bmc.Session.outcome, Bmc.Session.last_core_vars s))
-
-(* One racer: it wins every round, so the core folded per depth must be
-   exactly the sequential session's, depth for depth, and the round's stat
-   must match {!Bmc.Session.check}'s core for core. *)
-let test_single_racer_equals_sequential () =
-  let case = Circuit.Generators.ring ~len:5 () in
-  let depth = 6 in
-  let config = Bmc.Session.make_config ~max_depth:depth ~collect_cores:true () in
-  let checked =
-    Bmc.Session.check ~config ~policy:Bmc.Session.Persistent case.netlist
-      ~property:case.property
-  in
-  let seq = seq_core_trace case depth ~core_mode:Bmc.Session.Core_fast in
-  Alcotest.(check int) "one checked row per traced depth" (List.length seq)
-    (List.length checked.Bmc.Session.per_depth);
-  Portfolio.Pool.with_pool ~jobs:1 (fun pool ->
-      let race =
-        Portfolio.create_race
-          ~racers:[ Portfolio.racer ~name:"standard" Bmc.Session.Standard ]
-          ~pool config case.netlist ~property:case.property
-      in
-      List.iter2
-        (fun (want : Bmc.Session.depth_stat) (seq_outcome, seq_core) ->
-          let k = want.Bmc.Session.depth in
-          let rs = Portfolio.race_depth race ~k in
-          let got = rs.Portfolio.stat in
-          Alcotest.(check bool)
-            (Printf.sprintf "depth %d outcome agrees" k)
-            true
-            (got.Bmc.Session.outcome = want.Bmc.Session.outcome
-            && got.Bmc.Session.outcome = seq_outcome);
-          Alcotest.(check (list int))
-            (Printf.sprintf "depth %d core identical" k)
-            seq_core rs.Portfolio.core_vars;
-          Alcotest.(check (list int))
-            (Printf.sprintf "depth %d search and core sizes = Session.check" k)
-            [
-              want.Bmc.Session.decisions;
-              want.Bmc.Session.conflicts;
-              want.Bmc.Session.core_size;
-              want.Bmc.Session.core_var_count;
-            ]
-            [
-              got.Bmc.Session.decisions;
-              got.Bmc.Session.conflicts;
-              got.Bmc.Session.core_size;
-              got.Bmc.Session.core_var_count;
-            ])
-        checked.Bmc.Session.per_depth seq)
-
-(* Full ensemble: winners are timing-dependent but the folded core must
-   always be a nonempty, sorted set of real variables on UNSAT depths. *)
-let test_shared_race_cores_nonempty () =
-  let case = Circuit.Generators.ring ~len:5 () in
-  let depth = 5 in
-  Portfolio.Pool.with_pool ~jobs:3 (fun pool ->
-      let config = Bmc.Session.make_config ~max_depth:depth ~collect_cores:true () in
-      let race =
-        Portfolio.create_race ~pool config case.netlist ~property:case.property
-      in
-      for k = 0 to depth do
-        let rs = Portfolio.race_depth race ~k in
-        match rs.Portfolio.stat.Bmc.Session.outcome with
-        | Sat.Solver.Unsat ->
-          Alcotest.(check bool)
-            (Printf.sprintf "depth %d core nonempty" k)
-            true
-            (rs.Portfolio.core_vars <> []);
-          Alcotest.(check bool)
-            (Printf.sprintf "depth %d core sorted uniquely" k)
-            true
-            (List.sort_uniq Int.compare rs.Portfolio.core_vars = rs.Portfolio.core_vars)
-        | Sat.Solver.Sat | Sat.Solver.Unknown -> ()
-      done)
 
 (* The session's [Core_minimal] pipeline end to end: every UNSAT depth's
    reported core is no larger than the proof-derived one and carries the
@@ -271,8 +179,6 @@ let tests =
     Alcotest.test_case "certify off" `Quick test_certify_off;
     QCheck_alcotest.to_alcotest prop_minimised_subset_and_certified;
     QCheck_alcotest.to_alcotest prop_minimisation_idempotent;
-    Alcotest.test_case "single racer = sequential" `Quick test_single_racer_equals_sequential;
-    Alcotest.test_case "shared race cores nonempty" `Quick test_shared_race_cores_nonempty;
     Alcotest.test_case "session Core_minimal shrinks, certified" `Quick
       test_session_core_minimal_shrinks_and_certifies;
   ]

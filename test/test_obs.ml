@@ -100,7 +100,7 @@ let test_ring_snapshot_under_hammer () =
 
 let test_ring_entry_jsonl_roundtrip () =
   let rec_ = R.create ~capacity:8 () in
-  emit rec_ "racer_win" ~a:3 ~b:1;
+  emit rec_ "switch" ~a:3 ~b:1;
   emit rec_ "reduce_db" ~a:2 ~b:5;
   let entries = R.snapshot rec_ in
   Alcotest.(check int) "two events" 2 (List.length entries);
@@ -227,39 +227,40 @@ let test_ledger_schema_roundtrip () =
     Alcotest.(check string) "schema version" L.version reparsed.L.schema
 
 let test_ledger_synthetic_events () =
-  (* race events and the restart / switch tallies fold into the ledger *)
+  (* the restart / switch tallies fold into the ledger; a "race" event, as
+     the builds that raced orderings emitted it, is ignored *)
   let ev kind fields = { Telemetry.Sink.ts = 0.0; kind; fields } in
   let open Telemetry.Sink in
-  let ledger =
-    L.of_events
+  let tallies =
+    [
+      ev "restart" [ ("conflicts", Int 100) ];
+      ev "restart" [ ("conflicts", Int 200) ];
+      ev "switch" [ ("decisions", Int 50) ];
+    ]
+  in
+  let race =
+    ev "race"
       [
-        ev "race"
-          [
-            ("depth", Int 2);
-            ("winner", Str "static");
-            ("wall_s", Float 0.25);
-            ("cancelled", Int 2);
-          ];
-        ev "restart" [ ("conflicts", Int 100) ];
-        ev "restart" [ ("conflicts", Int 200) ];
-        ev "switch" [ ("decisions", Int 50) ];
+        ("depth", Int 2);
+        ("winner", Str "static");
+        ("wall_s", Float 0.25);
+        ("cancelled", Int 2);
       ]
   in
+  let ledger = L.of_events (race :: tallies) in
   Alcotest.(check int) "restarts" 2 ledger.L.restarts;
   Alcotest.(check int) "switches" 1 ledger.L.switches;
-  (match ledger.L.races with
-  | [ race ] ->
-    Alcotest.(check string) "race winner" "static" race.L.r_winner;
-    Alcotest.(check int) "race cancelled" 2 race.L.r_cancelled
-  | races -> Alcotest.failf "expected 1 race row, got %d" (List.length races));
-  Alcotest.(check (list (pair string int))) "wins tally" [ ("static", 1) ] ledger.L.wins
+  Alcotest.(check int) "no depth rows" 0 (List.length ledger.L.depths);
+  Alcotest.(check string) "the race event is ignored" (L.to_string (L.of_events tallies))
+    (L.to_string ledger)
 
 (* --ledger reads the live aggregate --metrics also reports from; a saved
-   trace folds into a fresh one.  A race reaches what a Fresh session never
-   emits: race rows and win tallies. *)
+   trace folds into a fresh one.  Two batch items on two workers emit at
+   once through one tee, which must hand both sinks the same order, and
+   every depth row names the item it belongs to. *)
 let test_ledger_of_live_aggregate () =
   let agg = Sink.aggregate () in
-  let path = Filename.temp_file "race" ".jsonl" in
+  let path = Filename.temp_file "batch" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
@@ -268,12 +269,15 @@ let test_ledger_of_live_aggregate () =
         Telemetry.create ~timing:false
           (Sink.tee [ Sink.of_aggregate agg; Obs.Jsonl.of_channel oc ])
       in
-      let case = Circuit.Generators.ring ~len:12 () in
-      let config = Bmc.Session.make_config ~max_depth:10 ~telemetry () in
-      let r =
+      let ring = Circuit.Generators.ring ~len:12 ()
+      and gray = Circuit.Generators.gray ~bits:5 () in
+      let item (case : Circuit.Generators.case) =
+        (case.name, case.netlist, case.property, 10)
+      in
+      let config = Bmc.Session.make_config ~telemetry () in
+      let results =
         Portfolio.Pool.with_pool ~telemetry ~jobs:2 (fun pool ->
-            Portfolio.check_race ~config ~pool case.Circuit.Generators.netlist
-              ~property:case.Circuit.Generators.property)
+            Portfolio.check_batch ~config ~pool [ item ring; item gray ])
       in
       Telemetry.flush telemetry;
       close_out oc;
@@ -283,16 +287,26 @@ let test_ledger_of_live_aggregate () =
       in
       Alcotest.(check string) "live aggregate = re-read trace" (L.to_string saved)
         (L.to_string live);
-      Alcotest.(check (list int)) "one race row per depth"
-        (List.map (fun (rs : Portfolio.race_stat) -> rs.Portfolio.depth) r.Portfolio.per_depth)
-        (List.map (fun (row : L.race_row) -> row.L.r_depth) live.L.races);
-      Alcotest.(check bool) "wins tallied" true (live.L.wins <> []))
+      List.iter
+        (fun (name, (r : Bmc.Session.result)) ->
+          Alcotest.(check (list int))
+            (name ^ ": one row per depth, named by its item")
+            (List.map (fun (d : Bmc.Session.depth_stat) -> d.depth) r.per_depth)
+            (List.filter_map
+               (fun (row : L.depth_row) ->
+                 if row.L.l_property = Some name then Some row.L.l_depth else None)
+               live.L.depths))
+        results;
+      Alcotest.(check int) "every depth row names its item"
+        (List.fold_left (fun n (_, (r : Bmc.Session.result)) -> n + List.length r.per_depth) 0
+           results)
+        (List.length live.L.depths))
 
 (* A two-depth ledger in the bmc-ledger/v1 file format as older builds
-   wrote it: a [share] member from the builds with clause sharing and a
-   race row carrying a member the schema no longer names.  It still
-   loads, the per-depth table prints every header over its column, and
-   the race tally reads only the members the schema names. *)
+   wrote it: a [share] member from the builds with clause sharing, and
+   [races] and [wins] members from the builds that raced orderings.  It
+   still loads, the per-depth table prints every header over its column,
+   and the effectiveness report has no races line. *)
 let golden_ledger =
   {|{
   "schema": "bmc-ledger/v1",
@@ -341,14 +355,8 @@ let test_depth_table_golden () =
     Alcotest.(check int) "restarts" 4 ledger.L.restarts;
     Alcotest.(check string) "per-depth table" golden_table
       (Format.asprintf "%a" L.pp_depth_table ledger);
-    (match ledger.L.races with
-    | [ race ] ->
-      Alcotest.(check (list string)) "race roster" [ "dynamic"; "chb" ] race.L.r_racers
-    | races -> Alcotest.failf "expected 1 race row, got %d" (List.length races));
     let report = Format.asprintf "%a" L.pp_effectiveness ledger in
-    Alcotest.(check bool) "race tally: cancellations and wins only" true
-      (List.mem "  races             : 1 (cancelled racers 1; wins: dynamic 1)"
-         (String.split_on_char '\n' report))
+    Alcotest.(check bool) "no races line" false (Test_stats.contains report "races")
 
 (* ------------------------------------------------------------------ *)
 (* Diff.                                                               *)
@@ -358,9 +366,10 @@ let test_diff_identical_is_empty () =
   let ledger, _ = run_ledger () in
   Alcotest.(check int) "no findings between identical runs" 0
     (List.length (L.diff ledger ledger));
-  (* a portfolio run records one row per racer per depth with divergent
-     loser stats — duplicate depths must pair one-to-one, not first-match *)
-  let racers =
+  (* several rows can share a depth and a mode (an induction ledger's step
+     and base rows) — duplicate depths must pair one-to-one, not
+     first-match *)
+  let doubled =
     {
       ledger with
       L.depths =
@@ -373,8 +382,8 @@ let test_diff_identical_is_empty () =
           ledger.L.depths;
     }
   in
-  Alcotest.(check int) "identical portfolio ledgers diff clean" 0
-    (List.length (L.diff racers racers))
+  Alcotest.(check int) "identical doubled ledgers diff clean" 0
+    (List.length (L.diff doubled doubled))
 
 let fails a b = List.filter (fun f -> f.L.severity = L.Fail) (L.diff a b)
 
@@ -397,55 +406,46 @@ let set_outcome ~k ~nth outcome (t : L.t) =
         t.L.depths;
   }
 
-(* A race ledger holds one row per racer per depth and one race row per
-   depth.  Who finishes first is timing: a loser reads "unknown" when the
-   winner cancelled it and "unsat" when it finished too, so two runs of
-   one race differ in the losers' rows.  At a raced depth only the
-   depth's verdict — the definitive outcome any of its rows reports — and
-   a row flipping between sat and unsat may fail the diff. *)
-let test_diff_keys_race_verdicts () =
-  let ledger, _ = run_ledger () in
-  let cancelled =
-    {
-      ledger with
-      L.depths =
-        List.concat_map
-          (fun (d : L.depth_row) ->
-            [
-              { d with L.l_mode = "static" };
-              { d with L.l_mode = "dynamic"; l_outcome = "unknown" };
-            ])
-          ledger.L.depths;
-      races =
-        List.map
-          (fun (d : L.depth_row) ->
-            {
-              L.r_depth = d.L.l_depth;
-              r_winner = "static";
-              r_wall_s = 0.0;
-              r_cancelled = 1;
-              r_racers = [ "static"; "dynamic" ];
-            })
-          ledger.L.depths;
-    }
+(* A batch's items finish in any order, so two runs of one batch write
+   their rows interleaved differently.  Rows pair by property: the
+   interleaving is no regression, and one property's flip is exactly one
+   Fail. *)
+let test_diff_keys_batch_properties () =
+  let batch rows =
+    L.of_events
+      (List.map
+         (fun (property, depth, outcome) ->
+           {
+             Sink.ts = 0.0;
+             kind = "depth";
+             fields =
+               [
+                 ("property", Sink.Str property);
+                 ("depth", Sink.Int depth);
+                 ("mode", Sink.Str "dynamic");
+                 ("outcome", Sink.Str outcome);
+               ];
+           })
+         rows)
   in
-  let finished = set_outcome ~k:2 ~nth:1 "unsat" cancelled in
-  Alcotest.(check (list string)) "a loser's outcome flip is no Fail" []
-    (rendered (fails cancelled finished));
-  Alcotest.(check (list string)) "the flip is a row warning"
-    [ "WARN depth 2 dynamic row outcome changed: unknown -> unsat" ]
-    (rendered (L.diff cancelled finished));
-  Alcotest.(check (list string)) "the flipped verdict fails"
-    [ "FAIL depth 2 verdict changed: unsat -> unknown" ]
-    (rendered (fails cancelled (set_outcome ~k:2 ~nth:0 "unknown" cancelled)));
-  Alcotest.(check (list string)) "a loser flipping unsat -> sat fails"
-    [ "FAIL depth 2 outcome changed: unsat -> sat" ]
-    (rendered (fails finished (set_outcome ~k:2 ~nth:1 "sat" finished)))
+  let first =
+    batch [ ("p", 0, "unsat"); ("q", 0, "unsat"); ("p", 1, "sat"); ("q", 1, "unsat") ]
+  in
+  let second =
+    batch [ ("q", 0, "unsat"); ("p", 0, "unsat"); ("q", 1, "unsat"); ("p", 1, "sat") ]
+  in
+  Alcotest.(check (list string)) "interleaving is no regression" []
+    (rendered (fails first second));
+  let flipped =
+    batch [ ("q", 0, "unsat"); ("p", 0, "unsat"); ("q", 1, "sat"); ("p", 1, "sat") ]
+  in
+  Alcotest.(check (list string)) "one property's flip is one Fail"
+    [ "FAIL q depth 1 outcome changed: unsat -> sat" ]
+    (rendered (fails first flipped))
 
-(* Outside a race several rows at one depth are separate instances: an
-   induction ledger writes step(j) and then base(j) at depth j in one
-   mode, and a batch writes one row per property.  The step row's "sat"
-   must not stand in for the base row, so every base flip fails. *)
+(* Several rows at one depth are separate instances: an induction ledger
+   writes step(j) and then base(j) at depth j in one mode.  The step row's
+   "sat" must not stand in for the base row, so every base flip fails. *)
 let test_diff_fails_unraced_rows () =
   let ledger, _ = run_ledger () in
   let induction =
@@ -567,7 +567,7 @@ let tests =
       test_ledger_of_live_aggregate;
     Alcotest.test_case "diff of identical runs is empty" `Quick test_diff_identical_is_empty;
     Alcotest.test_case "diff fails on outcome change" `Quick test_diff_flags_regressions;
-    Alcotest.test_case "diff keys races on depth verdicts" `Quick test_diff_keys_race_verdicts;
+    Alcotest.test_case "diff keys batch rows by property" `Quick test_diff_keys_batch_properties;
     Alcotest.test_case "diff fails unraced row flips" `Quick test_diff_fails_unraced_rows;
     Alcotest.test_case "prometheus export names its metrics" `Quick test_prom_render;
     Alcotest.test_case "json codec round-trips and rejects garbage" `Quick

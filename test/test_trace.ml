@@ -11,7 +11,7 @@ let falsify (case : Circuit.Generators.case) =
   | Bmc.Session.Falsified trace -> trace
   | Bmc.Session.Bounded_pass _ | Bmc.Session.Aborted _ -> Alcotest.fail "expected a counterexample"
 
-let test_trace_depth_matches () =
+let test_depth_matches () =
   let case = Circuit.Generators.shift_in ~len:4 () in
   let trace = falsify case in
   Alcotest.(check int) "depth" 4 trace.Bmc.Trace.depth;
@@ -61,7 +61,7 @@ let test_pp_mentions_names () =
 
 let tests =
   [
-    Alcotest.test_case "depth matches" `Quick test_trace_depth_matches;
+    Alcotest.test_case "depth matches" `Quick test_depth_matches;
     Alcotest.test_case "replays" `Quick test_trace_replays;
     Alcotest.test_case "covers inputs and regs" `Quick test_trace_covers_all_inputs_and_regs;
     Alcotest.test_case "corrupted trace rejected" `Quick test_corrupted_trace_fails_replay;
