@@ -14,7 +14,8 @@
      overhead  §3.1     — cost of the simplified-CDG bookkeeping
      ablation  §3.2/§1  — core-weighting variants and the Shtrichman
                           time-axis baseline
-     micro     Bechamel micro-benchmarks, one per artefact
+     complement §1      — BMC beside BDD reachability, abstraction and PDR
+     quick     the timing-free BENCH_quick.json snapshot (search counters)
 
    Run everything:      dune exec bench/main.exe
    Run one artefact:    dune exec bench/main.exe -- table1
@@ -520,16 +521,17 @@ let complement () =
     \   into unbounded proofs — each engine covers the others' blind spots.\n"
 
 (* ------------------------------------------------------------------ *)
-(* bench quick: a small fixed subset for trajectory tracking.          *)
+(* bench quick: the timing-free snapshot.                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Deterministic by construction: generator parameters are fixed, the budget
-   is conflict-based (never wall-clock), and the solver itself has no random
-   state — so outcomes, core-variable sets and search counters are stable
-   across runs and machines, and only the time/allocation fields move.
-   [quick] writes the snapshot (BENCH_quick.json); [quick-check] re-runs and
-   fails if any outcome, core-variable set or search counter (decisions,
-   conflicts, propagations) diverges from the snapshot. *)
+(* Deterministic by construction: generator parameters are fixed, every
+   budget counts conflicts or solves (never seconds), and neither the
+   solver nor the service layer has random state, so every field of the
+   snapshot repeats exactly across runs and machines.  The snapshot holds
+   strings, ints and bools only; time is measured by perfbench.  [quick]
+   checks the invariants below and rewrites BENCH_quick.json only when all
+   of them hold; the gate is that the regenerated file equals the
+   committed one (`git diff --exit-code -- BENCH_quick.json`). *)
 
 let quick_budget =
   { Sat.Solver.max_conflicts = Some 200_000; max_propagations = None; max_seconds = None; stop = None }
@@ -548,6 +550,8 @@ let quick_cases () =
     (Circuit.Generators.johnson ~width:10 ~noise:16 (), 12);
   ]
 
+(* One depth sweep.  Only the first six fields are snapshot rows; the rest
+   feed the inprocess and cores blocks. *)
 type quick_row = {
   q_name : string;
   q_outcomes : string; (* one char per depth: 's' | 'u' | '?' *)
@@ -555,96 +559,56 @@ type quick_row = {
   q_decisions : int;
   q_conflicts : int;
   q_propagations : int;
-  q_build : float; (* instance construction: unroll/deltas + solver setup *)
-  q_bcp : float;
-  q_solve : float;
-  q_wall : float; (* wall-clock for the whole depth sweep *)
+  q_dec_rank : int; (* decisions on a ranked variable *)
+  q_dec_vsids : int; (* decisions on VSIDS activity alone *)
+  q_core_pre : int; (* core clauses before minimisation, summed over depths *)
+  q_core_post : int; (* after *)
+  q_certified : bool; (* every minimised core passed the checker *)
+  q_inpr : int list; (* the session's inprocessing counters, [quick_inpr_fields] order *)
 }
 
 let quick_mix h x = ((h * 131) + x) land 0x3FFFFFFF
 
-(* Inprocessing ablation for the snapshot: the default session rows against
-   the same sweep with depth-boundary inprocessing on (deterministic budget:
-   the default preset has no wall-clock slice).  Outcomes are gated exactly
-   like every other sequential row; the block records what elimination
-   bought on the all-UNSAT tail of the sweep, which is where the clause
-   arena otherwise only ever grows. *)
-type quick_inpr_totals = {
-  mutable i_eliminated : int;
-  mutable i_subsumed : int;
-  mutable i_strengthened : int;
-  mutable i_probe_failed : int;
-  mutable i_resolvents : int;
-}
+let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
 
-type quick_inpr_summary = {
-  i_tail_off_s : float; (* UNSAT-depth solve time, inprocessing off *)
-  i_tail_on_s : float; (* same depths, inprocessing on *)
-  i_totals : quick_inpr_totals;
-}
+(* % of attributed decisions that branched on a ranked variable *)
+let rank_share rows =
+  let rank = sum (fun r -> r.q_dec_rank) rows and vsids = sum (fun r -> r.q_dec_vsids) rows in
+  if rank + vsids = 0 then 0.0 else float_of_int rank /. float_of_int (rank + vsids) *. 100.0
 
-(* Core-minimisation ablation for the snapshot: the static-ordering rows
-   against the same sweep under [Core_minimal] with a deterministic
-   solve-count budget (no wall-clock term, so the minimised cores — and the
-   row's core hash — are reproducible and snapshot-gated like any other
-   sequential row).  The block records how much the destructive minimiser
-   shrank the proof-derived cores and that every minimised core was
-   re-proved by the independent checker. *)
-type quick_cores_totals = {
-  mutable c_pre : int; (* core clauses before minimisation, summed *)
-  mutable c_post : int; (* after *)
-  mutable c_min_s : float; (* seconds spent minimising *)
-  mutable c_all_certified : bool;
-}
-
-type quick_cores_summary = {
-  c_tail_plain_s : float; (* UNSAT-depth solve time, +static rows *)
-  c_tail_min_s : float; (* same depths under Core_minimal *)
-  c_rank_share_plain : float; (* % of attributed decisions on ranked vars *)
-  c_rank_share_min : float; (* same, under Core_minimal *)
-  c_totals : quick_cores_totals;
-}
+let quick_inpr_fields = [ "eliminated"; "subsumed"; "strengthened"; "probe_failed"; "resolvents" ]
 
 (* deterministic: a solve-count cap only, never wall-clock *)
 let quick_coremin_budget = { Sat.Coremin.no_budget with Sat.Coremin.max_solves = Some 32 }
 
-(* The ablation runs on the lighter half of the suite: destructive
-   minimisation re-solves the candidate core from scratch per depth (plus an
-   independent certification solve), which on the two deep noise-24 cases
-   costs tens of seconds each — out of scale for a quick gate that the other
-   blocks keep under a minute.  The plain-static accumulators are restricted
-   to the same subset so the tail and rank-share comparisons stay
-   apples-to-apples. *)
+(* The core-minimisation sweep runs on the lighter half of the suite:
+   destructive minimisation re-solves the candidate core from scratch per
+   depth (plus an independent certification solve), which on the two deep
+   noise-24 cases costs tens of seconds each.  The rank-share comparison
+   restricts the plain static rows to the same cases. *)
 let quick_cores_case ((case : Circuit.Generators.case), _) =
   match case.name with
   | "cnt6_t30_z8" | "shift8_z4" | "gray5_z16" | "parity10_z16" -> true
   | _ -> false
 
-(* The session substrate: one persistent solver, frame deltas loaded once,
-   the per-depth ¬P clause guarded by an activation literal.  Outcomes must
-   match the per-depth-rebuild rows depth for depth (quick-check gates on
-   it); search counters and core hashes legitimately differ — learnt
-   clauses survive and cores may name activation variables — so each
-   substrate is compared against its own snapshot history.  [mode]/[suffix]
-   default to the snapshot row; the Static/Dynamic instantiations
-   ([+static] / [+dynamic]) are the per-ordering baselines — snapshotted
-   and gated like every other row, since their orderings are deterministic
-   functions of the (deterministic) core sequence.  [~policy:Fresh] with no
-   suffix gives the per-depth-rebuild rows (the seed engines' behaviour: a
-   fresh solver over the whole instance at every depth). *)
+(* One depth sweep through [Session].  The default is the persistent
+   session (one solver, frame deltas loaded once, the per-depth ¬P clause
+   guarded by an activation literal); [~policy:Fresh] with no suffix gives
+   the per-depth-rebuild rows.  Outcomes must agree across substrates depth
+   for depth; search counters and core hashes legitimately differ (learnt
+   clauses survive, and cores may name activation variables), so each row
+   keeps its own snapshot history. *)
 let quick_run_case_session ?(policy = Bmc.Session.Persistent) ?(mode = Bmc.Session.Standard)
-    ?(suffix = "+session") ?inprocess ?core_mode ?coremin_budget ?unsat_tail ?inpr_totals
-    ?cores_totals ?dec_split ((case : Circuit.Generators.case), depth) =
+    ?(suffix = "+session") ?inprocess ?core_mode ?coremin_budget
+    ((case : Circuit.Generators.case), depth) =
   let config =
     Bmc.Session.make_config ~mode ~budget:quick_budget ~max_depth:depth ~collect_cores:true
-      ?inprocess ?core_mode ?coremin_budget ~telemetry:tel ()
+      ?inprocess ?core_mode ?coremin_budget ()
   in
   let session = Bmc.Session.create ~policy config case.netlist ~property:case.property in
   let buf = Buffer.create (depth + 1) in
   let hash = ref 7 in
-  let dec = ref 0 and confl = ref 0 and props = ref 0 in
-  let build = ref 0.0 and bcp = ref 0.0 and slv = ref 0.0 in
-  let w0 = Portfolio.Pool.wall () in
+  let stats = ref [] in
   for k = 0 to depth do
     Bmc.Session.begin_instance session ~k;
     Bmc.Session.constrain session
@@ -657,130 +621,148 @@ let quick_run_case_session ?(policy = Bmc.Session.Persistent) ?(mode = Bmc.Sessi
       hash := quick_mix !hash (k + 1);
       List.iter (fun v -> hash := quick_mix !hash v) (Bmc.Session.last_core_vars session)
     | Sat.Solver.Unknown -> Buffer.add_char buf '?');
-    dec := !dec + st.Bmc.Session.decisions;
-    confl := !confl + st.Bmc.Session.conflicts;
-    props := !props + st.Bmc.Session.implications;
-    build := !build +. st.Bmc.Session.build_time;
-    (* summed per depth: a Fresh session's solver covers only its last *)
-    bcp := !bcp +. st.Bmc.Session.bcp_time;
-    slv := !slv +. st.Bmc.Session.time;
-    (match cores_totals with
-    | Some t ->
-      t.c_pre <- t.c_pre + st.Bmc.Session.core_pre;
-      t.c_post <- t.c_post + st.Bmc.Session.core_size;
-      t.c_min_s <- t.c_min_s +. st.Bmc.Session.coremin_time;
-      if not st.Bmc.Session.coremin_certified then t.c_all_certified <- false
-    | None -> ());
-    (match dec_split with
-    | Some (rank, vsids) ->
-      rank := !rank + st.Bmc.Session.dec_rank;
-      vsids := !vsids + st.Bmc.Session.dec_vsids
-    | None -> ());
-    (* the UNSAT tail: where inprocessing is supposed to pay — the deep
-       all-UNSAT suffix of the sweep, measured by per-depth solve time *)
-    match (unsat_tail, st.Bmc.Session.outcome) with
-    | Some acc, Sat.Solver.Unsat -> acc := !acc +. st.Bmc.Session.time
-    | Some _, (Sat.Solver.Sat | Sat.Solver.Unknown) | None, _ -> ()
+    stats := st :: !stats
   done;
-  let stats = Bmc.Session.solver_stats session in
-  (match inpr_totals with
-  | Some t ->
-    t.i_eliminated <- t.i_eliminated + stats.Sat.Stats.inpr_eliminated;
-    t.i_subsumed <- t.i_subsumed + stats.Sat.Stats.inpr_subsumed;
-    t.i_strengthened <- t.i_strengthened + stats.Sat.Stats.inpr_strengthened;
-    t.i_probe_failed <- t.i_probe_failed + stats.Sat.Stats.inpr_probe_failed;
-    t.i_resolvents <- t.i_resolvents + stats.Sat.Stats.inpr_resolvents
-  | None -> ());
+  let stats = !stats and s = Bmc.Session.solver_stats session in
   {
     q_name = case.name ^ suffix;
     q_outcomes = Buffer.contents buf;
     q_core_hash = !hash;
-    q_decisions = !dec;
-    q_conflicts = !confl;
-    q_propagations = !props;
-    q_build = !build;
-    q_bcp = !bcp;
-    q_solve = !slv;
-    q_wall = Portfolio.Pool.wall () -. w0;
+    q_decisions = sum (fun st -> st.Bmc.Session.decisions) stats;
+    q_conflicts = sum (fun st -> st.Bmc.Session.conflicts) stats;
+    q_propagations = sum (fun st -> st.Bmc.Session.implications) stats;
+    q_dec_rank = sum (fun st -> st.Bmc.Session.dec_rank) stats;
+    q_dec_vsids = sum (fun st -> st.Bmc.Session.dec_vsids) stats;
+    q_core_pre = sum (fun st -> st.Bmc.Session.core_pre) stats;
+    q_core_post = sum (fun st -> st.Bmc.Session.core_size) stats;
+    q_certified = List.for_all (fun st -> st.Bmc.Session.coremin_certified) stats;
+    q_inpr =
+      Sat.Stats.
+        [
+          s.inpr_eliminated; s.inpr_subsumed; s.inpr_strengthened; s.inpr_probe_failed;
+          s.inpr_resolvents;
+        ];
   }
 
-(* Observability-overhead ablation for the snapshot: the same fixed session
-   workload with the full tracing stack on (one event stream teed into a
-   flight recorder and the aggregate a run ledger is read off) vs
-   everything off.
-   Best-of-3 walls on each side so scheduler noise cancels; quick-check
-   gates the overhead at 5% — the "cheap enough to leave on" claim. *)
-type quick_obs_summary = {
-  o_wall_off : float;
-  o_wall_on : float;
-  o_overhead_pct : float;
+(* The service layer over the same cases: per case a cold request (cache
+   miss, full depth sweep), an identical repeat (answered from the entry's
+   memo without touching a solver) and a deeper extension (resuming the
+   warm session at its first unproven depth).  Circuits travel as inline
+   text, so every request is parsed afresh and cache identity is the
+   structural digest.  With one worker and no conflict budget the
+   verdicts, cache classes and solve counts are deterministic. *)
+type serve_row = {
+  sv_label : string; (* "<case>@<depth>/<phase>" *)
+  sv_expect : (string * int) option; (* the generator's verdict at this depth, if it has one *)
+  sv_cache : string;
+  sv_verdict : string;
+  sv_vdepth : int; (* depth in the verdict: failure depth or proven bound *)
+  sv_solved : int; (* solver instances run for this request *)
 }
 
-let quick_observability () =
-  let subset =
-    match quick_cases () with a :: b :: c :: d :: _ -> [ a; b; c; d ] | short -> short
+let serve_rows () =
+  let cfg =
+    Serve.Server.make_config ~jobs:1 ~cache_bytes:(256 * 1024 * 1024)
+      ~mode:Bmc.Session.Dynamic ()
   in
-  let run_once ~obs () =
-    let recorder = if obs then Some (Obs.Recorder.create ()) else None in
-    let agg = if obs then Some (Telemetry.Sink.aggregate ()) else None in
-    let telemetry =
-      (* event stream only (~timing:false): the ledger and the recorder do
-         not buy per-BCP clock reads, exactly as bmccheck --ledger
-         --flight-recorder configures it *)
-      match (agg, recorder) with
-      | Some agg, Some r ->
-        Telemetry.create ~timing:false
-          (Telemetry.Sink.tee [ Telemetry.Sink.of_aggregate agg; Obs.Recorder.sink r ])
-      | _ -> Telemetry.disabled
+  let t = Serve.Server.create cfg in
+  let request ((case : Circuit.Generators.case), depth, phase) =
+    let label = Printf.sprintf "%s@%d/%s" case.name depth phase in
+    let text = Circuit.Textio.to_string case.netlist ~property:case.property in
+    let rq =
+      {
+        Serve.Protocol.rq_id = label;
+        rq_src = Serve.Protocol.Inline text;
+        rq_depth = depth;
+        rq_mode = None;
+        rq_deadline_ms = None;
+        rq_stats = false;
+      }
     in
-    let w0 = Portfolio.Pool.wall () in
-    List.iter
+    match (Serve.Server.check_now t rq).Serve.Protocol.rs_reply with
+    | Serve.Protocol.Answer b ->
+      let verdict, vdepth =
+        match b.Serve.Protocol.rs_verdict with
+        | Serve.Protocol.Falsified (d, _) -> ("falsified", d)
+        | Serve.Protocol.Bounded_pass d -> ("bounded_pass", d)
+        | Serve.Protocol.Aborted d -> ("aborted", d)
+      in
+      {
+        sv_label = label;
+        sv_expect =
+          Option.map
+            (function
+              | Circuit.Generators.Fails_at f when f <= depth -> ("falsified", f)
+              | Circuit.Generators.Fails_at _ | Circuit.Generators.Holds -> ("bounded_pass", depth))
+            case.expect;
+        sv_cache = Serve.Protocol.cache_class_string b.Serve.Protocol.rs_cache;
+        sv_verdict = verdict;
+        sv_vdepth = vdepth;
+        sv_solved = b.Serve.Protocol.rs_solved;
+      }
+    | Serve.Protocol.Shed | Serve.Protocol.Draining | Serve.Protocol.Bad_request _ ->
+      Printf.eprintf "bench quick: serve request %s was not answered\n" label;
+      exit 1
+  in
+  let rows =
+    List.concat_map
       (fun ((case : Circuit.Generators.case), depth) ->
-        let config =
-          Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~budget:quick_budget
-            ~max_depth:depth ~collect_cores:true ~telemetry ()
-        in
-        ignore
-          (Bmc.Session.check ~config ~policy:Bmc.Session.Persistent case.netlist
-             ~property:case.property))
-      subset;
-    (* the enabled side pays for the whole pipeline: snapshot the rings and
-       read the ledger off the aggregate, as bmccheck --ledger would *)
-    (match (agg, recorder) with
-    | Some agg, Some r ->
-      ignore (Obs.Ledger.of_aggregate agg);
-      ignore (Obs.Recorder.snapshot r)
-    | _ -> ());
-    Portfolio.Pool.wall () -. w0
+        let d0 = max 2 (depth - 2) in
+        List.map request [ (case, d0, "cold"); (case, d0, "repeat"); (case, depth, "extend") ])
+      (quick_cases ())
   in
-  let best f =
-    let a = f () and b = f () and c = f () in
-    min a (min b c)
-  in
-  let off = best (run_once ~obs:false) in
-  let on_ = best (run_once ~obs:true) in
-  {
-    o_wall_off = off;
-    o_wall_on = on_;
-    o_overhead_pct = (if off > 0.0 then (on_ -. off) /. off *. 100.0 else 0.0);
-  }
+  let st = Serve.Server.stats t in
+  Serve.Server.shutdown t;
+  (rows, st)
 
-(* The inprocess block's counters, in snapshot order. *)
-let quick_inpr_fields (t : quick_inpr_totals) =
-  [
-    ("eliminated", t.i_eliminated);
-    ("subsumed", t.i_subsumed);
-    ("strengthened", t.i_strengthened);
-    ("probe_failed", t.i_probe_failed);
-    ("resolvents", t.i_resolvents);
-  ]
+(* The invariants [quick] asserts before it writes: every substrate and
+   ordering solves the same instance sequence, so per-depth outcomes agree
+   with the per-depth-rebuild rows; minimised cores shrink and are all
+   re-proved by the independent checker; the static sweep steered by
+   minimised cores branches on ranked variables about as often as the one
+   steered by raw cores (10-point tolerance, as in the ledger diff); the
+   service layer answers
+   the generators' ground truth, replays every repeat from the memo, and
+   both hits and resumes a warm session.  Returns one message per broken
+   invariant. *)
+let quick_failures ~fresh ~rows ~plain ~coremin ~serve:(srows, (st : Serve.Server.stats)) =
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun suffix ->
+          match List.find_opt (fun r -> r.q_name = f.q_name ^ suffix) rows with
+          | Some r when r.q_outcomes <> f.q_outcomes ->
+            fail "%s: fresh and %s outcomes diverge: %s vs %s" f.q_name suffix f.q_outcomes
+              r.q_outcomes
+          | Some _ | None -> ())
+        [ "+session"; "+session+inpr"; "+static"; "+static+coremin"; "+dynamic" ])
+    fresh;
+  let pre = sum (fun r -> r.q_core_pre) coremin and post = sum (fun r -> r.q_core_post) coremin in
+  if post >= pre then fail "core minimisation did not shrink the cores (%d -> %d clauses)" pre post;
+  if not (List.for_all (fun r -> r.q_certified) coremin) then
+    fail "a minimised core failed checker certification";
+  if rank_share coremin < rank_share plain -. 10.0 then
+    fail "rank-guided decision share dropped under core minimisation (%.1f%% plain vs %.1f%% \
+          minimised)"
+      (rank_share plain) (rank_share coremin);
+  List.iter
+    (fun r ->
+      (match r.sv_expect with
+      | Some (verdict, depth) when (verdict, depth) <> (r.sv_verdict, r.sv_vdepth) ->
+        fail "%s: expected %s@%d, got %s@%d" r.sv_label verdict depth r.sv_verdict r.sv_vdepth
+      | Some _ | None -> ());
+      if String.ends_with ~suffix:"/repeat" r.sv_label && (r.sv_cache <> "hit" || r.sv_solved <> 0)
+      then fail "%s: a repeat must be a memo hit solving nothing, got %s solving %d" r.sv_label
+          r.sv_cache r.sv_solved)
+    srows;
+  if st.Serve.Server.st_hits = 0 then fail "no serve request hit the cache";
+  if st.Serve.Server.st_warm = 0 then fail "no serve request resumed a warm session";
+  List.rev !failures
 
-let quick_json rows ~alloc_mb ~inprocess:isum ~cores:csum ~observability:osum =
+let quick_json rows ~plain ~coremin ~session_inpr ~serve:(srows, (st : Serve.Server.stats)) =
   let open Obs.Json in
-  (* six decimals (microseconds for the timings) keep float noise out of the
-     committed file *)
-  let num x = Float (Float.round (x *. 1e6) /. 1e6) in
-  let floats kvs = Obj (List.map (fun (k, v) -> (k, num v)) kvs) in
   let ints = List.map (fun (k, v) -> (k, Int v)) in
   let case r =
     Obj
@@ -791,650 +773,111 @@ let quick_json rows ~alloc_mb ~inprocess:isum ~cores:csum ~observability:osum =
         ("decisions", Int r.q_decisions);
         ("conflicts", Int r.q_conflicts);
         ("propagations", Int r.q_propagations);
-        ("build_s", num r.q_build);
-        ("bcp_s", num r.q_bcp);
-        ("solve_s", num r.q_solve);
-        ("wall_s", num r.q_wall);
       ]
   in
-  let tot f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
-  let toti f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  let serve_row r =
+    Obj
+      [
+        ("name", Str r.sv_label);
+        ("cache", Str r.sv_cache);
+        ("verdict", Str r.sv_verdict);
+        ("depth", Int r.sv_vdepth);
+        ("solved", Int r.sv_solved);
+      ]
+  in
+  let inpr =
+    List.fold_left (List.map2 ( + )) (List.map (fun _ -> 0) quick_inpr_fields)
+      (List.map (fun r -> r.q_inpr) session_inpr)
+  in
   Obj
     [
-      ("schema", Str "bench-quick/v11");
+      ("schema", Str "bench-quick/v12");
       ("cases", List (List.map case rows));
-      ( "totals",
-        Obj
-          [
-            ("build_s", num (tot (fun r -> r.q_build)));
-            ("bcp_s", num (tot (fun r -> r.q_bcp)));
-            ("solve_s", num (tot (fun r -> r.q_solve)));
-            ("wall_s", num (tot (fun r -> r.q_wall)));
-            ("decisions", Int (toti (fun r -> r.q_decisions)));
-            ("conflicts", Int (toti (fun r -> r.q_conflicts)));
-            ("propagations", Int (toti (fun r -> r.q_propagations)));
-            ("alloc_mb", num alloc_mb);
-          ] );
-      ( "inprocess",
-        Obj
-          (("unsat_tail_off_s", num isum.i_tail_off_s)
-          :: ("unsat_tail_on_s", num isum.i_tail_on_s)
-          :: ints (quick_inpr_fields isum.i_totals)) );
+      ("inprocess", Obj (ints (List.combine quick_inpr_fields inpr)));
       ( "cores",
         Obj
           [
-            ("pre_clauses", Int csum.c_totals.c_pre);
-            ("post_clauses", Int csum.c_totals.c_post);
-            ("coremin_s", num csum.c_totals.c_min_s);
-            ("certified", Bool csum.c_totals.c_all_certified);
-            ("unsat_tail_plain_s", num csum.c_tail_plain_s);
-            ("unsat_tail_min_s", num csum.c_tail_min_s);
-            ("dec_rank_share_plain_pct", num csum.c_rank_share_plain);
-            ("dec_rank_share_min_pct", num csum.c_rank_share_min);
+            ("pre_clauses", Int (sum (fun r -> r.q_core_pre) coremin));
+            ("post_clauses", Int (sum (fun r -> r.q_core_post) coremin));
+            ("certified", Bool (List.for_all (fun r -> r.q_certified) coremin));
+            ("dec_rank_plain", Int (sum (fun r -> r.q_dec_rank) plain));
+            ("dec_vsids_plain", Int (sum (fun r -> r.q_dec_vsids) plain));
+            ("dec_rank_min", Int (sum (fun r -> r.q_dec_rank) coremin));
+            ("dec_vsids_min", Int (sum (fun r -> r.q_dec_vsids) coremin));
           ] );
-      ( "observability",
-        floats
+      ( "serve",
+        Obj
           [
-            ("wall_off_s", osum.o_wall_off);
-            ("wall_on_s", osum.o_wall_on);
-            ("overhead_pct", osum.o_overhead_pct);
+            ("requests", Int (List.length srows));
+            ("shed", Int st.Serve.Server.st_shed);
+            ("errors", Int st.Serve.Server.st_errors);
+            ( "cache",
+              Obj
+                (ints
+                   [
+                     ("hit", st.Serve.Server.st_hits);
+                     ("warm", st.Serve.Server.st_warm);
+                     ("miss", st.Serve.Server.st_misses);
+                   ]) );
+            ("rows", List (List.map serve_row srows));
           ] );
     ]
-
-let quick_rows () =
-  let a0 = Gc.allocated_bytes () in
-  let cases = quick_cases () in
-  (* the substrates over the same cases: per-depth rebuilds (a Fresh
-     session) and the persistent incremental session (in all three
-     orderings) *)
-  let fresh = List.map (quick_run_case_session ~policy:Bmc.Session.Fresh ~suffix:"") cases in
-  let inpr_tail_off = ref 0.0 in
-  let session = List.map (quick_run_case_session ~unsat_tail:inpr_tail_off) cases in
-  let inpr_tail_on = ref 0.0 in
-  let inpr_totals =
-    { i_eliminated = 0; i_subsumed = 0; i_strengthened = 0; i_probe_failed = 0; i_resolvents = 0 }
-  in
-  let session_inpr =
-    List.map
-      (quick_run_case_session ~inprocess:Sat.Inprocess.default ~suffix:"+session+inpr"
-         ~unsat_tail:inpr_tail_on ~inpr_totals)
-      cases
-  in
-  (* per-ordering baselines *)
-  let cores_tail_plain = ref 0.0 in
-  let split_plain = (ref 0, ref 0) in
-  let seq_static =
-    List.map
-      (fun cd ->
-        if quick_cores_case cd then
-          quick_run_case_session ~mode:Bmc.Session.Static ~suffix:"+static"
-            ~unsat_tail:cores_tail_plain ~dec_split:split_plain cd
-        else quick_run_case_session ~mode:Bmc.Session.Static ~suffix:"+static" cd)
-      cases
-  in
-  let seq_dynamic =
-    List.map (quick_run_case_session ~mode:Bmc.Session.Dynamic ~suffix:"+dynamic") cases
-  in
-  (* the static sweep again under [Core_minimal]: same instances, so the
-     outcome string is gated against +static; the minimised cores re-rank
-     the score, so decisions and core hashes legitimately differ and the
-     row keeps its own snapshot history *)
-  let cores_tail_min = ref 0.0 in
-  let split_min = (ref 0, ref 0) in
-  let cores_totals = { c_pre = 0; c_post = 0; c_min_s = 0.0; c_all_certified = true } in
-  let seq_static_coremin =
-    List.map
-      (quick_run_case_session ~mode:Bmc.Session.Static ~suffix:"+static+coremin"
-         ~core_mode:Bmc.Session.Core_minimal ~coremin_budget:quick_coremin_budget
-         ~unsat_tail:cores_tail_min ~cores_totals ~dec_split:split_min)
-      (List.filter quick_cores_case cases)
-  in
-  let isum =
-    { i_tail_off_s = !inpr_tail_off; i_tail_on_s = !inpr_tail_on; i_totals = inpr_totals }
-  in
-  let rank_share (rank, vsids) =
-    let attributed = !rank + !vsids in
-    if attributed = 0 then 0.0 else float_of_int !rank /. float_of_int attributed *. 100.0
-  in
-  let csum =
-    {
-      c_tail_plain_s = !cores_tail_plain;
-      c_tail_min_s = !cores_tail_min;
-      c_rank_share_plain = rank_share split_plain;
-      c_rank_share_min = rank_share split_min;
-      c_totals = cores_totals;
-    }
-  in
-  let osum = quick_observability () in
-  let rows =
-    fresh @ session @ session_inpr @ seq_static @ seq_static_coremin @ seq_dynamic
-  in
-  let alloc_mb = (Gc.allocated_bytes () -. a0) /. (1024.0 *. 1024.0) in
-  Printf.printf "\n== bench quick: fixed small subset (deterministic outcomes) ==\n\n";
-  Printf.printf "%-24s %-14s %10s %10s %12s %9s %9s %9s %9s\n" "model" "outcomes" "decisions"
-    "conflicts" "implications" "build(s)" "bcp(s)" "solve(s)" "wall(s)";
-  List.iter
-    (fun r ->
-      Printf.printf "%-24s %-14s %10d %10d %12d %9.3f %9.3f %9.3f %9.3f\n" r.q_name
-        r.q_outcomes r.q_decisions r.q_conflicts r.q_propagations r.q_build r.q_bcp r.q_solve
-        r.q_wall)
-    rows;
-  Printf.printf "%-24s %-14s %10d %10d %12d %9.3f %9.3f %9.3f %9.3f   (%.1f MB allocated)\n"
-    "TOTAL" ""
-    (List.fold_left (fun a r -> a + r.q_decisions) 0 rows)
-    (List.fold_left (fun a r -> a + r.q_conflicts) 0 rows)
-    (List.fold_left (fun a r -> a + r.q_propagations) 0 rows)
-    (List.fold_left (fun a r -> a +. r.q_build) 0.0 rows)
-    (List.fold_left (fun a r -> a +. r.q_bcp) 0.0 rows)
-    (List.fold_left (fun a r -> a +. r.q_solve) 0.0 rows)
-    (List.fold_left (fun a r -> a +. r.q_wall) 0.0 rows)
-    alloc_mb;
-  let build_of rs = List.fold_left (fun a r -> a +. r.q_build) 0.0 rs in
-  Printf.printf
-    "\n   instance build time: fresh %.3fs (O(k^2) rebuilds), session %.3fs (frame deltas)\n"
-    (build_of fresh) (build_of session);
-  Printf.printf
-    "   inprocessing: UNSAT-tail solve %.3fs off vs %.3fs on; eliminated=%d subsumed=%d \
-     strengthened=%d probe_failed=%d resolvents=%d\n"
-    isum.i_tail_off_s isum.i_tail_on_s inpr_totals.i_eliminated inpr_totals.i_subsumed
-    inpr_totals.i_strengthened inpr_totals.i_probe_failed inpr_totals.i_resolvents;
-  Printf.printf
-    "   core minimisation: %d -> %d core clauses (%.3fs, %s); UNSAT-tail solve %.3fs plain \
-     vs %.3fs minimised; rank share %.1f%% -> %.1f%%\n"
-    cores_totals.c_pre cores_totals.c_post cores_totals.c_min_s
-    (if cores_totals.c_all_certified then "all certified" else "NOT all certified")
-    csum.c_tail_plain_s csum.c_tail_min_s csum.c_rank_share_plain csum.c_rank_share_min;
-  Printf.printf
-    "   observability: session sweep %.3fs bare vs %.3fs with flight recorder + ledger \
-     (%+.1f%% overhead, best of 3)\n"
-    osum.o_wall_off osum.o_wall_on osum.o_overhead_pct;
-  Telemetry.gauge tel "quick.build_s" (List.fold_left (fun a r -> a +. r.q_build) 0.0 rows);
-  Telemetry.gauge tel "quick.bcp_s" (List.fold_left (fun a r -> a +. r.q_bcp) 0.0 rows);
-  Telemetry.gauge tel "quick.solve_s" (List.fold_left (fun a r -> a +. r.q_solve) 0.0 rows);
-  Telemetry.gauge tel "quick.alloc_mb" alloc_mb;
-  Telemetry.gauge tel "quick.decisions"
-    (float_of_int (List.fold_left (fun a r -> a + r.q_decisions) 0 rows));
-  Telemetry.gauge tel "quick.observability.overhead_pct" osum.o_overhead_pct;
-  Telemetry.gauge tel "quick.inprocess.unsat_tail_off_s" isum.i_tail_off_s;
-  Telemetry.gauge tel "quick.inprocess.unsat_tail_on_s" isum.i_tail_on_s;
-  Telemetry.gauge tel "quick.inprocess.eliminated" (float_of_int inpr_totals.i_eliminated);
-  Telemetry.gauge tel "quick.inprocess.subsumed" (float_of_int inpr_totals.i_subsumed);
-  Telemetry.gauge tel "quick.cores.pre_clauses" (float_of_int cores_totals.c_pre);
-  Telemetry.gauge tel "quick.cores.post_clauses" (float_of_int cores_totals.c_post);
-  Telemetry.gauge tel "quick.cores.coremin_s" cores_totals.c_min_s;
-  (rows, alloc_mb, isum, csum, osum)
 
 let quick () =
-  let rows, alloc_mb, isum, csum, osum = quick_rows () in
-  let doc = quick_json rows ~alloc_mb ~inprocess:isum ~cores:csum ~observability:osum in
-  let oc = open_out quick_snapshot_file in
-  output_string oc (Obs.Json.to_string ~indent:true doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "bench: quick snapshot written to %s\n%!" quick_snapshot_file
-
-(* The committed snapshot a -check artefact compares against; a missing or
-   unparsable file fails the check. *)
-let read_snapshot ~tool file =
-  let fail msg =
-    Printf.eprintf "%s: %s\n" tool msg;
-    exit 1
+  let cases = quick_cases () in
+  let run = quick_run_case_session in
+  (* the substrates over the same cases: per-depth rebuilds (a Fresh
+     session), and the persistent session plain, with inprocessing, and
+     in the paper's two orderings *)
+  let fresh = List.map (run ~policy:Bmc.Session.Fresh ~suffix:"") cases in
+  let session = List.map run cases in
+  let session_inpr =
+    List.map (run ~inprocess:Sat.Inprocess.default ~suffix:"+session+inpr") cases
   in
-  match In_channel.with_open_bin file In_channel.input_all with
-  | exception Sys_error msg -> fail msg
-  | text -> (
-    match Obs.Json.of_string text with Ok d -> d | Error msg -> fail (file ^ ": " ^ msg))
-
-let quick_check () =
-  let snapshot = read_snapshot ~tool:"quick-check" quick_snapshot_file in
-  let rows, _, isum, csum, osum = quick_rows () in
-  let str j k = Option.bind (Obs.Json.member k j) Obs.Json.to_str in
-  let int j k = Option.bind (Obs.Json.member k j) Obs.Json.to_int in
-  let expected =
-    List.filter_map
-      (fun c -> Option.map (fun name -> (name, c)) (str c "name"))
-      (Obs.Json.get_list snapshot "cases")
-  in
-  let expected_inpr =
-    Option.map
-      (fun block -> List.map (fun (f, _) -> int block f) (quick_inpr_fields isum.i_totals))
-      (Obs.Json.member "inprocess" snapshot)
-  in
-  let failures = ref 0 in
-  List.iter
-    (fun r ->
-      match List.assoc_opt r.q_name expected with
-      | None ->
-        incr failures;
-        Printf.eprintf "quick-check: %s missing from %s\n" r.q_name quick_snapshot_file
-      | Some c ->
-        let outcomes = str c "outcomes" and hash = str c "core_vars_hash" in
-        let counters = List.map (int c) [ "decisions"; "conflicts"; "propagations" ] in
-        let got_hash = Printf.sprintf "%08x" r.q_core_hash in
-        if outcomes <> Some r.q_outcomes then begin
-          incr failures;
-          Printf.eprintf "quick-check: %s outcomes diverge: snapshot %s, got %s\n" r.q_name
-            (Option.value ~default:"?" outcomes)
-            r.q_outcomes
-        end;
-        if hash <> Some got_hash then begin
-          incr failures;
-          Printf.eprintf "quick-check: %s core-variable sets diverge: snapshot %s, got %s\n"
-            r.q_name
-            (Option.value ~default:"?" hash)
-            got_hash
-        end;
-        (* the search itself is deterministic: a hot-path change must
-           reproduce it counter for counter *)
-        List.iter2
-          (fun (field, got) want ->
-            if want <> Some got then begin
-              incr failures;
-              Printf.eprintf "quick-check: %s %s diverge: snapshot %s, got %d\n" r.q_name field
-                (match want with Some n -> string_of_int n | None -> "?")
-                got
-            end)
-          [
-            ("decisions", r.q_decisions);
-            ("conflicts", r.q_conflicts);
-            ("propagations", r.q_propagations);
-          ]
-          counters)
-    rows;
-  (* the inprocessing counters are deterministic too (the default preset
-     has no wall-clock slice): a change to the engine or its replay must
-     reproduce them exactly *)
-  (match expected_inpr with
-  | None ->
-    incr failures;
-    Printf.eprintf "quick-check: no inprocess block in %s\n" quick_snapshot_file
-  | Some want ->
-    List.iter2
-      (fun (field, got) want ->
-        if want <> Some got then begin
-          incr failures;
-          Printf.eprintf "quick-check: inprocess %s diverge: snapshot %s, got %d\n" field
-            (match want with Some n -> string_of_int n | None -> "?")
-            got
-        end)
-      (quick_inpr_fields isum.i_totals)
-      want);
-  (* cross-substrate gates: every substrate solves the same instance
-     sequence, so per-depth outcomes must agree exactly across the fresh
-     and session rows (all three orderings) *)
-  let by_name = Hashtbl.create 16 in
-  List.iter (fun r -> Hashtbl.replace by_name r.q_name r) rows;
-  List.iter
-    (fun r ->
-      List.iter
-        (fun suffix ->
-          match Hashtbl.find_opt by_name (r.q_name ^ suffix) with
-          | Some s when s.q_outcomes <> r.q_outcomes ->
-            incr failures;
-            Printf.eprintf "quick-check: %s: fresh and %s outcomes diverge: %s vs %s\n"
-              r.q_name suffix r.q_outcomes s.q_outcomes
-          | Some _ | None -> ())
-        [
-          "+session";
-          "+session+inpr";
-          "+static";
-          "+static+coremin";
-          "+dynamic";
-        ])
-    rows;
-  (* the core-minimisation gates: the minimised cores must be strictly
-     smaller in aggregate than the proof-derived ones (the point of the
-     pass), every one must be re-proved by the independent checker, and
-     the minimised sweep's UNSAT-tail solve time must stay close to the
-     plain static sweep's (the minimiser runs after each solve, so the
-     tails only drift if the re-ranked score degrades the search) *)
-  if csum.c_totals.c_pre > 0 && csum.c_totals.c_post >= csum.c_totals.c_pre then begin
-    incr failures;
-    Printf.eprintf
-      "quick-check: core minimisation did not shrink the cores (%d -> %d clauses)\n"
-      csum.c_totals.c_pre csum.c_totals.c_post
-  end;
-  if not csum.c_totals.c_all_certified then begin
-    incr failures;
-    Printf.eprintf "quick-check: a minimised core failed checker certification\n"
-  end;
-  if csum.c_tail_min_s > (2.0 *. csum.c_tail_plain_s) +. 0.5 then begin
-    incr failures;
-    Printf.eprintf
-      "quick-check: UNSAT-tail solve regressed under core minimisation (%.3fs plain vs \
-       %.3fs minimised)\n"
-      csum.c_tail_plain_s csum.c_tail_min_s
-  end;
-  (* ordering quality must not regress: the static sweep steered by minimised
-     cores has to keep branching on ranked variables about as often as the
-     one steered by raw cores (10-point tolerance, same as the ledger diff) *)
-  if csum.c_rank_share_min < csum.c_rank_share_plain -. 10.0 then begin
-    incr failures;
-    Printf.eprintf
-      "quick-check: rank-guided decision share dropped under core minimisation (%.1f%% \
-       plain vs %.1f%% minimised)\n"
-      csum.c_rank_share_plain csum.c_rank_share_min
-  end;
-  (* the tracing-overhead gate: the flight recorder + ledger pipeline must
-     stay within 5% of the bare wall (fresh measurement, best of 3) *)
-  if osum.o_overhead_pct > 5.0 then begin
-    incr failures;
-    Printf.eprintf
-      "quick-check: observability overhead %.1f%% exceeds the 5%% gate (%.3fs bare vs \
-       %.3fs traced)\n"
-      osum.o_overhead_pct osum.o_wall_off osum.o_wall_on
-  end;
-  if !failures > 0 then begin
-    Printf.eprintf "quick-check: %d divergence(s) from %s\n" !failures quick_snapshot_file;
-    exit 1
-  end;
-  Printf.printf
-    "quick-check: all outcomes, core-variable sets, search and inprocessing counters match \
-     %s (fresh and session agree; observability overhead %.1f%% within the 5%% gate)\n"
-    quick_snapshot_file osum.o_overhead_pct
-
-(* ------------------------------------------------------------------ *)
-(* bench serve: service-layer workload over the warm-session cache.    *)
-(* ------------------------------------------------------------------ *)
-
-(* Replays the quick subset through the Serve engine as three phases per
-   case: a cold request (cache miss, full depth sweep), an identical
-   repeat (answered from the entry's memo without touching a solver) and
-   a deeper extension (resuming the warm session at its first unproven
-   depth).  Circuits travel as inline text, so every request is parsed
-   fresh and cache identity really is the structural digest, not physical
-   equality.  With one worker and no conflict budget the verdicts, cache
-   classes and solve counts are deterministic; only the timing fields
-   move.  [serve] writes BENCH_serve.json; [serve-check] re-runs and
-   gates on the snapshot plus the headline service properties (hit rate
-   positive, memo repeats >= 2x faster than cold). *)
-
-let serve_snapshot_file = "BENCH_serve.json"
-
-type serve_row = {
-  sv_label : string; (* "<case>@<depth>/<phase>" *)
-  sv_cache : string;
-  sv_verdict : string;
-  sv_vdepth : int; (* depth in the verdict: failure depth or proven bound *)
-  sv_solved : int; (* solver instances run for this request *)
-  sv_wall_ms : float;
-}
-
-let serve_workload () =
-  List.concat_map
-    (fun ((case : Circuit.Generators.case), depth) ->
-      let d0 = max 2 (depth - 2) in
-      [ (case, d0, "cold"); (case, d0, "repeat"); (case, depth, "extend") ])
-    (quick_cases ())
-
-let serve_rows () =
-  let cfg =
-    Serve.Server.make_config ~jobs:1 ~cache_bytes:(256 * 1024 * 1024)
-      ~mode:Bmc.Session.Dynamic ()
-  in
-  let t = Serve.Server.create cfg in
-  let rows =
+  let static_ = List.map (run ~mode:Bmc.Session.Static ~suffix:"+static") cases in
+  let dynamic = List.map (run ~mode:Bmc.Session.Dynamic ~suffix:"+dynamic") cases in
+  (* the static sweep again under [Core_minimal]: same instances, so its
+     outcomes must agree with +static; the minimised cores re-rank the
+     score, so its decisions and core hashes legitimately differ *)
+  let coremin =
     List.map
-      (fun ((case : Circuit.Generators.case), depth, phase) ->
-        let label = Printf.sprintf "%s@%d/%s" case.Circuit.Generators.name depth phase in
-        let text =
-          Circuit.Textio.to_string case.Circuit.Generators.netlist
-            ~property:case.Circuit.Generators.property
-        in
-        let rq =
-          {
-            Serve.Protocol.rq_id = label;
-            rq_src = Serve.Protocol.Inline text;
-            rq_depth = depth;
-            rq_mode = None;
-            rq_deadline_ms = None;
-            rq_stats = false;
-          }
-        in
-        let rs = Serve.Server.check_now t rq in
-        match rs.Serve.Protocol.rs_reply with
-        | Serve.Protocol.Answer b ->
-          let verdict, vdepth =
-            match b.Serve.Protocol.rs_verdict with
-            | Serve.Protocol.Falsified (d, _) -> ("falsified", d)
-            | Serve.Protocol.Bounded_pass d -> ("bounded_pass", d)
-            | Serve.Protocol.Aborted d -> ("aborted", d)
-          in
-          {
-            sv_label = label;
-            sv_cache = Serve.Protocol.cache_class_string b.Serve.Protocol.rs_cache;
-            sv_verdict = verdict;
-            sv_vdepth = vdepth;
-            sv_solved = b.Serve.Protocol.rs_solved;
-            sv_wall_ms = rs.Serve.Protocol.rs_wall_ms;
-          }
-        | Serve.Protocol.Shed | Serve.Protocol.Draining | Serve.Protocol.Bad_request _ ->
-          Printf.eprintf "bench serve: request %s was not answered\n" label;
-          exit 1)
-      (serve_workload ())
+      (run ~mode:Bmc.Session.Static ~suffix:"+static+coremin" ~core_mode:Bmc.Session.Core_minimal
+         ~coremin_budget:quick_coremin_budget)
+      (List.filter quick_cores_case cases)
   in
-  let st = Serve.Server.stats t in
-  let uptime_ms = Serve.Server.uptime_ms t in
-  Serve.Server.shutdown t;
-  (rows, st, uptime_ms)
-
-let serve_mean f rows =
-  match List.filter f rows with
-  | [] -> 0.0
-  | l -> List.fold_left (fun a r -> a +. r.sv_wall_ms) 0.0 l /. float_of_int (List.length l)
-
-let serve_phase p r =
-  let n = String.length r.sv_label and np = String.length p in
-  n > np && String.sub r.sv_label (n - np) np = p
-
-let serve_pctl rows p =
-  match List.sort compare (List.map (fun r -> r.sv_wall_ms) rows) with
-  | [] -> 0.0
-  | l ->
-    let a = Array.of_list l in
-    let i = int_of_float (ceil (p /. 100.0 *. float_of_int (Array.length a))) - 1 in
-    a.(max 0 (min (Array.length a - 1) i))
-
-let serve_json rows (st : Serve.Server.stats) uptime_ms =
-  let cold_mean = serve_mean (serve_phase "/cold") rows in
-  let repeat_mean = serve_mean (serve_phase "/repeat") rows in
-  let warm_mean = serve_mean (fun r -> r.sv_cache = "warm") rows in
-  let n = List.length rows in
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str "bench-serve/v1");
-      ("requests", Obs.Json.Int n);
-      ("shed", Obs.Json.Int st.Serve.Server.st_shed);
-      ("errors", Obs.Json.Int st.Serve.Server.st_errors);
-      ( "cache",
-        Obs.Json.Obj
-          [
-            ("hit", Obs.Json.Int st.Serve.Server.st_hits);
-            ("warm", Obs.Json.Int st.Serve.Server.st_warm);
-            ("miss", Obs.Json.Int st.Serve.Server.st_misses);
-          ] );
-      ( "cache_hit_rate",
-        Obs.Json.Float
-          (float_of_int st.Serve.Server.st_hits /. float_of_int (max 1 n)) );
-      ( "throughput_rps",
-        Obs.Json.Float (float_of_int n *. 1e3 /. Float.max 1e-6 uptime_ms) );
-      ("p50_ms", Obs.Json.Float (serve_pctl rows 50.0));
-      ("p95_ms", Obs.Json.Float (serve_pctl rows 95.0));
-      ("p99_ms", Obs.Json.Float (serve_pctl rows 99.0));
-      ("cold_mean_ms", Obs.Json.Float cold_mean);
-      ("repeat_mean_ms", Obs.Json.Float repeat_mean);
-      ("warm_mean_ms", Obs.Json.Float warm_mean);
-      ("warm_speedup", Obs.Json.Float (cold_mean /. Float.max 1e-6 repeat_mean));
-      ( "rows",
-        Obs.Json.List
-          (List.map
-             (fun r ->
-               Obs.Json.Obj
-                 [
-                   ("name", Obs.Json.Str r.sv_label);
-                   ("cache", Obs.Json.Str r.sv_cache);
-                   ("verdict", Obs.Json.Str r.sv_verdict);
-                   ("depth", Obs.Json.Int r.sv_vdepth);
-                   ("solved", Obs.Json.Int r.sv_solved);
-                 ])
-             rows) );
-    ]
-
-let serve () =
-  let rows, st, uptime_ms = serve_rows () in
-  let doc = serve_json rows st uptime_ms in
-  let oc = open_out serve_snapshot_file in
-  output_string oc (Obs.Json.to_string ~indent:true doc);
-  output_char oc '\n';
-  close_out oc;
-  Telemetry.gauge tel "serve.requests" (float_of_int (List.length rows));
-  Telemetry.gauge tel "serve.hits" (float_of_int st.Serve.Server.st_hits);
-  Printf.eprintf "bench: serve snapshot written to %s\n%!" serve_snapshot_file
-
-let serve_check () =
-  let snapshot = read_snapshot ~tool:"serve-check" serve_snapshot_file in
-  let rows, st, _uptime_ms = serve_rows () in
-  let failures = ref 0 in
-  let fail fmt = Printf.ksprintf (fun m -> incr failures; Printf.eprintf "serve-check: %s\n" m) fmt in
-  (* deterministic per-row fields must match the committed snapshot *)
-  let snap_rows =
-    List.filter_map
-      (fun r ->
-        match Obs.Json.member "name" r with
-        | Some (Obs.Json.Str name) -> Some (name, r)
-        | _ -> None)
-      (Obs.Json.get_list snapshot "rows")
+  let plain =
+    List.concat (List.map2 (fun cd r -> if quick_cores_case cd then [ r ] else []) cases static_)
   in
+  let rows = fresh @ session @ session_inpr @ static_ @ coremin @ dynamic in
+  let serve = serve_rows () in
+  Printf.printf "\n== bench quick: fixed small subset (deterministic counts) ==\n\n";
+  Printf.printf "%-24s %-16s %10s %10s %12s\n" "model" "outcomes" "decisions" "conflicts"
+    "implications";
   List.iter
     (fun r ->
-      match List.assoc_opt r.sv_label snap_rows with
-      | None -> fail "row %s missing from %s" r.sv_label serve_snapshot_file
-      | Some s ->
-        List.iter
-          (fun (key, got) ->
-            let want = Obs.Json.get_str ~default:"?" s key in
-            if want <> got then
-              fail "%s: %s diverges: snapshot %s, got %s" r.sv_label key want got)
-          [ ("cache", r.sv_cache); ("verdict", r.sv_verdict) ];
-        List.iter
-          (fun (key, got) ->
-            let want = Obs.Json.get_int ~default:min_int s key in
-            if want <> got then
-              fail "%s: %s diverges: snapshot %d, got %d" r.sv_label key want got)
-          [ ("depth", r.sv_vdepth); ("solved", r.sv_solved) ])
+      Printf.printf "%-24s %-16s %10d %10d %12d\n" r.q_name r.q_outcomes r.q_decisions
+        r.q_conflicts r.q_propagations)
     rows;
-  if List.length snap_rows <> List.length rows then
-    fail "row count diverges: snapshot %d, got %d" (List.length snap_rows)
-      (List.length rows);
-  (* verdicts must agree with the generators' ground truth *)
-  List.iter
-    (fun ((case : Circuit.Generators.case), depth, phase) ->
-      let label = Printf.sprintf "%s@%d/%s" case.Circuit.Generators.name depth phase in
-      match
-        ( case.Circuit.Generators.expect,
-          List.find_opt (fun r -> r.sv_label = label) rows )
-      with
-      | Some expect, Some r ->
-        let want =
-          match expect with
-          | Circuit.Generators.Fails_at f when f <= depth -> ("falsified", f)
-          | Circuit.Generators.Fails_at _ | Circuit.Generators.Holds ->
-            ("bounded_pass", depth)
-        in
-        if (r.sv_verdict, r.sv_vdepth) <> want then
-          fail "%s: expected %s@%d, got %s@%d" label (fst want) (snd want) r.sv_verdict
-            r.sv_vdepth
-      | _ -> ())
-    (serve_workload ());
-  (* headline service gates: the cache must actually serve, and a memo
-     repeat must be far cheaper than the cold solve it replays *)
-  if st.Serve.Server.st_hits = 0 then fail "cache hit rate is zero";
-  if st.Serve.Server.st_warm = 0 then fail "no request resumed a warm session";
-  let cold_mean = serve_mean (serve_phase "/cold") rows in
-  let repeat_mean = serve_mean (serve_phase "/repeat") rows in
-  let speedup = cold_mean /. Float.max 1e-6 repeat_mean in
-  if speedup < 2.0 then
-    fail "memo repeats only %.1fx faster than cold (gate: >= 2x, %.2fms vs %.2fms)"
-      speedup cold_mean repeat_mean;
-  if !failures > 0 then begin
-    Printf.eprintf "serve-check: %d divergence(s) from %s\n" !failures serve_snapshot_file;
-    exit 1
-  end;
+  let srows, st = serve in
   Printf.printf
-    "serve-check: all verdicts and cache classes match %s (%d hit / %d warm / %d miss; \
-     memo repeats %.0fx faster than cold)\n"
-    serve_snapshot_file st.Serve.Server.st_hits st.Serve.Server.st_warm
-    st.Serve.Server.st_misses speedup
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks.                                          *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  Printf.printf "\n== Bechamel micro-benchmarks (one per artefact) ==\n";
-  let representative = Circuit.Generators.ring ~len:8 ~noise:8 () in
-  let u =
-    Bmc.Unroll.create representative.Circuit.Generators.netlist
-      ~property:representative.Circuit.Generators.property
-  in
-  let cnf = Bmc.Unroll.instance u ~k:6 in
-  let solve_with mode () =
-    let s = Sat.Solver.create ~mode cnf in
-    ignore (Sat.Solver.solve s)
-  in
-  let rank =
-    (* a plausible mid-run ranking: earlier-frame variables first *)
-    Array.init (Sat.Cnf.num_vars cnf) (fun v ->
-        match Bmc.Varmap.key_of (Bmc.Unroll.varmap u) v with
-        | Some (_, frame) -> float_of_int (6 - frame)
-        | None -> 0.0)
-  in
-  let proof_solve with_proof () =
-    let s = Sat.Solver.create ~with_proof cnf in
-    ignore (Sat.Solver.solve s)
-  in
-  let fig7_small () =
-    let case = Circuit.Generators.ring ~len:6 () in
-    let config =
-      Bmc.Session.make_config ~mode:Bmc.Session.Dynamic ~max_depth:6 ~budget:per_instance_budget ()
-    in
-    ignore
-      (Bmc.Session.check ~config ~policy:Bmc.Session.Fresh case.netlist ~property:case.property)
-  in
-  let tests =
-    [
-      Test.make ~name:"table1/solve-standard" (Staged.stage (solve_with Sat.Order.Vsids));
-      Test.make ~name:"table1/solve-static" (Staged.stage (solve_with (Sat.Order.Static rank)));
-      Test.make ~name:"table1/solve-dynamic"
-        (Staged.stage (solve_with (Sat.Order.Dynamic rank)));
-      Test.make ~name:"fig6/unroll-instance"
-        (Staged.stage (fun () -> ignore (Bmc.Unroll.instance u ~k:6)));
-      Test.make ~name:"fig7/engine-run" (Staged.stage fig7_small);
-      Test.make ~name:"overhead/proof-off" (Staged.stage (proof_solve false));
-      Test.make ~name:"overhead/proof-on" (Staged.stage (proof_solve true));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  Printf.printf "%-24s %16s %10s\n" "name" "ns/run" "r^2";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ Toolkit.Instance.monotonic_clock ] elt in
-          let ols =
-            Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-          in
-          let est = Analyze.one ols Toolkit.Instance.monotonic_clock raw in
-          let ns =
-            match Analyze.OLS.estimates est with
-            | Some [ v ] -> v
-            | Some _ | None -> Float.nan
-          in
-          let r2 = Option.value ~default:Float.nan (Analyze.OLS.r_square est) in
-          Printf.printf "%-24s %16.0f %10.3f\n" (Test.Elt.name elt) ns r2)
-        (Test.elements test))
-    tests
+    "\n   core minimisation: %d -> %d core clauses; rank share %.1f%% plain -> %.1f%% minimised\n"
+    (sum (fun r -> r.q_core_pre) coremin)
+    (sum (fun r -> r.q_core_post) coremin)
+    (rank_share plain) (rank_share coremin);
+  Printf.printf "   serve: %d requests, %d hit / %d warm / %d miss\n" (List.length srows)
+    st.Serve.Server.st_hits st.Serve.Server.st_warm st.Serve.Server.st_misses;
+  match quick_failures ~fresh ~rows ~plain ~coremin ~serve with
+  | [] ->
+    let doc = quick_json rows ~plain ~coremin ~session_inpr ~serve in
+    Out_channel.with_open_bin quick_snapshot_file (fun oc ->
+        output_string oc (Obs.Json.to_string ~indent:true doc);
+        output_char oc '\n');
+    Printf.eprintf "bench: quick snapshot written to %s\n%!" quick_snapshot_file
+  | failures ->
+    List.iter (Printf.eprintf "bench quick: %s\n") failures;
+    Printf.eprintf "bench quick: %d invariant(s) broken; %s left as it was\n%!"
+      (List.length failures) quick_snapshot_file;
+    exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
@@ -1442,15 +885,10 @@ let micro () =
 
 let usage () =
   Printf.printf
-    "usage: main.exe \
-     [table1|fig6|fig7|overhead|ablation|complement|quick|quick-check|serve|serve-check|micro]...\n\
-     with no arguments, runs every artefact except quick-check and serve-check.\n\
-     quick       small fixed-seed subset; writes the BENCH_quick.json snapshot\n\
-     quick-check re-runs the quick subset and fails on any outcome, core or\n\
-    \             search-counter divergence\n\
-     serve       cold/repeat/extend workload through the service layer;\n\
-    \             writes the BENCH_serve.json snapshot\n\
-     serve-check re-runs the serve workload and fails on any divergence\n"
+    "usage: main.exe [table1|fig6|fig7|overhead|ablation|complement|quick]...\n\
+     with no arguments, runs every artefact.\n\
+     quick   fixed small subset through the solver and the service layer; checks\n\
+    \        its invariants, then writes the BENCH_quick.json snapshot\n"
 
 let write_results () =
   let oc = open_out results_file in
@@ -1471,19 +909,11 @@ let () =
       ("ablation", ablation);
       ("complement", complement);
       ("quick", quick);
-      ("quick-check", quick_check);
-      ("serve", serve);
-      ("serve-check", serve_check);
-      ("micro", micro);
     ]
   in
-  let canonical = function "--quick" -> "quick" | "--quick-check" -> "quick-check" | a -> a in
-  match List.map canonical (List.tl (Array.to_list Sys.argv)) with
+  match List.tl (Array.to_list Sys.argv) with
   | [] ->
-    List.iter
-      (fun (name, f) ->
-        if name <> "quick-check" && name <> "serve-check" then run_artefact name f)
-      artefacts;
+    List.iter (fun (name, f) -> run_artefact name f) artefacts;
     write_results ()
   | args ->
     List.iter

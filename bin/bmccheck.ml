@@ -320,12 +320,12 @@ let run_batch sources engine_name mode_name max_depth coi weighting_name verbose
   let jobs =
     if jobs > 0 then jobs else min (List.length items) (Domain.recommended_domain_count ())
   in
-  let t0 = Portfolio.Pool.wall () in
+  let t0 = Telemetry.wall () in
   let results =
     Portfolio.Pool.with_pool ~telemetry ~jobs (fun pool ->
         Portfolio.check_batch ~config ~policy ~pool items)
   in
-  let wall = Portfolio.Pool.wall () -. t0 in
+  let wall = Telemetry.wall () -. t0 in
   let code = ref 20 in
   List.iter2
     (fun (_, netlist, _, _) (source, (r : Bmc.Session.result)) ->

@@ -1,7 +1,7 @@
 (** The repository's one JSON codec.  Every JSON artefact is printed and
     parsed here: the telemetry trace ({!Jsonl}), the run ledger, the
     flight-recorder dump, the serve protocol, and the bench's
-    [bench_results.json] and [BENCH_*.json] snapshots.
+    [bench_results.json] and [BENCH_quick.json] snapshot.
 
     [to_string] preserves field order and prints floats in their shortest
     round-tripping form, so printing is deterministic and

@@ -185,6 +185,22 @@ let bar width frac =
   let full = max 0 (min width full) in
   String.make full '#' ^ String.make (width - full) ' '
 
+let row_rank_pct d =
+  let attributed = d.l_dec_rank + d.l_dec_vsids in
+  if attributed = 0 then 0.0 else 100.0 *. float_of_int d.l_dec_rank /. float_of_int attributed
+
+(* A batch interleaves its items' rows in finishing order; the reports
+   group them by property, in order of first appearance, keeping each
+   property's rows in ledger order.  A ledger whose rows name no property
+   is one unnamed group. *)
+let by_property depths =
+  let names =
+    List.fold_left
+      (fun acc d -> if List.mem d.l_property acc then acc else d.l_property :: acc)
+      [] depths
+  in
+  List.rev_map (fun p -> (p, List.filter (fun d -> d.l_property = p) depths)) names
+
 let pp_depth_table ppf t =
   if t.depths = [] then Format.fprintf ppf "(no depth rows)@."
   else begin
@@ -195,24 +211,24 @@ let pp_depth_table ppf t =
       "depth  outcome  mode       decisions (heat)      rank%%  implications  conflicts   core  \
        churn(+/-)   sw  build_s  solve_s    cdg_s@.";
     List.iter
-      (fun d ->
-        let attributed = d.l_dec_rank + d.l_dec_vsids in
-        let rank_pct =
-          if attributed = 0 then 0.0
-          else 100.0 *. float_of_int d.l_dec_rank /. float_of_int attributed
-        in
-        Format.fprintf ppf
-          "%5d  %-7s  %-9s  %8d %s %5.1f  %12d  %9d  %5d  %+5d/%-5d  %2s  %7.3f  %7.3f  %7.3f%s@."
-          d.l_depth d.l_outcome d.l_mode d.l_decisions
-          (bar 12 (float_of_int d.l_decisions /. maxd))
-          rank_pct d.l_implications d.l_conflicts d.l_core_clauses d.l_core_new
-          (-d.l_core_dropped)
-          (if d.l_switched then "*" else "")
-          d.l_build_s d.l_solve_s d.l_cdg_s
-          (if d.l_core_pre <> d.l_core_clauses then
-             Printf.sprintf "  [coremin %d->%d]" d.l_core_pre d.l_core_clauses
-           else ""))
-      t.depths;
+      (fun (property, depths) ->
+        Option.iter (Format.fprintf ppf "property %s@.") property;
+        List.iter
+          (fun d ->
+            Format.fprintf ppf
+              "%5d  %-7s  %-9s  %8d %s %5.1f  %12d  %9d  %5d  %+5d/%-5d  %2s  %7.3f  %7.3f  \
+               %7.3f%s@."
+              d.l_depth d.l_outcome d.l_mode d.l_decisions
+              (bar 12 (float_of_int d.l_decisions /. maxd))
+              (row_rank_pct d) d.l_implications d.l_conflicts d.l_core_clauses d.l_core_new
+              (-d.l_core_dropped)
+              (if d.l_switched then "*" else "")
+              d.l_build_s d.l_solve_s d.l_cdg_s
+              (if d.l_core_pre <> d.l_core_clauses then
+                 Printf.sprintf "  [coremin %d->%d]" d.l_core_pre d.l_core_clauses
+               else ""))
+          depths)
+      (by_property t.depths);
     let seconds f = List.fold_left (fun acc d -> acc +. f d) 0.0 t.depths in
     Format.fprintf ppf "%5s  %-7s  %-9s  %8d %12s %5s  %12d  %9d  %5s  %11s  %2s  %7.3f  %7.3f  %7.3f@."
       "TOTAL" "" "" (decisions t) "" "" (total (fun d -> d.l_implications) t) (conflicts t) ""
@@ -256,14 +272,10 @@ let pp_effectiveness ppf t =
   if t.depths <> [] then begin
     Format.fprintf ppf "  rank share by depth :";
     List.iter
-      (fun d ->
-        let attributed = d.l_dec_rank + d.l_dec_vsids in
-        let pct =
-          if attributed = 0 then 0.0
-          else 100.0 *. float_of_int d.l_dec_rank /. float_of_int attributed
-        in
-        Format.fprintf ppf " d%d %.0f%%" d.l_depth pct)
-      t.depths;
+      (fun (property, depths) ->
+        Option.iter (Format.fprintf ppf " %s:") property;
+        List.iter (fun d -> Format.fprintf ppf " d%d %.0f%%" d.l_depth (row_rank_pct d)) depths)
+      (by_property t.depths);
     Format.fprintf ppf "@."
   end
 

@@ -105,12 +105,14 @@ val pp_depth_table : Format.formatter -> t -> unit
     decision heat bars, rank share, implications, conflicts, core size,
     core churn, fallback markers, build / solve / CDG seconds, a
     [coremin pre->post] tail on rows whose core was minimised, and a
-    TOTAL row. *)
+    TOTAL row.  Rows that name a property (a batch's) are grouped under a
+    [property NAME] line per property, in order of first appearance. *)
 
 val pp_effectiveness : Format.formatter -> t -> unit
 (** The ordering-effectiveness report: decision-source split, fallback
-    and restart counts, and core churn.  Never empty, even for a ledger
-    with no depth rows. *)
+    and restart counts, core churn, and the rank share per depth, whose
+    entries are grouped by property as in {!pp_depth_table} and led by
+    [NAME:].  Never empty, even for a ledger with no depth rows. *)
 
 (** {1 Regression diff} *)
 

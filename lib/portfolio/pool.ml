@@ -4,8 +4,6 @@
    makes the blocking protocol — workers wait for "my pinned queue, the
    shared queue, or shutdown" — trivially deadlock-free. *)
 
-let wall = Telemetry.wall
-
 type job = {
   run : unit -> unit; (* never raises; the future captures the exception *)
   label : string;
@@ -57,7 +55,7 @@ let await fut =
 
 let emit_queue_wait t ~worker ~label ~enqueued =
   if Telemetry.enabled t.tel then
-    Telemetry.span_event t.tel "queue_wait" ~dur:(wall () -. enqueued)
+    Telemetry.span_event t.tel "queue_wait" ~dur:(Telemetry.wall () -. enqueued)
       [ ("worker", Telemetry.Sink.Int worker); ("job", Telemetry.Sink.Str label) ]
 
 let worker_loop t i () =
@@ -105,7 +103,7 @@ let submit ?affinity ?(label = "job") t f =
     let r = try Ok (f ()) with e -> Error e in
     settle fut r
   in
-  let job = { run; label; enqueued = wall () } in
+  let job = { run; label; enqueued = Telemetry.wall () } in
   Mutex.protect t.m (fun () ->
       if t.stopping then invalid_arg "Pool.submit: pool has been shut down";
       (match affinity with

@@ -28,9 +28,6 @@ val create : ?telemetry:Telemetry.t -> jobs:int -> unit -> t
 val size : t -> int
 (** Number of worker domains. *)
 
-val wall : unit -> float
-(** {!Telemetry.wall}: the wall clock every timing in [lib/] reads. *)
-
 (** {1 Futures} *)
 
 type 'a future

@@ -19,14 +19,14 @@ let check_batch ?(config = Session.default_config) ?(policy = Session.Persistent
   let tel = config.Session.telemetry in
   Pool.map_list ~label:"batch" pool
     (fun (name, netlist, property, max_depth) ->
-      let t0 = Pool.wall () in
+      let t0 = Telemetry.wall () in
       let telemetry = Telemetry.map_sink tel (tag_depths name) in
       let r =
         Session.check ~config:{ config with Session.max_depth; telemetry } ~policy netlist
           ~property
       in
       if Telemetry.enabled tel then
-        Telemetry.span_event tel "batch_item" ~dur:(Pool.wall () -. t0)
+        Telemetry.span_event tel "batch_item" ~dur:(Telemetry.wall () -. t0)
           [ ("property", Telemetry.Sink.Str name) ];
       (name, r))
     items

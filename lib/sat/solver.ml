@@ -1403,8 +1403,6 @@ let set_rank t v r = Order.set_rank t.order v r
 
 let set_max_learnts t n = t.max_learnts <- max 1 n
 
-let set_restart_base t base = t.luby <- Luby.create ~base
-
 let set_gc_fraction t f =
   if f < 0.0 then invalid_arg "Solver.set_gc_fraction: negative";
   t.gc_fraction <- f

@@ -102,8 +102,8 @@ val reload : ?mode:Order.mode -> t -> Cnf.t -> unit
     [telemetry].  What is reset, exactly as {!create} sets
     it: the formula and [mode] (default {!Order.Vsids}), every {!Stats.t}
     counter (zeroed in place, so [stats t] reads zero again), the learnt
-    clauses and proof graph, the Luby sequence (a {!set_restart_base} is
-    undone), the learnt limit ({!set_max_learnts}), the GC fraction
+    clauses and proof graph, the Luby sequence, the learnt limit
+    ({!set_max_learnts}), the GC fraction
     ({!set_gc_fraction}), the [Dynamic] threshold, the outcome and any
     assumption state, the {!set_order} hooks, and the inprocessing state (frozen and eliminated variables and the
     model-reconstruction stack).  The last
@@ -215,12 +215,6 @@ val inprocess : ?config:Inprocess.config -> t -> Inprocess.stats
     search refutation: the next {!solve} answers [Unsat] with the proof
     final already set.  No-op when the solver is already refuted.  With
     [time_slice = None] (the default) a run is deterministic. *)
-
-val set_restart_base : t -> int -> unit
-(** Replace the Luby restart sequence with one of the given unit (default
-    128), restarting the sequence.  Nothing in the BMC layers changes the
-    unit; the reload property sets it to check that {!reload} undoes it.
-    @raise Invalid_argument if the base is < 1 (via {!Luby.create}). *)
 
 val set_max_learnts : t -> int -> unit
 (** Override the learnt-clause limit that triggers database reduction

@@ -31,7 +31,7 @@ let make_config ?(jobs = 1) ?(cache_bytes = 64 * 1024 * 1024) ?(max_pending = 64
 type pending = {
   p_req : Protocol.request;
   p_respond : Protocol.response -> unit;
-  p_arrived : float;  (* Pool.wall at admission *)
+  p_arrived : float;  (* Telemetry.wall at admission *)
 }
 
 (* What a solve job hands back to the front end. *)
@@ -92,7 +92,7 @@ let create ?(on_wake = fun () -> ()) cfg =
     cfg;
     pool = Pool.create ~telemetry:cfg.sv_telemetry ~jobs:cfg.sv_jobs ();
     cache = Cache.create ~max_bytes:cfg.sv_cache_bytes ~jobs:cfg.sv_jobs ();
-    created = Pool.wall ();
+    created = Telemetry.wall ();
     on_wake;
     cq = Queue.create ();
     cm = Mutex.create ();
@@ -107,8 +107,6 @@ let create ?(on_wake = fun () -> ()) cfg =
     n_errors = 0;
     n_evicted = 0;
   }
-
-let uptime_ms t = (Pool.wall () -. t.created) *. 1000.0
 
 let pending t = t.inflight
 
@@ -128,7 +126,7 @@ let reply_status = function
    latency fields, stream the ledger line and telemetry, bump counters,
    then hand the response to the requester's callback.  Front-end only. *)
 let answer t ~digest ~dispatched p reply =
-  let now = Pool.wall () in
+  let now = Telemetry.wall () in
   let resp =
     {
       Protocol.rs_id = p.p_req.Protocol.rq_id;
@@ -182,7 +180,7 @@ let entry_session t (e : pending Cache.entry) =
   | Some s -> s
   | None ->
     let deadline = e.Cache.ce_deadline in
-    let stop () = Pool.wall () > !deadline in
+    let stop () = Telemetry.wall () > !deadline in
     let budget =
       {
         Sat.Solver.max_conflicts = t.cfg.sv_max_conflicts;
@@ -305,12 +303,12 @@ let dispatch t (e : pending Cache.entry) p =
   e.Cache.ce_busy <- true;
   e.Cache.ce_deadline :=
     (match p.p_req.Protocol.rq_deadline_ms with
-    | Some ms -> Pool.wall () +. (ms /. 1000.0)
+    | Some ms -> Telemetry.wall () +. (ms /. 1000.0)
     | None -> infinity);
   let cls =
     if e.Cache.ce_session = None then Protocol.Miss else Protocol.Warm
   in
-  let dispatched = Pool.wall () in
+  let dispatched = Telemetry.wall () in
   ignore
     (Pool.submit ~affinity:e.Cache.ce_affinity ~label:"serve" t.pool (fun () ->
          let result = run_job t e p in
@@ -358,7 +356,7 @@ let resolve t rq =
       | Ok () -> Ok (netlist, property))
 
 let submit t ~respond rq =
-  let p = { p_req = rq; p_respond = respond; p_arrived = Pool.wall () } in
+  let p = { p_req = rq; p_respond = respond; p_arrived = Telemetry.wall () } in
   if t.is_draining then answer t ~digest:"" ~dispatched:p.p_arrived p Protocol.Draining
   else if t.inflight >= t.cfg.sv_max_pending then
     answer t ~digest:"" ~dispatched:p.p_arrived p Protocol.Shed

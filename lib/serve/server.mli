@@ -112,6 +112,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val uptime_ms : t -> float
-(** Wall-clock milliseconds since {!create} — the ledger's [t_ms] axis. *)

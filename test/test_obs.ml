@@ -358,6 +358,65 @@ let test_depth_table_golden () =
     let report = Format.asprintf "%a" L.pp_effectiveness ledger in
     Alcotest.(check bool) "no races line" false (Test_stats.contains report "races")
 
+(* A two-property batch ledger whose rows interleave in finishing order:
+   both reports group each property's rows under its name, in order of
+   first appearance, and the TOTAL row still sums every row. *)
+let batch_ledger =
+  {|{
+  "schema": "bmc-ledger/v1",
+  "depths": [
+    {"property": "ring5", "depth": 0, "mode": "dynamic", "outcome": "unsat", "decisions": 0,
+     "dec_rank": 0, "dec_vsids": 0, "implications": 0, "conflicts": 0, "core_clauses": 19,
+     "core_vars": 18, "core_new": 18, "core_dropped": 0, "switched": false,
+     "build_s": 0.001, "solve_s": 0.002, "bcp_s": 0.0, "cdg_s": 0.0},
+    {"property": "shift4", "depth": 0, "mode": "dynamic", "outcome": "unsat", "decisions": 0,
+     "dec_rank": 0, "dec_vsids": 0, "implications": 0, "conflicts": 0, "core_clauses": 4,
+     "core_vars": 3, "core_new": 3, "core_dropped": 0, "switched": false,
+     "build_s": 0.001, "solve_s": 0.001, "bcp_s": 0.0, "cdg_s": 0.0},
+    {"property": "ring5", "depth": 1, "mode": "dynamic", "outcome": "unsat", "decisions": 3,
+     "dec_rank": 1, "dec_vsids": 2, "implications": 177, "conflicts": 4, "core_clauses": 39,
+     "core_vars": 31, "core_new": 26, "core_dropped": 13, "switched": false,
+     "build_s": 0.001, "solve_s": 0.004, "bcp_s": 0.0, "cdg_s": 0.0},
+    {"property": "shift4", "depth": 1, "mode": "dynamic", "outcome": "sat", "decisions": 4,
+     "dec_rank": 3, "dec_vsids": 1, "implications": 63, "conflicts": 0, "core_clauses": 0,
+     "core_vars": 0, "core_new": 0, "core_dropped": 3, "switched": true,
+     "build_s": 0.001, "solve_s": 0.003, "bcp_s": 0.0, "cdg_s": 0.0}
+  ],
+  "restarts": 0,
+  "switches": 0
+}|}
+
+let batch_table =
+  String.concat "\n"
+    [
+      "depth  outcome  mode       decisions (heat)      rank%  implications  conflicts   core  \
+       churn(+/-)   sw  build_s  solve_s    cdg_s";
+      "property ring5";
+      "    0  unsat    dynamic           0                0.0             0          0     19  \
+      \  +18/0            0.001    0.002    0.000";
+      "    1  unsat    dynamic           3 #########     33.3           177          4     39  \
+      \  +26/-13          0.001    0.004    0.000";
+      "property shift4";
+      "    0  unsat    dynamic           0                0.0             0          0      4  \
+      \   +3/0            0.001    0.001    0.000";
+      "    1  sat      dynamic           4 ############  75.0            63          0      0  \
+      \   +0/-3      *    0.001    0.003    0.000";
+      "TOTAL                             7                              240          4       \
+      \                     0.004    0.010    0.000";
+      "";
+    ]
+
+let test_batch_report_golden () =
+  match L.of_string batch_ledger with
+  | Error msg -> Alcotest.failf "the batch ledger must load: %s" msg
+  | Ok ledger ->
+    Alcotest.(check string) "per-depth table grouped by property" batch_table
+      (Format.asprintf "%a" L.pp_depth_table ledger);
+    let report = Format.asprintf "%a" L.pp_effectiveness ledger in
+    Alcotest.(check bool) "rank share by depth names each property" true
+      (Test_stats.contains report
+         "rank share by depth : ring5: d0 0% d1 33% shift4: d0 0% d1 75%\n")
+
 (* ------------------------------------------------------------------ *)
 (* Diff.                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -563,6 +622,8 @@ let tests =
       test_ledger_synthetic_events;
     Alcotest.test_case "depth table golden (v1 ledger with share member)" `Quick
       test_depth_table_golden;
+    Alcotest.test_case "batch report groups rows by property" `Quick
+      test_batch_report_golden;
     Alcotest.test_case "ledger of a live race aggregate = of its trace" `Quick
       test_ledger_of_live_aggregate;
     Alcotest.test_case "diff of identical runs is empty" `Quick test_diff_identical_is_empty;

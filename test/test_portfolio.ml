@@ -96,12 +96,12 @@ let test_batch_times_on_the_wall_clock () =
   let case = Circuit.Generators.ring ~len:16 ~noise:24 () in
   let item name = (name, case.netlist, case.property, 16) in
   Pool.with_pool ~jobs:2 (fun pool ->
-      let t0 = Pool.wall () in
+      let t0 = Telemetry.wall () in
       let results =
         Portfolio.check_batch ~config:(static_config ~max_depth:16) ~pool
           [ item "a"; item "b" ]
       in
-      let wall = Pool.wall () -. t0 in
+      let wall = Telemetry.wall () -. t0 in
       List.iter
         (fun (name, (r : Bmc.Session.result)) ->
           let solved =

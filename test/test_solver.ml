@@ -631,7 +631,6 @@ let prop_reload_equals_create =
       in
       if c.perturb then begin
         (* every setting a reload must drop, and some incremental history *)
-        Sat.Solver.set_restart_base s 1;
         Sat.Solver.set_max_learnts s 7;
         Sat.Solver.set_gc_fraction s 1e9;
         Sat.Solver.set_order s (mode_of c.a c.mode_a)
