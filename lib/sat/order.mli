@@ -13,10 +13,22 @@
     solver calls {!switch_to_vsids} when its decision budget heuristic fires,
     after which only [cha_score] is used.
 
-    Implementation: an indexed binary max-heap over literals with lazy
-    re-insertion on unassignment.  Score bumps only increase keys (sift-up);
-    the periodic halving rescales every key by the same factor, which
-    preserves heap order, so no restructuring is needed. *)
+    Implementation: an indexed binary max-heap over {e variables}, one
+    entry each.  Scores stay per literal; a variable is keyed by its rank
+    (when ranked), then the activity of its better literal (the higher of
+    its two, the positive one on a tie), then that literal's index, lower
+    first.  That orders variables exactly as a heap over all literals would
+    order their best literals, so {!pop_best} returns the literal such a
+    heap pops.  Assigned variables are discarded lazily when they reach the
+    top.  Score bumps only increase keys (sift-up); the periodic halving
+    rescales every key by the same factor, which preserves heap order, so no
+    restructuring is needed.
+
+    The heap is {e live} only while a solve searches: from {!rebuild},
+    which every solve call begins with, to {!suspend}, which ends it.
+    Outside that window bumps, rank updates and unassignments only record
+    their scores and leave the heap alone, since the next {!rebuild}
+    discards its order anyway. *)
 
 type t
 
@@ -51,8 +63,14 @@ val init_activity : t -> int array -> unit
     are ignored, so a longer reused count buffer works too. *)
 
 val rebuild : t -> is_unassigned:(Lit.var -> bool) -> unit
-(** Fill the heap with (the literals of) all currently unassigned
-    variables.  Call once before the search starts. *)
+(** Fill the heap with every currently unassigned variable, heapify it
+    under the current key, and make it live.  Call once before the search
+    starts. *)
+
+val suspend : t -> unit
+(** End the live window at the end of a search: until the next
+    {!rebuild}, {!bump}, {!bump_by}, {!set_rank} and {!on_unassign} only
+    update scores, and {!pop_best} must not be called. *)
 
 val bump : t -> Lit.t -> unit
 (** Add 1 to the literal's score (a new conflict-clause occurrence). *)
@@ -61,16 +79,18 @@ val halve_all : t -> unit
 (** The periodic decay: every literal score is halved. *)
 
 val on_unassign : t -> Lit.var -> unit
-(** Re-insert the variable's two literals after backtracking unassigns it. *)
+(** Re-insert the variable after backtracking unassigns it (a no-op when
+    it is still in the heap, or when the heap is not live). *)
 
 val pop_best : t -> is_unassigned:(Lit.var -> bool) -> Lit.t option
-(** Highest-keyed literal whose variable is unassigned; [None] when all
-    variables are assigned.  Stale (assigned) entries are discarded
-    lazily. *)
+(** Remove the highest-keyed unassigned variable and return its better
+    literal, the one to decide; [None] when all variables are assigned.
+    Stale (assigned) entries met on the way are discarded.  Only valid
+    while the heap is live. *)
 
 val switch_to_vsids : t -> unit
-(** Dynamic mode's fallback: drop the rank component and rebuild the heap
-    keyed by [cha_score] alone.  Idempotent. *)
+(** Dynamic mode's fallback: drop the rank component and re-heapify the
+    surviving entries keyed by [cha_score] alone.  Idempotent. *)
 
 val activity : t -> Lit.t -> float
 
@@ -88,19 +108,23 @@ val grow : t -> num_vars:int -> unit
 
 val set_mode : t -> mode -> unit
 (** Replace the ranking component and mode before a new solve call, keeping
-    the accumulated literal activities.  The heap must be {!rebuild}t before
-    the next {!pop_best}. *)
+    the accumulated literal activities.  The heap stops being live: it must
+    be {!rebuild}t before the next {!pop_best}. *)
 
 val bump_by : t -> Lit.t -> float -> unit
-(** Like {!bump} with an explicit amount (used when attaching clauses
-    incrementally: the initial score of a literal is its occurrence
+(** Like {!bump} with an explicit non-negative amount (used when attaching
+    clauses incrementally: the initial score of a literal is its occurrence
     count). *)
 
 val set_rank : t -> Lit.var -> float -> unit
 (** Point update of one variable's rank while the search runs — the
     mutation path of pluggable heuristics (e.g. conflict-frequency
     branching) that refine their ranking per conflict instead of
-    installing a whole new array via {!set_mode}.  Repairs the heap
-    position of both of the variable's literals (a rank may fall as well
-    as rise).  No-op on the rank key when the current mode ignores ranks,
+    installing a whole new array via {!set_mode}.  Repairs the variable's
+    heap position while the heap is live (a rank may fall as well as
+    rise).  No-op on the rank key when the current mode ignores ranks,
     but the stored value still updates so a later ranked mode sees it. *)
+
+val comparisons : t -> int
+(** Heap-key comparisons since {!create} or {!reset}: a deterministic
+    measure of the heap's work. *)

@@ -1259,6 +1259,8 @@ let solve ?(budget = no_budget) ?(assumptions = []) t =
       t.solve_start <- start_time;
       t.props_at_poll <- s.propagations;
       let r = try search t budget start_time with Done r -> r in
+      (* the next call rebuilds the heap: stop maintaining it until then *)
+      Order.suspend t.order;
       let dur = Telemetry.wall () -. start_time in
       s.solve_time <- s.solve_time +. dur;
       s.arena_bytes <- Arena.bytes t.arena;

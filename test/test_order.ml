@@ -138,6 +138,161 @@ let prop_pop_monotone =
       in
       sorted acts)
 
+(* The reference model: [Order_ref] is the per-literal heap the
+   per-variable one replaced.  Both are driven through the same random
+   sequence in the solver's protocol: a search rebuilds the heap, then
+   bumps, halves, re-ranks, switches to VSIDS, implies, pops and assigns,
+   and backtracks; between searches the order only takes bumps, ranks,
+   mode changes, new variables and assignments, and the next search
+   rebuilds.  Every pop must return the same literal from both. *)
+type op =
+  | Bump of int * bool
+  | Bump_by of int * bool * int
+  | Halve
+  | Set_rank of int * int
+  | Set_mode of int * int list (* 0 Vsids, 1 Static, 2 Dynamic; the ranks *)
+  | Switch
+  | Imply of int
+  | Pop
+  | Backtrack of int
+  | End_search
+  | Grow of int
+
+let show_op = function
+  | Bump (v, s) -> Printf.sprintf "bump %d%s" v (if s then "+" else "-")
+  | Bump_by (v, s, a) -> Printf.sprintf "bump_by %d%s %d" v (if s then "+" else "-") a
+  | Halve -> "halve"
+  | Set_rank (v, r) -> Printf.sprintf "rank %d %d" v r
+  | Set_mode (m, rs) ->
+    Printf.sprintf "mode %d [%s]" m (String.concat ";" (List.map string_of_int rs))
+  | Switch -> "switch"
+  | Imply v -> Printf.sprintf "imply %d" v
+  | Pop -> "pop"
+  | Backtrack k -> Printf.sprintf "backtrack %d" k
+  | End_search -> "end"
+  | Grow k -> Printf.sprintf "grow %d" k
+
+let max_vars = 24
+
+let gen_protocol =
+  let open QCheck.Gen in
+  let var = int_bound (max_vars - 1) and small = int_bound 3 in
+  let op =
+    frequency
+      [
+        (6, map2 (fun v s -> Bump (v, s)) var bool);
+        (2, map3 (fun v s a -> Bump_by (v, s, a)) var bool small);
+        (1, return Halve);
+        (3, map2 (fun v r -> Set_rank (v, r)) var small);
+        (1, map2 (fun m rs -> Set_mode (m, rs)) (int_bound 2) (list_size (int_bound max_vars) small));
+        (1, return Switch);
+        (4, map (fun v -> Imply v) var);
+        (8, return Pop);
+        (3, map (fun k -> Backtrack k) (int_bound 6));
+        (1, return End_search);
+        (1, map (fun k -> Grow k) (int_range 1 3));
+      ]
+  in
+  triple (int_range 1 16) (list_size (return (2 * max_vars)) small) (list_size (int_bound 150) op)
+
+let print_protocol (n, _, ops) =
+  Printf.sprintf "vars %d: %s" n (String.concat ", " (List.map show_op ops))
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"pops the literal the per-literal reference heap pops" ~count:500
+    (QCheck.make ~print:print_protocol
+       ~shrink:QCheck.Shrink.(triple nil nil (list ~shrink:nil))
+       gen_protocol)
+    (fun (n0, occ, ops) ->
+      let n = ref n0 in
+      let o = Sat.Order.create ~num_vars:n0 Sat.Order.Vsids
+      and r = Order_ref.create ~num_vars:n0 Order_ref.Vsids in
+      let occ = Array.of_list occ in
+      Sat.Order.init_activity o occ;
+      Order_ref.init_activity r occ;
+      let assigned = Array.make max_vars false and trail = ref [] and live = ref false in
+      let is_unassigned v = not assigned.(v) in
+      let assign v =
+        if not assigned.(v) then begin
+          assigned.(v) <- true;
+          trail := v :: !trail
+        end
+      in
+      let rec backtrack k =
+        match !trail with
+        | v :: rest when k > 0 ->
+          assigned.(v) <- false;
+          trail := rest;
+          Sat.Order.on_unassign o v;
+          Order_ref.on_unassign r v;
+          backtrack (k - 1)
+        | _ -> ()
+      in
+      (* a search starts by rebuilding: pops and switches happen in one *)
+      let searching () =
+        if not !live then begin
+          Sat.Order.rebuild o ~is_unassigned;
+          Order_ref.rebuild r ~is_unassigned;
+          live := true
+        end
+      in
+      let lit v s = Sat.Lit.make (v mod !n) s in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Bump (v, s) ->
+            Sat.Order.bump o (lit v s);
+            Order_ref.bump r (lit v s)
+          | Bump_by (v, s, a) ->
+            Sat.Order.bump_by o (lit v s) (float_of_int a);
+            Order_ref.bump_by r (lit v s) (float_of_int a)
+          | Halve ->
+            Sat.Order.halve_all o;
+            Order_ref.halve_all r
+          | Set_rank (v, x) ->
+            Sat.Order.set_rank o (v mod !n) (float_of_int x);
+            Order_ref.set_rank r (v mod !n) (float_of_int x)
+          | Set_mode (m, rs) ->
+            let a = Array.of_list (List.map float_of_int rs) in
+            (match m with
+            | 0 ->
+              Sat.Order.set_mode o Sat.Order.Vsids;
+              Order_ref.set_mode r Order_ref.Vsids
+            | 1 ->
+              Sat.Order.set_mode o (Sat.Order.Static a);
+              Order_ref.set_mode r (Order_ref.Static a)
+            | _ ->
+              Sat.Order.set_mode o (Sat.Order.Dynamic a);
+              Order_ref.set_mode r (Order_ref.Dynamic a));
+            live := false
+          | Switch ->
+            searching ();
+            Sat.Order.switch_to_vsids o;
+            Order_ref.switch_to_vsids r
+          | Imply v -> assign (v mod !n)
+          | Pop | End_search | Backtrack _ | Grow _ -> ());
+          match op with
+          | Pop ->
+            searching ();
+            let a = Sat.Order.pop_best o ~is_unassigned
+            and b = Order_ref.pop_best r ~is_unassigned in
+            Option.iter (fun l -> assign (Sat.Lit.var l)) a;
+            Option.equal Sat.Lit.equal a b
+          | Backtrack k ->
+            backtrack k;
+            true
+          | End_search ->
+            Sat.Order.suspend o;
+            live := false;
+            true
+          | Grow k ->
+            n := min max_vars (!n + k);
+            Sat.Order.grow o ~num_vars:!n;
+            Order_ref.grow r ~num_vars:!n;
+            true
+          | Bump _ | Bump_by _ | Halve | Set_rank _ | Set_mode _ | Switch | Imply _ -> true)
+        ops)
+
 let tests =
   [
     Alcotest.test_case "init activity" `Quick test_init_activity_counts;
@@ -150,4 +305,5 @@ let tests =
     Alcotest.test_case "pop skips assigned" `Quick test_pop_skips_assigned;
     Alcotest.test_case "on_unassign" `Quick test_on_unassign_reinserts;
     QCheck_alcotest.to_alcotest prop_pop_monotone;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]
