@@ -31,9 +31,10 @@ let per_instance_budget =
     stop = None;
   }
 
-(* Every artefact also publishes its headline numbers through the telemetry
-   aggregator; the driver writes the whole aggregate to bench_results.json so
-   downstream tooling can diff runs without scraping the tables above. *)
+(* [table1] and [overhead] also publish their headline numbers as gauges
+   through the telemetry aggregator; when one of them ran, the driver writes
+   the whole aggregate to bench_results.json so downstream tooling can diff
+   runs without scraping the tables above. *)
 let bench_agg = Telemetry.Sink.aggregate ()
 let tel = Telemetry.create (Telemetry.Sink.of_aggregate bench_agg)
 let results_file = "bench_results.json"
@@ -550,8 +551,8 @@ let quick_cases () =
     (Circuit.Generators.johnson ~width:10 ~noise:16 (), 12);
   ]
 
-(* One depth sweep.  Only the first six fields are snapshot rows; the rest
-   feed the inprocess and cores blocks. *)
+(* One depth sweep.  Only the first seven fields are snapshot rows; the
+   rest feed the inprocess and cores blocks. *)
 type quick_row = {
   q_name : string;
   q_outcomes : string; (* one char per depth: 's' | 'u' | '?' *)
@@ -559,6 +560,7 @@ type quick_row = {
   q_decisions : int;
   q_conflicts : int;
   q_propagations : int;
+  q_heap_cmps : int; (* decision-heap key comparisons *)
   q_dec_rank : int; (* decisions on a ranked variable *)
   q_dec_vsids : int; (* decisions on VSIDS activity alone *)
   q_core_pre : int; (* core clauses before minimisation, summed over depths *)
@@ -631,6 +633,7 @@ let quick_run_case_session ?(policy = Bmc.Session.Persistent) ?(mode = Bmc.Sessi
     q_decisions = sum (fun st -> st.Bmc.Session.decisions) stats;
     q_conflicts = sum (fun st -> st.Bmc.Session.conflicts) stats;
     q_propagations = sum (fun st -> st.Bmc.Session.implications) stats;
+    q_heap_cmps = sum (fun st -> st.Bmc.Session.heap_cmps) stats;
     q_dec_rank = sum (fun st -> st.Bmc.Session.dec_rank) stats;
     q_dec_vsids = sum (fun st -> st.Bmc.Session.dec_vsids) stats;
     q_core_pre = sum (fun st -> st.Bmc.Session.core_pre) stats;
@@ -773,6 +776,7 @@ let quick_json rows ~plain ~coremin ~session_inpr ~serve:(srows, (st : Serve.Ser
         ("decisions", Int r.q_decisions);
         ("conflicts", Int r.q_conflicts);
         ("propagations", Int r.q_propagations);
+        ("heap_cmps", Int r.q_heap_cmps);
       ]
   in
   let serve_row r =
@@ -791,7 +795,7 @@ let quick_json rows ~plain ~coremin ~session_inpr ~serve:(srows, (st : Serve.Ser
   in
   Obj
     [
-      ("schema", Str "bench-quick/v12");
+      ("schema", Str "bench-quick/v13");
       ("cases", List (List.map case rows));
       ("inprocess", Obj (ints (List.combine quick_inpr_fields inpr)));
       ( "cores",
@@ -899,6 +903,8 @@ let write_results () =
 
 let run_artefact name f = Telemetry.span tel ("artefact:" ^ name) f
 
+let publishes_gauges name = List.mem name [ "table1"; "overhead" ]
+
 let () =
   let artefacts =
     [
@@ -911,17 +917,15 @@ let () =
       ("quick", quick);
     ]
   in
-  match List.tl (Array.to_list Sys.argv) with
-  | [] ->
-    List.iter (fun (name, f) -> run_artefact name f) artefacts;
-    write_results ()
-  | args ->
-    List.iter
-      (fun a ->
-        match List.assoc_opt a artefacts with
-        | Some f -> run_artefact a f
-        | None ->
-          usage ();
-          exit 2)
-      args;
-    write_results ()
+  let names =
+    match List.tl (Array.to_list Sys.argv) with [] -> List.map fst artefacts | args -> args
+  in
+  List.iter
+    (fun a ->
+      match List.assoc_opt a artefacts with
+      | Some f -> run_artefact a f
+      | None ->
+        usage ();
+        exit 2)
+    names;
+  if List.exists publishes_gauges names then write_results ()

@@ -111,6 +111,7 @@ let stats_delta ~(before : Sat.Stats.t) ~(after : Sat.Stats.t) =
     deleted = after.deleted - before.deleted;
     max_decision_level = after.max_decision_level;
     heuristic_switches = after.heuristic_switches - before.heuristic_switches;
+    heap_cmps = after.heap_cmps - before.heap_cmps;
     blocker_hits = after.blocker_hits - before.blocker_hits;
     arena_bytes = after.arena_bytes;
     arena_compactions = after.arena_compactions - before.arena_compactions;
@@ -146,6 +147,7 @@ type depth_stat = {
   dec_vsids : int;
   implications : int;
   conflicts : int;
+  heap_cmps : int;
   core_size : int;
   core_var_count : int;
   core_new : int;
@@ -593,6 +595,7 @@ let solve_instance t =
       dec_vsids = delta.Sat.Stats.decisions_vsids;
       implications = delta.Sat.Stats.propagations;
       conflicts = delta.Sat.Stats.conflicts;
+      heap_cmps = delta.Sat.Stats.heap_cmps;
       core_size = List.length core;
       core_var_count = List.length core_vars;
       core_new;

@@ -148,6 +148,9 @@ type depth_stat = {
   dec_vsids : int;  (** decisions taken on VSIDS activity alone *)
   implications : int;  (** BCP-derived assignments, Figure 7's metric *)
   conflicts : int;
+  heap_cmps : int;
+      (** decision-heap key comparisons in this instance's solve
+          ({!Sat.Stats.heap_cmps}) *)
   core_size : int;  (** clauses in the unsat core; 0 if not collected *)
   core_var_count : int;
   core_new : int;

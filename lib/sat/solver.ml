@@ -1237,6 +1237,7 @@ let solve ?(budget = no_budget) ?(assumptions = []) t =
         assumptions;
       t.assumptions <- Array.of_list assumptions;
       t.dynamic_threshold <- max 1 (Cnf.num_literals t.cnf / 64);
+      let cmps0 = Order.comparisons t.order in
       Order.rebuild t.order ~is_unassigned:(fun v ->
           value_var t v = unassigned && not t.eliminated.(v));
       let s = t.stats in
@@ -1261,6 +1262,7 @@ let solve ?(budget = no_budget) ?(assumptions = []) t =
       let r = try search t budget start_time with Done r -> r in
       (* the next call rebuilds the heap: stop maintaining it until then *)
       Order.suspend t.order;
+      s.heap_cmps <- s.heap_cmps + (Order.comparisons t.order - cmps0);
       let dur = Telemetry.wall () -. start_time in
       s.solve_time <- s.solve_time +. dur;
       s.arena_bytes <- Arena.bytes t.arena;

@@ -9,6 +9,7 @@ type t = {
   mutable deleted : int;
   mutable max_decision_level : int;
   mutable heuristic_switches : int;
+  mutable heap_cmps : int;
   mutable blocker_hits : int;
   mutable arena_bytes : int;
   mutable arena_compactions : int;
@@ -38,6 +39,7 @@ let create () =
     deleted = 0;
     max_decision_level = 0;
     heuristic_switches = 0;
+    heap_cmps = 0;
     blocker_hits = 0;
     arena_bytes = 0;
     arena_compactions = 0;
@@ -66,6 +68,7 @@ let reset s =
   s.deleted <- 0;
   s.max_decision_level <- 0;
   s.heuristic_switches <- 0;
+  s.heap_cmps <- 0;
   s.blocker_hits <- 0;
   s.arena_bytes <- 0;
   s.arena_compactions <- 0;
@@ -95,6 +98,7 @@ let add acc s =
   acc.deleted <- acc.deleted + s.deleted;
   acc.max_decision_level <- max acc.max_decision_level s.max_decision_level;
   acc.heuristic_switches <- acc.heuristic_switches + s.heuristic_switches;
+  acc.heap_cmps <- acc.heap_cmps + s.heap_cmps;
   acc.blocker_hits <- acc.blocker_hits + s.blocker_hits;
   acc.arena_bytes <- max acc.arena_bytes s.arena_bytes;
   acc.arena_compactions <- acc.arena_compactions + s.arena_compactions;
@@ -114,9 +118,9 @@ let add acc s =
 let pp ppf s =
   Format.fprintf ppf
     "decisions=%d implications=%d conflicts=%d restarts=%d learned=%d deleted=%d \
-     max_level=%d switches=%d blockers=%d"
+     max_level=%d switches=%d heap_cmps=%d blockers=%d"
     s.decisions s.propagations s.conflicts s.restarts s.learned s.deleted
-    s.max_decision_level s.heuristic_switches s.blocker_hits;
+    s.max_decision_level s.heuristic_switches s.heap_cmps s.blocker_hits;
   if s.decisions_rank > 0 || s.decisions_vsids > 0 then
     Format.fprintf ppf " dec_rank=%d dec_vsids=%d" s.decisions_rank s.decisions_vsids;
   if s.arena_bytes > 0 then

@@ -20,6 +20,9 @@ type t = {
   mutable max_decision_level : int;
   mutable heuristic_switches : int;
       (** dynamic mode: times the solver fell back to pure VSIDS *)
+  mutable heap_cmps : int;
+      (** decision-heap key comparisons (see {!Order.comparisons}): a
+          deterministic measure of the ordering's cost *)
   mutable blocker_hits : int;
       (** watcher visits resolved by the blocking literal alone, without
           touching clause memory (see {!Arena.Watch}) *)

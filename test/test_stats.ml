@@ -17,6 +17,7 @@ let filled () =
   s.deleted <- 1;
   s.max_decision_level <- 5;
   s.heuristic_switches <- 1;
+  s.heap_cmps <- 30;
   s.solve_time <- 0.5;
   s.bcp_time <- 0.25;
   s.analyze_time <- 0.125;
@@ -42,6 +43,7 @@ let test_add () =
   Alcotest.(check int) "deleted sum" 2 acc.deleted;
   Alcotest.(check int) "max level is a max, not a sum" 9 acc.max_decision_level;
   Alcotest.(check int) "switches sum" 2 acc.heuristic_switches;
+  Alcotest.(check int) "heap comparisons sum" 60 acc.heap_cmps;
   Alcotest.(check (float 1e-9)) "solve_time sums" 1.0 acc.solve_time;
   Alcotest.(check (float 1e-9)) "bcp_time sums" 0.5 acc.bcp_time;
   Alcotest.(check (float 1e-9)) "analyze_time sums" 0.25 acc.analyze_time
@@ -62,6 +64,7 @@ let test_pp () =
   Alcotest.(check bool) "no time fields when none recorded" false (contains plain "solve=");
   let timed = str (filled ()) in
   Alcotest.(check bool) "shows solve time" true (contains timed "solve=0.500s");
+  Alcotest.(check bool) "shows heap comparisons" true (contains timed "heap_cmps=30");
   Alcotest.(check bool) "shows bcp time" true (contains timed "bcp=0.250s");
   Alcotest.(check bool) "shows analyze time" true (contains timed "analyze=0.125s")
 
