@@ -70,7 +70,7 @@ type t = {
   mutable conflicts_since_decay : int;
   mutable max_learnts : int;
   mutable gc_fraction : float; (* wasted/size ratio that triggers compaction *)
-  mutable dynamic_threshold : int; (* decisions before the dynamic fallback fires *)
+  mutable dynamic_threshold : int; (* cumulative decisions past which the dynamic fallback fires *)
   mutable luby : Luby.t;
   mutable assumptions : Lit.t array; (* for the solve call in progress *)
   mutable failed_assumptions : Lit.t list; (* valid after assumption-UNSAT *)
@@ -1236,7 +1236,9 @@ let solve ?(budget = no_budget) ?(assumptions = []) t =
                variables before inprocessing)")
         assumptions;
       t.assumptions <- Array.of_list assumptions;
-      t.dynamic_threshold <- max 1 (Cnf.num_literals t.cnf / 64);
+      (* Section 3.3's budget is per SAT instance: this call's literals/64
+         on top of the decisions earlier calls took *)
+      t.dynamic_threshold <- t.stats.decisions + max 1 (Cnf.num_literals t.cnf / 64);
       let cmps0 = Order.comparisons t.order in
       Order.rebuild t.order ~is_unassigned:(fun v ->
           value_var t v = unassigned && not t.eliminated.(v));

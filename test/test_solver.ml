@@ -225,6 +225,35 @@ let test_dynamic_switch_fires () =
   Alcotest.(check int) "switched exactly once" 1
     (Sat.Solver.stats s).Sat.Stats.heuristic_switches
 
+let test_dynamic_threshold_per_solve () =
+  (* Section 3.3's threshold is 1/64 of the instance's literals, counted
+     per solve call: a second [solve] under [Dynamic] starts from the
+     decisions the first one took, and must not switch before taking its
+     own threshold's worth.  (x_i | y_i) clauses are satisfiable, and a
+     free solve decides nearly every variable. *)
+  let n = 128 in
+  let cnf = mk_cnf (List.init n (fun i -> [ (2 * i, true); ((2 * i) + 1, true) ])) in
+  let threshold = Sat.Cnf.num_literals cnf / 64 in
+  let rank = Array.make (2 * n) 1.0 in
+  let s = Sat.Solver.create ~mode:(Sat.Order.Dynamic rank) cnf in
+  let st () = Sat.Solver.stats s in
+  let sat name o = check_outcome name "SAT" (outcome_str o) in
+  sat "first solve" (Sat.Solver.solve s);
+  Alcotest.(check bool) "first solve passed its threshold" true ((st ()).decisions > threshold);
+  Alcotest.(check int) "first solve switched" 1 (st ()).Sat.Stats.heuristic_switches;
+  (* the ranking back, and every variable assumed: no decision of its own *)
+  Sat.Solver.set_order s (Sat.Order.Dynamic rank);
+  let d1 = (st ()).decisions in
+  sat "second solve" (Sat.Solver.solve ~assumptions:(List.init (2 * n) Sat.Lit.pos) s);
+  Alcotest.(check int) "second solve decided nothing" d1 (st ()).decisions;
+  Alcotest.(check int) "no switch below its own threshold" 1 (st ()).heuristic_switches;
+  (* a free third call ranks exactly threshold + 1 decisions, then switches *)
+  let r2 = (st ()).decisions_rank in
+  sat "third solve" (Sat.Solver.solve s);
+  Alcotest.(check int) "switch after the call's own threshold" (threshold + 1)
+    ((st ()).decisions_rank - r2);
+  Alcotest.(check int) "third solve switched" 2 (st ()).heuristic_switches
+
 let test_core_subset_of_clauses () =
   let clauses = php 4 3 in
   let cnf = mk_cnf clauses in
@@ -683,6 +712,7 @@ let tests =
     Alcotest.test_case "stop hook observed mid-BCP" `Quick test_stop_hook_mid_bcp;
     Alcotest.test_case "stop hook inert" `Quick test_stop_hook_inert;
     Alcotest.test_case "dynamic switch fires" `Quick test_dynamic_switch_fires;
+    Alcotest.test_case "dynamic threshold per solve" `Quick test_dynamic_threshold_per_solve;
     Alcotest.test_case "core subset" `Quick test_core_subset_of_clauses;
     Alcotest.test_case "core requires proof" `Quick test_unsat_core_requires_proof;
     Alcotest.test_case "caller's clauses untouched" `Quick test_caller_clauses_untouched;
