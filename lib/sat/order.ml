@@ -48,44 +48,46 @@ let gt t u v =
     if t.act.(a) <> t.act.(b) then t.act.(a) > t.act.(b) else a < b
   end
 
-(* Both sifts carry the moving variable in a hole and write it once. *)
+(* Both sifts carry the moving variable [v] in a hole and write it once,
+   where it comes to rest.  The hole walks are toplevel functions, so a
+   sift allocates nothing. *)
+let rec hole_up t v i =
+  if i = 0 then i
+  else begin
+    let parent = (i - 1) / 2 in
+    let u = t.heap.(parent) in
+    if gt t v u then begin
+      t.heap.(i) <- u;
+      t.pos.(u) <- i;
+      hole_up t v parent
+    end
+    else i
+  end
+
+let rec hole_down t v i =
+  let l = (2 * i) + 1 in
+  if l >= t.heap_len then i
+  else begin
+    let r = l + 1 in
+    let c = if r < t.heap_len && gt t t.heap.(r) t.heap.(l) then r else l in
+    let u = t.heap.(c) in
+    if gt t u v then begin
+      t.heap.(i) <- u;
+      t.pos.(u) <- i;
+      hole_down t v c
+    end
+    else i
+  end
+
 let sift_up t i =
   let v = t.heap.(i) in
-  let rec go i =
-    if i = 0 then i
-    else begin
-      let parent = (i - 1) / 2 in
-      let u = t.heap.(parent) in
-      if gt t v u then begin
-        t.heap.(i) <- u;
-        t.pos.(u) <- i;
-        go parent
-      end
-      else i
-    end
-  in
-  let i = go i in
+  let i = hole_up t v i in
   t.heap.(i) <- v;
   t.pos.(v) <- i
 
 let sift_down t i =
   let v = t.heap.(i) in
-  let rec go i =
-    let l = (2 * i) + 1 in
-    if l >= t.heap_len then i
-    else begin
-      let r = l + 1 in
-      let c = if r < t.heap_len && gt t t.heap.(r) t.heap.(l) then r else l in
-      let u = t.heap.(c) in
-      if gt t u v then begin
-        t.heap.(i) <- u;
-        t.pos.(u) <- i;
-        go c
-      end
-      else i
-    end
-  in
-  let i = go i in
+  let i = hole_down t v i in
   t.heap.(i) <- v;
   t.pos.(v) <- i
 
@@ -138,21 +140,18 @@ let halve_all t =
 
 let on_unassign t v = if t.live then insert t v
 
-let pop_best t ~is_unassigned =
-  let rec loop () =
-    if t.heap_len = 0 then None
-    else begin
-      let v = t.heap.(0) in
-      t.heap_len <- t.heap_len - 1;
-      t.pos.(v) <- -1;
-      if t.heap_len > 0 then begin
-        t.heap.(0) <- t.heap.(t.heap_len);
-        sift_down t 0
-      end;
-      if is_unassigned v then Some (Lit.of_index (best t v)) else loop ()
-    end
-  in
-  loop ()
+let rec pop_best t ~is_unassigned =
+  if t.heap_len = 0 then None
+  else begin
+    let v = t.heap.(0) in
+    t.heap_len <- t.heap_len - 1;
+    t.pos.(v) <- -1;
+    if t.heap_len > 0 then begin
+      t.heap.(0) <- t.heap.(t.heap_len);
+      sift_down t 0
+    end;
+    if is_unassigned v then Some (Lit.of_index (best t v)) else pop_best t ~is_unassigned
+  end
 
 let switch_to_vsids t =
   if t.use_rank then begin

@@ -70,7 +70,7 @@ type t = {
   mutable conflicts_since_decay : int;
   mutable max_learnts : int;
   mutable gc_fraction : float; (* wasted/size ratio that triggers compaction *)
-  mutable dynamic_threshold : int; (* cumulative decisions past which the dynamic fallback fires *)
+  mutable dynamic_threshold : int; (* cumulative decision count that fires the fallback *)
   mutable luby : Luby.t;
   mutable assumptions : Lit.t array; (* for the solve call in progress *)
   mutable failed_assumptions : Lit.t list; (* valid after assumption-UNSAT *)

@@ -184,7 +184,9 @@ let gen_protocol =
         (2, map3 (fun v s a -> Bump_by (v, s, a)) var bool small);
         (1, return Halve);
         (3, map2 (fun v r -> Set_rank (v, r)) var small);
-        (1, map2 (fun m rs -> Set_mode (m, rs)) (int_bound 2) (list_size (int_bound max_vars) small));
+        ( 1,
+          map2 (fun m rs -> Set_mode (m, rs)) (int_bound 2) (list_size (int_bound max_vars) small)
+        );
         (1, return Switch);
         (4, map (fun v -> Imply v) var);
         (8, return Pop);
@@ -239,19 +241,23 @@ let prop_matches_reference =
       let lit v s = Sat.Lit.make (v mod !n) s in
       List.for_all
         (fun op ->
-          (match op with
+          match op with
           | Bump (v, s) ->
             Sat.Order.bump o (lit v s);
-            Order_ref.bump r (lit v s)
+            Order_ref.bump r (lit v s);
+            true
           | Bump_by (v, s, a) ->
             Sat.Order.bump_by o (lit v s) (float_of_int a);
-            Order_ref.bump_by r (lit v s) (float_of_int a)
+            Order_ref.bump_by r (lit v s) (float_of_int a);
+            true
           | Halve ->
             Sat.Order.halve_all o;
-            Order_ref.halve_all r
+            Order_ref.halve_all r;
+            true
           | Set_rank (v, x) ->
             Sat.Order.set_rank o (v mod !n) (float_of_int x);
-            Order_ref.set_rank r (v mod !n) (float_of_int x)
+            Order_ref.set_rank r (v mod !n) (float_of_int x);
+            true
           | Set_mode (m, rs) ->
             let a = Array.of_list (List.map float_of_int rs) in
             (match m with
@@ -264,14 +270,16 @@ let prop_matches_reference =
             | _ ->
               Sat.Order.set_mode o (Sat.Order.Dynamic a);
               Order_ref.set_mode r (Order_ref.Dynamic a));
-            live := false
+            live := false;
+            true
           | Switch ->
             searching ();
             Sat.Order.switch_to_vsids o;
-            Order_ref.switch_to_vsids r
-          | Imply v -> assign (v mod !n)
-          | Pop | End_search | Backtrack _ | Grow _ -> ());
-          match op with
+            Order_ref.switch_to_vsids r;
+            true
+          | Imply v ->
+            assign (v mod !n);
+            true
           | Pop ->
             searching ();
             let a = Sat.Order.pop_best o ~is_unassigned
@@ -289,8 +297,7 @@ let prop_matches_reference =
             n := min max_vars (!n + k);
             Sat.Order.grow o ~num_vars:!n;
             Order_ref.grow r ~num_vars:!n;
-            true
-          | Bump _ | Bump_by _ | Halve | Set_rank _ | Set_mode _ | Switch | Imply _ -> true)
+            true)
         ops)
 
 let tests =
