@@ -26,9 +26,9 @@
 
     The heap is {e live} only while a solve searches: from {!rebuild},
     which every solve call begins with, to {!suspend}, which ends it.
-    Outside that window bumps, rank updates and unassignments only record
-    their scores and leave the heap alone, since the next {!rebuild}
-    discards its order anyway. *)
+    Outside that window bumps and rank updates only record the new scores,
+    and unassignments do nothing: the next {!rebuild} refills the heap from
+    scratch anyway. *)
 
 type t
 

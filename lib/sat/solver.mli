@@ -70,8 +70,9 @@ val create :
     minimisation — off by default because the paper's substrate, Chaff,
     predates it.  [mode] selects the
     decision ordering (default {!Order.Vsids}); in [Dynamic] mode the
-    fallback threshold is [num_literals cnf / 64] decisions, as in the
-    paper.  [with_drat] (default [false]) additionally records the clausal
+    fallback threshold is [num_literals / 64] decisions {e per solve call}
+    (counted from the decisions taken before the call, so an incremental
+    solver grants every call its own allowance), as in the paper.  [with_drat] (default [false]) additionally records the clausal
     (DRAT) proof for {!drat_events} / {!Checker}.  [telemetry] (default
     {!Telemetry.disabled}) turns on structured tracing: per-solve phase
     spans ("bcp", "analyze", "cdg", "solve" — a call on a formula already
