@@ -32,9 +32,9 @@ let per_instance_budget =
   }
 
 (* [table1] and [overhead] also publish their headline numbers as gauges
-   through the telemetry aggregator; when one of them ran, the driver writes
-   the whole aggregate to bench_results.json so downstream tooling can diff
-   runs without scraping the tables above. *)
+   through the telemetry aggregator; when one of them ran, the whole
+   aggregate is written to bench_results.json so downstream tooling can
+   diff runs without scraping the tables above. *)
 let bench_agg = Telemetry.Sink.aggregate ()
 let tel = Telemetry.create (Telemetry.Sink.of_aggregate bench_agg)
 let results_file = "bench_results.json"

@@ -27,8 +27,8 @@
     The heap is {e live} only while a solve searches: from {!rebuild},
     which every solve call begins with, to {!suspend}, which ends it.
     Outside that window bumps and rank updates only record the new scores,
-    and unassignments do nothing: the next {!rebuild} refills the heap from
-    scratch anyway. *)
+    and unassignments do nothing: the next {!rebuild} refills the heap with
+    every unassigned variable anyway. *)
 
 type t
 
